@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +66,9 @@ class Registry {
   }
 
   /// Builds `name` or throws an ApiError listing every registered name.
-  /// Unused parameter keys are rejected with the component named.
+  /// Unused parameter keys are rejected with the component named, and so
+  /// are values the component's constructor refuses
+  /// (std::invalid_argument, e.g. RBM-IM's cd_steps=0).
   std::unique_ptr<Interface> Create(const std::string& name,
                                     const StreamSchema& schema, uint64_t seed,
                                     const ParamMap& params = {}) const {
@@ -76,7 +79,12 @@ class Registry {
     // earlier factory must not vouch for this one.
     ParamMap fresh = params;
     fresh.ResetUsage();
-    std::unique_ptr<Interface> built = e->factory(schema, seed, fresh);
+    std::unique_ptr<Interface> built;
+    try {
+      built = e->factory(schema, seed, fresh);
+    } catch (const std::invalid_argument& err) {
+      throw ApiError(kind_ + " '" + name + "': " + err.what());
+    }
     fresh.ThrowIfUnused(kind_ + " '" + name + "'");
     return built;
   }

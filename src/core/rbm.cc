@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "io/codecs.h"
 
@@ -10,15 +12,62 @@ namespace {
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+void SigmoidInPlace(std::vector<double>* x) {
+  for (double& a : *x) a = Sigmoid(a);
+}
+
 double Softplus(double x) {
   if (x > 30.0) return x;
   if (x < -30.0) return 0.0;
   return std::log1p(std::exp(x));
 }
 
+void SoftmaxInPlace(std::vector<double>* logits) {
+  double max_logit = -1e300;
+  for (double l : *logits) {
+    if (l > max_logit) max_logit = l;
+  }
+  double total = 0.0;
+  for (double& l : *logits) {
+    l = std::exp(l - max_logit);
+    total += l;
+  }
+  for (double& l : *logits) l /= total;
+}
+
 }  // namespace
 
+void ParamError::Require(bool ok, const char* field, const char* rule,
+                         double value) {
+  if (ok) return;
+  std::ostringstream message;
+  message << "must " << rule << ", got " << value;
+  throw ParamError(field, message.str());
+}
+
+void Rbm::ValidateParams(const Params& p) {
+  ParamError::Require(p.visible >= 1, "rbm.visible", "be >= 1", p.visible);
+  ParamError::Require(p.hidden >= 1, "rbm.hidden", "be >= 1", p.hidden);
+  ParamError::Require(p.classes >= 1, "rbm.classes", "be >= 1", p.classes);
+  ParamError::Require(p.cd_steps >= 1, "rbm.cd_steps",
+                      "be >= 1 (CD-k needs a Gibbs step)", p.cd_steps);
+  ParamError::Require(std::isfinite(p.learning_rate) && p.learning_rate > 0.0,
+                      "rbm.learning_rate", "be finite and > 0",
+                      p.learning_rate);
+  ParamError::Require(
+      std::isfinite(p.discriminative_rate) && p.discriminative_rate >= 0.0,
+      "rbm.discriminative_rate", "be finite and >= 0", p.discriminative_rate);
+  ParamError::Require(
+      std::isfinite(p.weight_init_sigma) && p.weight_init_sigma >= 0.0,
+      "rbm.weight_init_sigma", "be finite and >= 0", p.weight_init_sigma);
+  ParamError::Require(p.beta > 0.0 && p.beta < 1.0, "rbm.beta",
+                      "lie in (0,1)", p.beta);
+  ParamError::Require(p.count_decay > 0.0 && p.count_decay <= 1.0,
+                      "rbm.count_decay", "lie in (0,1]", p.count_decay);
+}
+
 Rbm::Rbm(const Params& params, uint64_t seed) : params_(params), rng_(seed) {
+  ValidateParams(params_);
   const size_t v = static_cast<size_t>(params_.visible);
   const size_t h = static_cast<size_t>(params_.hidden);
   const size_t z = static_cast<size_t>(params_.classes);
@@ -32,6 +81,34 @@ Rbm::Rbm(const Params& params, uint64_t seed) : params_(params), rng_(seed) {
   class_counts_.assign(z, 0.0);
 }
 
+void Rbm::VisiblePreactivationInto(const std::vector<double>& v,
+                                   std::vector<double>* pre) const {
+  const size_t v_n = static_cast<size_t>(params_.visible);
+  const size_t h_n = static_cast<size_t>(params_.hidden);
+  pre->assign(b_.begin(), b_.end());
+  double* acc = pre->data();
+  // Row i of W is contiguous: one sweep adds v_i W_ij to every unit j, so
+  // each unit still sums its products in ascending i.
+  for (size_t i = 0; i < v_n; ++i) {
+    const double vi = v[i];
+    const double* row = &w_[i * h_n];
+    for (size_t j = 0; j < h_n; ++j) acc[j] += vi * row[j];
+  }
+}
+
+void Rbm::AddClassInput(const std::vector<double>& z,
+                        std::vector<double>* act) const {
+  const size_t h_n = static_cast<size_t>(params_.hidden);
+  const size_t z_n = static_cast<size_t>(params_.classes);
+  double* acc = act->data();
+  for (size_t j = 0; j < h_n; ++j) {
+    const double* row = &u_[j * z_n];
+    double s = acc[j];
+    for (size_t k = 0; k < z_n; ++k) s += z[k] * row[k];
+    acc[j] = s;
+  }
+}
+
 std::vector<double> Rbm::HiddenProbs(const std::vector<double>& v,
                                      const std::vector<double>& z) const {
   std::vector<double> ph;
@@ -42,18 +119,9 @@ std::vector<double> Rbm::HiddenProbs(const std::vector<double>& v,
 void Rbm::HiddenProbsInto(const std::vector<double>& v,
                           const std::vector<double>& z,
                           std::vector<double>* out) const {
-  std::vector<double>& ph = *out;
-  ph.resize(static_cast<size_t>(params_.hidden));
-  for (int j = 0; j < params_.hidden; ++j) {
-    double act = b_[static_cast<size_t>(j)];
-    for (int i = 0; i < params_.visible; ++i) {
-      act += v[static_cast<size_t>(i)] * Wc(i, j);
-    }
-    for (int k = 0; k < params_.classes; ++k) {
-      act += z[static_cast<size_t>(k)] * Uc(j, k);
-    }
-    ph[static_cast<size_t>(j)] = Sigmoid(act);
-  }
+  VisiblePreactivationInto(v, out);
+  AddClassInput(z, out);
+  SigmoidInPlace(out);
 }
 
 std::vector<double> Rbm::VisibleProbs(const std::vector<double>& h) const {
@@ -64,14 +132,37 @@ std::vector<double> Rbm::VisibleProbs(const std::vector<double>& h) const {
 
 void Rbm::VisibleProbsInto(const std::vector<double>& h,
                            std::vector<double>* out) const {
+  const size_t v_n = static_cast<size_t>(params_.visible);
+  const size_t h_n = static_cast<size_t>(params_.hidden);
   std::vector<double>& pv = *out;
-  pv.resize(static_cast<size_t>(params_.visible));
-  for (int i = 0; i < params_.visible; ++i) {
-    double act = a_[static_cast<size_t>(i)];
-    for (int j = 0; j < params_.hidden; ++j) {
-      act += h[static_cast<size_t>(j)] * Wc(i, j);
+  pv.resize(v_n);
+  const double* hp = h.data();
+  // Four rows at a time: their sums are independent dependency chains
+  // that overlap in the pipeline, while each still adds in ascending j.
+  size_t i = 0;
+  for (; i + 4 <= v_n; i += 4) {
+    const double* r0 = &w_[i * h_n];
+    const double* r1 = r0 + h_n;
+    const double* r2 = r1 + h_n;
+    const double* r3 = r2 + h_n;
+    double s0 = a_[i], s1 = a_[i + 1], s2 = a_[i + 2], s3 = a_[i + 3];
+    for (size_t j = 0; j < h_n; ++j) {
+      const double hj = hp[j];
+      s0 += hj * r0[j];
+      s1 += hj * r1[j];
+      s2 += hj * r2[j];
+      s3 += hj * r3[j];
     }
-    pv[static_cast<size_t>(i)] = Sigmoid(act);
+    pv[i] = Sigmoid(s0);
+    pv[i + 1] = Sigmoid(s1);
+    pv[i + 2] = Sigmoid(s2);
+    pv[i + 3] = Sigmoid(s3);
+  }
+  for (; i < v_n; ++i) {
+    const double* row = &w_[i * h_n];
+    double s = a_[i];
+    for (size_t j = 0; j < h_n; ++j) s += hp[j] * row[j];
+    pv[i] = Sigmoid(s);
   }
 }
 
@@ -83,15 +174,8 @@ std::vector<double> Rbm::HiddenFromVisible(const std::vector<double>& v) const {
 
 void Rbm::HiddenFromVisibleInto(const std::vector<double>& v,
                                 std::vector<double>* out) const {
-  std::vector<double>& ph = *out;
-  ph.resize(static_cast<size_t>(params_.hidden));
-  for (int j = 0; j < params_.hidden; ++j) {
-    double act = b_[static_cast<size_t>(j)];
-    for (int i = 0; i < params_.visible; ++i) {
-      act += v[static_cast<size_t>(i)] * Wc(i, j);
-    }
-    ph[static_cast<size_t>(j)] = Sigmoid(act);
-  }
+  VisiblePreactivationInto(v, out);
+  SigmoidInPlace(out);
 }
 
 std::vector<double> Rbm::ClassReadout(const std::vector<double>& v) const {
@@ -114,27 +198,28 @@ std::vector<double> Rbm::ClassProbs(const std::vector<double>& h) const {
 
 void Rbm::ClassProbsInto(const std::vector<double>& h,
                          std::vector<double>* out) const {
+  const size_t h_n = static_cast<size_t>(params_.hidden);
+  const size_t z_n = static_cast<size_t>(params_.classes);
   std::vector<double>& logits = *out;
-  logits.resize(static_cast<size_t>(params_.classes));
-  double max_logit = -1e300;
-  for (int k = 0; k < params_.classes; ++k) {
-    double act = c_[static_cast<size_t>(k)];
-    for (int j = 0; j < params_.hidden; ++j) {
-      act += h[static_cast<size_t>(j)] * Uc(j, k);
-    }
-    logits[static_cast<size_t>(k)] = act;
-    if (act > max_logit) max_logit = act;
+  logits.assign(c_.begin(), c_.end());
+  double* acc = logits.data();
+  for (size_t j = 0; j < h_n; ++j) {
+    const double hj = h[j];
+    const double* row = &u_[j * z_n];
+    for (size_t k = 0; k < z_n; ++k) acc[k] += hj * row[k];
   }
-  double total = 0.0;
-  for (double& l : logits) {
-    l = std::exp(l - max_logit);
-    total += l;
-  }
-  for (double& l : logits) l /= total;
+  SoftmaxInPlace(out);
 }
 
 double Rbm::ClassWeight(int y) const {
-  if (!params_.class_balanced) return 1.0;
+  ClassWeightsInto(&scratch_.class_weight);
+  return scratch_.class_weight[static_cast<size_t>(y)];
+}
+
+void Rbm::ClassWeightsInto(std::vector<double>* out) const {
+  std::vector<double>& w = *out;
+  w.assign(class_counts_.size(), 1.0);
+  if (!params_.class_balanced) return;
   // Effective number of samples E_n = (1 - beta^n) / (1 - beta); raw
   // weight = 1/E_n. Normalize by the mean raw weight over observed classes
   // so the global learning-rate scale is unaffected by K or stream length.
@@ -145,17 +230,23 @@ double Rbm::ClassWeight(int y) const {
   };
   double sum = 0.0;
   int seen = 0;
-  for (double n : class_counts_) {
-    if (n > 0.0) {
-      sum += raw(n);
+  for (size_t k = 0; k < w.size(); ++k) {
+    w[k] = raw(class_counts_[k]);
+    if (class_counts_[k] > 0.0) {
+      sum += w[k];
       ++seen;
     }
   }
-  if (seen == 0) return 1.0;
+  if (seen == 0) {
+    std::fill(w.begin(), w.end(), 1.0);
+    return;
+  }
   double mean = sum / seen;
-  double w = raw(class_counts_[static_cast<size_t>(y)]) / mean;
-  // Clamp to keep one rare instance from destabilizing the whole model.
-  return w > 50.0 ? 50.0 : w;
+  for (double& x : w) {
+    x /= mean;
+    // Clamp to keep one rare instance from destabilizing the whole model.
+    if (x > 50.0) x = 50.0;
+  }
 }
 
 void Rbm::TrainBatch(const std::vector<Instance>& batch) {
@@ -188,6 +279,9 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
       class_counts_[static_cast<size_t>(s.label)] += 1.0;
     }
   }
+  // The counts stay fixed for the rest of the batch, and so do the weights.
+  std::vector<double>& class_weight = scratch_.class_weight;
+  ClassWeightsInto(&class_weight);
 
   std::vector<double>& z0 = scratch_.z0;
   std::vector<double>& h_state = scratch_.h_state;
@@ -199,11 +293,18 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     const std::vector<double>& v0 = s.features;
     std::fill(z0.begin(), z0.end(), 0.0);
     z0[static_cast<size_t>(s.label)] = 1.0;
-    double weight = ClassWeight(s.label);
+    const double weight = class_weight[static_cast<size_t>(s.label)];
 
-    // Positive phase: E_data[.] with clamped (v0, z0).
+    // Positive phase: E_data[.] with clamped (v0, z0). The visible
+    // pre-activation b + W^T v0 is computed once: ph0 adds the clamped
+    // label's input to it, and the discriminative step below encodes v0
+    // with the same W and b (neither changes before that step).
+    std::vector<double>& hv = scratch_.hv;
     std::vector<double>& ph0 = scratch_.ph0;
-    HiddenProbsInto(v0, z0, &ph0);
+    VisiblePreactivationInto(v0, &hv);
+    ph0.assign(hv.begin(), hv.end());
+    AddClassInput(z0, &ph0);
+    SigmoidInPlace(&ph0);
 
     // Negative phase: CD-k. Hidden states are sampled; visible and class
     // reconstructions use probabilities (standard CD practice).
@@ -247,31 +348,48 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     // layer MLP step on U, c, W, b). This is what makes the class read-out
     // track p(y|x) sharply enough for Eq. 26's label term to carry signal.
     if (params_.discriminative_rate > 0.0) {
-      std::vector<double>& hv = scratch_.hv;
       std::vector<double>& py = scratch_.py;
-      HiddenFromVisibleInto(v0, &hv);
+      std::vector<double>& err = scratch_.err;
+      std::vector<double>& dh = scratch_.dh;
+      std::vector<double>& g = scratch_.g;
+      SigmoidInPlace(&hv);
       ClassProbsInto(hv, &py);
       // Per-instance SGD step (unlike the CD update, which is a batch
       // mean); the cost clamp keeps extreme minority weights from blowing
       // up a single step.
-      double dlr = params_.discriminative_rate * std::min(weight, 5.0);
-      std::vector<double>& dh = scratch_.dh;
-      dh.assign(h_n, 0.0);
+      const double dlr = params_.discriminative_rate * std::min(weight, 5.0);
+      // A class whose error is exactly 0 moves neither c_k, column k of U,
+      // nor any dh_j.
+      err.resize(z_n);
       for (size_t k = 0; k < z_n; ++k) {
-        double err = z0[k] - py[k];
-        if (err == 0.0) continue;
-        c_[k] += dlr * err;
-        for (size_t j = 0; j < h_n; ++j) {
-          dh[j] += err * Uc(static_cast<int>(j), static_cast<int>(k));
-          U(static_cast<int>(j), static_cast<int>(k)) += dlr * err * hv[j];
-        }
+        err[k] = z0[k] - py[k];
+        if (err[k] != 0.0) c_[k] += dlr * err[k];
       }
+      dh.resize(h_n);
       for (size_t j = 0; j < h_n; ++j) {
-        double g = dh[j] * hv[j] * (1.0 - hv[j]);
-        if (g == 0.0) continue;
-        b_[j] += dlr * g;
-        for (size_t i = 0; i < v_n; ++i) {
-          W(static_cast<int>(i), static_cast<int>(j)) += dlr * g * v0[i];
+        double* u_row = &u_[j * z_n];
+        const double hj = hv[j];
+        double d = 0.0;
+        for (size_t k = 0; k < z_n; ++k) {
+          const double e = err[k];
+          if (e == 0.0) continue;
+          d += e * u_row[k];  // Reads U_jk before its own update.
+          u_row[k] += dlr * e * hj;
+        }
+        dh[j] = d;
+      }
+      // Likewise a hidden unit with g_j == 0 moves neither b_j nor column
+      // j of W, which is swept row by row.
+      g.resize(h_n);
+      for (size_t j = 0; j < h_n; ++j) {
+        g[j] = dh[j] * hv[j] * (1.0 - hv[j]);
+        if (g[j] != 0.0) b_[j] += dlr * g[j];
+      }
+      for (size_t i = 0; i < v_n; ++i) {
+        const double vi = v0[i];
+        double* w_row = &w_[i * h_n];
+        for (size_t j = 0; j < h_n; ++j) {
+          w_row[j] = g[j] == 0.0 ? w_row[j] : w_row[j] + dlr * g[j] * vi;
         }
       }
     }
@@ -290,11 +408,18 @@ double Rbm::ReconstructionError(const std::vector<double>& x, int y) const {
   z.assign(static_cast<size_t>(params_.classes), 0.0);
   if (y >= 0 && y < params_.classes) z[static_cast<size_t>(y)] = 1.0;
   std::vector<double>& h = scratch_.h;
+  std::vector<double>& h2 = scratch_.h2;
   std::vector<double>& xr = scratch_.xr;
   std::vector<double>& zr = scratch_.zr;
-  HiddenProbsInto(x, z, &h);  // Mean-field h | v, z (Eq. 25).
-  VisibleProbsInto(h, &xr);   // Eq. 23.
-  ClassReadoutInto(x, &zr);   // Eq. 24, read out from v.
+  // Both hidden encodings of x share b + W^T x: the label-clamped one adds
+  // z's input on top, the read-out's uses it as is.
+  VisiblePreactivationInto(x, &h2);
+  h.assign(h2.begin(), h2.end());
+  AddClassInput(z, &h);
+  SigmoidInPlace(&h);   // Mean-field h | v, z (Eq. 25).
+  SigmoidInPlace(&h2);  // h | v alone, for the label read-out.
+  VisibleProbsInto(h, &xr);  // Eq. 23.
+  ClassProbsInto(h2, &zr);   // Eq. 24, read out from v.
   double sq = 0.0;
   for (int i = 0; i < params_.visible; ++i) {
     double d = x[static_cast<size_t>(i)] - xr[static_cast<size_t>(i)];
@@ -319,32 +444,19 @@ void Rbm::ClassifyProbsInto(const std::vector<double>& x,
                             std::vector<double>* out) const {
   // Free-energy discriminative read-out:
   //   log P(y|x) ∝ c_y + sum_j softplus(b_j + W_.j x + u_jy).
+  const size_t h_n = static_cast<size_t>(params_.hidden);
+  const size_t z_n = static_cast<size_t>(params_.classes);
   std::vector<double>& base = scratch_.base;
-  base.resize(static_cast<size_t>(params_.hidden));
-  for (int j = 0; j < params_.hidden; ++j) {
-    double act = b_[static_cast<size_t>(j)];
-    for (int i = 0; i < params_.visible; ++i) {
-      act += x[static_cast<size_t>(i)] * Wc(i, j);
-    }
-    base[static_cast<size_t>(j)] = act;
-  }
+  VisiblePreactivationInto(x, &base);
   std::vector<double>& logits = *out;
-  logits.resize(static_cast<size_t>(params_.classes));
-  double max_logit = -1e300;
-  for (int k = 0; k < params_.classes; ++k) {
-    double l = c_[static_cast<size_t>(k)];
-    for (int j = 0; j < params_.hidden; ++j) {
-      l += Softplus(base[static_cast<size_t>(j)] + Uc(j, k));
-    }
-    logits[static_cast<size_t>(k)] = l;
-    if (l > max_logit) max_logit = l;
+  logits.assign(c_.begin(), c_.end());
+  double* acc = logits.data();
+  for (size_t j = 0; j < h_n; ++j) {
+    const double bj = base[j];
+    const double* row = &u_[j * z_n];
+    for (size_t k = 0; k < z_n; ++k) acc[k] += Softplus(bj + row[k]);
   }
-  double total = 0.0;
-  for (double& l : logits) {
-    l = std::exp(l - max_logit);
-    total += l;
-  }
-  for (double& l : logits) l /= total;
+  SoftmaxInPlace(out);
 }
 
 double Rbm::Energy(const std::vector<double>& v, const std::vector<double>& h,
@@ -407,8 +519,10 @@ void Rbm::LoadState(io::Reader& r) {
   p.class_balanced = r.Bool("rbm.class_balanced");
   p.beta = r.F64("rbm.beta");
   p.count_decay = r.F64("rbm.count_decay");
-  if (p.visible <= 0 || p.hidden <= 0 || p.classes <= 0) {
-    r.Fail("rbm.visible", "non-positive layer dimension");
+  try {
+    ValidateParams(p);
+  } catch (const ParamError& e) {
+    r.Fail(e.field().c_str(), e.what());
   }
   io::ReadRngInto(r, &rng_);
   std::vector<double> w_in = r.F64Array("rbm.w");

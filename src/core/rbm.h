@@ -1,6 +1,8 @@
 #ifndef CCD_CORE_RBM_H_
 #define CCD_CORE_RBM_H_
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "stream/instance.h"
@@ -11,6 +13,23 @@ namespace io {
 class Writer;
 class Reader;
 }  // namespace io
+
+/// An Rbm or RbmIm parameter outside its domain. field() is the qualified
+/// key of the offending member ("rbm.cd_steps", "rbm_im.beta"), the same
+/// key LoadState reports through io::WireError.
+class ParamError : public std::invalid_argument {
+ public:
+  ParamError(const std::string& field, const std::string& message)
+      : std::invalid_argument(field + ": " + message), field_(field) {}
+  const std::string& field() const { return field_; }
+
+  /// Throws "<field>: must <rule>, got <value>" unless `ok`.
+  static void Require(bool ok, const char* field, const char* rule,
+                      double value);
+
+ private:
+  std::string field_;
+};
 
 /// Skew-insensitive three-layer Restricted Boltzmann Machine (Sec. V-A of
 /// the paper): a visible layer v of V unit-interval units, a hidden layer h
@@ -47,7 +66,14 @@ class Rbm {
     double count_decay = 0.9999;   ///< Forgetting factor for class counts.
   };
 
+  /// Throws ParamError unless `params` is valid (see ValidateParams).
   Rbm(const Params& params, uint64_t seed);
+
+  /// Throws ParamError naming the first out-of-domain field: layer sizes
+  /// and cd_steps must be >= 1, learning_rate finite and > 0,
+  /// discriminative_rate and weight_init_sigma finite and >= 0, beta in
+  /// (0,1) (beta = 1 makes the Eq. 13 weight 0/0) and count_decay in (0,1].
+  static void ValidateParams(const Params& params);
 
   /// One CD-k update from a mini-batch (Eq. 15-21). Instances' features
   /// must be in [0,1]; labels in [0, classes).
@@ -78,6 +104,13 @@ class Rbm {
   /// through reused scratch so a trained, steady-state RBM performs no
   /// heap allocation per evaluated instance. `out` must not alias `v`,
   /// `z`, or `h`.
+  ///
+  /// Summation order is part of the contract: every output unit starts
+  /// from its bias and adds its products in ascending input index (visible
+  /// i, then class k). The kernels walk W and U row by row and so work on
+  /// many output units at once, but never reassociate one unit's sum, so
+  /// results are bit-identical to the textbook per-unit loops
+  /// (tests/rbm_kernel_test.cc holds them to that).
   void HiddenProbsInto(const std::vector<double>& v,
                        const std::vector<double>& z,
                        std::vector<double>* out) const;
@@ -127,14 +160,23 @@ class Rbm {
   void LoadState(io::Reader& reader);
 
  private:
-  double& W(int i, int j) { return w_[static_cast<size_t>(i) * params_.hidden + j]; }
   double Wc(int i, int j) const {
     return w_[static_cast<size_t>(i) * params_.hidden + j];
   }
-  double& U(int j, int k) { return u_[static_cast<size_t>(j) * params_.classes + k]; }
   double Uc(int j, int k) const {
     return u_[static_cast<size_t>(j) * params_.classes + k];
   }
+
+  /// pre[j] = b_j + sum_i v_i W_ij: the hidden pre-activation driven by
+  /// the visible layer alone, shared by every hidden-layer pass.
+  void VisiblePreactivationInto(const std::vector<double>& v,
+                                std::vector<double>* pre) const;
+  /// act[j] += sum_k z_k U_jk: the class layer's input to hidden unit j.
+  void AddClassInput(const std::vector<double>& z,
+                     std::vector<double>* act) const;
+  /// Class-balanced weight of every class at once; entry y equals
+  /// ClassWeight(y).
+  void ClassWeightsInto(std::vector<double>* out) const;
 
   /// Reused feed-forward / CD buffers so the hot paths never allocate.
   /// Pure scratch: every vector is fully rewritten before it is read, so
@@ -142,8 +184,9 @@ class Rbm {
   struct Scratch {
     std::vector<double> z, h, h2, xr, zr, base;       // Feed-forward.
     std::vector<double> gw, gu, ga, gb, gc;           // CD gradients.
+    std::vector<double> class_weight;                 // Per-batch weights.
     std::vector<double> z0, h_state, ph0, vk, zk, phk;  // Gibbs chain.
-    std::vector<double> hv, py, dh;                   // Discriminative step.
+    std::vector<double> hv, py, err, dh, g;           // Discriminative step.
   };
 
   Params params_;

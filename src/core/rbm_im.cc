@@ -10,9 +10,41 @@ namespace ccd {
 
 double RbmIm::EwmaBaseline::StdDev() const { return std::sqrt(var); }
 
+namespace {
+
+const RbmIm::Params& Validated(const RbmIm::Params& params) {
+  RbmIm::ValidateParams(params);
+  return params;
+}
+
+}  // namespace
+
 RbmIm::RbmIm(const Params& params, uint64_t seed)
-    : params_(params), seed_(seed), normalizer_(params.num_features) {
+    : params_(Validated(params)),
+      seed_(seed),
+      normalizer_(params.num_features) {
   Reset();
+}
+
+void RbmIm::ValidateParams(const Params& p) {
+  ParamError::Require(p.num_features >= 1, "rbm_im.num_features", "be >= 1",
+                      p.num_features);
+  ParamError::Require(p.num_classes >= 1, "rbm_im.num_classes", "be >= 1",
+                      p.num_classes);
+  ParamError::Require(p.batch_size >= 1, "rbm_im.batch_size", "be >= 1",
+                      p.batch_size);
+  ParamError::Require(p.eval_pool >= 1, "rbm_im.eval_pool", "be >= 1",
+                      p.eval_pool);
+  ParamError::Require(p.cd_steps >= 1, "rbm_im.cd_steps",
+                      "be >= 1 (CD-k needs a Gibbs step)", p.cd_steps);
+  ParamError::Require(std::isfinite(p.hidden_ratio) && p.hidden_ratio > 0.0,
+                      "rbm_im.hidden_ratio", "be finite and > 0",
+                      p.hidden_ratio);
+  ParamError::Require(std::isfinite(p.learning_rate) && p.learning_rate > 0.0,
+                      "rbm_im.learning_rate", "be finite and > 0",
+                      p.learning_rate);
+  ParamError::Require(p.beta > 0.0 && p.beta < 1.0, "rbm_im.beta",
+                      "lie in (0,1)", p.beta);
 }
 
 void RbmIm::Reset() {
@@ -161,8 +193,10 @@ void RbmIm::LoadState(io::Reader& r) {
   p.trend_window_max = static_cast<int>(r.I64("rbm_im.trend_window_max"));
   p.post_drift_boost = static_cast<int>(r.I64("rbm_im.post_drift_boost"));
   p.eval_pool = static_cast<int>(r.I64("rbm_im.eval_pool"));
-  if (p.num_features <= 0 || p.num_classes <= 0 || p.batch_size <= 0) {
-    r.Fail("rbm_im.num_features", "non-positive dimension");
+  try {
+    ValidateParams(p);
+  } catch (const ParamError& e) {
+    r.Fail(e.field().c_str(), e.what());
   }
   params_ = p;
   seed_ = r.U64("rbm_im.seed");
@@ -407,12 +441,12 @@ bool RbmIm::TrendTest(ClassMonitor* m) const {
   // current trend windows causally (continuity lost => drift).
   size_t need = 2 * static_cast<size_t>(params_.granger_window);
   if (m->trend_history.size() < need) return true;  // Magnitude-only early.
-  std::vector<double> prev(m->trend_history.begin(),
-                           m->trend_history.begin() +
-                               static_cast<long>(params_.granger_window));
-  std::vector<double> cur(m->trend_history.begin() +
-                              static_cast<long>(params_.granger_window),
-                          m->trend_history.end());
+  const auto split = m->trend_history.begin() +
+                     static_cast<long>(params_.granger_window);
+  std::vector<double>& prev = granger_prev_scratch_;
+  std::vector<double>& cur = granger_cur_scratch_;
+  prev.assign(m->trend_history.begin(), split);
+  cur.assign(split, m->trend_history.end());
   GrangerResult g = GrangerCausalityFirstDiff(prev, cur, params_.granger_lag,
                                               params_.granger_alpha);
   return !g.valid || !g.causality_rejected;

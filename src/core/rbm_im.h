@@ -86,7 +86,13 @@ class RbmIm : public DriftDetector {
     int eval_pool = 16;
   };
 
+  /// Throws ParamError unless `params` is valid (see ValidateParams).
   RbmIm(const Params& params, uint64_t seed);
+
+  /// Throws ParamError naming the first out-of-domain field: num_features,
+  /// num_classes, batch_size, eval_pool and cd_steps must be >= 1,
+  /// hidden_ratio and learning_rate finite and > 0, beta in (0,1).
+  static void ValidateParams(const Params& params);
 
   void Observe(const Instance& instance, int predicted,
                const std::vector<double>& scores) override;
@@ -181,6 +187,11 @@ class RbmIm : public DriftDetector {
   std::vector<int> r_count_scratch_;
   // ccd:state-skip(batch_count_scratch_, transient ProcessBatch scratch fully rewritten per batch; no run state)
   std::vector<int> batch_count_scratch_;
+  // TrendTest's two Granger windows, copied out of trend_history.
+  // ccd:state-skip(granger_prev_scratch_, transient TrendTest scratch fully rewritten per call; no run state)
+  mutable std::vector<double> granger_prev_scratch_;
+  // ccd:state-skip(granger_cur_scratch_, transient TrendTest scratch fully rewritten per call; no run state)
+  mutable std::vector<double> granger_cur_scratch_;
   DetectorState state_ = DetectorState::kStable;
   std::vector<int> drifted_;
   uint64_t batches_ = 0;

@@ -237,6 +237,27 @@ TEST(ApiRegistryTest, ParamOverridesReachTheComponent) {
   EXPECT_EQ(rbm_im->rbm().params().hidden, schema.num_features);
 }
 
+TEST(ApiRegistryTest, OutOfDomainRbmImParamsAreApiErrors) {
+  // RBM-IM:cd_steps=0 used to build fine and then segfault at the first
+  // batch boundary; beta=1 built a detector whose every signal was NaN.
+  // Both now fail at construction, naming the component and the field.
+  StreamSchema schema = TestSchema();
+  for (const char* bad : {"cd_steps=0", "beta=1", "batch_size=0",
+                          "eval_pool=0", "hidden_ratio=0",
+                          "learning_rate=-1"}) {
+    const std::string spec = bad;
+    const std::string key = spec.substr(0, spec.find('='));
+    try {
+      api::MakeDetector("RBM-IM", schema, 1, {bad});
+      ADD_FAILURE() << "expected ApiError for " << bad;
+    } catch (const api::ApiError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("RBM-IM"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("rbm_im." + key), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST(ApiRegistryTest, RbmImTriggerVariantsConstruct) {
   StreamSchema schema = TestSchema();
   for (const char* trigger : {"combined", "zscore", "adwin", "granger"}) {

@@ -1,15 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/rbm_im.h"
 #include "generators/drifting_stream.h"
 #include "generators/rbf.h"
 #include "generators/registry.h"
+#include "io/wire.h"
+#include "testing_util.h"
 
 namespace ccd {
 namespace {
+
+using test_util::EncodedF64;
+using test_util::EncodedI64;
+using test_util::ForgeWireValue;
 
 RbmIm::Params DetectorParams(int d, int k) {
   RbmIm::Params p;
@@ -268,6 +278,71 @@ TEST(RbmImTest, RejectsInstanceWiderThanDeclaredSchema) {
   det.Observe(ok, 0, {});
   Instance bad(std::vector<double>(7, 0.5), 0);
   EXPECT_THROW(det.Observe(bad, 0, {}), std::invalid_argument);
+}
+
+TEST(RbmImTest, RejectsOutOfDomainParams) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* field;
+    std::function<void(RbmIm::Params*)> set;
+  };
+  const Case cases[] = {
+      {"rbm_im.num_features", [](RbmIm::Params* p) { p->num_features = 0; }},
+      {"rbm_im.num_classes", [](RbmIm::Params* p) { p->num_classes = 0; }},
+      {"rbm_im.batch_size", [](RbmIm::Params* p) { p->batch_size = 0; }},
+      {"rbm_im.eval_pool", [](RbmIm::Params* p) { p->eval_pool = 0; }},
+      // cd_steps = 0 used to reach Rbm::TrainBatch at the first batch
+      // boundary and read the Gibbs chain's empty visible scratch (an
+      // ASan SEGV).
+      {"rbm_im.cd_steps", [](RbmIm::Params* p) { p->cd_steps = 0; }},
+      {"rbm_im.hidden_ratio", [](RbmIm::Params* p) { p->hidden_ratio = 0.0; }},
+      {"rbm_im.hidden_ratio", [](RbmIm::Params* p) { p->hidden_ratio = kNan; }},
+      {"rbm_im.learning_rate",
+       [](RbmIm::Params* p) { p->learning_rate = -0.05; }},
+      {"rbm_im.learning_rate",
+       [](RbmIm::Params* p) { p->learning_rate = kNan; }},
+      // beta = 1 made the Eq. 13 weight (1 - 1^n) / (1 - 1) NaN, so every
+      // reconstruction error was NaN and no drift test could ever fire.
+      {"rbm_im.beta", [](RbmIm::Params* p) { p->beta = 1.0; }},
+      {"rbm_im.beta", [](RbmIm::Params* p) { p->beta = 0.0; }},
+  };
+  for (const Case& c : cases) {
+    RbmIm::Params p = DetectorParams(6, 3);
+    c.set(&p);
+    try {
+      RbmIm det(p, 1);
+      ADD_FAILURE() << "expected ParamError for " << c.field;
+    } catch (const ParamError& e) {
+      EXPECT_EQ(e.field(), c.field) << e.what();
+    }
+  }
+}
+
+TEST(RbmImTest, LoadStateRejectsOutOfDomainParams) {
+  RbmIm::Params p = DetectorParams(6, 3);
+  p.cd_steps = 7;    // Unique among the serialized integers.
+  p.beta = 0.875;    // Unique among the serialized doubles.
+  const RbmIm det(p, 1);
+  io::Writer w;
+  det.SaveState(w);
+  // The first match is the RBM-IM section's own field; the nested RBM
+  // section repeats the values further on.
+  const std::pair<std::string, const char*> forged[] = {
+      {ForgeWireValue(w.data(), EncodedI64(7), EncodedI64(0)),
+       "rbm_im.cd_steps"},
+      {ForgeWireValue(w.data(), EncodedF64(0.875), EncodedF64(1.0)),
+       "rbm_im.beta"},
+  };
+  for (const auto& [bytes, field] : forged) {
+    RbmIm target(DetectorParams(6, 3), 1);
+    io::Reader r(bytes);
+    try {
+      target.LoadState(r);
+      ADD_FAILURE() << "expected WireError at " << field;
+    } catch (const io::WireError& e) {
+      EXPECT_EQ(e.field(), field) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "core/rbm.h"
+#include "io/wire.h"
+#include "testing_util.h"
 #include "utils/rng.h"
 
 namespace ccd {
 namespace {
+
+using test_util::EncodedF64;
+using test_util::EncodedI64;
+using test_util::ForgeWireValue;
 
 Rbm::Params SmallParams() {
   Rbm::Params p;
@@ -234,6 +243,90 @@ TEST(RbmTest, ClassifyProbsFreeEnergyIsDistribution) {
     sum += p;
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RbmTest, RejectsOutOfDomainParams) {
+  struct Case {
+    const char* field;
+    std::function<void(Rbm::Params*)> set;
+  };
+  const Case cases[] = {
+      {"rbm.visible", [](Rbm::Params* p) { p->visible = 0; }},
+      {"rbm.hidden", [](Rbm::Params* p) { p->hidden = -1; }},
+      {"rbm.classes", [](Rbm::Params* p) { p->classes = 0; }},
+      // cd_steps = 0 used to reach TrainBatch and read the Gibbs chain's
+      // never-filled visible scratch (a SEGV under ASan).
+      {"rbm.cd_steps", [](Rbm::Params* p) { p->cd_steps = 0; }},
+      {"rbm.cd_steps", [](Rbm::Params* p) { p->cd_steps = -2; }},
+      {"rbm.learning_rate", [](Rbm::Params* p) { p->learning_rate = 0.0; }},
+      {"rbm.learning_rate", [](Rbm::Params* p) { p->learning_rate = -0.1; }},
+      {"rbm.learning_rate", [](Rbm::Params* p) { p->learning_rate = kNan; }},
+      {"rbm.learning_rate", [](Rbm::Params* p) { p->learning_rate = kInf; }},
+      {"rbm.discriminative_rate",
+       [](Rbm::Params* p) { p->discriminative_rate = -0.1; }},
+      {"rbm.discriminative_rate",
+       [](Rbm::Params* p) { p->discriminative_rate = kNan; }},
+      {"rbm.weight_init_sigma",
+       [](Rbm::Params* p) { p->weight_init_sigma = -1.0; }},
+      // beta = 1 made every class weight (1 - 1^n) / (1 - 1) = NaN.
+      {"rbm.beta", [](Rbm::Params* p) { p->beta = 1.0; }},
+      {"rbm.beta", [](Rbm::Params* p) { p->beta = 0.0; }},
+      {"rbm.beta", [](Rbm::Params* p) { p->beta = kNan; }},
+      {"rbm.count_decay", [](Rbm::Params* p) { p->count_decay = 0.0; }},
+      {"rbm.count_decay", [](Rbm::Params* p) { p->count_decay = 1.5; }},
+      {"rbm.count_decay", [](Rbm::Params* p) { p->count_decay = kNan; }},
+  };
+  for (const Case& c : cases) {
+    Rbm::Params p = SmallParams();
+    c.set(&p);
+    try {
+      Rbm rbm(p, 1);
+      ADD_FAILURE() << "expected ParamError for " << c.field;
+    } catch (const ParamError& e) {
+      EXPECT_EQ(e.field(), c.field);
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+  // Domain edges that stay legal.
+  Rbm::Params edges = SmallParams();
+  edges.count_decay = 1.0;
+  edges.discriminative_rate = 0.0;
+  edges.weight_init_sigma = 0.0;
+  EXPECT_NO_THROW(Rbm(edges, 1));
+}
+
+std::string SaveRbm(const Rbm& rbm) {
+  io::Writer w;
+  rbm.SaveState(w);
+  return w.data();
+}
+
+void ExpectLoadFailsAt(const std::string& bytes, const std::string& field) {
+  Rbm target(SmallParams(), 1);
+  io::Reader r(bytes);
+  try {
+    target.LoadState(r);
+    ADD_FAILURE() << "expected WireError at " << field;
+  } catch (const io::WireError& e) {
+    EXPECT_EQ(e.field(), field) << e.what();
+  }
+}
+
+TEST(RbmTest, LoadStateRejectsOutOfDomainParams) {
+  Rbm::Params p = SmallParams();
+  p.cd_steps = 7;  // Unique among the serialized integers.
+  p.beta = 0.5;    // Unique among the serialized doubles.
+  const Rbm rbm(p, 1);
+  ExpectLoadFailsAt(
+      ForgeWireValue(SaveRbm(rbm), EncodedI64(7), EncodedI64(0)),
+      "rbm.cd_steps");
+  ExpectLoadFailsAt(
+      ForgeWireValue(SaveRbm(rbm), EncodedF64(0.5), EncodedF64(1.0)),
+      "rbm.beta");
 }
 
 }  // namespace

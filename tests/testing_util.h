@@ -22,6 +22,7 @@
 #include "generators/drifting_stream.h"
 #include "generators/rbf.h"
 #include "generators/sea.h"
+#include "io/wire.h"
 #include "runtime/router.h"
 #include "runtime/thread_pool.h"
 #include "stream/stream.h"
@@ -55,6 +56,30 @@ inline void ExpectBitIdentical(const PrequentialResult& a,
   EXPECT_EQ(a.drift_events, b.drift_events);
   EXPECT_EQ(a.pmauc_series, b.pmauc_series);
   EXPECT_EQ(a.class_counts, b.class_counts);
+}
+
+/// One tagged wire value, encoded as io::Writer writes it.
+inline std::string EncodedI64(int64_t v) {
+  io::Writer w;
+  w.I64(v);
+  return w.data();
+}
+
+inline std::string EncodedF64(double v) {
+  io::Writer w;
+  w.F64(v);
+  return w.data();
+}
+
+/// `bytes` with the first occurrence of the encoded value `from` replaced
+/// by `to`: a serialized state no valid component would write. Pick a
+/// `from` that occurs nowhere earlier in the image.
+inline std::string ForgeWireValue(std::string bytes, const std::string& from,
+                                  const std::string& to) {
+  const size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos) << "value to forge not found";
+  if (at != std::string::npos) bytes.replace(at, from.size(), to);
+  return bytes;
 }
 
 /// Asserts two Instances are bit-identical.

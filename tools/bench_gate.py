@@ -29,10 +29,13 @@ import argparse
 import json
 import sys
 
-# Per-bench row identity and the throughput field the ratio check runs on.
+# Per-bench row identity, the throughput field the ratio check runs on,
+# and the fields that must match for two runs to be comparable.
 BENCH_SHAPES = {
-    "engine": {"key": "path", "throughput": "per_sec"},
-    "serving": {"key": "shards", "throughput": "pushes_per_sec"},
+    "engine": {"key": "path", "throughput": "per_sec",
+               "config": ("classifier", "detector")},
+    "serving": {"key": "shards", "throughput": "pushes_per_sec",
+                "config": ("classifier", "detector")},
 }
 
 SCHEMA_VERSION = 1
@@ -63,6 +66,16 @@ def check(baseline, current, min_ratio, min_batch_speedup):
     shape = BENCH_SHAPES.get(kind)
     if shape is None:
         return [f"unknown bench kind {kind!r}"]
+    # One bench kind records several configurations (bench_engine runs
+    # naive-bayes/none and the paper's cs-ptree/RBM-IM); rows of different
+    # configurations are not comparable.
+    for field in shape.get("config", ()):
+        if baseline.get(field) != current.get(field):
+            failures.append(
+                f"{field} mismatch: baseline={baseline.get(field)!r} "
+                f"current={current.get(field)!r}; refusing to compare")
+    if failures:
+        return failures
 
     key, field = shape["key"], shape["throughput"]
     base_rows = {row[key]: row for row in baseline.get("rows", [])}
