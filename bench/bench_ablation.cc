@@ -10,7 +10,6 @@
 // overrides — the ablation needs no dedicated detector names.
 //
 // Usage: bench_ablation [--scale 0.01] [--seed 42] [--threads N]
-//                       [--shards K]
 //                       [--csv ablation.csv] [--json ablation.json]
 //
 // The (stream, IR, variant) grid runs on api::Suite: each variant is a
@@ -59,7 +58,7 @@ int main(int argc, char** argv) try {
   };
   std::vector<Point> points;
   ccd::api::Suite suite;
-  suite.Threads(cli.GetInt("threads", 0)).Shards(cli.GetInt("shards", 1));
+  suite.Threads(cli.GetInt("threads", 0));
   for (const auto& v : variants) suite.Detector("RBM-IM", v.params, v.label);
   for (const std::string& stream_name : streams) {
     const ccd::StreamSpec* spec = ccd::FindStreamSpec(stream_name);

@@ -12,9 +12,7 @@
 // cells in parallel on a loaded machine perturbs the absolute ns/op
 // (default is 1 thread for quiet numbers).
 //
-// Usage: bench_detector_times [--iters 200000] [--threads 1] [--shards K]
-// (--shards is accepted for flag symmetry and carried on the cells; the
-// timing runner drives Observe() in one loop, so it does not split.)
+// Usage: bench_detector_times [--iters 200000] [--threads 1]
 //                             [--detectors WSTD,...] [--csv times.csv]
 //                             [--json times.json]
 
@@ -70,9 +68,7 @@ int main(int argc, char** argv) try {
   // encoded as synthetic stream-axis specs so the Suite grid machinery
   // (sharding, deterministic seeding, sinks) applies unchanged.
   ccd::api::Suite suite;
-  suite.Threads(cli.GetInt("threads", 1))
-      .Shards(cli.GetInt("shards", 1))
-      .Detectors(detectors);
+  suite.Threads(cli.GetInt("threads", 1)).Detectors(detectors);
   for (auto [k, d] : {std::pair<int, int>{5, 20}, {10, 40}, {20, 80}}) {
     ccd::StreamSpec spec;
     spec.name = "K=" + std::to_string(k) + ",d=" + std::to_string(d);

@@ -5,14 +5,12 @@
 // protocol), so the leftmost points are the hardest.
 //
 // Usage:
-//   bench_fig8 [--scale 0.005] [--seed 42] [--threads N] [--shards K]
+//   bench_fig8 [--scale 0.005] [--seed 42] [--threads N]
 //              [--streams RBF5,...]
 //              [--detectors ...] [--csv fig8.csv] [--json fig8.json]
 //
 // The (stream, drifted-class-count, detector) grid runs on api::Suite;
-// --threads shards it across workers (0 = all cores); --shards K splits
-// each cell's stream into K pipelined handoff blocks (bit-identical
-// results; eval/sharded.h).
+// --threads shards it across workers (0 = all cores).
 
 #include <cstdio>
 #include <memory>
@@ -63,8 +61,7 @@ int main(int argc, char** argv) try {
   std::vector<Point> points;
   ccd::api::Suite suite;
   suite.Detectors(detectors)
-      .Threads(cli.GetInt("threads", 0))
-      .Shards(cli.GetInt("shards", 1));
+      .Threads(cli.GetInt("threads", 0));
   for (const ccd::StreamSpec& spec : ccd::ArtificialStreamSpecs()) {
     if (!stream_filter.empty()) {
       bool keep = false;

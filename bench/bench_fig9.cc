@@ -3,14 +3,12 @@
 // on the 12 artificial benchmarks — the robustness-to-extreme-skew test.
 //
 // Usage:
-//   bench_fig9 [--scale 0.005] [--seed 42] [--threads N] [--shards K]
+//   bench_fig9 [--scale 0.005] [--seed 42] [--threads N]
 //              [--streams RBF5,...] [--detectors ...] [--csv fig9.csv]
 //              [--json fig9.json]
 //
 // The (stream, IR, detector) grid runs on api::Suite; --threads shards it
-// across workers (0 = all cores) and --shards K additionally splits each
-// cell's stream into K pipelined handoff blocks (bit-identical results;
-// eval/sharded.h).
+// across workers (0 = all cores).
 
 #include <cstdio>
 #include <memory>
@@ -52,8 +50,7 @@ int main(int argc, char** argv) try {
   std::vector<Point> points;
   ccd::api::Suite suite;
   suite.Detectors(detectors)
-      .Threads(cli.GetInt("threads", 0))
-      .Shards(cli.GetInt("shards", 1));
+      .Threads(cli.GetInt("threads", 0));
   for (const ccd::StreamSpec& spec : ccd::ArtificialStreamSpecs()) {
     if (!stream_filter.empty()) {
       bool keep = false;

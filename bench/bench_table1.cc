@@ -11,11 +11,7 @@
 // experiment benches.
 //
 // Usage: bench_table1 [--scale 0.02] [--seed 42] [--threads N]
-//                     [--shards K] [--csv out.csv]
-//
-// --shards is accepted for flag symmetry with the experiment benches and
-// carried on the cells, but the audit runner draws each stream in one
-// pass (there is no prequential evaluation to split).
+//                     [--csv out.csv]
 
 #include <cstdio>
 #include <vector>
@@ -37,8 +33,7 @@ int main(int argc, char** argv) try {
   ccd::api::Suite suite;
   suite.Options(options)
       .NoDetector()
-      .Threads(cli.GetInt("threads", 0))
-      .Shards(cli.GetInt("shards", 1));
+      .Threads(cli.GetInt("threads", 0));
   for (const ccd::StreamSpec& spec : ccd::AllStreamSpecs()) suite.Stream(spec);
   // Audit cells: draw the realized stream and count class frequencies —
   // no classifier, no detector, just the generator.

@@ -8,8 +8,7 @@
 //   * Table II     — the detector parameter grids (--grids).
 //
 // Usage:
-//   bench_table3 [--scale 0.01] [--seed 42] [--threads N] [--shards K]
-//                [--repeats R]
+//   bench_table3 [--scale 0.01] [--seed 42] [--threads N] [--repeats R]
 //                [--streams RBF5,RBF10]
 //                [--detectors WSTD,RDDM,FHDDM,PerfSim,DDM-OCI,RBM-IM]
 //                [--csv table3.csv] [--json table3.json] [--grids]
@@ -93,8 +92,7 @@ int main(int argc, char** argv) try {
   suite.Options(options)
       .Detectors(detectors)
       .Repeats(repeats)
-      .Threads(cli.GetInt("threads", 0))
-      .Shards(cli.GetInt("shards", 1));
+      .Threads(cli.GetInt("threads", 0));
   std::vector<std::string> stream_names;
   for (const ccd::StreamSpec& spec : streams) {
     suite.Stream(spec);

@@ -1,9 +1,9 @@
 // Concurrent serving with api::ShardedMonitor: four producer threads push
 // keyed traffic from a drifting stream into a hash-routed monitor while
 // shard-tagged drift alerts fan in, then the fleet is resharded live —
-// AddShard() grows the table mid-traffic and DrainShard() migrates one
-// shard's complete EngineState onto a fresh engine — and serving simply
-// continues. Ends with the cross-shard merged result.
+// AddShard() grows the table mid-traffic and DrainShard() moves one
+// shard's complete state through the state-image codec onto a fresh
+// engine — and serving simply continues. Ends with the cross-shard merged result.
 //
 // Usage: concurrent_serving [--instances 40000] [--threads 4] [--shards 4]
 //                           [--seed 42]
@@ -74,9 +74,9 @@ int main(int argc, char** argv) try {
   };
   push_range(0, data.size() / 2);
 
-  // Live resharding mid-traffic: grow the fleet, then migrate shard 0's
-  // complete state (EngineState: snapshot + component clones) onto a
-  // fresh engine. Traffic after this re-routes over the grown table.
+  // Live resharding mid-traffic: grow the fleet, then move shard 0's
+  // complete state (engine snapshot + component SaveState() payloads)
+  // onto a fresh engine. Traffic after this hashes over the grown table.
   const int added = monitor.AddShard();
   monitor.DrainShard(0);
   std::printf("resharded: added shard %d, drained shard 0 (position %llu "

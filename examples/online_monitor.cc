@@ -12,8 +12,8 @@
 //     deadline passes; drop a fraction entirely (label never arrives).
 //  3. Drift alerts and periodic metric samples arrive through callbacks,
 //     carrying the implicated classes and windowed pmAUC/pmGM snapshots.
-//  4. Pause + Snapshot at the end: the run state a future intra-stream
-//     shard handoff would transfer.
+//  4. Pause + Snapshot at the end: the run state a shard handoff
+//     transfers.
 //
 // The label delay is simulated with the library's own deterministic Rng,
 // so two runs print the same report.

@@ -17,7 +17,7 @@
 ///                     the same engine the offline protocol runs on,
 ///  * ShardedMonitor — concurrent serving router over K per-shard engines
 ///                     (hash-key or round-robin routing, striped locks,
-///                     live resharding via EngineState migration,
+///                     live resharding through the state-image codec,
 ///                     shard-tagged drift fan-in).
 ///
 /// Components self-register via CCD_REGISTER_DETECTOR /

@@ -58,12 +58,6 @@ Experiment& Experiment::Prequential(const PrequentialConfig& config) {
   return *this;
 }
 
-Experiment& Experiment::Shards(int shards) {
-  shards_ = shards;
-  has_shards_ = true;
-  return *this;
-}
-
 Experiment::Built Experiment::Build() const {
   if (!has_spec_) {
     throw ApiError(
@@ -92,7 +86,6 @@ Experiment::Built Experiment::Build() const {
     out.config.eval_interval = 250;
     out.config.warmup = 500;
   }
-  if (has_shards_) out.config.shards = shards_;
   // Reject degenerate protocols here, where the caller composed them —
   // RunPrequential would throw std::invalid_argument later, but an
   // ApiError at Build() points at the Experiment that carried them.

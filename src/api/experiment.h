@@ -64,13 +64,6 @@ class Experiment {
   /// full realized stream length".
   Experiment& Prequential(const PrequentialConfig& config);
 
-  /// Intra-stream sharding degree (PrequentialConfig::shards): k > 1
-  /// evaluates the stream as k sequential-handoff blocks pipelined on a
-  /// thread pool, bit-identical to the sequential run (eval/sharded.h).
-  /// Overrides whatever Prequential() carried; 1 restores the sequential
-  /// baseline. Values < 1 are rejected at Build().
-  Experiment& Shards(int shards);
-
   /// Instantiates stream, classifier and detector without running.
   Built Build() const;
 
@@ -87,8 +80,6 @@ class Experiment {
   ParamMap detector_params_;
   bool has_config_ = false;
   PrequentialConfig config_;
-  bool has_shards_ = false;
-  int shards_ = 1;
 };
 
 }  // namespace api

@@ -84,8 +84,8 @@ class Monitor {
                   std::vector<LabelOutcome>* outcomes = nullptr);
 
   /// Pause/Resume the intake (Feed/Predict); Label() keeps draining
-  /// in-flight predictions. Snapshot() of a paused, drained monitor is the
-  /// handoff payload for intra-stream sharding.
+  /// in-flight predictions. Snapshot() of a paused, drained monitor is a
+  /// stable cut of its run state.
   void Pause();
   void Resume();
   bool paused() const;

@@ -3,13 +3,57 @@
 #include <stdexcept>
 #include <utility>
 
-#include "eval/sharded.h"
 #include "io/snapshot_store.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
 
 namespace ccd {
 namespace api {
+
+namespace {
+
+std::string DescribeComponent(const std::string& name,
+                              const std::string& params) {
+  if (name.empty()) return "(none)";
+  return "'" + name + "'" + (params.empty() ? "" : " {" + params + "}");
+}
+
+/// Throws ApiError when an image with identity `image` cannot become a
+/// shard of the monitor whose own identity is `own`. Seeds are not
+/// compared: LoadState() overwrites every RNG cursor.
+void RejectForeignImage(const io::ShardIdentity& image,
+                        const io::ShardIdentity& own) {
+  const std::string prefix = "ShardedMonitor::RestoreShard: image ";
+  if (image.schema.num_features != own.schema.num_features ||
+      image.schema.num_classes != own.schema.num_classes) {
+    throw ApiError(prefix + "schema (" +
+                   std::to_string(image.schema.num_features) + " features, " +
+                   std::to_string(image.schema.num_classes) +
+                   " classes) does not match this monitor (" +
+                   std::to_string(own.schema.num_features) + ", " +
+                   std::to_string(own.schema.num_classes) + ")");
+  }
+  if (image.classifier != own.classifier ||
+      image.classifier_params != own.classifier_params) {
+    throw ApiError(
+        prefix + "classifier " +
+        DescribeComponent(image.classifier, image.classifier_params) +
+        " does not match this monitor's " +
+        DescribeComponent(own.classifier, own.classifier_params));
+  }
+  if (image.detector != own.detector ||
+      image.detector_params != own.detector_params) {
+    throw ApiError(prefix + "detector " +
+                   DescribeComponent(image.detector, image.detector_params) +
+                   " does not match this monitor's " +
+                   DescribeComponent(own.detector, own.detector_params));
+  }
+  if (image.config != own.config) {
+    throw ApiError(prefix + "PrequentialConfig does not match this monitor's");
+  }
+}
+
+}  // namespace
 
 // --------------------------------------------------------- ShardedMonitor
 
@@ -354,29 +398,12 @@ void ShardedMonitor::DrainShard(int shard) {
     // under its declared capability.
     runtime::MutexLock lock(&s.mu);
     // Queued ingress entries belong to the outgoing engine's history:
-    // apply them before the capture so the handoff is a consistent cut.
+    // apply them before the encode so the handoff is a consistent cut.
     drained = DrainIngress(s);
-    // Every step that can fail — CaptureEngineState throws for components
-    // without CloneState() — runs before the old shard is touched, so a
-    // failed drain is a no-op (the shard keeps serving), never a shard
-    // bricked in a paused state.
-    EngineState state =
-        CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-    auto engine = std::make_unique<MonitorEngine>(
-        schema_, state.classifier.get(), state.detector.get(), config_,
-        MakeShardHooks(shard), pending_capacity_);
-    engine->Restore(state.snapshot);  // Also clears any paused state.
-    // The documented drain step. Under the exclusive table lock nothing can
-    // push anyway, but pausing the outgoing engine keeps the handoff
-    // protocol (Pause → state moves → successor serves) explicit and
-    // identical to the intra-stream sharding one.
-    s.engine->Pause();
-    // Commit — no-throw moves: the outgoing engine dies first (it holds raw
-    // pointers into the outgoing components), then the components are
-    // replaced by the clones the replacement engine points into.
-    s.engine = std::move(engine);
-    s.classifier = std::move(state.classifier);
-    s.detector = std::move(state.detector);
+    // Encode (SaveState() throws for components without it), decode and
+    // InstallImage's engine construction all run before the old shard is
+    // touched, so a failed drain is a no-op: the shard keeps serving.
+    InstallImage(s, shard, io::DecodeStateImage(EncodeShard(s, shard)));
   }
   for (size_t i = 0; i < drained; ++i) NoteCompleted();
 }
@@ -408,27 +435,46 @@ ShardedMonitor::ShardedMonitor(
       generation_(generation) {
   shards_.reserve(images.size());
   for (size_t i = 0; i < images.size(); ++i) {
-    io::StateImage& image = images[i];
-    auto engine = std::make_unique<MonitorEngine>(
-        schema_, image.state.classifier.get(), image.state.detector.get(),
-        config_, MakeShardHooks(static_cast<int>(i)), pending_capacity_);
-    engine->Restore(image.state.snapshot);
-    shards_.push_back(std::make_unique<Shard>(
-        std::move(image.state.classifier), std::move(image.state.detector),
-        std::move(engine), ingress_capacity_));
+    auto slot = std::make_unique<Shard>(nullptr, nullptr, nullptr,
+                                        ingress_capacity_);
+    Shard& s = *slot;
+    {
+      // Unpublished and uncontended; taken so InstallImage's guarded
+      // writes happen under their declared capability.
+      runtime::MutexLock lock(&s.mu);
+      InstallImage(s, static_cast<int>(i), std::move(images[i]));
+    }
+    shards_.push_back(std::move(slot));
   }
 }
 
-io::StateImage ShardedMonitor::MakeShardImage(int shard) const {
-  io::StateImage image;
-  image.schema = schema_;
-  image.classifier = classifier_name_;
-  image.classifier_params = classifier_params_.ToString();
-  image.detector = detector_name_;
-  image.detector_params = detector_params_.ToString();
-  image.seed = seed_ + static_cast<uint64_t>(shard);
-  image.config = config_;
-  return image;
+io::ShardIdentity ShardedMonitor::MakeShardIdentity(int shard) const {
+  io::ShardIdentity id;
+  id.schema = schema_;
+  id.classifier = classifier_name_;
+  id.classifier_params = classifier_params_.ToString();
+  id.detector = detector_name_;
+  id.detector_params = detector_params_.ToString();
+  id.seed = seed_ + static_cast<uint64_t>(shard);
+  id.config = config_;
+  return id;
+}
+
+std::string ShardedMonitor::EncodeShard(const Shard& s, int shard) const {
+  return io::EncodeStateImage(MakeShardIdentity(shard), s.engine->Snapshot(),
+                              *s.classifier, s.detector.get());
+}
+
+void ShardedMonitor::InstallImage(Shard& s, int shard,
+                                  io::StateImage&& image) {
+  auto engine = std::make_unique<MonitorEngine>(
+      schema_, image.classifier.get(), image.detector.get(), config_,
+      MakeShardHooks(shard), pending_capacity_);
+  engine->Restore(image.snapshot);  // Also clears any paused state.
+  // Commit — no-throw moves, outgoing engine first.
+  s.engine = std::move(engine);
+  s.classifier = std::move(image.classifier);
+  s.detector = std::move(image.detector);
 }
 
 void ShardedMonitor::Persist(const std::string& directory) {
@@ -470,10 +516,7 @@ void ShardedMonitor::Persist(const std::string& directory) {
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
     runtime::MutexLock lock(&s.mu);
-    io::StateImage image = MakeShardImage(static_cast<int>(i));
-    image.state =
-        CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-    const std::string bytes = io::EncodeStateImage(image);
+    const std::string bytes = EncodeShard(s, static_cast<int>(i));
     io::Manifest::ShardFile f;
     f.file = "shard-" + std::to_string(i) + "-g" + std::to_string(next_gen) +
              ".state";
@@ -524,8 +567,8 @@ ShardedMonitor ShardedMonitor::Open(const std::string& directory,
               ", or CRC mismatch) — swapped or torn file");
     }
     io::StateImage image = io::DecodeStateImage(bytes);
-    if (image.schema.num_features != m.schema.num_features ||
-        image.schema.num_classes != m.schema.num_classes) {
+    if (image.identity.schema.num_features != m.schema.num_features ||
+        image.identity.schema.num_classes != m.schema.num_classes) {
       throw io::WireError(store.Path(f.file), 0,
                           "shard schema disagrees with the manifest");
     }
@@ -548,9 +591,7 @@ std::string ShardedMonitor::SerializeShard(int shard) const {
   router_.RequireSlot(shard);
   const Shard& s = *shards_[static_cast<size_t>(shard)];
   runtime::MutexLock lock(&s.mu);
-  io::StateImage image = MakeShardImage(shard);
-  image.state = CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-  return io::EncodeStateImage(image);
+  return EncodeShard(s, shard);
 }
 
 std::string ShardedMonitor::ShipShard(int shard) {
@@ -564,11 +605,8 @@ std::string ShardedMonitor::ShipShard(int shard) {
     // Queued ingress entries must ship with the state — the source pauses
     // below and would otherwise strand them until a restore.
     drained = DrainIngress(s);
-    io::StateImage image = MakeShardImage(shard);
-    image.state =
-        CaptureEngineState(*s.engine, *s.classifier, s.detector.get());
-    bytes = io::EncodeStateImage(image);
-    // Capture succeeded — only now stop the source, so a failed ship
+    bytes = EncodeShard(s, shard);
+    // Encode succeeded — only now stop the source, so a failed ship
     // leaves the shard serving.
     s.engine->Pause();
   }
@@ -578,30 +616,16 @@ std::string ShardedMonitor::ShipShard(int shard) {
 
 void ShardedMonitor::RestoreShard(int shard, const std::string& bytes) {
   // Decode (and thereby fully validate) before taking any lock or
-  // touching the target shard: malformed bytes must leave it serving.
+  // touching the target shard: malformed or foreign bytes must leave it
+  // serving — and must never reach a later Persist(), which would write
+  // a generation Open() cannot read.
   io::StateImage image = io::DecodeStateImage(bytes);
-  if (image.schema.num_features != schema_.num_features ||
-      image.schema.num_classes != schema_.num_classes) {
-    throw ApiError(
-        "ShardedMonitor::RestoreShard: image schema (" +
-        std::to_string(image.schema.num_features) + " features, " +
-        std::to_string(image.schema.num_classes) +
-        " classes) does not match this monitor (" +
-        std::to_string(schema_.num_features) + ", " +
-        std::to_string(schema_.num_classes) + ")");
-  }
+  RejectForeignImage(image.identity, MakeShardIdentity(shard));
   runtime::WriterLock table(&router_.TableMutex());
   router_.RequireSlot(shard);
   Shard& s = *shards_[static_cast<size_t>(shard)];
   runtime::MutexLock lock(&s.mu);
-  auto engine = std::make_unique<MonitorEngine>(
-      schema_, image.state.classifier.get(), image.state.detector.get(),
-      config_, MakeShardHooks(shard), pending_capacity_);
-  engine->Restore(image.state.snapshot);  // Clears any pause state.
-  // Commit — no-throw moves, old engine first (see DrainShard).
-  s.engine = std::move(engine);
-  s.classifier = std::move(image.state.classifier);
-  s.detector = std::move(image.state.detector);
+  InstallImage(s, shard, std::move(image));
 }
 
 EngineSnapshot ShardedMonitor::ShardSnapshot(int shard) const {

@@ -16,7 +16,9 @@
 
 namespace ccd {
 namespace io {
-struct StateImage;  // io/state_codec.h — only the .cc depends on the io layer.
+// io/state_codec.h — only the .cc depends on the io layer.
+struct ShardIdentity;
+struct StateImage;
 }  // namespace io
 namespace api {
 
@@ -41,7 +43,7 @@ struct ShardedHooks {
   /// A periodic per-shard metric sample.
   std::function<void(int shard, const MetricsSnapshot&)> on_metrics;
   /// A periodic *cross-shard* aggregate (every MergeEvery(n) completed
-  /// labels): the EngineState merge of all shards, reported as total
+  /// labels): the snapshot merge of all shards, reported as total
   /// position, summed window size and sample-weighted lifetime means.
   std::function<void(const MetricsSnapshot&)> on_merged_metrics;
 };
@@ -79,15 +81,18 @@ struct ShardedHooks {
 ///  * kRoundRobin — unkeyed Predict(...)/Feed(...) cycle over the shards;
 ///    per-shard numbers become load-balanced samples of one logical
 ///    stream, re-aggregated by Result()/Snapshot() and the periodic
-///    on_merged_metrics EngineState merge.
+///    on_merged_metrics snapshot merge.
 ///
-/// Live resharding — EngineState is the migration payload:
-///  * DrainShard(i) pauses shard i, captures its complete EngineState
-///    (engine snapshot incl. the pending-label buffer + CloneState()
-///    component clones) and hands it to a fresh replacement engine via
-///    Restore(); subsequent keys re-route to the new owner. Serving
-///    continues exactly where the drained engine stopped — results are
-///    bit-identical to never having moved.
+/// Live resharding — the state image (io/state_codec.h) is the one
+/// migration payload:
+///  * DrainShard(i) encodes shard i's complete state (engine snapshot
+///    incl. the pending-label buffer + the components' SaveState()
+///    payloads), decodes it into fresh components and installs them
+///    behind a fresh engine in the same slot. Serving continues exactly
+///    where the drained engine stopped — results are bit-identical to
+///    never having moved.
+///  * ShipShard(i) / RestoreShard(i, bytes) move the same bytes between
+///    monitors, also across processes.
 ///  * AddShard() grows the table with a fresh, empty shard; keyed routing
 ///    hashes over the grown table, so a slice of every old shard's *new*
 ///    traffic re-routes to it (histories stay where they are).
@@ -199,12 +204,15 @@ class ShardedMonitor {
   /// subsequent keyed traffic over the grown table.
   int AddShard();
 
-  /// Pauses shard `shard`, moves its complete EngineState (pending-label
-  /// buffer included) onto a fresh replacement engine via CloneState() +
-  /// Restore(), and re-routes subsequent keys to the new owner. Behavior
-  /// afterwards is bit-identical to never having drained. Throws
-  /// std::out_of_range on a bogus index, std::logic_error when a component
-  /// does not implement CloneState().
+  /// Moves shard `shard`'s complete state (pending-label buffer included)
+  /// onto fresh components behind a fresh engine through the state-image
+  /// codec: encode the live shard, decode, install — under the exclusive
+  /// table lock. Hash routing does not change; the shard keeps its slot
+  /// and its keys. Behavior afterwards is bit-identical to never having
+  /// drained. Everything that can throw runs before the old shard is
+  /// touched, so a failed drain leaves the shard serving. Throws
+  /// std::out_of_range on a bogus index, std::logic_error naming a
+  /// component that does not implement SaveState().
   void DrainShard(int shard);
 
   int shards() const;
@@ -265,10 +273,13 @@ class ShardedMonitor {
 
   /// Replaces shard `shard` with the state image in `bytes` (the
   /// migration-target half; the shard's previous state is discarded).
-  /// Validates the image before touching the shard: malformed bytes throw
-  /// io::WireError, a schema mismatch with this monitor throws ApiError,
-  /// and either way the failed restore is a no-op. Resumes serving
-  /// immediately (any persisted pause state is cleared).
+  /// Validates the image before taking a lock: malformed bytes throw
+  /// io::WireError; an image of another fleet — schema width, classifier
+  /// or detector name, canonical params or PrequentialConfig differing
+  /// from this monitor's — throws ApiError; either way the failed restore
+  /// is a no-op. Seeds are not compared (LoadState() overwrites every RNG
+  /// cursor). Resumes serving immediately (any persisted pause state is
+  /// cleared).
   void RestoreShard(int shard, const std::string& bytes);
 
  private:
@@ -311,7 +322,7 @@ class ShardedMonitor {
                  runtime::RoutingMode mode, uint64_t merge_every,
                  size_t ingress_capacity, ShardedHooks hooks);
 
-  /// Restore path of Open(): adopts one decoded state image per shard
+  /// Restore path of Open(): installs one decoded state image per shard
   /// instead of building fresh components. Defined in the .cc, where
   /// io::StateImage is complete.
   ShardedMonitor(const StreamSchema& schema, const PrequentialConfig& config,
@@ -324,8 +335,17 @@ class ShardedMonitor {
                  std::vector<io::StateImage>&& images);
 
   /// The identity half of shard `shard`'s state image (seed_ + shard and
-  /// the registry names/params); the caller adds the captured state.
-  io::StateImage MakeShardImage(int shard) const;
+  /// the registry names/params).
+  io::ShardIdentity MakeShardIdentity(int shard) const;
+  /// Shard `shard`'s live state as a sealed state image. The components
+  /// write themselves in place; nothing is copied.
+  std::string EncodeShard(const Shard& s, int shard) const CCD_REQUIRES(s.mu);
+  /// Turns a decoded image into shard `shard`'s serving state: builds an
+  /// engine on the image's components and restores its snapshot — the
+  /// steps that can throw — then commits with no-throw moves, outgoing
+  /// engine first (it holds raw pointers into the outgoing components).
+  void InstallImage(Shard& s, int shard, io::StateImage&& image)
+      CCD_REQUIRES(s.mu);
 
   /// Builds shard `shard`'s fresh components + engine (seed_ + shard).
   std::unique_ptr<Shard> MakeShard(int shard) const;

@@ -50,7 +50,6 @@ PrequentialResult RunDefaultCell(const SuiteCell& cell) {
       .Classifier(cell.classifier, cell.classifier_params);
   if (!cell.detector.empty()) e.Detector(cell.detector, cell.detector_params);
   if (cell.has_config) e.Prequential(cell.config);
-  if (cell.shards > 1) e.Shards(cell.shards);
   return e.Run();
 }
 
@@ -249,11 +248,6 @@ Suite& Suite::Threads(int threads) {
   return *this;
 }
 
-Suite& Suite::Shards(int shards) {
-  shards_ = shards < 1 ? 1 : shards;
-  return *this;
-}
-
 Suite& Suite::Runner(CellRunner runner) {
   runner_ = std::move(runner);
   return *this;
@@ -309,7 +303,6 @@ std::vector<SuiteCell> Suite::Cells() const {
           cell.detector_label = detectors[d].label;
           cell.has_config = has_config_;
           cell.config = config_;
-          cell.shards = shards_;
           cells.push_back(std::move(cell));
         }
       }

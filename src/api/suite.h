@@ -38,10 +38,6 @@ struct SuiteCell {
   std::string detector_label;  ///< Defaults to the name, or "none".
   bool has_config = false;
   PrequentialConfig config;
-  /// Intra-stream sharding degree of this cell (Suite::Shards); the
-  /// default runner routes it through Experiment::Shards. Custom runners
-  /// may honor or ignore it.
-  int shards = 1;
 };
 
 /// Outcome of one executed cell.
@@ -196,15 +192,6 @@ class Suite {
   /// Worker thread count; < 1 means runtime::ThreadPool::DefaultThreads().
   Suite& Threads(int threads);
 
-  /// Intra-stream sharding degree for every cell: k > 1 evaluates each
-  /// cell's stream as k sequential-handoff blocks pipelined on a private
-  /// two-worker pool (eval/sharded.h) — per-cell results stay bit-identical
-  /// to shards=1, so grid outputs are unchanged; long streams just overlap
-  /// generation with evaluation instead of serializing. Values < 1 clamp
-  /// to 1. Applies to the default runner; custom runners receive
-  /// SuiteCell::shards and decide themselves.
-  Suite& Shards(int shards);
-
   /// Replaces the per-cell protocol (default: Experiment::Run()).
   Suite& Runner(CellRunner runner);
 
@@ -248,7 +235,6 @@ class Suite {
   PrequentialConfig config_;
   int repeats_ = 1;
   int threads_ = 0;
-  int shards_ = 1;
   CellRunner runner_;
   CellCallback on_cell_done_;
   std::vector<std::shared_ptr<SuiteSink>> sinks_;

@@ -6,8 +6,7 @@ namespace ccd {
 
 std::unique_ptr<OnlineClassifier> OnlineClassifier::CloneState() const {
   throw std::logic_error("classifier '" + name() +
-                         "' does not implement CloneState(); it cannot "
-                         "participate in sharded evaluation / state handoff");
+                         "' does not implement CloneState()");
 }
 
 void OnlineClassifier::SaveState(io::Writer& /*writer*/) const {

@@ -46,19 +46,19 @@ class OnlineClassifier {
   /// Fresh, untrained classifier with identical configuration.
   virtual std::unique_ptr<OnlineClassifier> Clone() const = 0;
 
-  /// Deep copy *including all learned state*: the copy's future
-  /// Train/PredictScores behavior is bit-identical to this classifier's.
-  /// This is the classifier half of the intra-stream shard handoff
-  /// (eval/sharded.h) — block k+1's worker resumes from block k's clone.
-  /// The default implementation throws std::logic_error; every classifier
-  /// registered with the api layer implements it (the snapshot/restore
-  /// property test loops over the registry to keep that true).
+  /// Retired deep-copy hook. Nothing in src/ calls it and no classifier
+  /// in src/ overrides it; it stays declared (throwing std::logic_error)
+  /// only because the benchmark's tracing wrappers
+  /// (perfbench/src/traced.cc) override it, and goes when a benchmark
+  /// change drops those overrides. Component state moves through
+  /// SaveState()/LoadState() alone.
   virtual std::unique_ptr<OnlineClassifier> CloneState() const;
 
   /// Serializes *all* learned state (parameters, weights, counters, RNG
-  /// cursors) to the versioned wire format — the durable sibling of
-  /// CloneState(): LoadState() on a freshly registry-constructed instance
-  /// of the same type must make its future behavior bit-identical to this
+  /// cursors) to the versioned wire format — the one way classifier state
+  /// leaves a live engine (persistence, SHIP/LOAD, DrainShard):
+  /// LoadState() on a freshly registry-constructed instance of the same
+  /// type must make its future behavior bit-identical to this
   /// classifier's, across processes and machines. The defaults throw
   /// std::logic_error naming the component; every registered classifier
   /// implements both (the io round-trip property test loops over the

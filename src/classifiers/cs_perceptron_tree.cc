@@ -204,34 +204,6 @@ std::unique_ptr<OnlineClassifier> CsPerceptronTree::Clone() const {
   return std::make_unique<CsPerceptronTree>(schema_, params_);
 }
 
-std::unique_ptr<OnlineClassifier> CsPerceptronTree::CloneState() const {
-  auto copy = std::make_unique<CsPerceptronTree>(schema_, params_);
-  copy->num_leaves_ = num_leaves_;
-  copy->nodes_.clear();
-  copy->nodes_.reserve(nodes_.size());
-  for (const Node& node : nodes_) {
-    Node n;
-    n.feature = node.feature;
-    n.threshold = node.threshold;
-    n.left = node.left;
-    n.right = node.right;
-    n.depth = node.depth;
-    if (node.leaf != nullptr) {
-      n.leaf = std::make_unique<Leaf>();
-      n.leaf->class_counts = node.leaf->class_counts;
-      n.leaf->feature_stats = node.leaf->feature_stats;
-      n.leaf->since_split_check = node.leaf->since_split_check;
-      n.leaf->total = node.leaf->total;
-      if (node.leaf->perceptron != nullptr) {
-        n.leaf->perceptron =
-            std::make_unique<SoftmaxPerceptron>(*node.leaf->perceptron);
-      }
-    }
-    copy->nodes_.push_back(std::move(n));
-  }
-  return copy;
-}
-
 void CsPerceptronTree::SaveState(io::Writer& w) const {
   w.BeginSection("CSPerceptronTree");
   io::WriteSchema(w, schema_);

@@ -51,12 +51,9 @@ class CsPerceptronTree : public OnlineClassifier {
                          std::vector<double>& out) const override;
   void Reset() override;
   std::unique_ptr<OnlineClassifier> Clone() const override;
-  /// Deep copy of the whole tree — node topology, per-leaf Gaussian
-  /// estimators and trained leaf perceptrons.
-  std::unique_ptr<OnlineClassifier> CloneState() const override;
   std::string name() const override { return "CSPerceptronTree"; }
-  /// Durable form of CloneState(): serializes node topology, per-leaf
-  /// Gaussian estimators and the trained leaf perceptrons.
+  /// Serializes the whole tree: node topology, per-leaf Gaussian
+  /// estimators and the trained leaf perceptrons.
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

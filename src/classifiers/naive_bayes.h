@@ -24,9 +24,6 @@ class GaussianNaiveBayes : public OnlineClassifier {
                          std::vector<double>& out) const override;
   void Reset() override;
   std::unique_ptr<OnlineClassifier> Clone() const override;
-  std::unique_ptr<OnlineClassifier> CloneState() const override {
-    return std::make_unique<GaussianNaiveBayes>(*this);
-  }
   std::string name() const override { return "GaussianNB"; }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;

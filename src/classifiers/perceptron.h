@@ -37,9 +37,6 @@ class SoftmaxPerceptron : public OnlineClassifier {
                          std::vector<double>& out) const override;
   void Reset() override;
   std::unique_ptr<OnlineClassifier> Clone() const override;
-  std::unique_ptr<OnlineClassifier> CloneState() const override {
-    return std::make_unique<SoftmaxPerceptron>(*this);
-  }
   std::string name() const override { return "SoftmaxPerceptron"; }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;

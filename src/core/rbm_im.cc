@@ -77,34 +77,6 @@ void RbmIm::Reset() {
   batches_ = 0;
 }
 
-std::unique_ptr<DriftDetector> RbmIm::CloneState() const {
-  auto copy = std::make_unique<RbmIm>(params_, seed_);
-  copy->rbm_ = std::make_unique<Rbm>(*rbm_);
-  copy->normalizer_ = normalizer_;
-  copy->pending_ = pending_;
-  copy->pending_used_ = pending_used_;
-  copy->state_ = state_;
-  copy->drifted_ = drifted_;
-  copy->batches_ = batches_;
-  copy->monitors_.clear();
-  copy->monitors_.resize(monitors_.size());
-  for (size_t k = 0; k < monitors_.size(); ++k) {
-    const ClassMonitor& src = monitors_[k];
-    ClassMonitor& dst = copy->monitors_[k];
-    dst.recent = src.recent;
-    dst.adwin = std::make_unique<Adwin>(*src.adwin);
-    dst.trend = std::make_unique<SlidingTrend>(*src.trend);
-    dst.trend_history = src.trend_history;
-    dst.slope_stats = src.slope_stats;
-    dst.baseline = src.baseline;
-    dst.cusum = src.cusum;
-    dst.last_r = src.last_r;
-    dst.last_z = src.last_z;
-    dst.batches_seen = src.batches_seen;
-  }
-  return copy;
-}
-
 void RbmIm::SaveState(io::Writer& w) const {
   w.BeginSection("RBM-IM");
   w.I64(params_.num_features);

@@ -100,14 +100,11 @@ class RbmIm : public DriftDetector {
   void Reset() override;
   std::string name() const override { return "RBM-IM"; }
   std::vector<int> drifted_classes() const override { return drifted_; }
-  /// Deep copy of the full detector state: RBM weights *and* its RNG
-  /// cursor, the streaming normalizer bounds, the pending mini-batch, and
-  /// every per-class monitor (ADWIN, trend window, baselines) — so the
-  /// copy's future batch decisions are bit-identical.
-  std::unique_ptr<DriftDetector> CloneState() const override;
-  /// Durable form of CloneState(): writes the RBM (weights + RNG cursor),
-  /// normalizer bounds, pending mini-batch, and every per-class monitor
-  /// (ADWIN buckets, trend sums, baselines, CUSUM) to the wire format.
+  /// Writes the complete detector state — the RBM (weights + RNG
+  /// cursor), normalizer bounds, pending mini-batch, and every per-class
+  /// monitor (ADWIN buckets, trend sums, baselines, CUSUM) — to the wire
+  /// format, so a LoadState()ed copy's future batch decisions are
+  /// bit-identical.
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

@@ -36,9 +36,6 @@ class Adwin : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "ADWIN"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<Adwin>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

@@ -43,9 +43,6 @@ class DdmOci : public DriftDetector {
   void Reset() override;
   std::string name() const override { return "DDM-OCI"; }
   std::vector<int> drifted_classes() const override { return drifted_; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<DdmOci>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

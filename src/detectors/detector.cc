@@ -6,8 +6,7 @@ namespace ccd {
 
 std::unique_ptr<DriftDetector> DriftDetector::CloneState() const {
   throw std::logic_error("detector '" + name() +
-                         "' does not implement CloneState(); it cannot "
-                         "participate in sharded evaluation / state handoff");
+                         "' does not implement CloneState()");
 }
 
 void DriftDetector::SaveState(io::Writer& /*writer*/) const {

@@ -50,23 +50,22 @@ class DriftDetector {
   /// Clears all adaptive statistics (new concept assumed).
   virtual void Reset() = 0;
 
-  /// Deep copy *including all adaptive statistics*: the copy's future
-  /// Observe()/state() behavior is bit-identical to this detector's. This
-  /// is the detector half of the intra-stream shard handoff
-  /// (eval/sharded.h). The default implementation throws std::logic_error;
-  /// every detector registered with the api layer implements it (the
-  /// snapshot/restore property test loops over the registry to keep that
-  /// true). Value-semantic detectors implement it as a one-line copy.
+  /// Retired deep-copy hook. Nothing in src/ calls it and no detector in
+  /// src/ overrides it; it stays declared (throwing std::logic_error) only
+  /// because the benchmark's tracing wrappers (perfbench/src/traced.cc)
+  /// override it, and goes when a benchmark change drops those overrides.
+  /// Component state moves through SaveState()/LoadState() alone.
   virtual std::unique_ptr<DriftDetector> CloneState() const;
 
   /// Serializes *all* adaptive statistics (parameters, windows, counters,
-  /// RNG cursors) to the versioned wire format — the durable sibling of
-  /// CloneState(): LoadState() on a freshly registry-constructed instance
-  /// of the same type must make its future Observe()/state() behavior
-  /// bit-identical to this detector's, across processes and machines. The
-  /// defaults throw std::logic_error naming the component; every
-  /// registered detector implements both (the io round-trip property test
-  /// loops over the registry to keep that true).
+  /// RNG cursors) to the versioned wire format — the one way detector
+  /// state leaves a live engine (persistence, SHIP/LOAD, DrainShard):
+  /// LoadState() on a freshly registry-constructed instance of the same
+  /// type must make its future Observe()/state() behavior bit-identical to
+  /// this detector's, across processes and machines. The defaults throw
+  /// std::logic_error naming the component; every registered detector
+  /// implements both (the io round-trip property test loops over the
+  /// registry to keep that true).
   virtual void SaveState(io::Writer& writer) const;
   virtual void LoadState(io::Reader& reader);
 

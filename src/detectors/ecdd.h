@@ -26,9 +26,6 @@ class Ecdd : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "ECDD"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<Ecdd>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

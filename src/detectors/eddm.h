@@ -27,9 +27,6 @@ class Eddm : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "EDDM"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<Eddm>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

@@ -28,9 +28,6 @@ class Fhddm : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "FHDDM"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<Fhddm>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

@@ -26,9 +26,6 @@ class PageHinkley : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "PageHinkley"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<PageHinkley>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

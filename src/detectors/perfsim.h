@@ -33,9 +33,6 @@ class PerfSim : public DriftDetector {
   void Reset() override;
   std::string name() const override { return "PerfSim"; }
   std::vector<int> drifted_classes() const override { return drifted_; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<PerfSim>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

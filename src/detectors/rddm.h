@@ -32,9 +32,6 @@ class Rddm : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "RDDM"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<Rddm>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

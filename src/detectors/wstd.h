@@ -34,9 +34,6 @@ class Wstd : public ErrorRateDetector {
   DetectorState state() const override { return state_; }
   void Reset() override;
   std::string name() const override { return "WSTD"; }
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<Wstd>(*this);
-  }
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 

@@ -50,11 +50,11 @@ struct EngineHooks {
   std::function<void(const MetricsSnapshot&)> on_metrics;
 };
 
-/// Copyable run state of a MonitorEngine at a point in time: everything an
-/// intra-stream shard needs to resume evaluation mid-stream (prefix-state
-/// handoff, see eval/sharded.h), and everything an operator needs to
-/// inspect a live monitor. Together with clones of the classifier and
-/// detector (CloneState()) this is the *complete* engine state:
+/// Copyable run state of a MonitorEngine at a point in time: everything a
+/// moved shard needs to resume evaluation mid-stream, and everything an
+/// operator needs to inspect a live monitor. Together with the
+/// classifier's and detector's SaveState() payloads (io::StateImage
+/// carries all three) this is the *complete* engine state:
 /// MonitorEngine::Restore() rebuilds an engine whose subsequent behavior —
 /// and whose own Snapshot() — is bit-identical to the original's.
 struct EngineSnapshot {
@@ -171,8 +171,7 @@ struct LabelRequest {
 /// label outage degrades to a bounded-memory predictor instead of leaking.
 ///
 /// The engine is single-threaded by design: one engine per stream shard,
-/// sharding above it (api::Suite today, intra-stream sharding next — see
-/// Snapshot()).
+/// sharding above it (api::Suite, api::ShardedMonitor).
 class MonitorEngine {
  public:
   /// A prediction handed back to the caller: the opaque id to label later,
@@ -271,7 +270,7 @@ class MonitorEngine {
   /// Replaces this engine's run state with `snapshot`, so that continuing
   /// from here is bit-identical to continuing the engine that produced it —
   /// provided classifier and detector were restored to the same point
-  /// (CloneState() at Snapshot() time). Validates internal consistency
+  /// (SaveState() at Snapshot() time, LoadState() into the new ones). Validates internal consistency
   /// (window within the configured metric window, class counts matching
   /// the schema, pending ids ascending and below next_id, pending count
   /// within this engine's capacity) and throws std::invalid_argument on
@@ -308,13 +307,13 @@ class MonitorEngine {
 
   // Construction-time wiring, not run state: Snapshot()/Restore() move an
   // engine's *evaluation* state between engines that were each built with
-  // their own schema/config/components (EngineState carries the component
-  // clones separately; RestoreEngineState re-supplies schema and config).
+  // their own schema/config/components (io::StateImage carries the
+  // component state separately; its decoder re-supplies schema and config).
   // ccd:state-skip(schema_, construction-time wiring; a restored engine is built with its own schema)
   StreamSchema schema_;
-  // ccd:state-skip(classifier_, non-owning component pointer; EngineState ships CloneState copies instead)
+  // ccd:state-skip(classifier_, non-owning component pointer; io::StateImage ships its SaveState payload instead)
   OnlineClassifier* classifier_ = nullptr;
-  // ccd:state-skip(detector_, non-owning component pointer; EngineState ships CloneState copies instead)
+  // ccd:state-skip(detector_, non-owning component pointer; io::StateImage ships its SaveState payload instead)
   DriftDetector* detector_ = nullptr;
   // ccd:state-skip(config_, construction-time wiring; a restored engine is built with its own config)
   PrequentialConfig config_;

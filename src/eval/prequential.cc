@@ -4,7 +4,6 @@
 #include <string>
 
 #include "eval/engine.h"
-#include "eval/sharded.h"
 
 namespace ccd {
 
@@ -19,19 +18,12 @@ void ValidatePrequentialConfig(const PrequentialConfig& config) {
         "PrequentialConfig.metric_window must be >= 1 (got " +
         std::to_string(config.metric_window) + ")");
   }
-  if (config.shards <= 0) {
-    throw std::invalid_argument("PrequentialConfig.shards must be >= 1 (got " +
-                                std::to_string(config.shards) + ")");
-  }
 }
 
 PrequentialResult RunPrequential(InstanceStream* stream,
                                  OnlineClassifier* classifier,
                                  DriftDetector* detector,
                                  const PrequentialConfig& config) {
-  if (config.shards > 1) {
-    return RunShardedPrequential(stream, classifier, detector, config);
-  }
   // Offline evaluation = the push engine fed with immediate labels. The
   // engine owns the whole prequential step (warmup, metrics, drift
   // coupling, sampling); this adapter only drains the stream into it.

@@ -18,20 +18,24 @@ struct PrequentialConfig {
   uint64_t warmup = 500;      ///< Train-only prefix (no metrics, no drift).
   bool reset_on_drift = true; ///< Reset the classifier when drift fires.
   bool timing = true;         ///< Measure detector/classifier wall time.
-  /// Intra-stream sharding degree: > 1 splits the run into this many
-  /// sequential-handoff blocks evaluated through EngineState transfer on a
-  /// thread pool (eval/sharded.h) — bit-identical to the sequential run.
-  /// 1 is the classic single-pass loop.
-  int shards = 1;
 };
+
+inline bool operator==(const PrequentialConfig& a, const PrequentialConfig& b) {
+  return a.max_instances == b.max_instances &&
+         a.metric_window == b.metric_window &&
+         a.eval_interval == b.eval_interval && a.warmup == b.warmup &&
+         a.reset_on_drift == b.reset_on_drift && a.timing == b.timing;
+}
+inline bool operator!=(const PrequentialConfig& a, const PrequentialConfig& b) {
+  return !(a == b);
+}
 
 /// Throws std::invalid_argument when `config` is degenerate: a
 /// non-positive `eval_interval` (the sampling modulus — zero is a literal
-/// division by zero), a non-positive `metric_window` (WindowedMetrics
-/// would evict every entry immediately and never accumulate a window), or
-/// a non-positive `shards` count. RunPrequential calls this up front;
-/// api::Experiment::Build performs the same checks and reports them as
-/// ApiError.
+/// division by zero) or a non-positive `metric_window` (WindowedMetrics
+/// would evict every entry immediately and never accumulate a window).
+/// RunPrequential calls this up front; api::Experiment::Build performs the
+/// same checks and reports them as ApiError.
 void ValidatePrequentialConfig(const PrequentialConfig& config);
 
 /// One detection-side drift event: where a detector fired and which
@@ -83,11 +87,6 @@ struct PrequentialResult {
 /// This is a thin adapter over MonitorEngine (eval/engine.h): it drains
 /// `stream` through the push-based engine with immediate labels, so
 /// offline evaluation and online serving share one implementation.
-///
-/// With config.shards > 1 the run is delegated to RunShardedPrequential
-/// (eval/sharded.h): same instances, same numbers — proven bit-identical
-/// by tests/sharded_test.cc — but evaluated as pipelined handoff blocks.
-/// shards == 1 is the unchanged sequential baseline.
 PrequentialResult RunPrequential(InstanceStream* stream,
                                  OnlineClassifier* classifier,
                                  DriftDetector* detector,

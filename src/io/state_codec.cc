@@ -46,7 +46,6 @@ void WriteConfig(Writer& w, const PrequentialConfig& config) {
   w.U64(config.warmup);
   w.Bool(config.reset_on_drift);
   w.Bool(config.timing);
-  w.I64(config.shards);
   w.EndSection();
 }
 
@@ -59,7 +58,6 @@ PrequentialConfig ReadConfig(Reader& r) {
   c.warmup = r.U64("config.warmup");
   c.reset_on_drift = r.Bool("config.reset_on_drift");
   c.timing = r.Bool("config.timing");
-  c.shards = static_cast<int>(r.I64("config.shards"));
   r.EndSection("PrequentialConfig");
   // The same degeneracy gate every run-entry point applies; a config that
   // would divide by zero must not survive deserialization either.
@@ -160,23 +158,23 @@ EngineSnapshot ReadSnapshot(Reader& r) {
   return s;
 }
 
-std::string EncodeStateImage(const StateImage& image) {
+std::string EncodeStateImage(const ShardIdentity& identity,
+                             const EngineSnapshot& snapshot,
+                             const OnlineClassifier& classifier,
+                             const DriftDetector* detector) {
   Writer w;
   w.BeginSection("StateImage");
-  WriteSchema(w, image.schema);
-  w.String(image.classifier);
-  w.String(image.classifier_params);
-  w.String(image.detector);
-  w.String(image.detector_params);
-  w.U64(image.seed);
-  WriteConfig(w, image.config);
-  WriteSnapshot(w, image.state.snapshot);
-  if (image.state.classifier == nullptr) {
-    throw std::logic_error("EncodeStateImage: image carries no classifier");
-  }
-  image.state.classifier->SaveState(w);
-  w.Bool(image.state.detector != nullptr);
-  if (image.state.detector != nullptr) image.state.detector->SaveState(w);
+  WriteSchema(w, identity.schema);
+  w.String(identity.classifier);
+  w.String(identity.classifier_params);
+  w.String(identity.detector);
+  w.String(identity.detector_params);
+  w.U64(identity.seed);
+  WriteConfig(w, identity.config);
+  WriteSnapshot(w, snapshot);
+  classifier.SaveState(w);
+  w.Bool(detector != nullptr);
+  if (detector != nullptr) detector->SaveState(w);
   w.EndSection();
   return SealEnvelope(w.data());
 }
@@ -186,37 +184,38 @@ StateImage DecodeStateImage(const std::string& bytes) {
   Reader r(body);
   r.BeginSection("StateImage");
   StateImage image;
-  image.schema = ReadSchema(r);
-  image.classifier = r.String("image.classifier");
-  image.classifier_params = r.String("image.classifier_params");
-  image.detector = r.String("image.detector");
-  image.detector_params = r.String("image.detector_params");
-  image.seed = r.U64("image.seed");
-  image.config = ReadConfig(r);
-  image.state.snapshot = ReadSnapshot(r);
+  ShardIdentity& id = image.identity;
+  id.schema = ReadSchema(r);
+  id.classifier = r.String("image.classifier");
+  id.classifier_params = r.String("image.classifier_params");
+  id.detector = r.String("image.detector");
+  id.detector_params = r.String("image.detector_params");
+  id.seed = r.U64("image.seed");
+  id.config = ReadConfig(r);
+  image.snapshot = ReadSnapshot(r);
   // Rebuild the components from their registry identity, then overwrite
   // the fresh instances' learned state from the wire. Registry failures
   // (unknown name, bad params) are a property of the *bytes* here, so
   // they surface as WireError like every other malformed-input path.
   try {
-    image.state.classifier = api::Classifiers().Create(
-        image.classifier, image.schema, image.seed,
-        api::ParamMap::Parse(image.classifier_params));
-    if (!image.detector.empty()) {
-      image.state.detector = api::Detectors().Create(
-          image.detector, image.schema, image.seed,
-          api::ParamMap::Parse(image.detector_params));
+    image.classifier = api::Classifiers().Create(
+        id.classifier, id.schema, id.seed,
+        api::ParamMap::Parse(id.classifier_params));
+    if (!id.detector.empty()) {
+      image.detector = api::Detectors().Create(
+          id.detector, id.schema, id.seed,
+          api::ParamMap::Parse(id.detector_params));
     }
   } catch (const api::ApiError& e) {
     r.Fail("image.components", e.what());
   }
-  image.state.classifier->LoadState(r);
+  image.classifier->LoadState(r);
   const bool has_detector = r.Bool("image.has_detector");
-  if (has_detector != (image.state.detector != nullptr)) {
+  if (has_detector != (image.detector != nullptr)) {
     r.Fail("image.has_detector",
            "detector presence flag disagrees with the detector name");
   }
-  if (image.state.detector != nullptr) image.state.detector->LoadState(r);
+  if (image.detector != nullptr) image.detector->LoadState(r);
   r.EndSection("StateImage");
   r.ExpectEnd("StateImage envelope");
   return image;

@@ -2,12 +2,14 @@
 #define CCD_IO_STATE_CODEC_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "classifiers/classifier.h"
+#include "detectors/detector.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
-#include "eval/sharded.h"
 #include "io/wire.h"
 
 namespace ccd {
@@ -30,13 +32,10 @@ PrequentialConfig ReadConfig(Reader& r);
 void WriteSnapshot(Writer& w, const EngineSnapshot& snapshot);
 EngineSnapshot ReadSnapshot(Reader& r);
 
-/// The complete durable form of one monitoring shard: the registry
+/// What a state image says about the shard it came from: the registry
 /// identity needed to rebuild its components from nothing (names +
-/// canonical `key=value` params + seed), the evaluation protocol, and the
-/// full run state (EngineState = engine snapshot + live components).
-///
-/// Move-only, like the EngineState it carries.
-struct StateImage {
+/// canonical `key=value` params + seed) and the evaluation protocol.
+struct ShardIdentity {
   StreamSchema schema;
   std::string classifier;         ///< Registry name, e.g. "cs-ptree".
   std::string classifier_params;  ///< ParamMap::ToString() canonical form.
@@ -44,16 +43,30 @@ struct StateImage {
   std::string detector_params;
   uint64_t seed = 0;
   PrequentialConfig config;
-  EngineState state;
 };
 
-/// Serializes `image` into a sealed envelope (magic, format version,
-/// CRC-32 trailer — see io/wire.h). The component payloads are written by
-/// the components themselves (SaveState()), each wrapped in a section
-/// named by its name() so bytes of the wrong component fail typed.
-/// Throws std::logic_error when a component does not implement
+/// The decoded form of one monitoring shard: its identity, the engine's
+/// run state, and the components rebuilt from the identity with their
+/// learned state loaded. Move-only: exactly one engine may own (and
+/// mutate) the components it carries.
+struct StateImage {
+  ShardIdentity identity;
+  EngineSnapshot snapshot;
+  std::unique_ptr<OnlineClassifier> classifier;
+  std::unique_ptr<DriftDetector> detector;  ///< Null when no detector runs.
+};
+
+/// Serializes a live shard into a sealed envelope (magic, format version,
+/// CRC-32 trailer — see io/wire.h): `identity`, `snapshot`, then the
+/// components' own SaveState() payloads, each wrapped in a section named
+/// by its name() so bytes of the wrong component fail typed. The
+/// components are written in place — nothing is copied. `detector` may be
+/// null. Throws std::logic_error when a component does not implement
 /// SaveState(), naming it.
-std::string EncodeStateImage(const StateImage& image);
+std::string EncodeStateImage(const ShardIdentity& identity,
+                             const EngineSnapshot& snapshot,
+                             const OnlineClassifier& classifier,
+                             const DriftDetector* detector);
 
 /// Parses a sealed envelope back into a StateImage: validates magic,
 /// version and CRC, reads the identity and run state, reconstructs the

@@ -13,8 +13,7 @@ namespace ccd {
 namespace runtime {
 
 /// Fixed-size thread pool over a FIFO work queue — the execution layer of
-/// the experiment-suite runner (api::Suite) and of any future intra-stream
-/// sharding. Tasks are opaque thunks; determinism is the *caller's*
+/// the experiment-suite runner (api::Suite). Tasks are opaque thunks; determinism is the *caller's*
 /// contract: a task must write only to state it owns (e.g. its own slot of
 /// a pre-sized result vector), so results are identical whatever order the
 /// workers pick tasks in.

@@ -213,6 +213,21 @@ TEST_F(MonitorServiceTest, PredictLabelTicketFlowWorksOverTheWire) {
 TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
   api::ShardedMonitor monitor = MakeMonitor();
   io::MonitorService service(&monitor);
+  // A well-formed image of another fleet (cs-ptree, same schema and
+  // protocol): accepting it would make the next PERSIST write a
+  // generation Open() cannot read.
+  PrequentialConfig cfg = ShortConfig();
+  cfg.warmup = 100;
+  const std::string foreign = api::ShardedMonitorBuilder()
+                                  .Schema(monitor.schema())
+                                  .Classifier("cs-ptree")
+                                  .Detector("DDM")
+                                  .Seed(42)
+                                  .Shards(2)
+                                  .Protocol(cfg)
+                                  .Build()
+                                  .SerializeShard(0);
+  const std::string shard0 = monitor.SerializeShard(0);
   const std::vector<std::string> bad = {
       "",                        // Empty request.
       "NOSUCH 1 2 3",            // Unknown command.
@@ -226,6 +241,7 @@ TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
       "SHIP notashard",          // Shard is not a number.
       "LOAD 0",                  // Binary command without payload.
       "LOAD 0\nnot a state image",
+      "LOAD 0\n" + foreign,    // Another fleet's shard.
   };
   for (const std::string& request : bad) {
     SCOPED_TRACE(request);
@@ -234,6 +250,7 @@ TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
   }
   // The monitor is untouched by the whole gauntlet.
   EXPECT_EQ(monitor.position(), 0u);
+  EXPECT_EQ(monitor.SerializeShard(0), shard0);
 }
 
 // The cross-process migration handshake, in-process: SHIP a live shard

@@ -1,10 +1,13 @@
 // State serialization (io/state_codec.h + every component's SaveState/
-// LoadState) — the property harness proving the durable half of the
-// handoff claim: Encode → Decode of a live shard's StateImage, then
-// continuing on the decoded components, is *bit-identical* to never
-// having serialized, for EVERY registered detector and classifier (new
-// registrations are covered the moment they self-register). Also pins
-// down EngineState's move-only contract and the snapshot/config codecs.
+// LoadState) — the property harness proving the handoff claim: Encode →
+// Decode of a live shard's state image, then continuing on the decoded
+// components, is *bit-identical* to never having serialized, for EVERY
+// registered detector and classifier (new registrations are covered the
+// moment they self-register) and across several cuts of one run. The
+// wire codec is the only way state leaves a live engine, so this is the
+// differential test of persistence, SHIP/LOAD and DrainShard alike. Also
+// pins down StateImage's move-only contract and the snapshot/config
+// codecs.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,7 @@
 
 #include "api/api.h"
 #include "eval/engine.h"
-#include "eval/sharded.h"
+#include "generators/registry.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
 #include "testing_util.h"
@@ -28,54 +31,70 @@ namespace {
 using test_util::ExpectBitIdentical;
 using test_util::ExpectSnapshotEq;
 using test_util::MakeRbfDriftStream;
+using test_util::MakeSeaDriftStream;
 using test_util::ShortConfig;
 
-// EngineState is a handoff token: exactly one owner. Copying would alias
-// live classifiers across shards, so the copy operations are deleted.
-static_assert(!std::is_copy_constructible<EngineState>::value,
-              "EngineState must not be copyable");
-static_assert(!std::is_copy_assignable<EngineState>::value,
-              "EngineState must not be copy-assignable");
-static_assert(std::is_move_constructible<EngineState>::value,
-              "EngineState must stay movable");
-static_assert(std::is_move_assignable<EngineState>::value,
-              "EngineState must stay move-assignable");
+// A decoded StateImage owns live components: exactly one engine may
+// mutate them. Copying would alias them across shards, so the image is
+// move-only.
+static_assert(!std::is_copy_constructible<io::StateImage>::value,
+              "StateImage must not be copyable");
+static_assert(!std::is_copy_assignable<io::StateImage>::value,
+              "StateImage must not be copy-assignable");
+static_assert(std::is_move_constructible<io::StateImage>::value,
+              "StateImage must stay movable");
+static_assert(std::is_move_assignable<io::StateImage>::value,
+              "StateImage must stay move-assignable");
 
-/// Runs `data` through an engine; `interrupt_at` > 0 stops there, pushes
-/// the complete state THROUGH THE WIRE (StateImage encode → decode) and
-/// finishes the run on the decoded components — the durable twin of
-/// sharded_test's CloneState() harness. Returns (result, final snapshot).
+/// Runs `data` through an engine, stopping at every cut in `cuts`
+/// (ascending instance offsets) to push the complete state THROUGH THE
+/// WIRE — encode the live components in place, decode, and continue on a
+/// fresh engine over the decoded ones. No cuts is the uninterrupted
+/// baseline. Returns (result, final snapshot).
 std::pair<PrequentialResult, EngineSnapshot> RunMaybeSerialized(
     const std::vector<Instance>& data, const StreamSchema& schema,
     const std::string& classifier_name, const std::string& detector_name,
-    const PrequentialConfig& cfg, size_t interrupt_at) {
-  auto classifier = api::MakeClassifier(classifier_name, schema, /*seed=*/42);
-  std::unique_ptr<DriftDetector> detector;
-  if (!detector_name.empty()) {
-    detector = api::MakeDetector(detector_name, schema, /*seed=*/42);
-  }
-  MonitorEngine engine(schema, classifier.get(), detector.get(), cfg);
-  if (interrupt_at == 0) {
-    for (const Instance& inst : data) engine.Feed(inst);
-    return {engine.Result(), engine.Snapshot()};
-  }
-  for (size_t i = 0; i < interrupt_at; ++i) engine.Feed(data[i]);
-
+    const PrequentialConfig& cfg, const std::vector<size_t>& cuts) {
   io::StateImage image;
-  image.schema = schema;
-  image.classifier = classifier_name;
-  image.detector = detector_name;
-  image.seed = 42;
-  image.config = cfg;
-  image.state = CaptureEngineState(engine, *classifier, detector.get());
-  const std::string bytes = io::EncodeStateImage(image);
-
-  io::StateImage decoded = io::DecodeStateImage(bytes);
-  MonitorEngine restored = RestoreEngineState(schema, cfg, decoded.state);
-  for (size_t i = interrupt_at; i < data.size(); ++i) {
-    restored.Feed(data[i]);
+  image.identity.schema = schema;
+  image.identity.classifier = classifier_name;
+  image.identity.detector = detector_name;
+  image.identity.seed = 42;
+  image.identity.config = cfg;
+  image.classifier = api::MakeClassifier(classifier_name, schema, /*seed=*/42);
+  if (!detector_name.empty()) {
+    image.detector = api::MakeDetector(detector_name, schema, /*seed=*/42);
   }
-  return {restored.Result(), restored.Snapshot()};
+  auto engine = std::make_unique<MonitorEngine>(
+      schema, image.classifier.get(), image.detector.get(), cfg);
+  size_t next = 0;
+  for (size_t cut : cuts) {
+    for (; next < cut; ++next) engine->Feed(data[next]);
+    const std::string bytes =
+        io::EncodeStateImage(image.identity, engine->Snapshot(),
+                             *image.classifier, image.detector.get());
+    io::StateImage decoded = io::DecodeStateImage(bytes);
+    auto restored = std::make_unique<MonitorEngine>(
+        schema, decoded.classifier.get(), decoded.detector.get(), cfg);
+    restored->Restore(decoded.snapshot);
+    // The outgoing engine dies before the components it points into.
+    engine = std::move(restored);
+    image = std::move(decoded);
+  }
+  for (; next < data.size(); ++next) engine->Feed(data[next]);
+  return {engine->Result(), engine->Snapshot()};
+}
+
+/// Cut points splitting `n` instances into `k` contiguous blocks whose
+/// sizes differ by at most one (earlier blocks absorb the remainder).
+std::vector<size_t> EqualBlockCuts(size_t n, size_t k) {
+  std::vector<size_t> cuts;
+  size_t at = 0;
+  for (size_t i = 0; i + 1 < k; ++i) {
+    at += n / k + (i < n % k ? 1 : 0);
+    cuts.push_back(at);
+  }
+  return cuts;
 }
 
 // Save → wire → Load → continue is bit-identical to an uninterrupted run
@@ -93,9 +112,9 @@ TEST(StateImagePropertyTest, EveryRegisteredDetectorRoundTrips) {
   for (const api::ComponentInfo& info : detectors) {
     SCOPED_TRACE(info.name);
     auto uninterrupted =
-        RunMaybeSerialized(data, schema, "naive-bayes", info.name, cfg, 0);
+        RunMaybeSerialized(data, schema, "naive-bayes", info.name, cfg, {});
     auto serialized =
-        RunMaybeSerialized(data, schema, "naive-bayes", info.name, cfg, 777);
+        RunMaybeSerialized(data, schema, "naive-bayes", info.name, cfg, {777});
     ExpectBitIdentical(uninterrupted.first, serialized.first);
     ExpectSnapshotEq(uninterrupted.second, serialized.second);
   }
@@ -113,10 +132,58 @@ TEST(StateImagePropertyTest, EveryRegisteredClassifierRoundTrips) {
   ASSERT_FALSE(classifiers.empty());
   for (const api::ComponentInfo& info : classifiers) {
     SCOPED_TRACE(info.name);
-    auto uninterrupted = RunMaybeSerialized(data, schema, info.name, "", cfg, 0);
-    auto serialized = RunMaybeSerialized(data, schema, info.name, "", cfg, 777);
+    auto uninterrupted =
+        RunMaybeSerialized(data, schema, info.name, "", cfg, {});
+    auto serialized =
+        RunMaybeSerialized(data, schema, info.name, "", cfg, {777});
     ExpectBitIdentical(uninterrupted.first, serialized.first);
     ExpectSnapshotEq(uninterrupted.second, serialized.second);
+  }
+}
+
+// The multi-cut grid: three structurally different generators x {DDM,
+// ADWIN} on the paper's cs-ptree, cut into 2, 4 and 7 equal blocks with a
+// wire round trip at every cut, all bit-identical to the uninterrupted
+// run. 2600 instances divide by neither 4 nor 7, and warmup = 400 exceeds
+// the 7-block size (371/372), so the train-only prefix itself crosses a
+// cut.
+TEST(StateImagePropertyTest, MultiCutGridMatchesUninterruptedBitForBit) {
+  constexpr size_t kInstances = 2600;
+  PrequentialConfig cfg = ShortConfig();
+  cfg.max_instances = kInstances;
+  cfg.warmup = 400;
+
+  std::vector<std::pair<std::string, std::unique_ptr<InstanceStream>>>
+      streams;
+  streams.emplace_back("SEA", MakeSeaDriftStream(1300, 9));
+  for (const std::string name : {"RBF5", "Aggrawal5"}) {
+    const StreamSpec* spec = FindStreamSpec(name);
+    ASSERT_NE(spec, nullptr);
+    BuildOptions options;
+    options.scale = 0.001;
+    options.seed = 42;
+    streams.emplace_back(name, std::move(BuildStream(*spec, options).stream));
+  }
+
+  for (auto& [stream_name, stream] : streams) {
+    const StreamSchema schema = stream->schema();
+    const std::vector<Instance> data = Take(stream.get(), kInstances);
+    for (const std::string detector : {"DDM", "ADWIN"}) {
+      SCOPED_TRACE(stream_name + " / " + detector);
+      auto uninterrupted =
+          RunMaybeSerialized(data, schema, "cs-ptree", detector, cfg, {});
+      // A run this size through a learning tree must produce a non-trivial
+      // trajectory, or the bit-identity below would be vacuous.
+      EXPECT_EQ(uninterrupted.first.instances, kInstances);
+      EXPECT_FALSE(uninterrupted.first.pmauc_series.empty());
+      for (size_t blocks : {2u, 4u, 7u}) {
+        SCOPED_TRACE("blocks=" + std::to_string(blocks));
+        auto cut = RunMaybeSerialized(data, schema, "cs-ptree", detector, cfg,
+                                      EqualBlockCuts(kInstances, blocks));
+        ExpectBitIdentical(uninterrupted.first, cut.first);
+        ExpectSnapshotEq(uninterrupted.second, cut.second);
+      }
+    }
   }
 }
 
@@ -134,17 +201,19 @@ TEST(StateImagePropertyTest, EncodingIsCanonicalAcrossRoundTrips) {
   MonitorEngine engine(schema, classifier.get(), detector.get(), cfg);
   for (const Instance& inst : data) engine.Feed(inst);
 
-  io::StateImage image;
-  image.schema = schema;
-  image.classifier = "cs-ptree";
-  image.detector = "RBM-IM";
-  image.seed = 42;
-  image.config = cfg;
-  image.state = CaptureEngineState(engine, *classifier, detector.get());
-  const std::string once = io::EncodeStateImage(image);
+  io::ShardIdentity identity;
+  identity.schema = schema;
+  identity.classifier = "cs-ptree";
+  identity.detector = "RBM-IM";
+  identity.seed = 42;
+  identity.config = cfg;
+  const std::string once = io::EncodeStateImage(identity, engine.Snapshot(),
+                                                *classifier, detector.get());
 
   io::StateImage decoded = io::DecodeStateImage(once);
-  const std::string twice = io::EncodeStateImage(decoded);
+  const std::string twice =
+      io::EncodeStateImage(decoded.identity, decoded.snapshot,
+                           *decoded.classifier, decoded.detector.get());
   EXPECT_EQ(once, twice);
 }
 
@@ -194,7 +263,6 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   cfg.warmup = 250;
   cfg.reset_on_drift = false;
   cfg.timing = true;
-  cfg.shards = 3;
   io::Writer w;
   io::WriteConfig(w, cfg);
   io::Reader r(w.data());
@@ -205,7 +273,6 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   EXPECT_EQ(back.warmup, cfg.warmup);
   EXPECT_EQ(back.reset_on_drift, cfg.reset_on_drift);
   EXPECT_EQ(back.timing, cfg.timing);
-  EXPECT_EQ(back.shards, cfg.shards);
 
   // A config that would divide by zero must not survive deserialization.
   PrequentialConfig bad = cfg;

@@ -415,5 +415,64 @@ TEST(ShardMigrationTest, SerializedShardRestoresBitIdentically) {
   EXPECT_EQ(b.ShardSnapshot(1).position, a.ShardSnapshot(1).position);
 }
 
+// A well-formed image of another fleet must be refused before it touches
+// the target. Accepting one would brick the store: the next Persist()
+// writes a generation whose shard file Open() cannot decode, and retires
+// the last readable one. Seeds may differ — LoadState()
+// overwrites every RNG cursor — so a shard of the same fleet restores
+// into any slot.
+TEST(ShardMigrationTest, ForeignImagesAreRejectedAndPersistStaysOpenable) {
+  const std::string dir = ScratchDir("foreign-image");
+  const std::vector<KeyedFeed> schedule = MakeSchedule(800, 37);
+  api::ShardedMonitor target = BuildMonitor(2);
+  for (size_t i = 0; i < 500; ++i) {
+    target.Feed(schedule[i].key, schedule[i].instance);
+  }
+  target.Persist(dir);
+
+  PrequentialConfig cfg = ShortConfig();
+  cfg.warmup = 100;
+  auto fleet = [&] {
+    return api::ShardedMonitorBuilder()
+        .Schema(target.schema())
+        .Classifier("naive-bayes")
+        .Detector("DDM")
+        .Seed(42)
+        .Shards(2)
+        .Protocol(cfg);
+  };
+  PrequentialConfig other_cfg = cfg;
+  other_cfg.warmup = 101;
+  const std::vector<std::string> foreign = {
+      fleet().Classifier("cs-ptree").Build().SerializeShard(0),
+      fleet().NoDetector().Build().SerializeShard(0),
+      fleet().Detector("DDM", {"warning_level=2.5"}).Build().SerializeShard(0),
+      fleet().Protocol(other_cfg).Build().SerializeShard(0),
+  };
+  const std::string before = target.SerializeShard(0);
+  for (size_t i = 0; i < foreign.size(); ++i) {
+    SCOPED_TRACE("foreign image " + std::to_string(i));
+    EXPECT_THROW(target.RestoreShard(0, foreign[i]), api::ApiError);
+    EXPECT_EQ(target.SerializeShard(0), before);
+  }
+  // Another seed of the same fleet is not foreign.
+  EXPECT_NO_THROW(
+      target.RestoreShard(0, fleet().Seed(7).Build().SerializeShard(1)));
+  target.RestoreShard(0, before);
+
+  // The target kept serving, and Persist/Open still round-trips.
+  for (size_t i = 500; i < 650; ++i) {
+    target.Feed(schedule[i].key, schedule[i].instance);
+  }
+  target.Persist(dir);
+  api::ShardedMonitor reopened = api::ShardedMonitor::Open(dir);
+  for (size_t i = 650; i < schedule.size(); ++i) {
+    target.Feed(schedule[i].key, schedule[i].instance);
+    reopened.Feed(schedule[i].key, schedule[i].instance);
+  }
+  ExpectMonitorsEqual(target, reopened);
+  RemoveTree(dir);
+}
+
 }  // namespace
 }  // namespace ccd

@@ -267,24 +267,24 @@ std::string MakeSmallImage() {
   MonitorEngine engine(stream->schema(), classifier.get(), detector.get(), cfg);
   for (const Instance& inst : data) engine.Feed(inst);
 
-  io::StateImage image;
-  image.schema = stream->schema();
-  image.classifier = "naive-bayes";
-  image.detector = "DDM";
-  image.seed = 42;
-  image.config = cfg;
-  image.state = CaptureEngineState(engine, *classifier, detector.get());
-  return io::EncodeStateImage(image);
+  io::ShardIdentity identity;
+  identity.schema = stream->schema();
+  identity.classifier = "naive-bayes";
+  identity.detector = "DDM";
+  identity.seed = 42;
+  identity.config = cfg;
+  return io::EncodeStateImage(identity, engine.Snapshot(), *classifier,
+                              detector.get());
 }
 
 TEST(CorruptionMatrixTest, TheImageItselfDecodes) {
   const std::string bytes = MakeSmallImage();
   io::StateImage image = io::DecodeStateImage(bytes);
-  EXPECT_EQ(image.classifier, "naive-bayes");
-  EXPECT_EQ(image.detector, "DDM");
-  EXPECT_GT(image.state.snapshot.position, 0u);
-  ASSERT_NE(image.state.classifier, nullptr);
-  ASSERT_NE(image.state.detector, nullptr);
+  EXPECT_EQ(image.identity.classifier, "naive-bayes");
+  EXPECT_EQ(image.identity.detector, "DDM");
+  EXPECT_GT(image.snapshot.position, 0u);
+  ASSERT_NE(image.classifier, nullptr);
+  ASSERT_NE(image.detector, nullptr);
 }
 
 // Truncation at every byte offset of the sealed file: every prefix must

@@ -15,6 +15,7 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
@@ -31,6 +32,7 @@ namespace ccd {
 namespace {
 
 using test_util::ExpectBitIdentical;
+using test_util::ExpectSnapshotEq;
 using test_util::FrozenClassifier;
 using test_util::ShortConfig;
 using test_util::WarningRegionDetector;
@@ -606,6 +608,107 @@ TEST(MonitorEngineTest, SnapshotCapturesRunState) {
   // 600 measured instances into a 400-wide window.
   EXPECT_EQ(s.window.size(), 400u);
   EXPECT_GT(s.metric_samples, 0u);
+}
+
+// Regression for the Snapshot() gaps: evicted/unmatched counters, the
+// pending buffer contents and the warning-zone latch used to be absent or
+// read-only, so a restored engine could neither serve its predecessor's
+// in-flight predictions nor suppress a re-fired warning. A restored
+// engine's own Snapshot() must now reproduce the source snapshot exactly.
+TEST(EngineSnapshotTest, RestoredEngineSnapshotRoundTripsExactly) {
+  StreamSchema schema(3, 4, "synthetic");
+  FrozenClassifier clf(schema);
+  WarningRegionDetector det;
+  PrequentialConfig cfg = ShortConfig();
+  cfg.warmup = 100;
+
+  MonitorEngine engine(schema, &clf, &det, cfg, EngineHooks{},
+                       /*pending_capacity=*/4);
+  // 620 completed instances: the detector has seen 620 observations and is
+  // inside its second warning region [600, 650) — the latch is armed.
+  for (int i = 0; i < 620; ++i) {
+    engine.Feed(Instance({static_cast<double>(i % 5), 0.0, 0.0}, i % 4));
+  }
+  ASSERT_EQ(engine.last_detector_state(), DetectorState::kWarning);
+  // Park predictions past capacity (3 evictions) and throw in unmatched
+  // labels, so every counter is non-trivial.
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 7; ++i) {
+    ids.push_back(engine.Predict({static_cast<double>(i), 0.0, 0.0}).id);
+  }
+  EXPECT_EQ(engine.Label(999999, 1), LabelOutcome::kUnknown);
+  EXPECT_EQ(engine.Label(ids[0], 1), LabelOutcome::kUnknown);  // Evicted.
+  EXPECT_EQ(engine.evicted(), 3u);
+  EXPECT_EQ(engine.unmatched_labels(), 2u);
+
+  EngineSnapshot s1 = engine.Snapshot();
+  EXPECT_EQ(s1.last_detector_state, DetectorState::kWarning);
+  EXPECT_EQ(s1.pending_predictions.size(), 4u);
+
+  // The stubs are value types: a copy carries their complete state.
+  FrozenClassifier clf2(clf);
+  WarningRegionDetector det2(det);
+  int warnings_after_restore = 0;
+  EngineHooks hooks;
+  hooks.on_warning = [&](uint64_t, const MetricsSnapshot&) {
+    ++warnings_after_restore;
+  };
+  MonitorEngine restored(schema, &clf2, &det2, cfg, std::move(hooks),
+                         /*pending_capacity=*/4);
+  restored.Restore(s1);
+  ExpectSnapshotEq(s1, restored.Snapshot());
+
+  // The predecessor's in-flight predictions are servable.
+  EXPECT_EQ(restored.Label(ids[4], 2), LabelOutcome::kApplied);
+  EXPECT_EQ(restored.position(), 621u);
+  // The warning latch survived: instances 622..660 sit in the same warning
+  // region the original already entered, so on_warning must NOT re-fire.
+  for (int i = 621; i < 660; ++i) {
+    restored.Feed(Instance({static_cast<double>(i % 5), 0.0, 0.0}, i % 4));
+  }
+  EXPECT_EQ(warnings_after_restore, 0);
+}
+
+TEST(EngineSnapshotTest, RestoreRejectsInconsistentSnapshots) {
+  StreamSchema schema(3, 4, "synthetic");
+  FrozenClassifier clf(schema);
+  PrequentialConfig cfg = ShortConfig();
+  MonitorEngine engine(schema, &clf, nullptr, cfg);
+  for (int i = 0; i < 500; ++i) {
+    engine.Feed(Instance({static_cast<double>(i % 5), 0.0, 0.0}, i % 4));
+  }
+  const EngineSnapshot good = engine.Snapshot();
+  ASSERT_FALSE(good.window.empty());
+
+  // Window wider than the configured metric window.
+  EngineSnapshot bad = good;
+  bad.window.resize(static_cast<size_t>(cfg.metric_window) + 1,
+                    bad.window.front());
+  EXPECT_THROW(engine.Restore(bad), std::invalid_argument);
+  // Class-count vector not matching the schema.
+  bad = good;
+  bad.class_counts.push_back(0);
+  EXPECT_THROW(engine.Restore(bad), std::invalid_argument);
+  // Pending ids out of order / colliding.
+  bad = good;
+  bad.pending_predictions.resize(2);
+  bad.pending_predictions[0].id = 7;
+  bad.pending_predictions[1].id = 7;
+  bad.next_id = 10;
+  EXPECT_THROW(engine.Restore(bad), std::invalid_argument);
+  // More pending predictions than the target engine's capacity: accepting
+  // them would permanently break the bounded-buffer contract (Predict()
+  // evicts one entry per overflow, so an oversized restore never drains).
+  bad = good;
+  bad.pending_predictions.resize(3);
+  for (size_t i = 0; i < 3; ++i) bad.pending_predictions[i].id = i + 1;
+  bad.next_id = 10;
+  MonitorEngine tiny(schema, &clf, nullptr, cfg, EngineHooks{},
+                     /*pending_capacity=*/2);
+  EXPECT_THROW(tiny.Restore(bad), std::invalid_argument);
+  // The good snapshot still restores after the failed attempts.
+  EXPECT_NO_THROW(engine.Restore(good));
+  ExpectSnapshotEq(good, engine.Snapshot());
 }
 
 TEST(MonitorEngineTest, PauseRefusesIntakeButDrainsLabels) {

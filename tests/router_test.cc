@@ -8,9 +8,10 @@
 //      Predict/Label land per-shard results bit-identical to the
 //      single-threaded replay of the same per-key sequences (plus a
 //      contended variant that hammers shared shards for TSan);
-//  (c) resharding — DrainShard mid-stream migrates the complete
-//      EngineState (pending-label buffer included) and the run continues
-//      exactly as if nothing moved; AddShard re-routes keys over the
+//  (c) resharding — DrainShard mid-stream moves the complete shard state
+//      (pending-label buffer included) through the state-image codec and
+//      the run continues exactly as if nothing moved; a drain that cannot
+//      encode leaves the shard serving; AddShard re-routes keys over the
 //      grown table.
 //
 // Also covers the Router's hash/slot contracts, the EngineSnapshot merge
@@ -340,8 +341,8 @@ TEST(RouterStressTest, ContendedShardsKeepAggregateCounts) {
 
 // --------------------------------------------------- (c) resharding tests
 
-// DrainShard mid-stream: the drained shard's complete EngineState —
-// pending-label buffer included — moves onto the replacement engine, and
+// DrainShard mid-stream: the drained shard's complete state — pending-
+// label buffer included — moves onto the replacement engine, and
 // everything afterwards (late labels, metric windows, drift logs, further
 // pushes) is bit-identical to a run that never drained.
 TEST(ReshardTest, DrainShardMidStreamIsBitIdenticalToNeverDraining) {
@@ -381,6 +382,57 @@ TEST(ReshardTest, DrainShardMidStreamIsBitIdenticalToNeverDraining) {
     SCOPED_TRACE("shard " + std::to_string(s));
     ExpectSnapshotEq(undrained[s], drained[s]);
   }
+}
+
+/// A detector without SaveState(): legal for plain monitoring, but its
+/// state cannot leave the engine. Registered in this binary only, so a
+/// fleet can be built on it through the registry.
+class NoSaveStateDetector : public DriftDetector {
+ public:
+  void Observe(const Instance&, int, const std::vector<double>&) override {}
+  DetectorState state() const override { return DetectorState::kStable; }
+  void Reset() override {}
+  std::string name() const override { return "no-save-state"; }
+};
+
+CCD_REGISTER_DETECTOR("no-save-state", "test detector without SaveState()",
+                      api::kNoCaps,
+                      [](const StreamSchema&, uint64_t, const api::ParamMap&) {
+                        return std::make_unique<NoSaveStateDetector>();
+                      });
+
+// DrainShard promises that a failed drain leaves the shard serving: the
+// live shard is encoded before anything is touched, so a component
+// without SaveState() makes the drain throw, naming the component, and
+// the shard keeps its position and keeps applying pushes.
+TEST(ReshardTest, FailedDrainLeavesTheShardServing) {
+  auto monitor = api::ShardedMonitorBuilder()
+                     .Schema(ServingSchema())
+                     .Classifier("naive-bayes")
+                     .Detector("no-save-state")
+                     .Seed(100)
+                     .Protocol(ShortConfig())
+                     .Shards(2)
+                     .Build();
+  const std::vector<KeyedInstance> schedule =
+      MakeKeyedSchedule({0, 1, 2, 3, 4, 5}, 400, /*seed=*/31);
+  for (const KeyedInstance& push : schedule) {
+    monitor.Feed(push.key, push.instance);
+  }
+  const uint64_t before = monitor.ShardSnapshot(1).position;
+  ASSERT_GT(before, 0u);
+
+  try {
+    monitor.DrainShard(1);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no-save-state"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(monitor.ShardSnapshot(1).position, before);
+  const uint64_t key = KeysForSlot(/*slot=*/1, /*slots=*/2, 1)[0];
+  monitor.Feed(key, schedule[0].instance);
+  EXPECT_EQ(monitor.ShardSnapshot(1).position, before + 1);
 }
 
 TEST(ReshardTest, AddShardGrowsTableAndReroutesKeys) {
@@ -434,7 +486,7 @@ TEST(RoundRobinTest, CyclesShardsAndAggregates) {
     EXPECT_EQ(monitor.ShardSnapshot(s).position, 1000u);
   }
   EXPECT_EQ(monitor.Result().instances, 3000u);
-  // The periodic EngineState merge fired on schedule, at the aggregate
+  // The periodic snapshot merge fired on schedule, at the aggregate
   // positions, with the summed window sizes.
   ASSERT_EQ(merged_samples.size(), 6u);
   for (size_t i = 0; i < merged_samples.size(); ++i) {

@@ -5,7 +5,6 @@
 #include "stream/instance.h"
 #include "stream/normalizer.h"
 #include "stream/stream.h"
-#include "stream/window.h"
 
 namespace ccd {
 namespace {
@@ -38,39 +37,6 @@ TEST(TakeTest, MaterializesN) {
   VectorStream s(StreamSchema(1, 2), data, true);
   auto out = Take(&s, 5);
   EXPECT_EQ(out.size(), 5u);
-}
-
-TEST(SlidingWindowTest, EvictsOldestAndTracksSum) {
-  SlidingWindow w(3);
-  w.Push(1.0);
-  w.Push(2.0);
-  w.Push(3.0);
-  EXPECT_TRUE(w.Full());
-  EXPECT_DOUBLE_EQ(w.Sum(), 6.0);
-  w.Push(4.0);  // Evicts 1.0.
-  EXPECT_DOUBLE_EQ(w.Sum(), 9.0);
-  EXPECT_DOUBLE_EQ(w.Front(), 2.0);
-  EXPECT_DOUBLE_EQ(w.Back(), 4.0);
-  EXPECT_DOUBLE_EQ(w.Mean(), 3.0);
-  EXPECT_EQ(w.size(), 3u);
-}
-
-TEST(SlidingWindowTest, ClearResets) {
-  SlidingWindow w(2);
-  w.Push(5.0);
-  w.Clear();
-  EXPECT_EQ(w.size(), 0u);
-  EXPECT_DOUBLE_EQ(w.Mean(), 0.0);
-}
-
-TEST(BatcherTest, SignalsFullBatches) {
-  Batcher<int> b(3);
-  EXPECT_FALSE(b.Push(1));
-  EXPECT_FALSE(b.Push(2));
-  EXPECT_TRUE(b.Push(3));
-  auto batch = b.TakeBatch();
-  EXPECT_EQ(batch.size(), 3u);
-  EXPECT_EQ(b.pending(), 0u);
 }
 
 TEST(NormalizerTest, MapsIntoUnitInterval) {

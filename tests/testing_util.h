@@ -2,7 +2,7 @@
 #define CCD_TESTS_TESTING_UTIL_H_
 
 // Shared fixtures of the evaluation-layer tests (eval_test, monitor_test,
-// sharded_test): tiny deterministic streams, stub classifiers/detectors
+// io_state_test, ...): tiny deterministic streams, stub classifiers/detectors
 // with known behavior, and result/snapshot equality helpers. Everything
 // here is deterministic from its seed so tests can assert bit-identity.
 
@@ -142,9 +142,6 @@ class FrozenClassifier : public OnlineClassifier {
   std::unique_ptr<OnlineClassifier> Clone() const override {
     return std::make_unique<FrozenClassifier>(schema_);
   }
-  std::unique_ptr<OnlineClassifier> CloneState() const override {
-    return Clone();  // Stateless: a fresh copy *is* the state.
-  }
   std::string name() const override { return "frozen"; }
 
  private:
@@ -212,9 +209,6 @@ class WarningRegionDetector : public DriftDetector {
     return warn ? DetectorState::kWarning : DetectorState::kStable;
   }
   void Reset() override {}
-  std::unique_ptr<DriftDetector> CloneState() const override {
-    return std::make_unique<WarningRegionDetector>(*this);
-  }
   std::string name() const override { return "warning-region"; }
 
  private:

@@ -2,7 +2,7 @@
 """State-surface completeness auditor for src/.
 
 Every component in this repo maintains up to four parallel state-transfer
-surfaces by hand: CloneState() (sharded handoff), SaveState()/LoadState()
+surfaces by hand: CloneState() (deep copy), SaveState()/LoadState()
 (the durable wire format), and Snapshot()/Restore() (the engine's run
 state). The determinism contract — bit-identical results across shard
 layouts, crash-restores and cross-process SHIP/LOAD — dies the moment one

@@ -46,20 +46,21 @@ std::string ReadFileOrDie(const std::string& path) {
 }
 
 void PrintImage(const std::string& label, const ccd::io::StateImage& image) {
-  const ccd::EngineSnapshot& s = image.state.snapshot;
+  const ccd::io::ShardIdentity& id = image.identity;
+  const ccd::EngineSnapshot& s = image.snapshot;
   std::printf("%s\n", label.c_str());
   std::printf("  schema      %d features, %d classes (%s)\n",
-              image.schema.num_features, image.schema.num_classes,
-              image.schema.name.c_str());
-  std::printf("  classifier  %s%s%s\n", image.classifier.c_str(),
-              image.classifier_params.empty() ? "" : "  ",
-              image.classifier_params.c_str());
+              id.schema.num_features, id.schema.num_classes,
+              id.schema.name.c_str());
+  std::printf("  classifier  %s%s%s\n", id.classifier.c_str(),
+              id.classifier_params.empty() ? "" : "  ",
+              id.classifier_params.c_str());
   std::printf("  detector    %s%s%s\n",
-              image.detector.empty() ? "(none)" : image.detector.c_str(),
-              image.detector_params.empty() ? "" : "  ",
-              image.detector_params.c_str());
+              id.detector.empty() ? "(none)" : id.detector.c_str(),
+              id.detector_params.empty() ? "" : "  ",
+              id.detector_params.c_str());
   std::printf("  seed        %llu\n",
-              static_cast<unsigned long long>(image.seed));
+              static_cast<unsigned long long>(id.seed));
   std::printf(
       "  counters    position=%llu pending=%llu evicted=%llu "
       "unmatched=%llu drifts=%zu\n",
@@ -148,9 +149,8 @@ int DumpDirectory(const std::string& dir, bool verify,
       if (verify) {
         ccd::io::StateImage image = ccd::io::DecodeStateImage(bytes);
         std::printf("  position=%llu drifts=%zu",
-                    static_cast<unsigned long long>(
-                        image.state.snapshot.position),
-                    image.state.snapshot.drift_log.size());
+                    static_cast<unsigned long long>(image.snapshot.position),
+                    image.snapshot.drift_log.size());
       }
       std::printf("  ok\n");
       if (schema != nullptr &&
