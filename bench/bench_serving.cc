@@ -8,12 +8,12 @@
 //
 // Usage:
 //   bench_serving [--threads 8] [--instances 200000] [--seed 42]
-//                 [--mode hash|rr] [--classifier cs-ptree]
+//                 [--classifier cs-ptree]
 //                 [--detector DDM | --detector none] [--batch 256]
 //                 [--router-shards 8 | --sweep 1,2,4,8] [--csv out.csv]
 //                 [--json out.json]
 //
-// In hash mode every row also runs a batch leg: the same instances again
+// Every row also runs a batch leg: the same instances again
 // through FeedBatch in --batch-sized chunks (one shard-lock round-trip
 // per chunk×shard instead of per push); BatchX is its speedup over the
 // per-push rate of the same row.
@@ -51,7 +51,7 @@ using Clock = std::chrono::steady_clock;
 struct RunResult {
   double seconds = 0.0;
   uint64_t drifts = 0;
-  double batch_seconds = 0.0;    ///< Same pushes via FeedBatch (hash mode).
+  double batch_seconds = 0.0;    ///< Same pushes via FeedBatch.
   double persist_seconds = 0.0;  ///< Persist() of the loaded fleet.
   double open_seconds = 0.0;     ///< ShardedMonitor::Open() of the same.
   uint64_t state_bytes = 0;      ///< Manifest-accounted on-disk size.
@@ -61,16 +61,14 @@ struct RunResult {
 /// stream (striped by index) through a fresh K-shard monitor.
 RunResult RunOnce(const ccd::StreamSchema& schema,
                   const std::vector<ccd::Instance>& data, int threads,
-                  int shards, ccd::runtime::RoutingMode mode,
-                  const std::string& classifier, const std::string& detector,
-                  uint64_t seed, int batch) {
+                  int shards, const std::string& classifier,
+                  const std::string& detector, uint64_t seed, int batch) {
   auto make_monitor = [&] {
     ccd::api::ShardedMonitorBuilder builder;
     builder.Schema(schema)
         .Classifier(classifier)
         .Seed(seed)
-        .Shards(shards)
-        .Mode(mode);
+        .Shards(shards);
     if (!detector.empty()) builder.Detector(detector);
     return builder.Build();
   };
@@ -85,11 +83,7 @@ RunResult RunOnce(const ccd::StreamSchema& schema,
     // every thread's keys spread over all shards and contend realistically.
     for (size_t i = static_cast<size_t>(t); i < data.size();
          i += static_cast<size_t>(threads)) {
-      if (mode == ccd::runtime::RoutingMode::kHashKey) {
-        monitor.Feed(static_cast<uint64_t>(i), data[i]);
-      } else {
-        monitor.Feed(data[i]);
-      }
+      monitor.Feed(static_cast<uint64_t>(i), data[i]);
     }
   });
   RunResult result;
@@ -101,11 +95,11 @@ RunResult RunOnce(const ccd::StreamSchema& schema,
                            std::to_string(data.size()) + " accounted");
   }
 
-  // Batch leg (hash mode): the same instances through FeedBatch — one
-  // shard-lock round-trip per (chunk × shard) instead of per push. Chunks
-  // are materialized before the clock starts, so the measured delta is
-  // purely call granularity. Round-robin routing has no keyed batch form.
-  if (mode == ccd::runtime::RoutingMode::kHashKey && batch > 0) {
+  // Batch leg: the same instances through FeedBatch — one shard-lock
+  // round-trip per (chunk × shard) instead of per push. Chunks are
+  // materialized before the clock starts, so the measured delta is purely
+  // call granularity.
+  if (batch > 0) {
     std::vector<std::vector<std::vector<ccd::api::ShardedMonitor::KeyedInstance>>>
         chunks(static_cast<size_t>(threads));
     for (int t = 0; t < threads; ++t) {
@@ -166,9 +160,9 @@ RunResult RunOnce(const ccd::StreamSchema& schema,
 
 /// Escapes nothing fancy — the strings here are registry names and CLI
 /// words; this bench's JSON needs no general escaper.
-void WriteJson(const std::string& path, const std::string& mode,
-               const std::string& classifier, const std::string& detector,
-               uint64_t instances, int threads, int batch,
+void WriteJson(const std::string& path, const std::string& classifier,
+               const std::string& detector, uint64_t instances,
+               int threads, int batch,
                const std::vector<std::pair<int, RunResult>>& rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -177,11 +171,11 @@ void WriteJson(const std::string& path, const std::string& mode,
   std::fprintf(out,
                "{\n  \"bench\": \"serving\",\n  \"schema_version\": 1,\n"
                "  \"instances\": %llu,\n"
-               "  \"threads\": %d,\n  \"batch\": %d,\n  \"mode\": \"%s\",\n"
+               "  \"threads\": %d,\n  \"batch\": %d,\n"
                "  \"classifier\": \"%s\",\n  \"detector\": \"%s\",\n"
                "  \"rows\": [\n",
                static_cast<unsigned long long>(instances), threads, batch,
-               mode.c_str(), classifier.c_str(),
+               classifier.c_str(),
                detector.empty() ? "none" : detector.c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
     const RunResult& r = rows[i].second;
@@ -216,7 +210,6 @@ int main(int argc, char** argv) try {
   const uint64_t instances =
       static_cast<uint64_t>(cli.GetInt("instances", 200000));
   const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed", 42));
-  const std::string mode_name = cli.GetString("mode", "hash");
   const int batch = cli.GetInt("batch", 256);
   // The paper's base classifier by default: its per-push cost is realistic
   // for a served model, which is exactly when shard-lock contention at
@@ -227,15 +220,6 @@ int main(int argc, char** argv) try {
 
   ccd::api::Classifiers().Require(classifier);
   if (!detector.empty()) ccd::api::Detectors().Require(detector);
-  ccd::runtime::RoutingMode mode;
-  if (mode_name == "hash") {
-    mode = ccd::runtime::RoutingMode::kHashKey;
-  } else if (mode_name == "rr") {
-    mode = ccd::runtime::RoutingMode::kRoundRobin;
-  } else {
-    throw ccd::api::ApiError("unknown --mode '" + mode_name +
-                             "'; expected hash or rr");
-  }
   std::vector<int> shard_counts;
   if (cli.Has("router-shards")) {
     shard_counts.push_back(cli.GetInt("router-shards", 8));
@@ -259,9 +243,9 @@ int main(int argc, char** argv) try {
 
   std::printf(
       "Serving push throughput - %llu instances, %d producer threads, "
-      "%s routing, classifier=%s, detector=%s\n\n",
+      "classifier=%s, detector=%s\n\n",
       static_cast<unsigned long long>(data.size()), threads,
-      mode_name.c_str(), classifier.c_str(),
+      classifier.c_str(),
       detector.empty() ? "none" : detector.c_str());
 
   ccd::Table table;
@@ -272,7 +256,7 @@ int main(int argc, char** argv) try {
   std::vector<std::pair<int, RunResult>> rows;
   for (int shards : shard_counts) {
     const RunResult run = RunOnce(stream->schema(), data, threads, shards,
-                                  mode, classifier, detector, seed, batch);
+                                  classifier, detector, seed, batch);
     const double rate =
         static_cast<double>(data.size()) / (run.seconds > 0 ? run.seconds : 1);
     if (baseline_rate == 0.0) baseline_rate = rate;
@@ -303,8 +287,7 @@ int main(int argc, char** argv) try {
   }
   const std::string json = cli.GetString("json", "");
   if (!json.empty()) {
-    WriteJson(json, mode_name, classifier, detector, data.size(), threads,
-              batch, rows);
+    WriteJson(json, classifier, detector, data.size(), threads, batch, rows);
     std::printf("wrote %s\n", json.c_str());
   }
   return 0;

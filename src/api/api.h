@@ -16,9 +16,9 @@
 ///                     event callbacks, snapshotable run state), built on
 ///                     the same engine the offline protocol runs on,
 ///  * ShardedMonitor — concurrent serving router over K per-shard engines
-///                     (hash-key or round-robin routing, striped locks,
-///                     live resharding through the state-image codec,
-///                     shard-tagged drift fan-in).
+///                     (hash-key routing, one validated push path,
+///                     striped locks, live resharding through the
+///                     state-image codec, shard-tagged drift fan-in).
 ///
 /// Components self-register via CCD_REGISTER_DETECTOR /
 /// CCD_REGISTER_CLASSIFIER; every lookup failure throws api::ApiError with

@@ -53,6 +53,33 @@ void RejectForeignImage(const io::ShardIdentity& image,
   }
 }
 
+/// The push primitive's partition scratch: one per pushing thread, reused
+/// across calls, so a steady-state push does not allocate.
+struct PushScratch {
+  std::vector<int> shard;     ///< Element i's shard.
+  std::vector<size_t> order;  ///< Element indices by shard, batch order within.
+  /// Counting-sort bounds: after partitioning, shard s's elements are
+  /// order[bound[s - 1], bound[s]) (from 0 for shard 0).
+  std::vector<size_t> bound;
+  bool active = false;  ///< A push is applying on this thread.
+};
+
+thread_local PushScratch t_push;
+
+/// Marks the thread's scratch in use for one apply pass.
+class ScratchClaim {
+ public:
+  explicit ScratchClaim(PushScratch* scratch) : scratch_(scratch) {
+    scratch_->active = true;
+  }
+  ~ScratchClaim() { scratch_->active = false; }
+  ScratchClaim(const ScratchClaim&) = delete;
+  ScratchClaim& operator=(const ScratchClaim&) = delete;
+
+ private:
+  PushScratch* scratch_;
+};
+
 }  // namespace
 
 // --------------------------------------------------------- ShardedMonitor
@@ -64,7 +91,6 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
                                std::string detector_name,
                                ParamMap detector_params, uint64_t seed,
                                size_t pending_capacity, int shards,
-                               runtime::RoutingMode mode, uint64_t merge_every,
                                size_t ingress_capacity, ShardedHooks hooks)
     : schema_(schema),
       config_(config),
@@ -74,10 +100,9 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
       detector_params_(std::move(detector_params)),
       seed_(seed),
       pending_capacity_(pending_capacity),
-      merge_every_(merge_every),
       ingress_capacity_(ingress_capacity),
       hooks_(std::move(hooks)),
-      router_(shards, mode) {
+      router_(shards) {
   // Constructor: the monitor is not published yet, so the analysis (and
   // reality) exempt these guarded writes from the lock discipline.
   shards_.reserve(static_cast<size_t>(shards));
@@ -103,17 +128,13 @@ std::unique_ptr<ShardedMonitor::Shard> ShardedMonitor::MakeShard(
                                  std::move(engine), ingress_capacity_);
 }
 
-size_t ShardedMonitor::DrainIngress(Shard& s) {
-  // A shipped (paused) shard keeps its entries queued: Feed() on a paused
-  // engine throws, and the documented handoff semantics give them to the
-  // successor engine instead.
-  if (s.engine->paused()) return 0;
-  size_t drained = 0;
+void ShardedMonitor::DrainIngress(Shard& s) {
+  // A shipped shard keeps its entries queued: the documented handoff
+  // semantics give them to the successor engine instead.
+  if (s.shipped) return;
   while (s.ingress.TryPop(&s.ingress_scratch)) {
     s.engine->Feed(s.ingress_scratch);
-    ++drained;
   }
-  return drained;
 }
 
 EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
@@ -138,127 +159,98 @@ EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
   return h;
 }
 
-void ShardedMonitor::RequireMode(runtime::RoutingMode expected,
-                                 const char* operation,
-                                 const char* alternative) const {
-  if (router_.mode() != expected) {
-    throw std::logic_error(std::string("ShardedMonitor: ") + operation +
-                           " requires " + runtime::RoutingModeName(expected) +
-                           " routing, this monitor uses " +
-                           runtime::RoutingModeName(router_.mode()) +
-                           "; use " + alternative + " instead");
+template <ShardedMonitor::Route kRoute, typename TargetFn, typename ApplyFn>
+void ShardedMonitor::Push(size_t n, TargetFn target, ApplyFn apply) {
+  PushScratch& scratch = t_push;
+  if (scratch.active) {
+    throw std::logic_error(
+        "ShardedMonitor: push from inside a callback; hooks must not call "
+        "back into the monitor");
+  }
+  runtime::ReaderLock table(&router_.TableMutex());
+  // Route and validate every element before applying any. Shipped state
+  // changes only under the exclusive table lock, which this hold excludes.
+  const size_t shards = shards_.size();
+  scratch.shard.resize(n);
+  scratch.bound.assign(shards, 0);
+  for (size_t i = 0; i < n; ++i) {
+    int shard;
+    if constexpr (kRoute == Route::kKey) {
+      shard = router_.RouteKey(target(i));
+      if (shards_[static_cast<size_t>(shard)]->shipped) {
+        throw std::logic_error(
+            "ShardedMonitor: shard " + std::to_string(shard) +
+            " is shipped; Predict/Feed routed to it are refused until "
+            "RestoreShard() or DrainShard()");
+      }
+    } else {
+      shard = target(i);
+      router_.RequireSlot(shard);
+    }
+    scratch.shard[i] = shard;
+    ++scratch.bound[static_cast<size_t>(shard)];
+  }
+  // Counting sort: group element indices by shard, batch order within.
+  size_t start = 0;
+  for (size_t slot = 0; slot < shards; ++slot) {
+    const size_t count = scratch.bound[slot];
+    scratch.bound[slot] = start;
+    start += count;
+  }
+  scratch.order.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    scratch.order[scratch.bound[static_cast<size_t>(scratch.shard[i])]++] = i;
+  }
+  // Apply: each involved shard's lock once, ascending.
+  const ScratchClaim claim(&scratch);
+  size_t begin = 0;
+  for (size_t slot = 0; slot < shards; ++slot) {
+    const size_t end = scratch.bound[slot];
+    if (begin == end) continue;
+    Shard& s = *shards_[slot];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
+    for (size_t k = begin; k < end; ++k) {
+      apply(*s.engine, scratch.order[k], static_cast<int>(slot));
+    }
+    begin = end;
   }
 }
 
 ShardedMonitor::Prediction ShardedMonitor::Predict(
     uint64_t key, const std::vector<double>& features, double weight) {
-  RequireMode(runtime::RoutingMode::kHashKey, "Predict(key, features)",
-              "Predict(features)");
   Prediction p;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteKey(key);
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    MonitorEngine::Ticket t = s.engine->Predict(features, weight);
-    p.shard = slot;
-    p.id = t.id;
-    p.label = t.predicted;
-    p.scores = std::move(t.scores);
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+  Push<Route::kKey>(
+      1, [key](size_t) { return key; },
+      [&](MonitorEngine& engine, size_t, int shard) {
+        MonitorEngine::Ticket t = engine.Predict(features, weight);
+        p.shard = shard;
+        p.id = t.id;
+        p.label = t.predicted;
+        p.scores = std::move(t.scores);
+      });
   return p;
 }
 
 void ShardedMonitor::Feed(uint64_t key, const Instance& instance) {
-  RequireMode(runtime::RoutingMode::kHashKey, "Feed(key, instance)",
-              "Feed(instance)");
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteKey(key);
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    s.engine->Feed(instance);
-  }
-  for (size_t i = 0; i < drained + 1; ++i) NoteCompleted();
-}
-
-bool ShardedMonitor::LabelKey(uint64_t key, uint64_t id, int true_label) {
-  RequireMode(runtime::RoutingMode::kHashKey, "LabelKey(key, id, label)",
-              "Label(shard, id, label)");
-  bool applied;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteKey(key);
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    applied = s.engine->Label(id, true_label) == LabelOutcome::kApplied;
-  }
-  for (size_t i = 0; i < drained + (applied ? 1u : 0u); ++i) NoteCompleted();
-  return applied;
-}
-
-ShardedMonitor::Prediction ShardedMonitor::Predict(
-    const std::vector<double>& features, double weight) {
-  RequireMode(runtime::RoutingMode::kRoundRobin, "Predict(features)",
-              "Predict(key, features)");
-  Prediction p;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteNext();
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    MonitorEngine::Ticket t = s.engine->Predict(features, weight);
-    p.shard = slot;
-    p.id = t.id;
-    p.label = t.predicted;
-    p.scores = std::move(t.scores);
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
-  return p;
-}
-
-void ShardedMonitor::Feed(const Instance& instance) {
-  RequireMode(runtime::RoutingMode::kRoundRobin, "Feed(instance)",
-              "Feed(key, instance)");
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const int slot = router_.RouteNext();
-    Shard& s = *shards_[static_cast<size_t>(slot)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    s.engine->Feed(instance);
-  }
-  for (size_t i = 0; i < drained + 1; ++i) NoteCompleted();
+  Push<Route::kKey>(
+      1, [key](size_t) { return key; },
+      [&instance](MonitorEngine& engine, size_t, int) {
+        engine.Feed(instance);
+      });
 }
 
 bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
-  bool applied;
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    router_.RequireSlot(shard);
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    runtime::MutexLock lock(&s.mu);
-    drained = DrainIngress(s);
-    applied = s.engine->Label(id, true_label) == LabelOutcome::kApplied;
-  }
-  for (size_t i = 0; i < drained + (applied ? 1u : 0u); ++i) NoteCompleted();
+  bool applied = false;
+  Push<Route::kShard>(
+      1, [shard](size_t) { return shard; },
+      [&](MonitorEngine& engine, size_t, int) {
+        applied = engine.Label(id, true_label) == LabelOutcome::kApplied;
+      });
   return applied;
 }
 
 bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
-  RequireMode(runtime::RoutingMode::kHashKey, "FeedAsync(key, instance)",
-              "Feed(key, instance)");
   runtime::ReaderLock table(&router_.TableMutex());
   const int slot = router_.RouteKey(key);
   Shard& s = *shards_[static_cast<size_t>(slot)];
@@ -266,111 +258,48 @@ bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
 }
 
 void ShardedMonitor::Flush() {
-  const int n = router_.slots();
-  for (int i = 0; i < n; ++i) {
-    size_t drained;
-    {
-      runtime::ReaderLock table(&router_.TableMutex());
-      Shard& s = *shards_[static_cast<size_t>(i)];
-      runtime::MutexLock lock(&s.mu);
-      drained = DrainIngress(s);
-    }
-    for (size_t k = 0; k < drained; ++k) NoteCompleted();
-  }
+  // Every shard is an element with nothing to apply: the primitive's
+  // drain does the work.
+  Push<Route::kShard>(
+      static_cast<size_t>(router_.slots()),
+      [](size_t i) { return static_cast<int>(i); },
+      [](MonitorEngine&, size_t, int) {});
 }
 
 void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
-  RequireMode(runtime::RoutingMode::kHashKey, "FeedBatch(batch)",
-              "Feed(instance) per element");
-  size_t completed = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    // Partition by destination shard; per-shard order follows batch order.
-    std::vector<std::vector<size_t>> by_slot;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t slot =
-          static_cast<size_t>(router_.RouteKey(batch[i].key));
-      if (by_slot.size() <= slot) by_slot.resize(slot + 1);
-      by_slot[slot].push_back(i);
-    }
-    for (size_t slot = 0; slot < by_slot.size(); ++slot) {
-      if (by_slot[slot].empty()) continue;
-      Shard& s = *shards_[slot];
-      runtime::MutexLock lock(&s.mu);
-      completed += DrainIngress(s);
-      for (size_t i : by_slot[slot]) {
-        s.engine->Feed(batch[i].instance);
-        ++completed;
-      }
-    }
-  }
-  for (size_t i = 0; i < completed; ++i) NoteCompleted();
+  Push<Route::kKey>(
+      batch.size(), [&batch](size_t i) { return batch[i].key; },
+      [&batch](MonitorEngine& engine, size_t i, int) {
+        engine.Feed(batch[i].instance);
+      });
 }
 
 void ShardedMonitor::PredictBatch(const std::vector<KeyedInstance>& batch,
                                   std::vector<Prediction>* out) {
-  RequireMode(runtime::RoutingMode::kHashKey, "PredictBatch(batch, out)",
-              "Predict(key, features) per element");
   out->resize(batch.size());
-  size_t drained = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    std::vector<std::vector<size_t>> by_slot;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t slot =
-          static_cast<size_t>(router_.RouteKey(batch[i].key));
-      if (by_slot.size() <= slot) by_slot.resize(slot + 1);
-      by_slot[slot].push_back(i);
-    }
-    MonitorEngine::Ticket t;  // Reused across elements.
-    for (size_t slot = 0; slot < by_slot.size(); ++slot) {
-      if (by_slot[slot].empty()) continue;
-      Shard& s = *shards_[slot];
-      runtime::MutexLock lock(&s.mu);
-      drained += DrainIngress(s);
-      for (size_t i : by_slot[slot]) {
-        s.engine->Predict(batch[i].instance.features,
-                          batch[i].instance.weight, &t);
+  MonitorEngine::Ticket t;  // Reused across elements.
+  Push<Route::kKey>(
+      batch.size(), [&batch](size_t i) { return batch[i].key; },
+      [&](MonitorEngine& engine, size_t i, int shard) {
+        engine.Predict(batch[i].instance.features, batch[i].instance.weight,
+                       &t);
         Prediction& p = (*out)[i];
-        p.shard = static_cast<int>(slot);
+        p.shard = shard;
         p.id = t.id;
         p.label = t.predicted;
         p.scores = t.scores;
-      }
-    }
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+      });
 }
 
 void ShardedMonitor::LabelBatch(const std::vector<ShardLabel>& batch,
                                 std::vector<LabelOutcome>* outcomes) {
   if (outcomes) outcomes->resize(batch.size());
-  size_t completed = 0;
-  {
-    runtime::ReaderLock table(&router_.TableMutex());
-    // Validate every index before applying anything: a bogus shard makes
-    // the whole batch a no-op instead of a half-applied one.
-    for (const ShardLabel& l : batch) router_.RequireSlot(l.shard);
-    std::vector<std::vector<size_t>> by_slot;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t slot = static_cast<size_t>(batch[i].shard);
-      if (by_slot.size() <= slot) by_slot.resize(slot + 1);
-      by_slot[slot].push_back(i);
-    }
-    for (size_t slot = 0; slot < by_slot.size(); ++slot) {
-      if (by_slot[slot].empty()) continue;
-      Shard& s = *shards_[slot];
-      runtime::MutexLock lock(&s.mu);
-      completed += DrainIngress(s);
-      for (size_t i : by_slot[slot]) {
-        const LabelOutcome outcome =
-            s.engine->Label(batch[i].id, batch[i].label);
-        if (outcome == LabelOutcome::kApplied) ++completed;
+  Push<Route::kShard>(
+      batch.size(), [&batch](size_t i) { return batch[i].shard; },
+      [&](MonitorEngine& engine, size_t i, int) {
+        const LabelOutcome outcome = engine.Label(batch[i].id, batch[i].label);
         if (outcomes) (*outcomes)[i] = outcome;
-      }
-    }
-  }
-  for (size_t i = 0; i < completed; ++i) NoteCompleted();
+      });
 }
 
 int ShardedMonitor::AddShard() {
@@ -388,24 +317,20 @@ int ShardedMonitor::AddShard() {
 }
 
 void ShardedMonitor::DrainShard(int shard) {
-  size_t drained = 0;
-  {
-    runtime::WriterLock table(&router_.TableMutex());
-    router_.RequireSlot(shard);
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    // Under the exclusive table hold no push is in flight, but the slot
-    // lock is still taken (uncontended) so every guarded access happens
-    // under its declared capability.
-    runtime::MutexLock lock(&s.mu);
-    // Queued ingress entries belong to the outgoing engine's history:
-    // apply them before the encode so the handoff is a consistent cut.
-    drained = DrainIngress(s);
-    // Encode (SaveState() throws for components without it), decode and
-    // InstallImage's engine construction all run before the old shard is
-    // touched, so a failed drain is a no-op: the shard keeps serving.
-    InstallImage(s, shard, io::DecodeStateImage(EncodeShard(s, shard)));
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+  runtime::WriterLock table(&router_.TableMutex());
+  router_.RequireSlot(shard);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  // Under the exclusive table hold no push is in flight, but the slot
+  // lock is still taken (uncontended) so every guarded access happens
+  // under its declared capability.
+  runtime::MutexLock lock(&s.mu);
+  // Queued ingress entries belong to the outgoing engine's history:
+  // apply them before the encode so the handoff is a consistent cut.
+  DrainIngress(s);
+  // Encode (SaveState() throws for components without it), decode and
+  // InstallImage's engine construction all run before the old shard is
+  // touched, so a failed drain is a no-op: the shard keeps serving.
+  InstallImage(s, shard, io::DecodeStateImage(EncodeShard(s, shard)));
 }
 
 int ShardedMonitor::shards() const { return router_.slots(); }
@@ -416,8 +341,7 @@ ShardedMonitor::ShardedMonitor(
     const StreamSchema& schema, const PrequentialConfig& config,
     std::string classifier_name, ParamMap classifier_params,
     std::string detector_name, ParamMap detector_params, uint64_t seed,
-    size_t pending_capacity, runtime::RoutingMode mode, uint64_t merge_every,
-    size_t ingress_capacity, ShardedHooks hooks, uint64_t completed_total,
+    size_t pending_capacity, size_t ingress_capacity, ShardedHooks hooks,
     uint64_t generation, std::vector<io::StateImage>&& images)
     : schema_(schema),
       config_(config),
@@ -427,11 +351,9 @@ ShardedMonitor::ShardedMonitor(
       detector_params_(std::move(detector_params)),
       seed_(seed),
       pending_capacity_(pending_capacity),
-      merge_every_(merge_every),
       ingress_capacity_(ingress_capacity),
       hooks_(std::move(hooks)),
-      router_(static_cast<int>(images.size()), mode),
-      completed_total_(completed_total),
+      router_(static_cast<int>(images.size())),
       generation_(generation) {
   shards_.reserve(images.size());
   for (size_t i = 0; i < images.size(); ++i) {
@@ -470,30 +392,22 @@ void ShardedMonitor::InstallImage(Shard& s, int shard,
   auto engine = std::make_unique<MonitorEngine>(
       schema_, image.classifier.get(), image.detector.get(), config_,
       MakeShardHooks(shard), pending_capacity_);
-  engine->Restore(image.snapshot);  // Also clears any paused state.
+  engine->Restore(image.snapshot);
   // Commit — no-throw moves, outgoing engine first.
   s.engine = std::move(engine);
   s.classifier = std::move(image.classifier);
   s.detector = std::move(image.detector);
+  s.shipped = false;
 }
 
 void ShardedMonitor::Persist(const std::string& directory) {
   runtime::WriterLock table(&router_.TableMutex());
   // Apply queued ingress entries first: the persisted cut must reflect
-  // every accepted FeedAsync (reopened queues start empty). The
-  // merged-metrics cadence hook is not fired from inside the exclusive
-  // persist window — only the counter advances, under NoteCompleted()'s
-  // own enablement guard.
-  {
-    uint64_t drained = 0;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = *shards_[i];
-      runtime::MutexLock lock(&s.mu);
-      drained += DrainIngress(s);
-    }
-    if (merge_every_ != 0 && hooks_.on_merged_metrics) {
-      completed_total_.fetch_add(drained, std::memory_order_relaxed);
-    }
+  // every accepted FeedAsync (reopened queues start empty).
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& s = *shards_[i];
+    runtime::MutexLock lock(&s.mu);
+    DrainIngress(s);
   }
   io::SnapshotStore store(directory);
   const uint64_t next_gen = generation_ + 1;
@@ -507,9 +421,6 @@ void ShardedMonitor::Persist(const std::string& directory) {
   manifest.seed = seed_;
   manifest.config = config_;
   manifest.pending_capacity = pending_capacity_;
-  manifest.mode = static_cast<uint8_t>(router_.mode());
-  manifest.merge_every = merge_every_;
-  manifest.completed_total = completed_total_.load(std::memory_order_relaxed);
   manifest.generation = next_gen;
   manifest.shards.reserve(shards_.size());
 
@@ -580,10 +491,8 @@ ShardedMonitor ShardedMonitor::Open(const std::string& directory,
   return ShardedMonitor(
       m.schema, m.config, m.classifier, ParamMap::Parse(m.classifier_params),
       m.detector, ParamMap::Parse(m.detector_params), m.seed,
-      static_cast<size_t>(m.pending_capacity),
-      static_cast<runtime::RoutingMode>(m.mode), m.merge_every,
-      /*ingress_capacity=*/1024, std::move(hooks), m.completed_total,
-      m.generation, std::move(images));
+      static_cast<size_t>(m.pending_capacity), /*ingress_capacity=*/1024,
+      std::move(hooks), m.generation, std::move(images));
 }
 
 std::string ShardedMonitor::SerializeShard(int shard) const {
@@ -595,22 +504,17 @@ std::string ShardedMonitor::SerializeShard(int shard) const {
 }
 
 std::string ShardedMonitor::ShipShard(int shard) {
-  std::string bytes;
-  size_t drained = 0;
-  {
-    runtime::WriterLock table(&router_.TableMutex());
-    router_.RequireSlot(shard);
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    runtime::MutexLock lock(&s.mu);
-    // Queued ingress entries must ship with the state — the source pauses
-    // below and would otherwise strand them until a restore.
-    drained = DrainIngress(s);
-    bytes = EncodeShard(s, shard);
-    // Encode succeeded — only now stop the source, so a failed ship
-    // leaves the shard serving.
-    s.engine->Pause();
-  }
-  for (size_t i = 0; i < drained; ++i) NoteCompleted();
+  runtime::WriterLock table(&router_.TableMutex());
+  router_.RequireSlot(shard);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  runtime::MutexLock lock(&s.mu);
+  // Queued ingress entries must ship with the state — the source stops
+  // below and would otherwise strand them until a restore.
+  DrainIngress(s);
+  std::string bytes = EncodeShard(s, shard);
+  // Encode succeeded — only now stop the source, so a failed ship
+  // leaves the shard serving.
+  s.shipped = true;
   return bytes;
 }
 
@@ -644,20 +548,22 @@ PrequentialResult ShardedMonitor::ShardResult(int shard) const {
   return s.engine->Result();
 }
 
-std::vector<EngineSnapshot> ShardedMonitor::CollectSnapshots() const {
-  // Slots are locked one at a time (table lock re-taken per slot), so
-  // producers on other shards keep flowing while we sweep; each per-shard
-  // snapshot is internally consistent, the fleet view is advisory. The
-  // table never shrinks, so the count stays a valid lower bound.
+template <typename ReadFn>
+void ShardedMonitor::SweepShards(ReadFn read) const {
   const int n = router_.slots();
-  std::vector<EngineSnapshot> snapshots;
-  snapshots.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     runtime::ReaderLock table(&router_.TableMutex());
     const Shard& s = *shards_[static_cast<size_t>(i)];
     runtime::MutexLock lock(&s.mu);
-    snapshots.push_back(s.engine->Snapshot());
+    read(static_cast<const MonitorEngine&>(*s.engine));
   }
+}
+
+std::vector<EngineSnapshot> ShardedMonitor::CollectSnapshots() const {
+  std::vector<EngineSnapshot> snapshots;
+  SweepShards([&snapshots](const MonitorEngine& e) {
+    snapshots.push_back(e.Snapshot());
+  });
   return snapshots;
 }
 
@@ -673,57 +579,28 @@ std::vector<ShardAlarm> ShardedMonitor::DriftLog() const {
   return MergeShardAlarms(CollectSnapshots());
 }
 
-uint64_t ShardedMonitor::SumOverShards(
-    const std::function<uint64_t(const MonitorEngine&)>& read) const {
+uint64_t ShardedMonitor::position() const {
   uint64_t sum = 0;
-  const int n = router_.slots();
-  for (int i = 0; i < n; ++i) {
-    runtime::ReaderLock table(&router_.TableMutex());
-    const Shard& s = *shards_[static_cast<size_t>(i)];
-    runtime::MutexLock lock(&s.mu);
-    sum += read(*s.engine);
-  }
+  SweepShards([&sum](const MonitorEngine& e) { sum += e.position(); });
   return sum;
 }
 
-uint64_t ShardedMonitor::position() const {
-  return SumOverShards([](const MonitorEngine& e) { return e.position(); });
-}
-
 uint64_t ShardedMonitor::pending() const {
-  return SumOverShards(
-      [](const MonitorEngine& e) { return static_cast<uint64_t>(e.pending()); });
+  uint64_t sum = 0;
+  SweepShards([&sum](const MonitorEngine& e) { sum += e.pending(); });
+  return sum;
 }
 
 uint64_t ShardedMonitor::evicted() const {
-  return SumOverShards([](const MonitorEngine& e) { return e.evicted(); });
+  uint64_t sum = 0;
+  SweepShards([&sum](const MonitorEngine& e) { sum += e.evicted(); });
+  return sum;
 }
 
 uint64_t ShardedMonitor::unmatched_labels() const {
-  return SumOverShards(
-      [](const MonitorEngine& e) { return e.unmatched_labels(); });
-}
-
-void ShardedMonitor::NoteCompleted() {
-  if (merge_every_ == 0 || !hooks_.on_merged_metrics) return;
-  const uint64_t n =
-      completed_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % merge_every_ != 0) return;
-  const std::vector<EngineSnapshot> snapshots = CollectSnapshots();
-  size_t window_total = 0;
-  for (const EngineSnapshot& s : snapshots) window_total += s.window.size();
-  const EngineSnapshot merged = MergeSnapshots(snapshots);
-  MetricsSnapshot m;
-  m.position = merged.position;
-  m.window_size = window_total;
-  if (merged.metric_samples > 0) {
-    const double samples = static_cast<double>(merged.metric_samples);
-    m.pmauc = merged.sum_pmauc / samples;
-    m.pmgm = merged.sum_pmgm / samples;
-    m.accuracy = merged.sum_accuracy / samples;
-    m.kappa = merged.sum_kappa / samples;
-  }
-  hooks_.on_merged_metrics(m);
+  uint64_t sum = 0;
+  SweepShards([&sum](const MonitorEngine& e) { sum += e.unmatched_labels(); });
+  return sum;
 }
 
 // -------------------------------------------------- ShardedMonitorBuilder
@@ -782,16 +659,6 @@ ShardedMonitorBuilder& ShardedMonitorBuilder::Shards(int shards) {
   return *this;
 }
 
-ShardedMonitorBuilder& ShardedMonitorBuilder::Mode(runtime::RoutingMode mode) {
-  mode_ = mode;
-  return *this;
-}
-
-ShardedMonitorBuilder& ShardedMonitorBuilder::MergeEvery(uint64_t n) {
-  merge_every_ = n;
-  return *this;
-}
-
 ShardedMonitorBuilder& ShardedMonitorBuilder::IngressCapacity(size_t capacity) {
   ingress_capacity_ = capacity < 1 ? 1 : capacity;
   return *this;
@@ -813,12 +680,6 @@ ShardedMonitorBuilder& ShardedMonitorBuilder::OnWarning(
 ShardedMonitorBuilder& ShardedMonitorBuilder::OnMetrics(
     std::function<void(int, const MetricsSnapshot&)> callback) {
   hooks_.on_metrics = std::move(callback);
-  return *this;
-}
-
-ShardedMonitorBuilder& ShardedMonitorBuilder::OnMergedMetrics(
-    std::function<void(const MetricsSnapshot&)> callback) {
-  hooks_.on_merged_metrics = std::move(callback);
   return *this;
 }
 
@@ -863,8 +724,7 @@ ShardedMonitor ShardedMonitorBuilder::Build() const {
 
   return ShardedMonitor(schema_, config, classifier_name_, classifier_params_,
                         detector_name_, detector_params_, seed_,
-                        pending_capacity_, shards_, mode_, merge_every_,
-                        ingress_capacity_, hooks_);
+                        pending_capacity_, shards_, ingress_capacity_, hooks_);
 }
 
 }  // namespace api

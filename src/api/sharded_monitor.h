@@ -1,7 +1,6 @@
 #ifndef CCD_API_SHARDED_MONITOR_H_
 #define CCD_API_SHARDED_MONITOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,9 +28,10 @@ namespace api {
 ///  * callbacks from different shards run concurrently — handlers must be
 ///    thread-safe;
 ///  * callbacks must NOT call back into the monitor (any method): the
-///    shard and routing locks are not reentrant, and the underlying engine
-///    additionally rejects mutating reentry with std::logic_error. Hand
-///    the event to a queue and act on another thread instead.
+///    shard and routing locks are not reentrant, a push from inside a
+///    callback throws std::logic_error, and the underlying engine
+///    additionally rejects mutating reentry. Hand the event to a queue and
+///    act on another thread instead.
 struct ShardedHooks {
   /// A drift alarm from shard `shard`. The alarm position is shard-local
   /// (that engine's completed-instance count).
@@ -42,10 +42,6 @@ struct ShardedHooks {
       on_warning;
   /// A periodic per-shard metric sample.
   std::function<void(int shard, const MetricsSnapshot&)> on_metrics;
-  /// A periodic *cross-shard* aggregate (every MergeEvery(n) completed
-  /// labels): the snapshot merge of all shards, reported as total
-  /// position, summed window size and sample-weighted lifetime means.
-  std::function<void(const MetricsSnapshot&)> on_merged_metrics;
 };
 
 /// Concurrent serving router: K independent MonitorEngine shards — each
@@ -66,22 +62,28 @@ struct ShardedHooks {
 ///                      })
 ///                      .Build();
 ///
-///   // Hash mode (default): same key -> same shard, always.
-///   auto p = monitor.Predict(user_id, features);
+///   auto p = monitor.Predict(user_id, features);  // same key, same shard
 ///   ...
 ///   monitor.Label(p.shard, p.id, observed_outcome);
 ///
-/// Routing modes:
-///  * kHashKey (default) — Predict(key, ...)/Feed(key, ...) route by
-///    runtime::Router::HashKey, so each key's instance sequence is handled
-///    by one engine in push order: per-key streams keep exact prequential
-///    semantics, and a single-threaded run is bit-identical to K
-///    independent api::Monitors fed the key-partitioned substreams
-///    (tests/router_test.cc proves it, multi-threaded included).
-///  * kRoundRobin — unkeyed Predict(...)/Feed(...) cycle over the shards;
-///    per-shard numbers become load-balanced samples of one logical
-///    stream, re-aggregated by Result()/Snapshot() and the periodic
-///    on_merged_metrics snapshot merge.
+/// Routing: Predict/Feed and their batch forms route each key by
+/// runtime::Router::HashKey, so each key's instance sequence is handled by
+/// one engine in push order. Per-key streams keep exact prequential
+/// semantics — and with them RBM-IM's per-class drift signal — and a
+/// single-threaded run is bit-identical to K independent api::Monitors fed
+/// the key-partitioned substreams (tests/router_test.cc proves it,
+/// multi-threaded included). Labels go to the shard their Prediction
+/// ticket names, which stays valid across AddShard().
+///
+/// One push path: every push — Predict, Feed, Label, their batch forms
+/// and Flush — is a batch (a per-instance call is a batch of one) handled
+/// by one routine. Under one shared table hold it routes and validates
+/// every element first (a bogus ticket shard throws std::out_of_range, a
+/// Predict/Feed routed to a shipped shard throws std::logic_error), and
+/// only then, for each involved shard in ascending order, takes that
+/// shard's lock once, drains its FeedAsync ingress and applies its
+/// elements in batch order. So a push that throws applied nothing, and
+/// per-shard results are bit-identical to per-instance calls.
 ///
 /// Live resharding — the state image (io/state_codec.h) is the one
 /// migration payload:
@@ -136,17 +138,18 @@ class ShardedMonitor {
   ShardedMonitor(ShardedMonitor&&) = delete;
   ShardedMonitor& operator=(ShardedMonitor&&) = delete;
 
-  // --- Hash-key mode pushes (throw std::logic_error in round-robin mode).
+  // --- Pushes (see "One push path" above: a push that throws applied
+  // nothing and is safe to retry).
 
   /// Routes `key` to its shard and scores `features` there.
   Prediction Predict(uint64_t key, const std::vector<double>& features,
                      double weight = 1.0);
   /// Immediate-label fast path for `key`'s shard.
   void Feed(uint64_t key, const Instance& instance);
-  /// Completes prediction `id` on the shard `key` currently routes to.
-  /// Only equivalent to Label(prediction.shard, ...) while no AddShard()
-  /// intervened — prefer the ticket's shard for reshard-proof labelling.
-  bool LabelKey(uint64_t key, uint64_t id, int true_label);
+  /// Completes prediction `id` on shard `shard` (from the Prediction
+  /// ticket). Returns false when the id is unknown there — evicted, never
+  /// issued, or already labelled. A shipped shard still accepts labels.
+  bool Label(int shard, uint64_t id, int true_label);
 
   /// Lock-free feed ingress: enqueues the instance on the shard `key`
   /// routes to *without contending on that shard's lock* — the producer
@@ -159,44 +162,27 @@ class ShardedMonitor {
   /// before any state capture (Persist / DrainShard / ShipShard) — so
   /// every capture is a consistent cut and results are bit-identical to
   /// having called Feed() at the drain point. Entries enqueued while a
-  /// shard is shipped (paused) stay queued and apply to its successor
-  /// after RestoreShard()/DrainShard(). Aggregate *reads* (Snapshot,
-  /// Result, position, ...) do not drain — call Flush() first when
-  /// producers have stopped and every entry must be reflected.
+  /// shard is shipped stay queued and apply to its successor after
+  /// RestoreShard()/DrainShard(). Aggregate *reads* (Snapshot, Result,
+  /// position, ...) do not drain — call Flush() first when producers have
+  /// stopped and every entry must be reflected.
   bool FeedAsync(uint64_t key, const Instance& instance);
 
-  /// Drains every shard's ingress queue (skipping paused shards), taking
+  /// Drains every shard's ingress queue (skipping shipped shards), taking
   /// each shard lock once. Call after producers quiesce, before reading
   /// aggregate state.
   void Flush();
 
-  /// Batch pushes: partition the batch by the shard each key routes to,
-  /// take each involved shard's lock once, and apply that shard's
-  /// elements in batch order. Per-shard relative order equals batch
-  /// order, so per-shard results are bit-identical to per-instance calls.
-  /// `out` is resized to the batch size, element i answering batch[i].
+  /// Batch pushes: per-shard relative order equals batch order, so
+  /// per-shard results are bit-identical to per-instance calls. `out` is
+  /// resized to the batch size, element i answering batch[i].
   void FeedBatch(const std::vector<KeyedInstance>& batch);
   void PredictBatch(const std::vector<KeyedInstance>& batch,
                     std::vector<Prediction>* out);
-  /// Mode-independent (like Label()). Validates every shard index before
-  /// applying anything (std::out_of_range on a bogus one is a no-op).
   void LabelBatch(const std::vector<ShardLabel>& batch,
                   std::vector<LabelOutcome>* outcomes = nullptr);
 
-  // --- Round-robin mode pushes (throw std::logic_error in hash mode).
-
-  /// Scores `features` on the next shard in rotation.
-  Prediction Predict(const std::vector<double>& features, double weight = 1.0);
-  /// Immediate-label fast path on the next shard in rotation.
-  void Feed(const Instance& instance);
-
-  // --- Mode-independent.
-
-  /// Completes prediction `id` on shard `shard` (from the Prediction
-  /// ticket). Returns false when the id is unknown there — evicted, never
-  /// issued, or already labelled. Throws std::out_of_range on a bogus
-  /// shard index.
-  bool Label(int shard, uint64_t id, int true_label);
+  // --- Resharding and reads.
 
   /// Grows the table with a fresh, empty shard (components built with
   /// seed `Seed() + index`) and returns its index. Takes the table
@@ -216,7 +202,6 @@ class ShardedMonitor {
   void DrainShard(int shard);
 
   int shards() const;
-  runtime::RoutingMode mode() const { return router_.mode(); }
   const StreamSchema& schema() const { return schema_; }
 
   /// Per-shard run state / result (the engine's own, shard-local view).
@@ -264,11 +249,12 @@ class ShardedMonitor {
   /// SHIP/LOAD speak exactly this payload).
   std::string SerializeShard(int shard) const;
 
-  /// SerializeShard() + Pause() on the source engine, atomically under
-  /// the exclusive table lock: the migration-source half of a shard
-  /// handoff. The shipped shard stops serving (pushes routed to it throw
-  /// std::logic_error) until the operator drains or restores it — exactly
-  /// one side of the handoff may accept traffic.
+  /// SerializeShard() and marking the shard shipped, atomically under the
+  /// exclusive table lock: the migration-source half of a shard handoff.
+  /// The shipped shard stops serving (Predict/Feed routed to it throw
+  /// std::logic_error; labels are still accepted) until the operator
+  /// drains or restores it — exactly one side of the handoff may accept
+  /// new work.
   std::string ShipShard(int shard);
 
   /// Replaces shard `shard` with the state image in `bytes` (the
@@ -278,8 +264,8 @@ class ShardedMonitor {
   /// or detector name, canonical params or PrequentialConfig differing
   /// from this monitor's — throws ApiError; either way the failed restore
   /// is a no-op. Seeds are not compared (LoadState() overwrites every RNG
-  /// cursor). Resumes serving immediately (any persisted pause state is
-  /// cleared).
+  /// cursor). Resumes serving immediately (a shipped shard is serving
+  /// again).
   void RestoreShard(int shard, const std::string& bytes);
 
  private:
@@ -305,6 +291,12 @@ class ShardedMonitor {
     /// DrainIngress) runs under `mu` — a contract TSA cannot express for
     /// an internally-locked type, hence no CCD_GUARDED_BY here.
     runtime::MpscQueue<Instance> ingress;
+    /// Set by ShipShard(), cleared by InstallImage(). Guarded by the table
+    /// lock, not `mu`: it is written only under the exclusive table hold
+    /// and read under a shared one, which is what lets a push validate
+    /// every element before taking any slot lock. TSA cannot name the
+    /// router's mutex from here, hence no annotation.
+    bool shipped = false;
     // Declaration order matters: the engine holds raw pointers into the
     // components, so they must outlive it on destruction.
     std::unique_ptr<OnlineClassifier> classifier CCD_GUARDED_BY(mu);
@@ -315,11 +307,16 @@ class ShardedMonitor {
     Instance ingress_scratch CCD_GUARDED_BY(mu);
   };
 
+  /// How the push primitive finds an element's shard.
+  enum class Route {
+    kKey,    ///< Router::RouteKey(key): Predict/Feed, refused when shipped.
+    kShard,  ///< Router::RequireSlot(shard): a ticket's shard (Label, Flush).
+  };
+
   ShardedMonitor(const StreamSchema& schema, const PrequentialConfig& config,
                  std::string classifier_name, ParamMap classifier_params,
                  std::string detector_name, ParamMap detector_params,
                  uint64_t seed, size_t pending_capacity, int shards,
-                 runtime::RoutingMode mode, uint64_t merge_every,
                  size_t ingress_capacity, ShardedHooks hooks);
 
   /// Restore path of Open(): installs one decoded state image per shard
@@ -329,10 +326,25 @@ class ShardedMonitor {
                  std::string classifier_name, ParamMap classifier_params,
                  std::string detector_name, ParamMap detector_params,
                  uint64_t seed, size_t pending_capacity,
-                 runtime::RoutingMode mode, uint64_t merge_every,
                  size_t ingress_capacity, ShardedHooks hooks,
-                 uint64_t completed_total, uint64_t generation,
-                 std::vector<io::StateImage>&& images);
+                 uint64_t generation, std::vector<io::StateImage>&& images);
+
+  /// The one push primitive behind every push (see "One push path"
+  /// above). Element i of `n` goes to the shard `target(i)` names — a key
+  /// for kKey, a shard index for kShard — and `apply(engine, i, shard)`
+  /// runs under that shard's lock. Throws before applying anything when
+  /// any element fails validation. Defined in the .cc, its only user.
+  template <Route kRoute, typename TargetFn, typename ApplyFn>
+  void Push(size_t n, TargetFn target, ApplyFn apply);
+
+  /// Calls `read(engine)` for every shard, locking one slot at a time
+  /// (the table reader hold re-taken per slot), so producers on other
+  /// shards keep flowing: each read is consistent, the fleet view
+  /// advisory. The table never shrinks, so the count read up front stays
+  /// a valid lower bound.
+  template <typename ReadFn>
+  void SweepShards(ReadFn read) const;
+  std::vector<EngineSnapshot> CollectSnapshots() const;
 
   /// The identity half of shard `shard`'s state image (seed_ + shard and
   /// the registry names/params).
@@ -343,7 +355,9 @@ class ShardedMonitor {
   /// Turns a decoded image into shard `shard`'s serving state: builds an
   /// engine on the image's components and restores its snapshot — the
   /// steps that can throw — then commits with no-throw moves, outgoing
-  /// engine first (it holds raw pointers into the outgoing components).
+  /// engine first (it holds raw pointers into the outgoing components),
+  /// and clears `shipped`. Callers hold the exclusive table lock (or own
+  /// the unpublished monitor).
   void InstallImage(Shard& s, int shard, io::StateImage&& image)
       CCD_REQUIRES(s.mu);
 
@@ -352,21 +366,9 @@ class ShardedMonitor {
   /// Engine hooks forwarding to hooks_ with `shard` attached; empty slots
   /// stay empty so uninstalled callbacks keep costing nothing.
   EngineHooks MakeShardHooks(int shard) const;
-  void RequireMode(runtime::RoutingMode expected, const char* operation,
-                   const char* alternative) const;
   /// Applies every queued ingress entry of `s` to its engine, in enqueue
-  /// order; returns how many were applied (the caller owes that many
-  /// NoteCompleted() calls, made with no locks held). Skips a paused
-  /// (shipped) shard — the entries wait for its successor.
-  size_t DrainIngress(Shard& s) CCD_REQUIRES(s.mu);
-  /// Counts one completed label and fires the periodic merged-metrics
-  /// aggregate when the cadence is hit. Call with no locks held.
-  void NoteCompleted();
-  std::vector<EngineSnapshot> CollectSnapshots() const;
-  /// Sums `read(engine)` over all shards, locking one slot at a time —
-  /// the shared sweep behind the aggregate counters.
-  uint64_t SumOverShards(
-      const std::function<uint64_t(const MonitorEngine&)>& read) const;
+  /// order. Skips a shipped shard — the entries wait for its successor.
+  void DrainIngress(Shard& s) CCD_REQUIRES(s.mu);
 
   const StreamSchema schema_;
   const PrequentialConfig config_;
@@ -376,7 +378,6 @@ class ShardedMonitor {
   const ParamMap detector_params_;
   const uint64_t seed_;
   const size_t pending_capacity_;
-  const uint64_t merge_every_;  ///< 0 = no periodic merge.
   /// Per-shard ingress queue bound (serving knob, not persisted state:
   /// Open() rebuilds queues at the builder default, empty by definition —
   /// Persist() drains before capturing).
@@ -390,7 +391,6 @@ class ShardedMonitor {
   /// table-then-slot, always.
   std::vector<std::unique_ptr<Shard>> shards_
       CCD_GUARDED_BY(router_.TableMutex());
-  std::atomic<uint64_t> completed_total_{0};
   /// Generation of the last Persist() from this process (Open() resumes
   /// from the manifest's value).
   uint64_t generation_ CCD_GUARDED_BY(router_.TableMutex()) = 0;
@@ -399,9 +399,8 @@ class ShardedMonitor {
 /// Fluent composer of a ShardedMonitor, mirroring api::MonitorBuilder:
 /// components resolved by registered name, paper-protocol defaults,
 /// ApiError on invalid configuration. Defaults: 1 shard (a sanity
-/// baseline — size real deployments with Shards(k)), hash-key routing,
-/// classifier "cs-ptree", no detector, pending capacity 1024 *per shard*,
-/// no periodic merge.
+/// baseline — size real deployments with Shards(k)), classifier
+/// "cs-ptree", no detector, pending capacity 1024 *per shard*.
 class ShardedMonitorBuilder {
  public:
   ShardedMonitorBuilder() = default;
@@ -422,9 +421,6 @@ class ShardedMonitorBuilder {
 
   /// Initial shard count (>= 1; ApiError otherwise).
   ShardedMonitorBuilder& Shards(int shards);
-  ShardedMonitorBuilder& Mode(runtime::RoutingMode mode);
-  /// Fire on_merged_metrics every `n` completed labels (0 disables).
-  ShardedMonitorBuilder& MergeEvery(uint64_t n);
   /// Per-shard FeedAsync queue bound (rounded up to a power of two,
   /// clamped to >= 1; default 1024).
   ShardedMonitorBuilder& IngressCapacity(size_t capacity);
@@ -436,8 +432,6 @@ class ShardedMonitorBuilder {
       std::function<void(int, uint64_t, const MetricsSnapshot&)> callback);
   ShardedMonitorBuilder& OnMetrics(
       std::function<void(int, const MetricsSnapshot&)> callback);
-  ShardedMonitorBuilder& OnMergedMetrics(
-      std::function<void(const MetricsSnapshot&)> callback);
 
   /// Instantiates the shards and their engines. Throws ApiError on a
   /// missing/invalid schema, unknown component names, a degenerate
@@ -458,8 +452,6 @@ class ShardedMonitorBuilder {
   PrequentialConfig config_;
   size_t pending_capacity_ = 1024;
   int shards_ = 1;
-  runtime::RoutingMode mode_ = runtime::RoutingMode::kHashKey;
-  uint64_t merge_every_ = 0;
   size_t ingress_capacity_ = 1024;
   ShardedHooks hooks_;
 };

@@ -114,37 +114,24 @@ std::string MonitorService::Dispatch(const std::string& request) {
   for (std::string token; in >> token;) tokens.push_back(std::move(token));
   if (tokens.empty()) throw std::invalid_argument("empty request");
   const std::string& command = tokens[0];
-  const bool keyed = monitor_->mode() == runtime::RoutingMode::kHashKey;
 
   if (command == "PREDICT") {
-    if (keyed) {
-      if (tokens.size() < 3) {
-        throw std::invalid_argument("usage: PREDICT <key> <features...>");
-      }
-      uint64_t key = ParseU64(tokens[1], "key");
-      return FormatPrediction(monitor_->Predict(key, ParseFeatures(tokens, 2)));
+    if (tokens.size() < 3) {
+      throw std::invalid_argument("usage: PREDICT <key> <features...>");
     }
-    return FormatPrediction(monitor_->Predict(ParseFeatures(tokens, 1)));
+    uint64_t key = ParseU64(tokens[1], "key");
+    return FormatPrediction(monitor_->Predict(key, ParseFeatures(tokens, 2)));
   }
 
   if (command == "FEED") {
-    Instance instance;
-    if (keyed) {
-      if (tokens.size() < 4) {
-        throw std::invalid_argument("usage: FEED <key> <label> <features...>");
-      }
-      uint64_t key = ParseU64(tokens[1], "key");
-      instance.label = ParseInt(tokens[2], "label");
-      instance.features = ParseFeatures(tokens, 3);
-      monitor_->Feed(key, instance);
-    } else {
-      if (tokens.size() < 3) {
-        throw std::invalid_argument("usage: FEED <label> <features...>");
-      }
-      instance.label = ParseInt(tokens[1], "label");
-      instance.features = ParseFeatures(tokens, 2);
-      monitor_->Feed(instance);
+    if (tokens.size() < 4) {
+      throw std::invalid_argument("usage: FEED <key> <label> <features...>");
     }
+    Instance instance;
+    uint64_t key = ParseU64(tokens[1], "key");
+    instance.label = ParseInt(tokens[2], "label");
+    instance.features = ParseFeatures(tokens, 3);
+    monitor_->Feed(key, instance);
     return "OK";
   }
 

@@ -16,10 +16,8 @@ namespace io {
 /// migration commands carry a binary state image after a '\n', which the
 /// length-prefixed framing makes safe.
 ///
-///   PREDICT <key> <f...>   (hash mode)   -> OK <shard> <id> <label> <s...>
-///   PREDICT <f...>         (round-robin) -> OK <shard> <id> <label> <s...>
-///   FEED <key> <y> <f...>  (hash mode)   -> OK
-///   FEED <y> <f...>        (round-robin) -> OK
+///   PREDICT <key> <f...>                 -> OK <shard> <id> <label> <s...>
+///   FEED <key> <y> <f...>                -> OK
 ///   LABEL <shard> <id> <y>               -> OK applied | OK unknown
 ///   STATS                                -> OK position=... pending=...
 ///   RESULT                               -> OK pmauc=... pmgm=...

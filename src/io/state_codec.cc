@@ -234,9 +234,6 @@ std::string EncodeManifest(const Manifest& m) {
   w.U64(m.seed);
   WriteConfig(w, m.config);
   w.U64(m.pending_capacity);
-  w.U8(m.mode);
-  w.U64(m.merge_every);
-  w.U64(m.completed_total);
   w.U64(m.generation);
   w.U32(static_cast<uint32_t>(m.shards.size()));
   for (const Manifest::ShardFile& f : m.shards) {
@@ -261,12 +258,6 @@ Manifest DecodeManifest(const std::string& bytes) {
   m.seed = r.U64("manifest.seed");
   m.config = ReadConfig(r);
   m.pending_capacity = r.U64("manifest.pending_capacity");
-  m.mode = r.U8("manifest.mode");
-  if (m.mode > 1) {
-    r.Fail("manifest.mode", "unknown routing mode " + std::to_string(m.mode));
-  }
-  m.merge_every = r.U64("manifest.merge_every");
-  m.completed_total = r.U64("manifest.completed_total");
   m.generation = r.U64("manifest.generation");
   uint32_t n = r.Count("manifest.shards", 1u << 20);
   if (n == 0) {

@@ -101,9 +101,6 @@ struct Manifest {
   uint64_t seed = 0;
   PrequentialConfig config;
   uint64_t pending_capacity = 0;
-  uint8_t mode = 0;  ///< runtime::RoutingMode as its integer value.
-  uint64_t merge_every = 0;
-  uint64_t completed_total = 0;
   uint64_t generation = 0;
   std::vector<ShardFile> shards;
 };
@@ -112,8 +109,8 @@ struct Manifest {
 /// state images).
 std::string EncodeManifest(const Manifest& manifest);
 
-/// Parses and validates manifest bytes; throws WireError on corruption,
-/// an empty shard list, or an out-of-range routing mode.
+/// Parses and validates manifest bytes; throws WireError on corruption or
+/// an empty shard list.
 Manifest DecodeManifest(const std::string& bytes);
 
 }  // namespace io

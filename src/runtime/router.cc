@@ -6,18 +6,7 @@
 namespace ccd {
 namespace runtime {
 
-const char* RoutingModeName(RoutingMode mode) {
-  switch (mode) {
-    case RoutingMode::kHashKey:
-      return "hash-key";
-    case RoutingMode::kRoundRobin:
-      return "round-robin";
-  }
-  return "unknown";
-}
-
-Router::Router(int slots, RoutingMode mode)
-    : slots_(slots < 1 ? 1 : slots), mode_(mode) {}
+Router::Router(int slots) : slots_(slots < 1 ? 1 : slots) {}
 
 uint64_t Router::HashKey(uint64_t key) {
   // splitmix64 finalizer (Steele, Lea & Flood): a full-avalanche bijection
@@ -42,16 +31,6 @@ int Router::slots() const {
 }
 
 int Router::RouteKey(uint64_t key) const { return KeySlot(key, slots_); }
-
-int Router::RouteNext() {
-  if (mode_ != RoutingMode::kRoundRobin) {
-    throw std::logic_error(
-        "Router::RouteNext: router is in hash-key mode; route keyed "
-        "traffic with RouteKey() so per-key ordering holds");
-  }
-  const uint64_t n = next_.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<int>(n % static_cast<uint64_t>(slots_));
-}
 
 void Router::RequireSlot(int slot) const {
   if (slot < 0 || slot >= slots_) {

@@ -1,7 +1,6 @@
 #ifndef CCD_RUNTIME_ROUTER_H_
 #define CCD_RUNTIME_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "runtime/sync.h"
@@ -9,33 +8,27 @@
 namespace ccd {
 namespace runtime {
 
-/// How a Router picks the slot a push lands on.
-enum class RoutingMode {
-  kHashKey,    ///< Deterministic hash of a caller-supplied 64-bit key.
-  kRoundRobin, ///< Successive pushes cycle over the slots.
-};
-
-const char* RoutingModeName(RoutingMode mode);
-
 /// Concurrency spine of a sharded serving surface: the slot table of a
 /// striped-lock discipline, with the discipline itself stated in Thread
 /// Safety Analysis annotations rather than prose.
 ///
 /// The Router owns the *table capability* (TableMutex()) and the routing
-/// math; the per-slot mutexes and the payload live in the layer above
-/// (api::ShardedMonitor keeps each shard's mutex inside the shard it
-/// guards, where CCD_GUARDED_BY can see it). The lock order is
-/// table-then-slot everywhere, and slot-holding code holds exactly one
-/// slot, so the discipline is deadlock-free by construction — provided
+/// math (a key goes to slot HashKey(key) % slots); the per-slot mutexes
+/// and the payload live in the layer above (api::ShardedMonitor keeps
+/// each shard's mutex inside the shard it guards, where CCD_GUARDED_BY
+/// can see it). The lock order is
+/// table-then-slot everywhere, and slot-holding code holds one slot at a
+/// time, so the discipline is deadlock-free by construction — provided
 /// slot-holding code never re-enters the Router (see the reentrancy notes
 /// on api::ShardedMonitor's callbacks).
 ///
 /// Annotated contract — violations are compile errors under clang
 /// (-Wthread-safety; proven by tests/negative_compile/):
-///  * RouteKey()/RouteNext() CCD_REQUIRES_SHARED(table): routing reads the
-///    slot count, so a reader hold on the table pins it. Pushes routed to
-///    different slots run fully in parallel; two pushes to the same slot
-///    serialize on that slot's mutex only.
+///  * RouteKey()/RequireSlot() CCD_REQUIRES_SHARED(table): routing reads
+///    the slot count, so a reader hold on the table pins it for as long as
+///    the hold lasts — a whole batch routes over one table. Pushes routed
+///    to different slots run fully in parallel; two pushes to the same
+///    slot serialize on that slot's mutex only.
 ///  * AddSlot() CCD_REQUIRES(table) and takes the caller's WriterLock by
 ///    reference: growing the table demands *this* router's exclusive
 ///    table lock — every in-flight reader has drained, none can start.
@@ -45,7 +38,7 @@ const char* RoutingModeName(RoutingMode mode);
 class Router {
  public:
   /// `slots` is clamped to >= 1.
-  Router(int slots, RoutingMode mode);
+  explicit Router(int slots);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -62,8 +55,6 @@ class Router {
   /// rely on this).
   static int KeySlot(uint64_t key, int slots);
 
-  RoutingMode mode() const { return mode_; }
-
   /// The table capability. Readers (ReaderLock) route and access existing
   /// slots; the exclusive writer (WriterLock) owns the reshard window —
   /// AddSlot() and payload swaps in the layer above.
@@ -73,19 +64,12 @@ class Router {
 
   /// Current slot count. Takes the table lock; racing an AddSlot() the
   /// caller may see either count, so don't use the result to route —
-  /// hold a ReaderLock and call RouteKey()/RouteNext() instead.
+  /// hold a ReaderLock and call RouteKey() instead.
   int slots() const CCD_EXCLUDES(table_mutex_);
 
-  /// The slot `key` routes to in the current table (any mode —
-  /// round-robin tables still support keyed lookups, e.g. to label a
-  /// parked prediction). The caller's shared table hold keeps the result
-  /// valid.
+  /// The slot `key` routes to in the current table. The caller's shared
+  /// table hold keeps the result valid.
   int RouteKey(uint64_t key) const CCD_REQUIRES_SHARED(table_mutex_);
-
-  /// The next slot in round-robin order. Throws std::logic_error in
-  /// kHashKey mode: silently round-robining keyed traffic would break the
-  /// per-key ordering the hash contract promises.
-  int RouteNext() CCD_REQUIRES_SHARED(table_mutex_);
 
   /// Bounds-checks a caller-supplied slot index (e.g. the shard id a
   /// Prediction ticket names) against the current table; throws
@@ -102,8 +86,6 @@ class Router {
  private:
   mutable SharedMutex table_mutex_;
   int slots_ CCD_GUARDED_BY(table_mutex_);
-  const RoutingMode mode_;
-  std::atomic<uint64_t> next_{0};  ///< Round-robin cursor.
 };
 
 }  // namespace runtime

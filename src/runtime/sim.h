@@ -40,8 +40,7 @@
 /// its last lock *acquisition* — including releasing locks, returning,
 /// and recording the result into a history — happens atomically, so a
 /// recorded history is a true linearization of the run. std::atomic
-/// counters (Router's round-robin cursor, ShardedMonitor's totals) are
-/// not schedule points; their interleavings are commutative adds.
+/// operations (the lock-free ingress queue) are not schedule points.
 ///
 /// Virtual clock: advances one tick per scheduling decision, and jumps
 /// forward when every live task is sleeping (SleepFor). There is no

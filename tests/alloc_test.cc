@@ -1,7 +1,8 @@
 // Zero-allocation hot-path regression tests: a counting global operator
 // new proves that a warmed-up engine's steady-state push path — Feed,
 // FeedBatch, the Predict/Label serving cycle, and the batch serving
-// forms — never touches the heap. Every scratch surface involved
+// forms — never touches the heap, and neither do ShardedMonitor's routed
+// pushes (Feed, Label, FeedBatch, LabelBatch). Every scratch surface involved
 // (classifier score buffers, the metric window's recycled entries, the
 // pending-prediction ring, RBM-IM's recycled mini-batch slots) is pinned
 // by these counts: a reintroduced per-push allocation fails the suite
@@ -24,6 +25,7 @@
 
 #include "api/component_registry.h"
 #include "api/monitor.h"
+#include "api/sharded_monitor.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
 #include "stream/stream.h"
@@ -294,6 +296,102 @@ TEST(AllocTest, BatchServingCycleIsAllocationFree) {
   EXPECT_EQ(allocations, 0u)
       << allocations
       << " allocations across steady-state PredictBatch/LabelBatch laps";
+}
+
+/// A 4-shard fleet on the steady-state protocol.
+api::ShardedMonitor MakeFleet() {
+  return api::ShardedMonitorBuilder()
+      .Schema(6, 3)
+      .Classifier("naive-bayes")
+      .NoDetector()
+      .Protocol(SteadyConfig())
+      .Shards(4)
+      .Build();
+}
+
+constexpr size_t kFleetWarm = 4 * kWarm;  ///< kWarm per shard, roughly.
+constexpr size_t kChunk = 64;             ///< Batch size of the batch legs.
+
+/// `data[begin, end)` as keyed batches of kChunk; key i for instance i.
+std::vector<std::vector<api::ShardedMonitor::KeyedInstance>> KeyedChunks(
+    const std::vector<Instance>& data, size_t begin, size_t end) {
+  std::vector<std::vector<api::ShardedMonitor::KeyedInstance>> chunks;
+  for (size_t i = begin; i < end; ++i) {
+    if ((i - begin) % kChunk == 0) chunks.emplace_back();
+    chunks.back().push_back({static_cast<uint64_t>(i), data[i]});
+  }
+  return chunks;
+}
+
+TEST(AllocTest, ShardedFeedAndLabelAreAllocationFree) {
+  CCD_ALLOC_GUARD();
+  const std::vector<Instance> data =
+      MakeData(kFleetWarm + 2 * kMeasure, 23);
+  api::ShardedMonitor fleet = MakeFleet();
+  for (size_t i = 0; i < kFleetWarm; ++i) fleet.Feed(i, data[i]);
+
+  const uint64_t feeds = AllocationsDuring([&] {
+    for (size_t i = kFleetWarm; i < kFleetWarm + kMeasure; ++i) {
+      fleet.Feed(i, data[i]);
+    }
+  });
+  EXPECT_EQ(feeds, 0u) << feeds << " allocations across " << kMeasure
+                       << " steady-state ShardedMonitor::Feed() calls";
+
+  // Predictions are made outside the measured region (a Prediction owns
+  // its scores); only their labels are counted.
+  std::vector<api::ShardedMonitor::Prediction> tickets;
+  const std::vector<std::vector<api::ShardedMonitor::KeyedInstance>> chunks =
+      KeyedChunks(data, kFleetWarm + kMeasure, data.size());
+  uint64_t labels = 0;
+  for (const auto& chunk : chunks) {
+    fleet.PredictBatch(chunk, &tickets);
+    labels += AllocationsDuring([&] {
+      for (size_t j = 0; j < chunk.size(); ++j) {
+        fleet.Label(tickets[j].shard, tickets[j].id, chunk[j].instance.label);
+      }
+    });
+  }
+  EXPECT_EQ(labels, 0u) << labels << " allocations across " << kMeasure
+                        << " steady-state ShardedMonitor::Label() calls";
+}
+
+TEST(AllocTest, ShardedBatchPushesAreAllocationFree) {
+  CCD_ALLOC_GUARD();
+  const std::vector<Instance> data =
+      MakeData(kFleetWarm + 2 * kMeasure, 29);
+  api::ShardedMonitor fleet = MakeFleet();
+  for (const auto& chunk : KeyedChunks(data, 0, kFleetWarm)) {
+    fleet.FeedBatch(chunk);
+  }
+
+  const std::vector<std::vector<api::ShardedMonitor::KeyedInstance>> feeds =
+      KeyedChunks(data, kFleetWarm, kFleetWarm + kMeasure);
+  const uint64_t feed_allocations = AllocationsDuring([&] {
+    for (const auto& chunk : feeds) fleet.FeedBatch(chunk);
+  });
+  EXPECT_EQ(feed_allocations, 0u)
+      << feed_allocations << " allocations across " << feeds.size()
+      << " steady-state ShardedMonitor::FeedBatch() calls";
+
+  std::vector<api::ShardedMonitor::Prediction> tickets;
+  std::vector<api::ShardedMonitor::ShardLabel> labels(kChunk);
+  std::vector<LabelOutcome> outcomes(kChunk);
+  const std::vector<std::vector<api::ShardedMonitor::KeyedInstance>> cycles =
+      KeyedChunks(data, kFleetWarm + kMeasure, data.size());
+  uint64_t label_allocations = 0;
+  for (const auto& chunk : cycles) {
+    fleet.PredictBatch(chunk, &tickets);
+    labels.resize(chunk.size());
+    for (size_t j = 0; j < chunk.size(); ++j) {
+      labels[j] = {tickets[j].shard, tickets[j].id, chunk[j].instance.label};
+    }
+    label_allocations +=
+        AllocationsDuring([&] { fleet.LabelBatch(labels, &outcomes); });
+  }
+  EXPECT_EQ(label_allocations, 0u)
+      << label_allocations << " allocations across " << cycles.size()
+      << " steady-state ShardedMonitor::LabelBatch() calls";
 }
 
 }  // namespace

@@ -187,10 +187,12 @@ TEST(WireEnvelopeTest, SealOpenRoundTripsAndRejectsTampering) {
   bad[9] = static_cast<char>(bad[9] ^ 0x40);
   EXPECT_THROW(io::OpenEnvelope(bad), io::WireError);
 
-  // Wrong format version (CRC recomputed so only the version check trips).
-  bad = sealed;
-  bad[4] = static_cast<char>(io::kFormatVersion + 1);
-  {
+  // Wrong format version, newer or older — blobs written before the last
+  // bump included (CRC recomputed so only the version check trips).
+  for (const uint32_t version :
+       {io::kFormatVersion + 1, io::kFormatVersion - 1}) {
+    bad = sealed;
+    bad[4] = static_cast<char>(version);
     uint32_t crc = io::Crc32(bad.data(), bad.size() - 4);
     for (int i = 0; i < 4; ++i) {
       bad[bad.size() - 4 + static_cast<size_t>(i)] =

@@ -18,9 +18,9 @@
 #include "runtime/sync.h"
 
 int GrowTable() {
-  ccd::runtime::Router router(2, ccd::runtime::RoutingMode::kHashKey);
+  ccd::runtime::Router router(2);
 #if defined(CCD_EXPECT_VIOLATION)
-  ccd::runtime::Router other(1, ccd::runtime::RoutingMode::kHashKey);
+  ccd::runtime::Router other(1);
   ccd::runtime::WriterLock table(&other.TableMutex());  // wrong router!
   return router.AddSlot(table);
 #else

@@ -14,9 +14,9 @@
 //      encode leaves the shard serving; AddShard re-routes keys over the
 //      grown table.
 //
-// Also covers the Router's hash/slot contracts, the EngineSnapshot merge
-// helpers and the shard-tagged callback fan-in. This suite is part of the
-// TSan CI gate.
+// Also covers the Router's hash/slot contracts, push validation (a push
+// that throws applied nothing), the EngineSnapshot merge helpers and the
+// shard-tagged callback fan-in. This suite is part of the TSan CI gate.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,6 @@ namespace ccd {
 namespace {
 
 using runtime::Router;
-using runtime::RoutingMode;
 using test_util::ExpectSnapshotEq;
 using test_util::KeyedInstance;
 using test_util::KeysForSlot;
@@ -86,26 +85,14 @@ TEST(RouterTest, HashKeyIsPinnedAndStable) {
   EXPECT_THROW(Router::KeySlot(7, 0), std::invalid_argument);
 }
 
-TEST(RouterTest, RoutesUnderSharedTableLockAndModeIsEnforced) {
-  Router hash_router(4, RoutingMode::kHashKey);
-  EXPECT_EQ(hash_router.slots(), 4);
-  {
-    runtime::ReaderLock table(&hash_router.TableMutex());
-    EXPECT_EQ(hash_router.RouteKey(42), Router::KeySlot(42, 4));
-    // Round-robining keyed traffic would break per-key ordering — rejected.
-    EXPECT_THROW(hash_router.RouteNext(), std::logic_error);
-    EXPECT_THROW(hash_router.RequireSlot(4), std::out_of_range);
-    EXPECT_THROW(hash_router.RequireSlot(-1), std::out_of_range);
-    EXPECT_NO_THROW(hash_router.RequireSlot(3));
-  }
-
-  Router rr_router(3, RoutingMode::kRoundRobin);
-  runtime::ReaderLock table(&rr_router.TableMutex());
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(rr_router.RouteNext(), i % 3);
-  }
-  // Keyed lookups stay legal on a round-robin table (ticket labelling).
-  EXPECT_NO_THROW(rr_router.RouteKey(7));
+TEST(RouterTest, RoutesUnderSharedTableLock) {
+  Router router(4);
+  EXPECT_EQ(router.slots(), 4);
+  runtime::ReaderLock table(&router.TableMutex());
+  EXPECT_EQ(router.RouteKey(42), Router::KeySlot(42, 4));
+  EXPECT_THROW(router.RequireSlot(4), std::out_of_range);
+  EXPECT_THROW(router.RequireSlot(-1), std::out_of_range);
+  EXPECT_NO_THROW(router.RequireSlot(3));
 }
 
 /// The runtime half of the AddSlot lock-identity contract, exercised with
@@ -113,13 +100,13 @@ TEST(RouterTest, RoutesUnderSharedTableLockAndModeIsEnforced) {
 /// compile (tests/negative_compile/add_slot_without_table_lock.cc proves
 /// it), so this body must opt out of the analysis to exist at all.
 void ExpectForeignLockRejected(Router& router) CCD_NO_THREAD_SAFETY_ANALYSIS {
-  Router other(1, RoutingMode::kHashKey);
+  Router other(1);
   runtime::WriterLock foreign(&other.TableMutex());
   EXPECT_THROW(router.AddSlot(foreign), std::logic_error);
 }
 
 TEST(RouterTest, AddSlotGrowsTableUnderExclusiveLockOnly) {
-  Router router(2, RoutingMode::kHashKey);
+  Router router(2);
   {
     runtime::WriterLock table(&router.TableMutex());
     EXPECT_EQ(router.AddSlot(table), 2);
@@ -227,7 +214,6 @@ TEST(ShardedDifferentialTest, HashRoutedEqualsIndependentEnginesPerShard) {
   config.shards = 4;
   config.seed = 100;
   auto monitor = test_util::MakeServing(config);
-  EXPECT_EQ(monitor.mode(), RoutingMode::kHashKey);
   EXPECT_EQ(monitor.shards(), config.shards);
 
   test_util::SimHistory history;
@@ -239,6 +225,7 @@ TEST(ShardedDifferentialTest, HashRoutedEqualsIndependentEnginesPerShard) {
   }
 
   EXPECT_EQ(monitor.position(), 3000u);
+  EXPECT_EQ(monitor.Result().instances, 3000u);
   test_util::HistoryChecker checker(config);
   const test_util::SimCheckResult verdict = checker.Check(history, monitor);
   EXPECT_TRUE(verdict.ok) << verdict.error;
@@ -458,61 +445,97 @@ TEST(ReshardTest, AddShardGrowsTableAndReroutesKeys) {
   EXPECT_GT(monitor.ShardSnapshot(2).position, 0u);
 }
 
-// ----------------------------------------- round-robin + aggregate fan-in
+// ------------------------------------------------------ push validation
 
-TEST(RoundRobinTest, CyclesShardsAndAggregates) {
+// A push validates every element before applying any: a batch that
+// throws applied nothing, so a retry applies each element exactly once.
+// The shipped shard sits in the middle of the batch, so a push that
+// applied shard by shard would already have changed shard 0 when it
+// reached shard 1.
+TEST(PushValidationTest, BatchThatThrowsAppliesNothing) {
   constexpr int kShards = 3;
-  std::vector<std::pair<uint64_t, size_t>> merged_samples;  // position, window
-  auto monitor = api::ShardedMonitorBuilder()
-                     .Schema(ServingSchema())
-                     .Classifier("naive-bayes")
-                     .Detector("DDM")
-                     .Seed(100)
-                     .Protocol(ShortConfig())
-                     .Shards(kShards)
-                     .Mode(RoutingMode::kRoundRobin)
-                     .MergeEvery(500)
-                     .OnMergedMetrics([&](const MetricsSnapshot& m) {
-                       merged_samples.emplace_back(m.position, m.window_size);
-                     })
-                     .Build();
-
-  auto stream = MakeRbfDriftStream(1500, 29);
-  const std::vector<Instance> data = Take(stream.get(), 3000);
-  for (const Instance& instance : data) monitor.Feed(instance);
-
-  // Perfect rotation: every shard saw exactly a third of the stream.
+  auto monitor = ServingBuilder(kShards).Build();
+  const std::vector<KeyedInstance> warm =
+      MakeKeyedSchedule({0, 1, 2, 3, 4, 5, 6, 7}, 300, /*seed=*/41);
+  for (const KeyedInstance& push : warm) {
+    monitor.Feed(push.key, push.instance);
+  }
+  std::vector<api::ShardedMonitor::KeyedInstance> batch;
   for (int s = 0; s < kShards; ++s) {
-    EXPECT_EQ(monitor.ShardSnapshot(s).position, 1000u);
+    batch.push_back({KeysForSlot(s, kShards, 1)[0],
+                     warm[static_cast<size_t>(s)].instance});
   }
-  EXPECT_EQ(monitor.Result().instances, 3000u);
-  // The periodic snapshot merge fired on schedule, at the aggregate
-  // positions, with the summed window sizes.
-  ASSERT_EQ(merged_samples.size(), 6u);
-  for (size_t i = 0; i < merged_samples.size(); ++i) {
-    EXPECT_EQ(merged_samples[i].first, (i + 1) * 500);
+  auto shard_states = [&] {
+    std::vector<std::pair<uint64_t, uint64_t>> states;
+    for (int s = 0; s < kShards; ++s) {
+      const EngineSnapshot snapshot = monitor.ShardSnapshot(s);
+      states.emplace_back(snapshot.position, snapshot.pending);
+    }
+    return states;
+  };
+
+  const std::string shipped = monitor.ShipShard(1);
+  const auto before = shard_states();
+  EXPECT_THROW(monitor.FeedBatch(batch), std::logic_error);
+  EXPECT_EQ(shard_states(), before);
+  std::vector<api::ShardedMonitor::Prediction> predictions;
+  EXPECT_THROW(monitor.PredictBatch(batch, &predictions), std::logic_error);
+  EXPECT_EQ(shard_states(), before);
+  // A bogus ticket shard rejects the whole label batch the same way.
+  const std::vector<api::ShardedMonitor::ShardLabel> labels = {
+      {0, 1, 0}, {kShards, 1, 0}, {2, 1, 0}};
+  EXPECT_THROW(monitor.LabelBatch(labels), std::out_of_range);
+  EXPECT_EQ(monitor.unmatched_labels(), 0u);
+  EXPECT_EQ(shard_states(), before);
+
+  // After the restore, the retries apply every element exactly once.
+  monitor.RestoreShard(1, shipped);
+  monitor.FeedBatch(batch);
+  monitor.PredictBatch(batch, &predictions);
+  const auto after = shard_states();
+  for (int s = 0; s < kShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const size_t i = static_cast<size_t>(s);
+    EXPECT_EQ(after[i].first, before[i].first + 1);
+    EXPECT_EQ(after[i].second, before[i].second + 1);
+    EXPECT_EQ(predictions[i].shard, s);
   }
-  EXPECT_GT(merged_samples.back().second, 0u);
-
-  // Ticket-based serving works in rotation mode too.
-  auto p = monitor.Predict(data[0].features);
-  EXPECT_TRUE(monitor.Label(p.shard, p.id, data[0].label));
-
-  // Keyed pushes are the hash-mode surface.
-  EXPECT_THROW(monitor.Feed(7, data[0]), std::logic_error);
-  EXPECT_THROW(monitor.Predict(7, data[0].features), std::logic_error);
-  EXPECT_THROW(monitor.LabelKey(7, 1, 0), std::logic_error);
 }
 
-TEST(RoutingModeTest, HashModeRejectsUnkeyedPushes) {
+// A push from inside a callback is refused before it takes a lock: the
+// callback runs under its shard's lock, in the middle of the outer push.
+TEST(PushValidationTest, PushFromCallbackThrows) {
+  api::ShardedMonitor* self = nullptr;
+  const std::vector<KeyedInstance> schedule =
+      MakeKeyedSchedule({0, 1, 2, 3}, 1200, /*seed=*/43);
+  int refused = 0;
+  auto monitor = ServingBuilder(2)
+                     .OnMetrics([&](int shard, const MetricsSnapshot&) {
+                       // The other shard's key: no self-deadlock to hide
+                       // behind if the push were let through.
+                       const uint64_t key = KeysForSlot(1 - shard, 2, 1)[0];
+                       try {
+                         self->Feed(key, schedule[0].instance);
+                       } catch (const std::logic_error&) {
+                         ++refused;
+                       }
+                     })
+                     .Build();
+  self = &monitor;
+  for (const KeyedInstance& push : schedule) {
+    monitor.Feed(push.key, push.instance);
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_EQ(monitor.position(), schedule.size());
+}
+
+TEST(PushValidationTest, BogusShardIndicesThrowOutOfRange) {
   auto monitor = ServingBuilder(2).Build();
-  auto stream = MakeRbfDriftStream(100, 3);
-  const Instance instance = Take(stream.get(), 1).front();
-  EXPECT_THROW(monitor.Feed(instance), std::logic_error);
-  EXPECT_THROW(monitor.Predict(instance.features), std::logic_error);
   EXPECT_THROW(monitor.Label(5, 1, 0), std::out_of_range);
+  EXPECT_THROW(monitor.Label(-1, 1, 0), std::out_of_range);
   EXPECT_THROW(monitor.DrainShard(2), std::out_of_range);
   EXPECT_THROW(monitor.ShardSnapshot(-1), std::out_of_range);
+  EXPECT_EQ(monitor.unmatched_labels(), 0u);
 }
 
 // Shard-tagged drift fan-in: every alarm a shard engine raises arrives at

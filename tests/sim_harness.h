@@ -109,11 +109,11 @@ enum class SimOpKind {
   kLabel,         ///< Label(shard, id, truth); outcome = applied flag.
   kAddShard,      ///< Table grew; outcome = new shard index.
   kDrainShard,    ///< Shard state migrated in place — spec no-op.
-  kShipShard,     ///< SHIP: shard state captured + engine paused. Marks
+  kShipShard,     ///< SHIP: shard state captured + shard paused. Marks
                   ///< the cut a later kShipRestore rolls the shard to.
   kShipRestore,   ///< LOAD of the shipped bytes: the shard is exactly its
                   ///< kShipShard state again — labels that drained into
-                  ///< the paused engine inside the window are discarded.
+                  ///< the paused shard inside the window are discarded.
   kPersist,       ///< Durable cut: marks the prefix a crash rolls back to.
   kCrashRestart,  ///< Process death + Open(): history after the last
                   ///< kPersist never happened.
@@ -238,6 +238,76 @@ class RecordingMonitor {
   /// recorded but not yet applied.
   void Flush() { live_->Flush(); }
 
+  /// Batch forms, recorded after the call returns as one op per element
+  /// in batch order, each with the shard it landed on. Per-shard relative
+  /// order is batch order, which is all the per-shard spec replay needs;
+  /// width_ is current for the same reason as in Feed (the batch held the
+  /// table for its whole run). A batch that throws applied nothing and
+  /// records nothing.
+  ///
+  /// Sound only while no other task pushes concurrently: a batch takes
+  /// its shards' locks one after another, so another push could land on
+  /// a shard the batch already left and record before the batch does.
+  /// Reshard ops take the table exclusively and never split a batch.
+  void FeedBatch(const std::vector<api::ShardedMonitor::KeyedInstance>& batch) {
+    live_->FeedBatch(batch);
+    for (const api::ShardedMonitor::KeyedInstance& element : batch) {
+      SimOp op;
+      op.kind = SimOpKind::kFeed;
+      op.shard = runtime::Router::KeySlot(element.key, width_);
+      op.key = element.key;
+      op.instance = element.instance;
+      history_->ops.push_back(std::move(op));
+    }
+  }
+
+  void PredictBatch(
+      const std::vector<api::ShardedMonitor::KeyedInstance>& batch,
+      std::vector<api::ShardedMonitor::Prediction>* out) {
+    live_->PredictBatch(batch, out);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const api::ShardedMonitor::Prediction& ticket = (*out)[i];
+      SimOp op;
+      op.kind = SimOpKind::kPredict;
+      op.shard = ticket.shard;
+      op.key = batch[i].key;
+      op.features = batch[i].instance.features;
+      op.weight = batch[i].instance.weight;
+      op.id = ticket.id;
+      op.predicted = ticket.label;
+      op.scores = ticket.scores;
+      history_->ops.push_back(std::move(op));
+    }
+  }
+
+  /// The fault plane applies per element, as in Label(): a dropped label
+  /// is left out of the delivered batch, a duplicated one follows itself.
+  void LabelBatch(const std::vector<api::ShardedMonitor::ShardLabel>& batch) {
+    std::vector<api::ShardedMonitor::ShardLabel> delivered;
+    for (const api::ShardedMonitor::ShardLabel& label : batch) {
+      if (runtime::sim::Chance(faults_.drop_label)) {
+        ++dropped_labels_;
+        continue;
+      }
+      delivered.push_back(label);
+      if (runtime::sim::Chance(faults_.dup_label)) {
+        ++duplicated_labels_;
+        delivered.push_back(label);
+      }
+    }
+    std::vector<LabelOutcome> outcomes;
+    live_->LabelBatch(delivered, &outcomes);
+    for (size_t i = 0; i < delivered.size(); ++i) {
+      SimOp op;
+      op.kind = SimOpKind::kLabel;
+      op.shard = delivered[i].shard;
+      op.id = delivered[i].id;
+      op.true_label = delivered[i].label;
+      op.applied = outcomes[i] == LabelOutcome::kApplied;
+      history_->ops.push_back(std::move(op));
+    }
+  }
+
   /// Label with the fault plane applied: may silently drop the delivery
   /// (returns false — the caller's label never arrived) or deliver it
   /// twice (the duplicate must bounce off exactly-once application).
@@ -277,7 +347,7 @@ class RecordingMonitor {
   /// with `hold_ticks` > 0 the window is stretched so other tasks
   /// provably run into it (Predict/Feed throw std::logic_error — retry
   /// with PredictRetry below; Label keeps draining into the paused
-  /// engine, and LOAD then discards exactly those window labels — the
+  /// shard, and LOAD then discards exactly those window labels — the
   /// checker models that via the kShipShard cut).
   void ShipRestore(int shard, uint64_t hold_ticks = 0) {
     const std::string bytes = live_->ShipShard(shard);
@@ -347,32 +417,35 @@ inline void RecordCrashRestart(SimHistory* history) {
   history->ops.push_back(std::move(op));
 }
 
-/// Predict that rides out a SHIP/LOAD pause window: a paused shard throws
-/// std::logic_error; sleep a few virtual ticks and retry. The scheduler's
-/// step limit converts a shard that never resumes into a test failure.
-inline api::ShardedMonitor::Prediction PredictRetry(
-    RecordingMonitor& monitor, uint64_t key, const std::vector<double>& features,
-    double weight = 1.0) {
+/// Runs `push` until it stops throwing std::logic_error (a shipped shard),
+/// sleeping a few virtual ticks between attempts. Safe for batches too: a
+/// push that throws applied nothing. The scheduler's step limit converts a
+/// shard that never resumes into a test failure.
+template <typename Push>
+void RetryWhileShipped(Push push) {
   for (;;) {
     try {
-      return monitor.Predict(key, features, weight);
+      push();
+      return;
     } catch (const std::logic_error&) {
       runtime::sim::SleepFor(3);
     }
   }
 }
 
+/// Predict that rides out a SHIP/LOAD pause window.
+inline api::ShardedMonitor::Prediction PredictRetry(
+    RecordingMonitor& monitor, uint64_t key, const std::vector<double>& features,
+    double weight = 1.0) {
+  api::ShardedMonitor::Prediction ticket;
+  RetryWhileShipped([&] { ticket = monitor.Predict(key, features, weight); });
+  return ticket;
+}
+
 /// Feed counterpart of PredictRetry.
 inline void FeedRetry(RecordingMonitor& monitor, uint64_t key,
                       const Instance& instance) {
-  for (;;) {
-    try {
-      monitor.Feed(key, instance);
-      return;
-    } catch (const std::logic_error&) {
-      runtime::sim::SleepFor(3);
-    }
-  }
+  RetryWhileShipped([&] { monitor.Feed(key, instance); });
 }
 
 /// Drives one producer's delayed schedule through the wrapper:
@@ -476,7 +549,7 @@ inline std::string DescribeResultDiff(const PrequentialResult& a,
 ///    already checked when applied — only their state is gone) and
 ///    rebuilds the spec fleet by silent replay of the surviving prefix.
 ///  * kShipShard marks a per-shard cut; kShipRestore rolls exactly that
-///    shard back to it — labels that drained into the paused engine
+///    shard back to it — labels that drained into the paused shard
 ///    inside the SHIP→LOAD window are discarded, everything on other
 ///    shards stands. A window with no interleaved ops degenerates to the
 ///    transparency property: bit-identical to never having moved.

@@ -8,10 +8,11 @@
 //      digest and checker verdict, different seeds explore genuinely
 //      different interleavings, and one pinned digest guards the
 //      schedule encoding itself against silent drift;
-//  (c) the four target scenarios — reshard-during-predict,
-//      drain-with-labels-in-flight, SHIP/LOAD under traffic, and a
-//      dropped/duplicated-label plane over a small pending buffer — each
-//      swept over seeds and validated by the history checker's
+//  (c) the target scenarios — reshard-during-predict,
+//      drain-with-labels-in-flight, SHIP/LOAD under traffic, a
+//      dropped/duplicated-label plane over a small pending buffer, async
+//      ingress, and batch pushes mixed with single ones under reshard —
+//      each swept over seeds and validated by the history checker's
 //      sequential-spec oracle;
 //  (d) injected-bug self-tests — histories broken in known ways
 //      (dropped applied-label record, mis-sharded feed, tampered
@@ -25,8 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <iostream>
 #include <set>
 #include <stdexcept>
@@ -55,7 +58,9 @@ using test_util::KeysForSlot;
 using test_util::MakeDelaySchedule;
 using test_util::MakeKeyedSchedule;
 using test_util::MakeServing;
+using test_util::PredictRetry;
 using test_util::RecordingMonitor;
+using test_util::RetryWhileShipped;
 using test_util::RunDelayedProducer;
 using test_util::SimCheckResult;
 using test_util::SimHistory;
@@ -433,7 +438,7 @@ ScenarioOutcome RunDrainScenario(uint64_t seed) {
 
 /// SHIP/LOAD under traffic: the controller round-trips shard state
 /// through the migration payload with a stretched pause window, so
-/// producers provably run into the paused engine and retry.
+/// producers provably run into the paused shard and retry.
 ScenarioOutcome RunShipLoadScenario(uint64_t seed) {
   SimServingConfig config;
   config.shards = 3;
@@ -632,6 +637,102 @@ ScenarioOutcome RunIngressBackpressureScenario(uint64_t seed) {
   return outcome;
 }
 
+/// Batch and single pushes under reshard, drain, SHIP/LOAD and dropped
+/// labels. One producer drives every push — FeedBatch, PredictBatch and
+/// LabelBatch interleaved with per-instance Predict, Feed and Label —
+/// because RecordingMonitor's batch records are only sound without a
+/// concurrent pusher (see its FeedBatch comment). The controller's ops
+/// take the table exclusively, so they land between whole pushes; a push
+/// that meets the shipped shard throws, applied nothing, and is retried.
+ScenarioOutcome RunBatchMixScenario(uint64_t seed) {
+  using Monitor = api::ShardedMonitor;
+  SimServingConfig config;
+  config.shards = 3;
+  config.pending_capacity = 16;
+  auto monitor = MakeServing(config);
+  SimHistory history;
+  FaultPlane faults;
+  faults.drop_label = 0.15;
+  RecordingMonitor recording(&monitor, &history, faults);
+
+  const std::vector<KeyedInstance> schedule = MakeKeyedSchedule(
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 240, /*seed=*/91);
+
+  sim::Scheduler sched(seed);
+  sched.Spawn("producer", [&recording, &schedule] {
+    std::deque<std::pair<Monitor::Prediction, int>> in_flight;
+    // Labels the `count` oldest tickets, as one batch or one by one.
+    auto label_oldest = [&](size_t count) {
+      std::vector<Monitor::ShardLabel> labels;
+      for (; count > 0; --count) {
+        const auto& [ticket, label] = in_flight.front();
+        labels.push_back({ticket.shard, ticket.id, label});
+        in_flight.pop_front();
+      }
+      if (sim::Choice(2) == 0) {
+        recording.LabelBatch(labels);
+      } else {
+        for (const Monitor::ShardLabel& l : labels) {
+          recording.Label(l.shard, l.id, l.label);
+        }
+      }
+    };
+    std::vector<Monitor::Prediction> tickets;
+    for (size_t begin = 0; begin < schedule.size();) {
+      const size_t end =
+          std::min(begin + 1 + sim::Choice(6), schedule.size());
+      std::vector<Monitor::KeyedInstance> chunk;
+      for (size_t i = begin; i < end; ++i) {
+        chunk.push_back({schedule[i].key, schedule[i].instance});
+      }
+      switch (sim::Choice(4)) {
+        case 0:
+          RetryWhileShipped([&] { recording.FeedBatch(chunk); });
+          break;
+        case 1:
+          RetryWhileShipped([&] { recording.PredictBatch(chunk, &tickets); });
+          for (size_t j = 0; j < chunk.size(); ++j) {
+            in_flight.emplace_back(tickets[j], chunk[j].instance.label);
+          }
+          break;
+        case 2:
+          for (const Monitor::KeyedInstance& e : chunk) {
+            in_flight.emplace_back(
+                PredictRetry(recording, e.key, e.instance.features,
+                             e.instance.weight),
+                e.instance.label);
+          }
+          break;
+        default:
+          for (const Monitor::KeyedInstance& e : chunk) {
+            FeedRetry(recording, e.key, e.instance);
+          }
+          break;
+      }
+      if (in_flight.size() > 6) label_oldest(in_flight.size() - 6);
+      sim::SleepFor(sim::Choice(3));
+      begin = end;
+    }
+    label_oldest(in_flight.size());
+  });
+  sched.Spawn("controller", [&recording] {
+    sim::SleepFor(20);
+    recording.AddShard();
+    sim::SleepFor(20);
+    recording.ShipRestore(static_cast<int>(sim::Choice(4)),
+                          /*hold_ticks=*/12);
+    sim::SleepFor(20);
+    recording.DrainShard(static_cast<int>(sim::Choice(4)));
+  });
+  sched.Run();
+
+  HistoryChecker checker(config);
+  ScenarioOutcome outcome;
+  outcome.digest = sched.digest();
+  outcome.check = checker.Check(history, monitor);
+  return outcome;
+}
+
 // ------------------------------------------------------------- sweeps
 
 /// Seeds per scenario: 5 in tier-1, CCD_SIM_SEEDS (e.g. 1000) in the
@@ -678,6 +779,10 @@ TEST(SimSweepTest, AsyncIngressDuringReshard) {
 
 TEST(SimSweepTest, IngressBackpressure) {
   Sweep("ingress_backpressure", RunIngressBackpressureScenario);
+}
+
+TEST(SimSweepTest, BatchAndSinglePushesUnderReshard) {
+  Sweep("batch_mix", RunBatchMixScenario);
 }
 
 // Acceptance: same seed → bit-identical schedule digest *and* checker

@@ -33,10 +33,6 @@
 
 namespace {
 
-const char* ModeName(uint8_t mode) {
-  return mode == 0 ? "hash-key" : "round-robin";
-}
-
 std::string ReadFileOrDie(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ccd::io::WireError("file", 0, path + ": cannot open");
@@ -124,12 +120,9 @@ int DumpDirectory(const std::string& dir, bool verify,
               m.detector.empty() ? "(none)" : m.detector.c_str(),
               m.detector_params.empty() ? "" : "  ",
               m.detector_params.c_str());
-  std::printf("  routing     %s, %zu shard(s), pending capacity %llu\n",
-              ModeName(m.mode), m.shards.size(),
+  std::printf("  shards      %zu, pending capacity %llu\n", m.shards.size(),
               static_cast<unsigned long long>(m.pending_capacity));
-  std::printf("  seed        %llu   completed_total %llu\n",
-              static_cast<unsigned long long>(m.seed),
-              static_cast<unsigned long long>(m.completed_total));
+  std::printf("  seed        %llu\n", static_cast<unsigned long long>(m.seed));
 
   int failures = 0;
   for (size_t i = 0; i < m.shards.size(); ++i) {
