@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "io/codecs.h"
@@ -36,14 +35,6 @@ void SoftmaxInPlace(std::vector<double>* logits) {
 }
 
 }  // namespace
-
-void ParamError::Require(bool ok, const char* field, const char* rule,
-                         double value) {
-  if (ok) return;
-  std::ostringstream message;
-  message << "must " << rule << ", got " << value;
-  throw ParamError(field, message.str());
-}
 
 void Rbm::ValidateParams(const Params& p) {
   ParamError::Require(p.visible >= 1, "rbm.visible", "be >= 1", p.visible);

@@ -1,11 +1,11 @@
 #ifndef CCD_CORE_RBM_H_
 #define CCD_CORE_RBM_H_
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "stream/instance.h"
+#include "utils/param_error.h"
 #include "utils/rng.h"
 
 namespace ccd {
@@ -13,23 +13,6 @@ namespace io {
 class Writer;
 class Reader;
 }  // namespace io
-
-/// An Rbm or RbmIm parameter outside its domain. field() is the qualified
-/// key of the offending member ("rbm.cd_steps", "rbm_im.beta"), the same
-/// key LoadState reports through io::WireError.
-class ParamError : public std::invalid_argument {
- public:
-  ParamError(const std::string& field, const std::string& message)
-      : std::invalid_argument(field + ": " + message), field_(field) {}
-  const std::string& field() const { return field_; }
-
-  /// Throws "<field>: must <rule>, got <value>" unless `ok`.
-  static void Require(bool ok, const char* field, const char* rule,
-                      double value);
-
- private:
-  std::string field_;
-};
 
 /// Skew-insensitive three-layer Restricted Boltzmann Machine (Sec. V-A of
 /// the paper): a visible layer v of V unit-interval units, a hidden layer h

@@ -24,8 +24,9 @@ struct MetricsSnapshot {
 };
 
 /// Optional event callbacks of a MonitorEngine. All fire synchronously on
-/// the thread driving the engine; metric snapshots (an O(W log W) pmAUC
-/// pass) are only computed for callbacks that are actually installed.
+/// the thread driving the engine; metric snapshots (a full pmAUC pass
+/// over the window) are only computed for callbacks that are actually
+/// installed.
 ///
 /// Hooks must NOT call back into the engine's mutating surface: they fire
 /// mid-step, while the instance that triggered them is only half applied

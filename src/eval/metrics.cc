@@ -1,125 +1,166 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace ccd {
+namespace {
+
+/// Lower bounds of x[0..kLanes) in the sorted small[0..n), n >= 1. The
+/// halving is branchless and its step count depends only on n, so the
+/// lanes run in lockstep and their loads overlap.
+template <int kLanes>
+void LowerBounds(const double* small, size_t n, const double* x, size_t* lb) {
+  for (int l = 0; l < kLanes; ++l) lb[l] = 0;
+  for (; n > 1; n -= n / 2) {
+    for (int l = 0; l < kLanes; ++l) {
+      lb[l] = small[lb[l] + n / 2] < x[l] ? lb[l] + n / 2 : lb[l];
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) lb[l] += small[lb[l]] < x[l] ? 1 : 0;
+}
+
+/// Rank-sum AUC of pos[0..np) against neg[0..nn) (both scratch). Sorts the
+/// smaller side in place and sums #(small < x) + #(small <= x) over the
+/// larger side's x, searching an upper bound only on an exact tie. The sum
+/// is 2U when the negatives are the smaller side, else 2 np nn - 2U.
+double RankAuc(double* pos, size_t np, double* neg, size_t nn) {
+  if (np == 0 || nn == 0) return 0.5;
+  const bool pos_small = np < nn;
+  double* small = pos_small ? pos : neg;
+  const double* large = pos_small ? neg : pos;
+  const size_t ns = pos_small ? np : nn;
+  const size_t nl = pos_small ? nn : np;
+  std::sort(small, small + ns);
+  uint64_t below = 0;
+  auto count = [&](size_t lb, double x) {
+    size_t ub = lb;
+    if (lb < ns && small[lb] == x) {
+      ub = static_cast<size_t>(std::upper_bound(small + lb, small + ns, x) -
+                               small);
+    }
+    below += lb + ub;
+  };
+  constexpr int kLanes = 8;
+  size_t lb[kLanes];
+  size_t x = 0;
+  for (; x + kLanes <= nl; x += kLanes) {
+    LowerBounds<kLanes>(small, ns, large + x, lb);
+    for (int l = 0; l < kLanes; ++l) count(lb[l], large[x + l]);
+  }
+  for (; x < nl; ++x) {
+    LowerBounds<1>(small, ns, large + x, lb);
+    count(lb[0], large[x]);
+  }
+  const uint64_t twice_u = pos_small ? 2 * uint64_t{ns} * nl - below : below;
+  return 0.5 * static_cast<double>(twice_u) /
+         (static_cast<double>(np) * static_cast<double>(nn));
+}
+
+/// out[r] = si / (si + sj), or 0.5 when neither class has support.
+void ScoreRatios(const double* si, const double* sj, size_t n, double* out) {
+  for (size_t r = 0; r < n; ++r) {
+    const double denom = si[r] + sj[r];
+    out[r] = denom > 0.0 ? si[r] / denom : 0.5;
+  }
+}
+
+}  // namespace
 
 double BinaryAuc(const std::vector<double>& positive_scores,
                  const std::vector<double>& negative_scores) {
-  std::vector<std::pair<double, int>> pool;
-  return BinaryAuc(positive_scores, negative_scores, pool);
-}
-
-double BinaryAuc(const std::vector<double>& positive_scores,
-                 const std::vector<double>& negative_scores,
-                 std::vector<std::pair<double, int>>& pool) {
-  if (positive_scores.empty() || negative_scores.empty()) return 0.5;
-  // Pool, sort, midrank; AUC = (rank_sum_pos - n_pos(n_pos+1)/2) / (n_pos*n_neg).
-  pool.clear();
-  pool.reserve(positive_scores.size() + negative_scores.size());
-  for (double s : positive_scores) pool.emplace_back(s, 1);
-  for (double s : negative_scores) pool.emplace_back(s, 0);
-  std::sort(pool.begin(), pool.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  double rank_sum_pos = 0.0;
-  size_t i = 0;
-  while (i < pool.size()) {
-    size_t j = i;
-    while (j + 1 < pool.size() && pool[j + 1].first == pool[i].first) ++j;
-    double midrank = 0.5 * static_cast<double>(i + j) + 1.0;
-    for (size_t m = i; m <= j; ++m) {
-      if (pool[m].second == 1) rank_sum_pos += midrank;
-    }
-    i = j + 1;
-  }
-  double np = static_cast<double>(positive_scores.size());
-  double nn = static_cast<double>(negative_scores.size());
-  return (rank_sum_pos - np * (np + 1.0) / 2.0) / (np * nn);
+  std::vector<double> pos = positive_scores;
+  std::vector<double> neg = negative_scores;
+  return RankAuc(pos.data(), pos.size(), neg.data(), neg.size());
 }
 
 WindowedMetrics::WindowedMetrics(int num_classes, int window)
-    : num_classes_(num_classes), window_(window), confusion_(num_classes) {
+    : classes_(num_classes > 0 ? static_cast<size_t>(num_classes) : 0),
+      window_(window),
+      confusion_(num_classes) {
   if (window_ > 0) {
-    ring_.reserve(static_cast<size_t>(window_));
-  }
-  // Buckets exist even for a degenerate (<= 0) window: PmAuc indexes
-  // bucket_[c] for every class unconditionally. Their slot rings are
-  // empty then — Add never stores, so counts stay 0.
-  bucket_.resize(static_cast<size_t>(num_classes_ > 0 ? num_classes_ : 0));
-  for (SlotRing& b : bucket_) {
-    b.slots.resize(static_cast<size_t>(window_ > 0 ? window_ : 0));
+    slots_.reserve(static_cast<size_t>(window_));
+    scores_.reserve(static_cast<size_t>(window_) * classes_);
   }
 }
 
 void WindowedMetrics::Add(int truth, int predicted,
                           const std::vector<double>& scores) {
+  confusion_.Add(truth, predicted);
   if (window_ <= 0) {
     // Degenerate window: the entry enters and leaves immediately, exactly
     // as in the naive push-then-evict formulation.
-    confusion_.Add(truth, predicted);
     confusion_.Remove(truth, predicted);
     return;
   }
-  confusion_.Add(truth, predicted);
-  uint32_t slot;
-  if (ring_.size() < static_cast<size_t>(window_)) {
+  size_t slot;
+  if (slots_.size() < static_cast<size_t>(window_)) {
     // Filling: head_ is still 0, so physical == logical order.
-    slot = static_cast<uint32_t>(ring_.size());
-    ring_.push_back(Entry{truth, predicted, scores});
+    slot = slots_.size();
+    slots_.emplace_back();
+    scores_.resize(scores_.size() + classes_);
   } else {
-    // Full: the oldest entry (at head_) is evicted and its slot reused for
-    // the newcomer, which thereby becomes the logical back.
-    slot = static_cast<uint32_t>(head_);
-    Entry& old = ring_[head_];
-    confusion_.Remove(old.truth, old.predicted);
-    if (old.truth >= 0 && old.truth < num_classes_) {
-      // The globally oldest entry is also the oldest of its class.
-      bucket_[static_cast<size_t>(old.truth)].PopFront();
-    }
-    old.truth = truth;
-    old.predicted = predicted;
-    old.scores = scores;  // Copy-assign reuses the slot's capacity.
+    // Full: the oldest slot (at head_) is evicted and reused for the
+    // newcomer, which thereby becomes the logical back.
+    slot = head_;
+    confusion_.Remove(slots_[slot].truth, slots_[slot].predicted);
     head_ = (head_ + 1) % static_cast<size_t>(window_);
   }
-  if (truth >= 0 && truth < num_classes_) {
-    bucket_[static_cast<size_t>(truth)].PushBack(slot);
-  }
+  Slot& s = slots_[slot];
+  s.truth = truth;
+  s.predicted = predicted;
+  s.width = scores.size();
+  const size_t stored = std::min(scores.size(), classes_);
+  double* row = scores_.data() + slot * classes_;
+  std::copy_n(scores.begin(), stored, row);
+  std::fill(row + stored, row + classes_, 0.0);
+  s.overflow.assign(scores.begin() + static_cast<long>(stored), scores.end());
 }
 
 double WindowedMetrics::PmAuc() const {
+  const size_t k = classes_;
+  // Pack the window class-major, and within a class column-major: class
+  // c's rows occupy packed_[class_begin_[c] * k, class_begin_[c + 1] * k),
+  // its column col the n_c entries from class_begin_[c] * k + col * n_c.
+  class_begin_.assign(k + 1, 0);
+  for (const Slot& s : slots_) {
+    if (s.truth >= 0 && static_cast<size_t>(s.truth) < k) {
+      ++class_begin_[static_cast<size_t>(s.truth) + 1];
+    }
+  }
+  for (size_t c = 0; c < k; ++c) class_begin_[c + 1] += class_begin_[c];
+  class_fill_.assign(class_begin_.begin(), class_begin_.end() - 1);
+  // Sized by the whole window (not the in-range count) so the scratch
+  // stops growing once the window has filled.
+  packed_.resize(slots_.size() * k);
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    const int truth = slots_[slot].truth;
+    if (truth < 0 || static_cast<size_t>(truth) >= k) continue;
+    const size_t c = static_cast<size_t>(truth);
+    const size_t n = class_begin_[c + 1] - class_begin_[c];
+    double* dst = packed_.data() + class_begin_[c] * k +
+                  (class_fill_[c]++ - class_begin_[c]);
+    const double* row = scores_.data() + slot * k;
+    for (size_t col = 0; col < k; ++col) dst[col * n] = row[col];
+  }
+
+  pos_scratch_.resize(slots_.size());
+  neg_scratch_.resize(slots_.size());
   double auc_sum = 0.0;
   int pairs = 0;
-  for (int i = 0; i < num_classes_; ++i) {
-    const SlotRing& bi = bucket_[static_cast<size_t>(i)];
-    if (bi.count == 0) continue;
-    for (int j = i + 1; j < num_classes_; ++j) {
-      const SlotRing& bj = bucket_[static_cast<size_t>(j)];
-      if (bj.count == 0) continue;
+  for (size_t i = 0; i < k; ++i) {
+    const size_t ni = class_begin_[i + 1] - class_begin_[i];
+    if (ni == 0) continue;
+    const double* bi = packed_.data() + class_begin_[i] * k;
+    for (size_t j = i + 1; j < k; ++j) {
+      const size_t nj = class_begin_[j + 1] - class_begin_[j];
+      if (nj == 0) continue;
       // One-vs-one AUC between classes i (positive) and j (negative),
       // scoring each instance by its normalized support for class i.
-      // Stored score vectors may be shorter than num_classes (a classifier
-      // that scores only the classes it has seen, or none at all); a class
-      // with no stored score has zero support.
-      auto support = [](const Entry& e, int c) {
-        return static_cast<size_t>(c) < e.scores.size()
-                   ? e.scores[static_cast<size_t>(c)]
-                   : 0.0;
-      };
-      auto score_ratio = [&](const Entry& e) {
-        double si = support(e, i);
-        double sj = support(e, j);
-        double denom = si + sj;
-        return denom > 0.0 ? si / denom : 0.5;
-      };
-      pos_scratch_.clear();
-      neg_scratch_.clear();
-      for (size_t n = 0; n < bi.count; ++n) {
-        pos_scratch_.push_back(score_ratio(ring_[bi.At(n)]));
-      }
-      for (size_t n = 0; n < bj.count; ++n) {
-        neg_scratch_.push_back(score_ratio(ring_[bj.At(n)]));
-      }
-      auc_sum += BinaryAuc(pos_scratch_, neg_scratch_, pool_scratch_);
+      const double* bj = packed_.data() + class_begin_[j] * k;
+      ScoreRatios(bi + i * ni, bi + j * ni, ni, pos_scratch_.data());
+      ScoreRatios(bj + i * nj, bj + j * nj, nj, neg_scratch_.data());
+      auc_sum += RankAuc(pos_scratch_.data(), ni, neg_scratch_.data(), nj);
       ++pairs;
     }
   }
@@ -127,10 +168,16 @@ double WindowedMetrics::PmAuc() const {
 }
 
 void WindowedMetrics::CopyWindow(std::vector<Entry>* out) const {
-  const size_t n = ring_.size();
+  const size_t n = slots_.size();
   out->reserve(out->size() + n);
   for (size_t k = 0; k < n; ++k) {
-    out->push_back(ring_[(head_ + k) % n]);
+    const size_t slot = (head_ + k) % n;
+    const Slot& s = slots_[slot];
+    const double* row = scores_.data() + slot * classes_;
+    Entry e{s.truth, s.predicted,
+            std::vector<double>(row, row + std::min(s.width, classes_))};
+    e.scores.insert(e.scores.end(), s.overflow.begin(), s.overflow.end());
+    out->push_back(std::move(e));
   }
 }
 

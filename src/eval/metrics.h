@@ -2,8 +2,6 @@
 #define CCD_EVAL_METRICS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "eval/confusion.h"
@@ -16,25 +14,32 @@ namespace ccd {
 /// plus accuracy and Cohen's kappa. The paper evaluates with window
 /// W = 1000.
 ///
-/// The window is a preallocated ring and the per-true-class buckets pmAUC
-/// needs are maintained incrementally on Add/evict, so an evaluation tick
-/// never re-scans or re-buckets the window and a steady-state Add performs
-/// no heap allocation (entry slots and score vectors are reused in place).
-/// Peak memory is bounded at construction: window entries plus one
-/// window-sized index ring per class.
+/// The window is a preallocated ring of outcomes whose scores live in one
+/// flat W x K array (K = num_classes), so a steady-state Add performs no
+/// heap allocation and an evaluation tick reads contiguous memory. Memory
+/// is bounded by the window: W slots of K scores, plus the tick's scratch
+/// (another W x K packing and two W-long ratio columns).
 class WindowedMetrics {
  public:
   WindowedMetrics(int num_classes, int window = 1000);
 
   /// Records one prequential outcome (scores are the classifier's
   /// normalized per-class supports for the instance). Allocation-free once
-  /// the window has filled and score widths have stabilized.
+  /// the window has filled, unless `scores` is wider than num_classes.
   void Add(int truth, int predicted, const std::vector<double>& scores);
 
   /// pmAUC over the current window: mean over ordered class pairs (i < j),
   /// restricted to pairs with at least one instance of each class, of the
-  /// pairwise AUC computed from normalized score ratios. O(W log W) — call
-  /// at a sampling interval, not per instance.
+  /// pairwise AUC computed from normalized score ratios (a score a vector
+  /// does not carry counts as 0).
+  ///
+  /// Cost: an O(W K) pass packs each class's scores column-major; a pair
+  /// with m instances on its smaller side and M on its larger then costs
+  /// O((m + M) log m). Call at a sampling interval, not per instance. The
+  /// result is the midrank AUC bit for bit: U = #(pos > neg) +
+  /// 1/2 #(pos = neg) is a half-integer below 2^53, so U / (n_pos n_neg)
+  /// is the same double as (rank_sum_pos - n_pos (n_pos + 1) / 2) /
+  /// (n_pos n_neg).
   double PmAuc() const;
 
   /// pmGM over the current window (Laplace-smoothed recalls; see
@@ -43,11 +48,12 @@ class WindowedMetrics {
   double Accuracy() const { return confusion_.Accuracy(); }
   double Kappa() const { return confusion_.Kappa(); }
 
-  size_t size() const { return ring_.size(); }
+  size_t size() const { return slots_.size(); }
   const ConfusionMatrix& confusion() const { return confusion_; }
 
-  /// One windowed outcome. Public so the monitoring engine can snapshot
-  /// the window contents for shard handoff (prefix-state transfer).
+  /// One windowed outcome, as CopyWindow returns it. Public so the
+  /// monitoring engine can snapshot the window contents for shard handoff
+  /// (prefix-state transfer).
   struct Entry {
     int truth;
     int predicted;
@@ -60,59 +66,43 @@ class WindowedMetrics {
     friend bool operator!=(const Entry& a, const Entry& b) { return !(a == b); }
   };
 
-  /// Appends the window contents, oldest first, to `out`. Together with
-  /// the schema this is the complete metric state of a run at a point in
-  /// time (the linearized form of the internal ring).
+  /// Appends the window contents, oldest first, to `out`: each entry's
+  /// scores are exactly the vector Add received. Together with the schema
+  /// this is the complete metric state of a run at a point in time.
   void CopyWindow(std::vector<Entry>* out) const;
 
  private:
-  /// Fixed-capacity FIFO of ring-slot indices — the per-class bucket.
-  /// Capacity is the window size (a single class can own the whole
-  /// window), so push/pop never allocate.
-  struct SlotRing {
-    std::vector<uint32_t> slots;
-    size_t head = 0;
-    size_t count = 0;
-
-    void PushBack(uint32_t slot) {
-      slots[(head + count) % slots.size()] = slot;
-      ++count;
-    }
-    void PopFront() {
-      head = (head + 1) % slots.size();
-      --count;
-    }
-    uint32_t At(size_t i) const { return slots[(head + i) % slots.size()]; }
+  struct Slot {
+    int truth;
+    int predicted;
+    size_t width;                  ///< scores.size() as Add received it.
+    std::vector<double> overflow;  ///< Columns >= K; empty when well formed.
   };
 
-  int num_classes_;
+  size_t classes_;  ///< K; 0 for a degenerate class count.
   int window_;
-  /// Window entries in a ring: ring_[(head_ + k) % window_] is the k-th
-  /// oldest. Grows by push_back only while filling (head_ == 0), then
-  /// entries are overwritten in place.
-  std::vector<Entry> ring_;
+  /// Ring: slots_[(head_ + k) % window_] is the k-th oldest. Grows only
+  /// while filling (head_ == 0), then slots are overwritten in place.
+  std::vector<Slot> slots_;
+  /// Slot s's first K scores at [s * K, s * K + K); columns past the
+  /// slot's width hold 0.
+  std::vector<double> scores_;
   size_t head_ = 0;
   ConfusionMatrix confusion_;
-  /// bucket_[c] lists the ring slots whose entry has truth c, oldest
-  /// first — maintained incrementally so PmAuc never re-buckets.
-  std::vector<SlotRing> bucket_;
   /// PmAuc scratch (reused across pairs and calls; no metric state).
+  mutable std::vector<size_t> class_begin_;
+  mutable std::vector<size_t> class_fill_;
+  mutable std::vector<double> packed_;
   mutable std::vector<double> pos_scratch_;
   mutable std::vector<double> neg_scratch_;
-  mutable std::vector<std::pair<double, int>> pool_scratch_;
 };
 
 /// AUC of binary scores-vs-labels via the rank-sum estimator (midranks for
 /// ties). `positive_scores` are scores of true positives; `negative_scores`
-/// of true negatives. Returns 0.5 when either side is empty.
+/// of true negatives. Returns 0.5 when either side is empty. Same kernel
+/// and same bits as PmAuc's per-pair AUC.
 double BinaryAuc(const std::vector<double>& positive_scores,
                  const std::vector<double>& negative_scores);
-
-/// Scratch-buffer overload for allocation-free callers: `pool` is cleared
-/// and reused for the rank pooling (capacity persists across calls).
-double BinaryAuc(const std::vector<double>& positive_scores,
-                 const std::vector<double>& negative_scores,
-                 std::vector<std::pair<double, int>>& pool);
 
 }  // namespace ccd
 

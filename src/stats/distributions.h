@@ -4,8 +4,8 @@
 namespace ccd {
 
 /// Cumulative distribution functions and special functions needed by the
-/// statistical tests in this library (Wilcoxon, Granger/F, Friedman/chi²,
-/// Student-t). Implementations follow the classic series / continued
+/// statistical tests in this library (WSTD's rank sum, Granger/F,
+/// Friedman/chi², Student-t). Implementations follow the classic series / continued
 /// fraction expansions (Numerical Recipes style) and are accurate to ~1e-10
 /// over the parameter ranges used here.
 

@@ -28,6 +28,7 @@
 #include "api/sharded_monitor.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
+#include "generators/registry.h"
 #include "stream/stream.h"
 #include "testing_util.h"
 
@@ -209,6 +210,40 @@ TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
       << with_boundaries << " allocations across " << boundaries
       << " batch boundaries — per-instance allocation crept back into "
          "RbmIm::ProcessBatch";
+}
+
+TEST(AllocTest, PmAucTicksAreAllocationFreeAtTwentyClasses) {
+  CCD_ALLOC_GUARD();
+  // RBF20 (K = 20) with a pmAUC tick every 50 pushes: the tick's packing
+  // and ratio scratch must be reused, not reallocated. The engine's
+  // pmauc_series grows geometrically by design, so the warm-up runs 66
+  // ticks (capacity 128) and the measured pushes add 10 more, crossing no
+  // capacity boundary.
+  BuildOptions options;
+  options.scale = 0.0;  // The 4000-instance floor.
+  BuiltStream built = BuildStream(*FindStreamSpec("RBF20"), options);
+  constexpr size_t kTickWarm = 3400;
+  std::vector<Instance> data;
+  for (size_t i = 0; i < kTickWarm + kMeasure; ++i) {
+    data.push_back(built.stream->Next());
+  }
+  PrequentialConfig config = SteadyConfig();
+  config.eval_interval = 50;
+  config.metric_window = 1000;
+  api::Monitor monitor = api::MonitorBuilder()
+                             .Schema(built.stream->schema())
+                             .Classifier("naive-bayes")
+                             .NoDetector()
+                             .Protocol(config)
+                             .Build();
+  for (size_t i = 0; i < kTickWarm; ++i) monitor.Feed(data[i]);
+
+  const uint64_t allocations = AllocationsDuring([&] {
+    for (size_t i = kTickWarm; i < data.size(); ++i) monitor.Feed(data[i]);
+  });
+  EXPECT_EQ(allocations, 0u)
+      << allocations << " allocations across " << kMeasure
+      << " pushes with a K=20 pmAUC tick every 50";
 }
 
 TEST(AllocTest, FeedBatchIsAllocationFree) {

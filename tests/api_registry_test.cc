@@ -258,6 +258,27 @@ TEST(ApiRegistryTest, OutOfDomainRbmImParamsAreApiErrors) {
   }
 }
 
+TEST(ApiRegistryTest, OutOfDomainWstdParamsAreApiErrors) {
+  // Each of these used to build a WSTD whose history could never reach
+  // two windows, so it silently never fired.
+  StreamSchema schema = TestSchema();
+  for (const char* bad :
+       {"window_size=1", "max_old_instances=-1", "max_old_instances=1",
+        "check_interval=0", "drift_significance=0.5",
+        "warning_significance=1"}) {
+    const std::string spec = bad;
+    const std::string key = spec.substr(0, spec.find('='));
+    try {
+      api::MakeDetector("WSTD", schema, 1, {bad});
+      ADD_FAILURE() << "expected ApiError for " << bad;
+    } catch (const api::ApiError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("WSTD"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("wstd." + key), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST(ApiRegistryTest, RbmImTriggerVariantsConstruct) {
   StreamSchema schema = TestSchema();
   for (const char* trigger : {"combined", "zscore", "adwin", "granger"}) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "detectors/adwin.h"
 #include "detectors/ddm.h"
@@ -15,7 +18,11 @@
 #include "detectors/ecdd.h"
 #include "detectors/page_hinkley.h"
 #include "detectors/wstd.h"
+#include "io/codecs.h"
+#include "io/wire.h"
+#include "utils/param_error.h"
 #include "utils/rng.h"
+#include "wilcoxon_oracle.h"
 
 namespace ccd {
 namespace {
@@ -313,6 +320,212 @@ TEST(DdmOciTest, StableRecallStaysQuiet) {
     if (oci.state() == DetectorState::kDrift) ++drifts;
   }
   EXPECT_LE(drifts, 2);
+}
+
+// ---------------------------------------------------------------- WSTD
+/// The pre-rewrite WSTD, verbatim but for the test it calls: a deque of
+/// 0.0/1.0 errors, copied into two vectors and handed to the pooled-sort
+/// Wilcoxon rank-sum oracle at every check.
+class OracleWstd {
+ public:
+  explicit OracleWstd(const Wstd::Params& params) : params_(params) {}
+
+  DetectorState state() const { return state_; }
+
+  void AddError(bool error) {
+    if (state_ == DetectorState::kDrift) Reset();
+
+    history_.push_back(error ? 1.0 : 0.0);
+    size_t cap = static_cast<size_t>(params_.max_old_instances) +
+                 static_cast<size_t>(params_.window_size);
+    while (history_.size() > cap) history_.pop_front();
+
+    if (history_.size() < static_cast<size_t>(2 * params_.window_size)) {
+      state_ = DetectorState::kStable;
+      return;
+    }
+    if (++since_check_ < params_.check_interval) return;
+    since_check_ = 0;
+
+    size_t recent_begin =
+        history_.size() - static_cast<size_t>(params_.window_size);
+    std::vector<double> older(
+        history_.begin(), history_.begin() + static_cast<long>(recent_begin));
+    std::vector<double> recent(
+        history_.begin() + static_cast<long>(recent_begin), history_.end());
+    oracle::RankTestResult r = oracle::WilcoxonRankSum(older, recent);
+    if (!r.valid) {
+      state_ = DetectorState::kStable;
+      return;
+    }
+    if (r.p_value < params_.drift_significance) {
+      state_ = DetectorState::kDrift;
+    } else if (r.p_value < params_.warning_significance) {
+      state_ = DetectorState::kWarning;
+    } else {
+      state_ = DetectorState::kStable;
+    }
+  }
+
+ private:
+  void Reset() {
+    state_ = DetectorState::kStable;
+    history_.clear();
+    since_check_ = 0;
+  }
+
+  Wstd::Params params_;
+  DetectorState state_ = DetectorState::kStable;
+  std::deque<double> history_;
+  int since_check_ = 0;
+};
+
+TEST(WstdTest, MatchesPooledSortOracleAcrossParamsAndRoundTrip) {
+  // The O(1) closed-form check must classify every step exactly as the
+  // pooled-sort rank-sum test does: same p-value bits, same thresholds.
+  // The streams switch error rate every 700 steps so warnings and drifts
+  // (and the post-drift reset) occur; halfway, the detector is saved and
+  // reloaded into a fresh instance, which must carry on in lockstep.
+  struct Case {
+    int window_size, max_old_instances, check_interval;
+    double warning, drift;
+  };
+  const Case cases[] = {
+      {50, 2000, 8, 0.01, 0.0005},  // The defaults.
+      {2, 2, 1, 0.2, 0.1},          // Smallest legal history.
+      {5, 40, 1, 0.05, 0.05},       // warning == drift.
+      {30, 30, 3, 0.1, 0.01},       // Ring full from the first check.
+      {64, 500, 8, 0.01, 0.001},    // Word-aligned window.
+      {17, 333, 5, 0.3, 0.02},
+  };
+  const double rates[] = {0.05, 0.5, 0.0, 1.0, 0.2, 0.9};
+  for (const Case& c : cases) {
+    Wstd::Params p;
+    p.window_size = c.window_size;
+    p.max_old_instances = c.max_old_instances;
+    p.check_interval = c.check_interval;
+    p.warning_significance = c.warning;
+    p.drift_significance = c.drift;
+    for (uint64_t seed : {1ull, 2ull, 3ull}) {
+      SCOPED_TRACE("window=" + std::to_string(c.window_size) + " max_old=" +
+                   std::to_string(c.max_old_instances) +
+                   " seed=" + std::to_string(seed));
+      auto wstd = std::make_unique<Wstd>(p);
+      OracleWstd oracle(p);
+      Rng rng(seed);
+      const int steps = 6000;
+      int drifts = 0;
+      for (int i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+          io::Writer w;
+          wstd->SaveState(w);
+          wstd = std::make_unique<Wstd>();
+          io::Reader r(w.data());
+          wstd->LoadState(r);
+          ASSERT_TRUE(r.AtEnd());
+        }
+        const bool error = rng.Bernoulli(rates[(i / 700 + seed) % 6]);
+        wstd->AddError(error);
+        oracle.AddError(error);
+        ASSERT_EQ(wstd->state(), oracle.state()) << "step " << i;
+        drifts += oracle.state() == DetectorState::kDrift ? 1 : 0;
+      }
+      EXPECT_GT(drifts, 0);
+    }
+  }
+}
+
+TEST(WstdTest, OutOfDomainParamsThrowNamingTheField) {
+  // Reproduced before validation existed: an error stream jumping from 0
+  // to 1 at step 3000 alarms with the defaults but never with
+  // max_old_instances = -1 (the size_t cast wrapped the cap to 49) or 1:
+  // the history could never reach two windows.
+  auto drifts = [](const Wstd::Params& p) {
+    Wstd wstd(p);
+    int alarms = 0;
+    for (int i = 0; i < 6000; ++i) {
+      wstd.AddError(i >= 3000);
+      alarms += wstd.state() == DetectorState::kDrift ? 1 : 0;
+    }
+    return alarms;
+  };
+  EXPECT_EQ(drifts(Wstd::Params()), 1);
+
+  struct Bad {
+    const char* field;
+    void (*mutate)(Wstd::Params*);
+  };
+  const Bad bad[] = {
+      {"wstd.window_size", [](Wstd::Params* p) { p->window_size = 1; }},
+      {"wstd.max_old_instances",
+       [](Wstd::Params* p) { p->max_old_instances = -1; }},
+      {"wstd.max_old_instances",
+       [](Wstd::Params* p) { p->max_old_instances = 1; }},
+      {"wstd.max_old_instances",
+       [](Wstd::Params* p) { p->max_old_instances = (1 << 24) + 1; }},
+      {"wstd.check_interval", [](Wstd::Params* p) { p->check_interval = 0; }},
+      {"wstd.warning_significance",
+       [](Wstd::Params* p) { p->warning_significance = 1.0; }},
+      {"wstd.drift_significance",
+       [](Wstd::Params* p) { p->drift_significance = 0.0; }},
+      {"wstd.drift_significance",
+       [](Wstd::Params* p) { p->drift_significance = 0.02; }},
+  };
+  for (const Bad& b : bad) {
+    Wstd::Params p;
+    b.mutate(&p);
+    try {
+      Wstd wstd(p);
+      ADD_FAILURE() << "expected ParamError for " << b.field;
+    } catch (const ParamError& e) {
+      EXPECT_EQ(e.field(), b.field) << e.what();
+    }
+  }
+}
+
+/// A WSTD state image as SaveState lays it out, with the given params and
+/// history.
+std::string WstdImage(const Wstd::Params& p, const std::deque<double>& h) {
+  io::Writer w;
+  w.BeginSection("WSTD");
+  w.I64(p.window_size);
+  w.F64(p.warning_significance);
+  w.F64(p.drift_significance);
+  w.I64(p.max_old_instances);
+  w.I64(p.check_interval);
+  io::WriteDetectorState(w, DetectorState::kStable);
+  io::WriteF64Deque(w, h);
+  w.I64(0);
+  w.EndSection();
+  return w.data();
+}
+
+TEST(WstdTest, LoadStateRejectsNonBinaryOverlongHistoryAndBadParams) {
+  Wstd::Params p;
+  p.window_size = 4;
+  p.max_old_instances = 6;
+  auto load = [](const std::string& bytes) {
+    Wstd wstd;
+    io::Reader r(bytes);
+    wstd.LoadState(r);
+  };
+  EXPECT_NO_THROW(load(WstdImage(p, std::deque<double>(10, 1.0))));
+  // A 0.5 used to load and skew every later rank sum.
+  std::deque<double> half(8, 0.0);
+  half[3] = 0.5;
+  EXPECT_THROW(load(WstdImage(p, half)), io::WireError);
+  EXPECT_THROW(load(WstdImage(p, std::deque<double>(11, 0.0))),
+               io::WireError);
+  Wstd::Params wrapped = p;
+  wrapped.max_old_instances = -1;
+  try {
+    load(WstdImage(wrapped, {}));
+    ADD_FAILURE() << "expected WireError";
+  } catch (const io::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("wstd.max_old_instances"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------- observe interface

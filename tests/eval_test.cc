@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "classifiers/naive_bayes.h"
 #include "detectors/ddm.h"
@@ -168,13 +171,46 @@ TEST(WindowedMetricsTest, PmAucSkipsAbsentClassPairs) {
 
 // ------------------------------------------- windowed-metrics differential
 //
-// The production WindowedMetrics keeps a slot ring plus per-class index
-// rings so eviction and PmAuc bucketing are incremental (no O(window x
-// classes) re-bucketing per evaluation tick, no allocation per push).
-// This is the pre-rewrite deque implementation, kept verbatim as the
-// executable spec: push-then-evict, re-bucket the whole window on every
-// PmAuc() call. Both walk entries in insertion order and midrank ties,
-// so every metric must match the ring implementation bit for bit.
+// The production WindowedMetrics keeps its scores in a flat ring, packs
+// each class column-major once per tick and counts each pair's
+// Mann-Whitney U against the sorted smaller side. The two classes below
+// are the executable spec it must match bit for bit: the pooled-sort
+// midrank AUC kernel, frozen verbatim, and a deque implementation that
+// pushes then evicts and re-buckets the whole window on every PmAuc()
+// call, gathering each pair's ratios in insertion order as the
+// pre-rewrite ring did.
+
+/// The pooled-sort rank-sum AUC, verbatim: pool, sort, midrank;
+/// AUC = (rank_sum_pos - n_pos(n_pos+1)/2) / (n_pos*n_neg).
+double OracleBinaryAuc(const std::vector<double>& positive_scores,
+                       const std::vector<double>& negative_scores) {
+  if (positive_scores.empty() || negative_scores.empty()) return 0.5;
+  std::vector<std::pair<double, int>> pool;
+  pool.reserve(positive_scores.size() + negative_scores.size());
+  for (double s : positive_scores) pool.emplace_back(s, 1);
+  for (double s : negative_scores) pool.emplace_back(s, 0);
+  std::sort(pool.begin(), pool.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  double rank_sum_pos = 0.0;
+  size_t i = 0;
+  while (i < pool.size()) {
+    size_t j = i;
+    while (j + 1 < pool.size() && pool[j + 1].first == pool[i].first) ++j;
+    double midrank = 0.5 * static_cast<double>(i + j) + 1.0;
+    for (size_t m = i; m <= j; ++m) {
+      if (pool[m].second == 1) rank_sum_pos += midrank;
+    }
+    i = j + 1;
+  }
+  double np = static_cast<double>(positive_scores.size());
+  double nn = static_cast<double>(negative_scores.size());
+  return (rank_sum_pos - np * (np + 1.0) / 2.0) / (np * nn);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 class DequeWindowedMetricsOracle {
  public:
   DequeWindowedMetricsOracle(int num_classes, int window)
@@ -224,7 +260,7 @@ class DequeWindowedMetricsOracle {
              by_class[static_cast<size_t>(j)]) {
           neg.push_back(score_ratio(e));
         }
-        auc_sum += BinaryAuc(pos, neg);
+        auc_sum += OracleBinaryAuc(pos, neg);
         ++pairs;
       }
     }
@@ -318,6 +354,87 @@ TEST(WindowedMetricsDifferentialTest, DegenerateZeroWindowMatchesOracle) {
     ASSERT_EQ(ring.Accuracy(), oracle.Accuracy()) << "step " << i;
     ASSERT_EQ(ring.PmAuc(), oracle.PmAuc()) << "step " << i;
     ASSERT_EQ(ring.size(), 0u);
+  }
+}
+
+/// Tie-heavy adversarial outcomes at K classes: scores are mostly quarter
+/// steps (so ratios collide) with some continuous ones and signed zeros,
+/// class frequencies are skewed (many tiny minority buckets at large K),
+/// and short, empty and over-wide score vectors and out-of-range truths
+/// ride along. PmAuc must equal the oracle's bits every 50 steps, and the
+/// window must copy back exactly the vectors pushed.
+void RunPmAucSweep(int num_classes, int window, uint64_t seed, int steps) {
+  WindowedMetrics ring(num_classes, window);
+  DequeWindowedMetricsOracle oracle(num_classes, window);
+  Rng rng(seed);
+  std::vector<double> scores;
+  for (int i = 0; i < steps; ++i) {
+    const double u = rng.NextDouble();
+    int truth = static_cast<int>(u * u * num_classes);
+    if (i % 37 == 0) truth = -1;
+    if (i % 53 == 0) truth = num_classes;
+    size_t width = static_cast<size_t>(num_classes);
+    if (i % 11 == 0) width /= 2;
+    if (i % 19 == 0) width = 0;
+    if (i % 29 == 0) width += 2;
+    scores.resize(width);
+    for (double& v : scores) {
+      v = rng.UniformInt(0, 9) == 0 ? rng.NextDouble()
+                                     : rng.UniformInt(0, 4) / 4.0;
+      if (v == 0.0 && rng.UniformInt(0, 1) == 0) v = -0.0;
+    }
+    const int predicted = rng.UniformInt(0, num_classes - 1);
+    ring.Add(truth, predicted, scores);
+    oracle.Add(truth, predicted, scores);
+    if (i % 50 == 0 || i + 1 == steps) {
+      const double got = ring.PmAuc();
+      const double want = oracle.PmAuc();
+      ASSERT_TRUE(SameBits(got, want))
+          << "step " << i << ": " << got << " vs " << want;
+      std::vector<WindowedMetrics::Entry> ring_window;
+      ring.CopyWindow(&ring_window);
+      ASSERT_EQ(ring_window, oracle.Window()) << "step " << i;
+    }
+  }
+}
+
+TEST(WindowedMetricsDifferentialTest, PmAucMatchesOracleAtGridClassCounts) {
+  // K = 2 and 5 are the small grid streams, 20 the large synthetic ones
+  // and 57 IntelSensors; windows from degenerate to the paper's W.
+  for (int num_classes : {2, 5, 20, 57}) {
+    for (int window : {1, 7, 64, 1000}) {
+      SCOPED_TRACE("classes=" + std::to_string(num_classes) +
+                   " window=" + std::to_string(window));
+      RunPmAucSweep(num_classes, window,
+                    static_cast<uint64_t>(num_classes * 7919 + window),
+                    window == 1000 ? 1600 : 400);
+    }
+  }
+}
+
+TEST(BinaryAucDifferentialTest, EverySideSizeMatchesOracleBits) {
+  // Large sides 0-17 cover the 8-lane lockstep count and its tail; small
+  // sides 0-9 the sorted side. Both orientations, tie-heavy alphabets.
+  Rng rng(2718);
+  for (size_t large = 0; large <= 17; ++large) {
+    for (size_t small = 0; small <= 9; ++small) {
+      for (int rep = 0; rep < 24; ++rep) {
+        const int alphabet = rep % 6;  // 0: continuous scores.
+        auto draw = [&] {
+          if (alphabet == 0) return rng.NextDouble();
+          const double v = rng.UniformInt(0, alphabet) /
+                           static_cast<double>(alphabet);
+          return v == 0.0 && rng.UniformInt(0, 1) == 0 ? -0.0 : v;
+        };
+        std::vector<double> a(large), b(small);
+        for (double& v : a) v = draw();
+        for (double& v : b) v = draw();
+        ASSERT_TRUE(SameBits(BinaryAuc(a, b), OracleBinaryAuc(a, b)))
+            << "pos=" << large << " neg=" << small << " rep=" << rep;
+        ASSERT_TRUE(SameBits(BinaryAuc(b, a), OracleBinaryAuc(b, a)))
+            << "pos=" << small << " neg=" << large << " rep=" << rep;
+      }
+    }
   }
 }
 

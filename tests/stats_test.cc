@@ -8,8 +8,8 @@
 #include "stats/ranking.h"
 #include "stats/trend.h"
 #include "stats/welford.h"
-#include "stats/wilcoxon.h"
 #include "utils/rng.h"
+#include "wilcoxon_oracle.h"
 
 namespace ccd {
 namespace {
@@ -117,6 +117,11 @@ TEST(SlidingTrendTest, ShrinkWindowEvictsImmediately) {
 }
 
 // ------------------------------------------------------------------ wilcoxon
+// The pooled-sort rank-sum test lives on as WSTD's oracle
+// (wilcoxon_oracle.h); these cases pin the oracle itself.
+using oracle::RankTestResult;
+using oracle::WilcoxonRankSum;
+
 TEST(WilcoxonRankSumTest, IdenticalSamplesNotSignificant) {
   std::vector<double> a = {1, 2, 3, 4, 5, 6, 7, 8};
   RankTestResult r = WilcoxonRankSum(a, a);
@@ -138,20 +143,6 @@ TEST(WilcoxonRankSumTest, ShiftedSamplesSignificant) {
 
 TEST(WilcoxonRankSumTest, TooSmallSamplesInvalid) {
   EXPECT_FALSE(WilcoxonRankSum({1.0}, {2.0, 3.0}).valid);
-}
-
-TEST(WilcoxonSignedRankTest, PairedShiftDetected) {
-  Rng rng(5);
-  std::vector<double> a, b;
-  for (int i = 0; i < 40; ++i) {
-    double base = rng.Gaussian(0.0, 1.0);
-    a.push_back(base + 1.0);
-    b.push_back(base);
-  }
-  RankTestResult r = WilcoxonSignedRank(a, b);
-  ASSERT_TRUE(r.valid);
-  EXPECT_LT(r.p_value, 1e-4);
-  EXPECT_GT(r.z, 0.0);
 }
 
 // ------------------------------------------------------------------- granger

@@ -1,17 +1,33 @@
-#include "stats/wilcoxon.h"
+#ifndef CCD_TESTS_WILCOXON_ORACLE_H_
+#define CCD_TESTS_WILCOXON_ORACLE_H_
+
+// The pooled-sort Wilcoxon rank-sum test, kept verbatim as the executable
+// spec of WSTD's O(1) closed-form check (detectors_test) and pinned by its
+// own cases (stats_test). Sort the pooled sample, assign midranks, sum the
+// first sample's ranks and apply the tie-corrected normal approximation.
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "stats/distributions.h"
 
 namespace ccd {
-namespace {
+namespace oracle {
+
+/// Result of a two-sample rank test.
+struct RankTestResult {
+  double statistic = 0.0;  ///< Mann-Whitney U (rank-sum form).
+  double z = 0.0;          ///< Normal approximation z-score.
+  double p_value = 1.0;    ///< Two-sided p-value.
+  bool valid = false;      ///< False when a sample is too small/degenerate.
+};
 
 /// Assigns midranks to the pooled sorted values; returns the rank of each
 /// element of the pooled array and the tie-correction term Σ(t³ - t).
-double Midranks(std::vector<std::pair<double, int>>* pooled,
-                std::vector<double>* ranks) {
+inline double Midranks(std::vector<std::pair<double, int>>* pooled,
+                       std::vector<double>* ranks) {
   std::sort(pooled->begin(), pooled->end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
   const size_t n = pooled->size();
@@ -30,10 +46,10 @@ double Midranks(std::vector<std::pair<double, int>>* pooled,
   return tie_term;
 }
 
-}  // namespace
-
-RankTestResult WilcoxonRankSum(const std::vector<double>& a,
-                               const std::vector<double>& b) {
+/// Wilcoxon rank-sum (Mann-Whitney U) test with tie correction and normal
+/// approximation.
+inline RankTestResult WilcoxonRankSum(const std::vector<double>& a,
+                                      const std::vector<double>& b) {
   RankTestResult out;
   const double n1 = static_cast<double>(a.size());
   const double n2 = static_cast<double>(b.size());
@@ -69,35 +85,7 @@ RankTestResult WilcoxonRankSum(const std::vector<double>& a,
   return out;
 }
 
-RankTestResult WilcoxonSignedRank(const std::vector<double>& a,
-                                  const std::vector<double>& b) {
-  RankTestResult out;
-  if (a.size() != b.size()) return out;
-  std::vector<double> diffs;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    if (d != 0.0) diffs.push_back(d);
-  }
-  const size_t n = diffs.size();
-  if (n < 5) return out;
-
-  std::vector<std::pair<double, int>> pooled;
-  pooled.reserve(n);
-  for (double d : diffs) pooled.emplace_back(std::fabs(d), d > 0 ? 0 : 1);
-  std::vector<double> ranks;
-  Midranks(&pooled, &ranks);
-  double w_plus = 0.0;
-  for (size_t i = 0; i < pooled.size(); ++i) {
-    if (pooled[i].second == 0) w_plus += ranks[i];
-  }
-  double nn = static_cast<double>(n);
-  double mu = nn * (nn + 1.0) / 4.0;
-  double sigma = std::sqrt(nn * (nn + 1.0) * (2.0 * nn + 1.0) / 24.0);
-  out.statistic = w_plus;
-  out.z = (w_plus - mu) / sigma;
-  out.p_value = NormalTwoSidedPValue(out.z);
-  out.valid = true;
-  return out;
-}
-
+}  // namespace oracle
 }  // namespace ccd
+
+#endif  // CCD_TESTS_WILCOXON_ORACLE_H_
