@@ -60,37 +60,6 @@ double CsPerceptronTree::Entropy(const std::vector<double>& counts) const {
   return h;
 }
 
-double CsPerceptronTree::SplitGain(const Leaf& leaf, int feature,
-                                   double threshold) const {
-  const size_t k = leaf.class_counts.size();
-  std::vector<double> left(k, 0.0), right(k, 0.0);
-  double total = 0.0;
-  for (size_t c = 0; c < k; ++c) {
-    double n = leaf.class_counts[c];
-    if (n <= 0.0) continue;
-    const Welford& w = leaf.feature_stats[static_cast<size_t>(feature)][c];
-    if (w.count() < 2) {
-      left[c] += n * 0.5;
-      right[c] += n * 0.5;
-    } else {
-      double sd = std::max(std::sqrt(w.Variance()), 1e-3);
-      double p_left = NormalCdf((threshold - w.mean()) / sd);
-      left[c] += n * p_left;
-      right[c] += n * (1.0 - p_left);
-    }
-    total += n;
-  }
-  if (total <= 0.0) return 0.0;
-  double nl = 0.0, nr = 0.0;
-  for (size_t c = 0; c < k; ++c) {
-    nl += left[c];
-    nr += right[c];
-  }
-  double h0 = Entropy(leaf.class_counts);
-  double h_split = (nl / total) * Entropy(left) + (nr / total) * Entropy(right);
-  return h0 - h_split;
-}
-
 void CsPerceptronTree::MaybeSplit(int node_index) {
   Node& node = nodes_[static_cast<size_t>(node_index)];
   Leaf& leaf = *node.leaf;
@@ -98,20 +67,64 @@ void CsPerceptronTree::MaybeSplit(int node_index) {
     return;
   }
 
-  // Candidate thresholds: per feature, the class-conditional means.
+  // Candidate thresholds: per feature, the class-conditional means. Each
+  // candidate's gain is h0 - (nl/total)·H(left) - (nr/total)·H(right),
+  // where class c's mass n_c goes left with probability
+  // Φ((threshold - mean_c) / sd_c) (half each way below 2 samples). What
+  // does not depend on the candidate — h0, the class total and each
+  // class's sd — is computed once per check or once per feature.
+  const size_t k = leaf.class_counts.size();
+  double total = 0.0;
+  for (size_t c = 0; c < k; ++c) {
+    double n = leaf.class_counts[c];
+    if (n <= 0.0) continue;
+    total += n;
+  }
+  if (total <= 0.0) return;  // Every candidate's gain would be 0.
+  const double h0 = Entropy(leaf.class_counts);
+  split_sd_.resize(k);
   double best_gain = 0.0, second_gain = 0.0;
   int best_feature = -1;
   double best_threshold = 0.0;
   for (int f = 0; f < schema_.num_features; ++f) {
-    for (size_t c = 0; c < leaf.class_counts.size(); ++c) {
-      const Welford& w = leaf.feature_stats[static_cast<size_t>(f)][c];
-      if (w.count() < 5) continue;
-      double gain = SplitGain(leaf, f, w.mean());
+    const std::vector<Welford>& stats =
+        leaf.feature_stats[static_cast<size_t>(f)];
+    for (size_t c = 0; c < k; ++c) {
+      if (stats[c].count() >= 2) {
+        split_sd_[c] = std::max(std::sqrt(stats[c].Variance()), 1e-3);
+      }
+    }
+    for (size_t cand = 0; cand < k; ++cand) {
+      if (stats[cand].count() < 5) continue;
+      const double threshold = stats[cand].mean();
+      split_left_.assign(k, 0.0);
+      split_right_.assign(k, 0.0);
+      for (size_t c = 0; c < k; ++c) {
+        double n = leaf.class_counts[c];
+        if (n <= 0.0) continue;
+        if (stats[c].count() < 2) {
+          split_left_[c] += n * 0.5;
+          split_right_[c] += n * 0.5;
+        } else {
+          double p_left =
+              NormalCdf((threshold - stats[c].mean()) / split_sd_[c]);
+          split_left_[c] += n * p_left;
+          split_right_[c] += n * (1.0 - p_left);
+        }
+      }
+      double nl = 0.0, nr = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        nl += split_left_[c];
+        nr += split_right_[c];
+      }
+      double h_split = (nl / total) * Entropy(split_left_) +
+                       (nr / total) * Entropy(split_right_);
+      double gain = h0 - h_split;
       if (gain > best_gain) {
         second_gain = best_gain;
         best_gain = gain;
         best_feature = f;
-        best_threshold = w.mean();
+        best_threshold = threshold;
       } else if (gain > second_gain) {
         second_gain = gain;
       }
@@ -266,16 +279,37 @@ void CsPerceptronTree::LoadState(io::Reader& r) {
     n.left = static_cast<int>(r.I64("tree.node.left"));
     n.right = static_cast<int>(r.I64("tree.node.right"));
     n.depth = static_cast<int>(r.I64("tree.node.depth"));
-    if (n.feature >= schema_.num_features ||
-        n.left >= static_cast<int>(count) ||
-        n.right >= static_cast<int>(count)) {
+    // Route walks from the root to a node with feature -1 and scores with
+    // that node's leaf perceptron. MaybeSplit appends children after their
+    // parent, so every walk strictly increases the index and ends in range.
+    if (n.feature < -1 || n.feature >= schema_.num_features) {
       r.Fail("tree.node.feature",
-             "node " + std::to_string(idx) + " references feature " +
-                 std::to_string(n.feature) + " / children " +
-                 std::to_string(n.left) + "," + std::to_string(n.right) +
-                 " out of range");
+             "node " + std::to_string(idx) + " splits on feature " +
+                 std::to_string(n.feature) + ", schema has " +
+                 std::to_string(schema_.num_features));
     }
-    if (r.Bool("tree.node.has_leaf")) {
+    if (n.feature >= 0) {
+      const int own = static_cast<int>(idx);
+      const int end = static_cast<int>(count);
+      if (n.left <= own || n.left >= end) {
+        r.Fail("tree.node.left",
+               "node " + std::to_string(idx) + " has left child " +
+                   std::to_string(n.left) + ", expected one in (" +
+                   std::to_string(idx) + ", " + std::to_string(count) + ")");
+      }
+      if (n.right <= own || n.right >= end) {
+        r.Fail("tree.node.right",
+               "node " + std::to_string(idx) + " has right child " +
+                   std::to_string(n.right) + ", expected one in (" +
+                   std::to_string(idx) + ", " + std::to_string(count) + ")");
+      }
+    }
+    const bool has_leaf = r.Bool("tree.node.has_leaf");
+    if (n.feature == -1 && !has_leaf) {
+      r.Fail("tree.node.has_leaf",
+             "leaf node " + std::to_string(idx) + " has no leaf record");
+    }
+    if (has_leaf) {
       n.leaf = std::make_unique<Leaf>();
       n.leaf->class_counts = r.F64Array("tree.leaf.class_counts");
       if (n.leaf->class_counts.size() !=
@@ -304,6 +338,18 @@ void CsPerceptronTree::LoadState(io::Reader& r) {
         n.leaf->perceptron =
             std::make_unique<SoftmaxPerceptron>(schema_, params_.leaf_params);
         n.leaf->perceptron->LoadState(r);
+      }
+      if (n.leaf->perceptron == nullptr) {
+        r.Fail("tree.leaf.has_perceptron",
+               "node " + std::to_string(idx) + " has a leaf without a "
+               "perceptron");
+      }
+      const StreamSchema& ps = n.leaf->perceptron->schema();
+      if (ps.num_features != schema_.num_features ||
+          ps.num_classes != schema_.num_classes) {
+        r.Fail("tree.leaf.perceptron",
+               "node " + std::to_string(idx) +
+                   "'s perceptron schema does not match the tree's");
       }
       n.leaf->since_split_check =
           static_cast<int>(r.I64("tree.leaf.since_split_check"));

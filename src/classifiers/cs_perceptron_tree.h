@@ -82,14 +82,17 @@ class CsPerceptronTree : public OnlineClassifier {
   void InitLeaf(Node* node);
   void MaybeSplit(int node_index);
   double Entropy(const std::vector<double>& counts) const;
-  /// Information gain of splitting `leaf` on (feature, threshold) with
-  /// class-conditional Gaussian feature models.
-  double SplitGain(const Leaf& leaf, int feature, double threshold) const;
 
   StreamSchema schema_;
   Params params_;
   std::vector<Node> nodes_;
   int num_leaves_ = 0;
+  // ccd:state-skip(split_sd_, transient MaybeSplit scratch rewritten per feature before every read; no model state)
+  std::vector<double> split_sd_;
+  // ccd:state-skip(split_left_, transient MaybeSplit scratch zeroed per candidate; no model state)
+  std::vector<double> split_left_;
+  // ccd:state-skip(split_right_, transient MaybeSplit scratch zeroed per candidate; no model state)
+  std::vector<double> split_right_;
 };
 
 }  // namespace ccd

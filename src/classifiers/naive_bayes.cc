@@ -16,6 +16,26 @@ void GaussianNaiveBayes::Reset() {
                 std::vector<Welford>(static_cast<size_t>(schema_.num_features)));
   class_counts_.assign(static_cast<size_t>(schema_.num_classes), 0.0);
   total_ = 0.0;
+  RebuildLikelihood();
+}
+
+void GaussianNaiveBayes::RebuildLikelihood() {
+  likelihood_.resize(stats_.size());
+  for (size_t k = 0; k < stats_.size(); ++k) {
+    likelihood_[k].resize(stats_[k].size());
+    RefreshLikelihood(k, stats_[k].size());
+  }
+}
+
+void GaussianNaiveBayes::RefreshLikelihood(size_t k, size_t d) {
+  const std::vector<Welford>& row = stats_[k];
+  std::vector<Likelihood>& terms = likelihood_[k];
+  for (size_t i = 0; i < d; ++i) {
+    Likelihood& t = terms[i];
+    t.ready = row[i].count() >= 2;
+    t.var = row[i].Variance() + 1e-4;  // Variance floor.
+    t.log_norm = std::log(2.0 * M_PI * t.var);
+  }
 }
 
 void GaussianNaiveBayes::Train(const Instance& instance) {
@@ -26,6 +46,7 @@ void GaussianNaiveBayes::Train(const Instance& instance) {
   for (size_t i = 0; i < d; ++i) row[i].Add(instance.features[i]);
   class_counts_[static_cast<size_t>(y)] += 1.0;
   total_ += 1.0;
+  RefreshLikelihood(static_cast<size_t>(y), d);
 }
 
 std::vector<double> GaussianNaiveBayes::PredictScores(
@@ -46,12 +67,12 @@ void GaussianNaiveBayes::PredictScoresInto(const Instance& instance,
     double lp = std::log((class_counts_[c] + 1.0) /
                          (total_ + static_cast<double>(k)));
     const auto& row = stats_[c];
+    const auto& terms = likelihood_[c];
     size_t d = std::min(instance.features.size(), row.size());
     for (size_t i = 0; i < d; ++i) {
-      if (row[i].count() < 2) continue;
-      double var = row[i].Variance() + 1e-4;  // Variance floor.
+      if (!terms[i].ready) continue;
       double diff = instance.features[i] - row[i].mean();
-      lp += -0.5 * (std::log(2.0 * M_PI * var) + diff * diff / var);
+      lp += -0.5 * (terms[i].log_norm + diff * diff / terms[i].var);
     }
     log_probs[c] = lp;
     if (lp > max_lp) max_lp = lp;
@@ -107,6 +128,7 @@ void GaussianNaiveBayes::LoadState(io::Reader& r) {
   }
   total_ = r.F64("nb.total");
   r.EndSection("GaussianNB");
+  RebuildLikelihood();
 }
 
 }  // namespace ccd

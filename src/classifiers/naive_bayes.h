@@ -13,6 +13,15 @@ namespace ccd {
 /// mean/variance estimate, with Laplace-smoothed class priors. A standard
 /// lightweight streaming learner; used in tests and as an alternative leaf
 /// predictor.
+///
+/// Scoring reads a per-(class, feature) likelihood cache instead of
+/// recomputing it per call. Invariant: `likelihood_[k][i]` always equals
+/// what `stats_[k][i]` implies — `ready` is `count() >= 2`, `var` is
+/// `Variance() + 1e-4` and `log_norm` is `log(2π·var)`. `Train` refreshes
+/// the features it touched in the trained class's row; `Reset` and
+/// `LoadState` rebuild every row. The cache is derived from `stats_`
+/// alone, so it is never serialized: the wire format is unchanged and a
+/// loaded model recomputes exactly the values a live one holds.
 class GaussianNaiveBayes : public OnlineClassifier {
  public:
   explicit GaussianNaiveBayes(const StreamSchema& schema);
@@ -34,6 +43,21 @@ class GaussianNaiveBayes : public OnlineClassifier {
   std::vector<std::vector<Welford>> stats_;
   std::vector<double> class_counts_;
   double total_ = 0.0;
+
+  /// One feature's Gaussian likelihood terms under one class.
+  struct Likelihood {
+    bool ready = false;     ///< count() >= 2; otherwise the feature is skipped.
+    double var = 0.0;       ///< Variance() + 1e-4 (the variance floor).
+    double log_norm = 0.0;  ///< log(2π·var).
+  };
+
+  /// Recomputes likelihood_[k][i] for i < d from stats_[k][i].
+  void RefreshLikelihood(size_t k, size_t d);
+  /// Sizes likelihood_ like stats_ and recomputes every entry.
+  void RebuildLikelihood();
+
+  // ccd:state-skip(likelihood_, derived from stats_ by RefreshLikelihood; Reset and LoadState rebuild it)
+  std::vector<std::vector<Likelihood>> likelihood_;
 };
 
 }  // namespace ccd

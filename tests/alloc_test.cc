@@ -2,8 +2,9 @@
 // new proves that a warmed-up engine's steady-state push path — Feed,
 // FeedBatch, the Predict/Label serving cycle, and the batch serving
 // forms — never touches the heap, and neither do ShardedMonitor's routed
-// pushes (Feed, Label, FeedBatch, LabelBatch). Every scratch surface involved
-// (classifier score buffers, the metric window's recycled entries, the
+// pushes (Feed, Label, FeedBatch, LabelBatch), nor the cs-ptree's split
+// checks. Every scratch surface involved (classifier score buffers, the
+// split scan's count rows, the metric window's recycled entries, the
 // pending-prediction ring, RBM-IM's recycled mini-batch slots) is pinned
 // by these counts: a reintroduced per-push allocation fails the suite
 // instead of quietly costing throughput.
@@ -26,11 +27,13 @@
 #include "api/component_registry.h"
 #include "api/monitor.h"
 #include "api/sharded_monitor.h"
+#include "classifiers/cs_perceptron_tree.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
 #include "generators/registry.h"
 #include "stream/stream.h"
 #include "testing_util.h"
+#include "utils/rng.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CCD_ALLOC_TEST_DISABLED 1
@@ -47,6 +50,15 @@ std::atomic<uint64_t> g_allocation_count{0};
 }  // namespace
 
 #ifndef CCD_ALLOC_TEST_DISABLED
+
+namespace {
+// The deletes below release through this out-of-line call. Inlined into a
+// caller, a plain std::free of a pointer that came from a new-expression
+// trips GCC's -Wmismatched-new-delete (an error under CCD_WERROR), although
+// the replaced operator new allocates with std::malloc; whether GCC
+// inlines depends on the size of the whole translation unit.
+[[gnu::noinline]] void FreeAllocation(void* p) noexcept { std::free(p); }
+}  // namespace
 
 // Counting global allocator: every path that can reach the heap from the
 // measured regions goes through one of these. All plain forms are
@@ -70,13 +82,15 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { FreeAllocation(p); }
+void operator delete[](void* p) noexcept { FreeAllocation(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeAllocation(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeAllocation(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  FreeAllocation(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  FreeAllocation(p);
 }
 
 #endif  // CCD_ALLOC_TEST_DISABLED
@@ -210,6 +224,35 @@ TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
       << with_boundaries << " allocations across " << boundaries
       << " batch boundaries — per-instance allocation crept back into "
          "RbmIm::ProcessBatch";
+}
+
+TEST(AllocTest, CsPerceptronTreeSplitChecksAreAllocationFree) {
+  CCD_ALLOC_GUARD();
+  // Labels independent of the features: every grace period the root runs
+  // a full split scan (6 features x 5 candidate means) and finds nothing
+  // worth splitting on. The scan's count rows and per-class sds are
+  // member scratch, so a check that does not split allocates nothing.
+  const StreamSchema schema(6, 5);
+  CsPerceptronTree::Params params;
+  params.grace_period = 25;
+  CsPerceptronTree tree(schema, params);
+  Rng rng(17);
+  std::vector<Instance> data;
+  for (size_t i = 0; i < kWarm + kMeasure; ++i) {
+    std::vector<double> x(6);
+    for (double& v : x) v = rng.NextDouble();
+    data.emplace_back(std::move(x), rng.UniformInt(0, 4));
+  }
+  for (size_t i = 0; i < kWarm; ++i) tree.Train(data[i]);
+
+  const uint64_t allocations = AllocationsDuring([&] {
+    for (size_t i = kWarm; i < data.size(); ++i) tree.Train(data[i]);
+  });
+  ASSERT_EQ(tree.num_leaves(), 1) << "noise labels split the root";
+  EXPECT_EQ(allocations, 0u)
+      << allocations << " allocations across "
+      << kMeasure / static_cast<size_t>(params.grace_period)
+      << " split checks that did not split";
 }
 
 TEST(AllocTest, PmAucTicksAreAllocationFreeAtTwentyClasses) {

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "classifiers/cs_perceptron_tree.h"
 #include "classifiers/naive_bayes.h"
 #include "classifiers/perceptron.h"
+#include "cs_ptree_oracle.h"
 #include "generators/rbf.h"
+#include "io/codecs.h"
+#include "io/wire.h"
 #include "utils/rng.h"
 
 namespace ccd {
@@ -177,6 +183,136 @@ TEST(GaussianNaiveBayesTest, UsesFeatureLikelihood) {
   EXPECT_GT(s[0], 0.95);
 }
 
+/// Gaussian naive Bayes as it was before the likelihood cache: Train and
+/// the scoring loop kept verbatim, recomputing each variance, the floor
+/// and log(2π·var) on every call. The spec GaussianNaiveBayes's cached
+/// PredictScoresInto must match bit for bit.
+struct OracleNaiveBayes {
+  explicit OracleNaiveBayes(const StreamSchema& s) : schema(s) { Reset(); }
+
+  void Reset() {
+    stats.assign(static_cast<size_t>(schema.num_classes),
+                 std::vector<Welford>(static_cast<size_t>(schema.num_features)));
+    class_counts.assign(static_cast<size_t>(schema.num_classes), 0.0);
+    total = 0.0;
+  }
+
+  void Train(const Instance& instance) {
+    int y = instance.label;
+    if (y < 0 || y >= schema.num_classes) return;
+    auto& row = stats[static_cast<size_t>(y)];
+    size_t d = std::min(instance.features.size(), row.size());
+    for (size_t i = 0; i < d; ++i) row[i].Add(instance.features[i]);
+    class_counts[static_cast<size_t>(y)] += 1.0;
+    total += 1.0;
+  }
+
+  void PredictScoresInto(const Instance& instance,
+                         std::vector<double>& out) const {
+    const size_t k = stats.size();
+    out.assign(k, 0.0);
+    std::vector<double>& log_probs = out;
+    double max_lp = -1e300;
+    for (size_t c = 0; c < k; ++c) {
+      double lp = std::log((class_counts[c] + 1.0) /
+                           (total + static_cast<double>(k)));
+      const auto& row = stats[c];
+      size_t d = std::min(instance.features.size(), row.size());
+      for (size_t i = 0; i < d; ++i) {
+        if (row[i].count() < 2) continue;
+        double var = row[i].Variance() + 1e-4;
+        double diff = instance.features[i] - row[i].mean();
+        lp += -0.5 * (std::log(2.0 * M_PI * var) + diff * diff / var);
+      }
+      log_probs[c] = lp;
+      if (lp > max_lp) max_lp = lp;
+    }
+    double totalp = 0.0;
+    for (double& lp : log_probs) {
+      lp = std::exp(lp - max_lp);
+      totalp += lp;
+    }
+    for (double& lp : log_probs) lp /= totalp;
+  }
+
+  StreamSchema schema;
+  std::vector<std::vector<Welford>> stats;
+  std::vector<double> class_counts;
+  double total = 0.0;
+};
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// A skewed K-class stream for the NB oracle: class means differ per
+/// feature. Above K = 2 the last class never occurs and the one before it
+/// occurs once, so both stay below the two samples a likelihood needs.
+/// Some rows are shorter or longer than the schema, class 1 repeats a
+/// value (zero variance, so the floor decides), and a few rows carry no
+/// usable label.
+Instance DrawNbOracleRow(Rng* rng, int k, int d, int i) {
+  int y = rng->UniformInt(0, k - 1);
+  if (i % 7 == 0) y = 0;  // Majority class.
+  if (k > 2 && y >= k - 2) y = 0;
+  if (k > 2 && i == 333) y = k - 2;
+  if (i % 97 == 5) y = -1;  // Unlabeled: Train must ignore it.
+  int width = d;
+  if (i % 11 == 3) width = d - 2;
+  if (i % 13 == 4) width = d + 1;
+  std::vector<double> x(static_cast<size_t>(width));
+  for (int f = 0; f < width; ++f) {
+    double center = 0.1 * ((y < 0 ? 0 : y) % 5) + 0.05 * f;
+    x[static_cast<size_t>(f)] = rng->Gaussian(center, 0.2);
+  }
+  if (width > 1 && y == 1) x[1] = 0.5;
+  return Instance(std::move(x), y);
+}
+
+TEST(GaussianNaiveBayesTest, CachedLikelihoodsMatchRecomputingOracle) {
+  for (int k : {2, 5, 20, 57}) {
+    const int d = 6;
+    const StreamSchema schema(d, k);
+    GaussianNaiveBayes nb(schema);
+    OracleNaiveBayes oracle(schema);
+    Rng rng(static_cast<uint64_t>(100 + k));
+    std::vector<double> got, want;
+    for (int i = 0; i < 3000; ++i) {
+      if (i == 1000) {  // Mid-stream reset: the cache must forget too.
+        nb.Reset();
+        oracle.Reset();
+      }
+      if (i == 1700 || i == 2400) {
+        // Serialize mid-stream into a model built for another schema:
+        // LoadState must rebuild the cache from the loaded statistics.
+        io::Writer w;
+        nb.SaveState(w);
+        GaussianNaiveBayes loaded(StreamSchema(1, 2));
+        io::Reader r(w.data());
+        loaded.LoadState(r);
+        ASSERT_TRUE(r.AtEnd());
+        io::Writer again;
+        loaded.SaveState(again);
+        ASSERT_EQ(again.data(), w.data()) << "K=" << k;
+        nb = std::move(loaded);
+      }
+      const Instance row = DrawNbOracleRow(&rng, k, d, i);
+      nb.PredictScoresInto(row, got);
+      oracle.PredictScoresInto(row, want);
+      ASSERT_TRUE(SameBytes(got, want)) << "K=" << k << " instance " << i;
+      nb.Train(row);
+      oracle.Train(row);
+    }
+    // A probe after the last push, with K-1 never trained.
+    const Instance probe(std::vector<double>(static_cast<size_t>(d), 0.3), -1);
+    nb.PredictScoresInto(probe, got);
+    oracle.PredictScoresInto(probe, want);
+    EXPECT_TRUE(SameBytes(got, want)) << "K=" << k;
+  }
+}
+
 // ----------------------------------------------------------------- tree
 TEST(CsPerceptronTreeTest, SplitsOnAxisAlignedStructure) {
   StreamSchema schema(2, 2);  // Binary band task below.
@@ -219,6 +355,191 @@ TEST(CsPerceptronTreeTest, RespectsDepthAndLeafCaps) {
   }
   EXPECT_LE(tree.depth(), 3);
   EXPECT_LE(tree.num_leaves(), 6);
+}
+
+// The hoisted MaybeSplit against the per-candidate SplitGain scan it
+// replaced (tests/cs_ptree_oracle.h): both trees see one stream, and their
+// serialized states must stay byte-equal. The params make trees split
+// often and run into their caps; at the defaults (grace 200, delta 1e-6)
+// most trees never leave the root and the comparison would prove little.
+struct SplitOracleCase {
+  int num_features;
+  int num_classes;
+  CsPerceptronTree::Params params;
+};
+
+TEST(CsPerceptronTreeTest, HoistedSplitScanMatchesSplitGainOracle) {
+  auto params = [](int grace, double delta, int depth, int leaves) {
+    CsPerceptronTree::Params p;
+    p.grace_period = grace;
+    p.split_confidence = delta;
+    p.max_depth = depth;
+    p.max_leaves = leaves;
+    return p;
+  };
+  const std::vector<SplitOracleCase> cases = {
+      {2, 2, params(20, 0.2, 4, 8)},
+      {8, 5, params(30, 0.5, 3, 6)},
+      {6, 20, params(40, 0.9, 4, 12)},
+      {4, 3, params(25, 0.05, 4, 64)},
+  };
+  for (size_t ci = 0; ci < cases.size(); ++ci) {
+    const SplitOracleCase& tc = cases[ci];
+    RbfConcept::Options o;
+    o.num_features = tc.num_features;
+    o.num_classes = tc.num_classes;
+    RbfConcept gen(o, 11 + ci);
+    CsPerceptronTree tree(gen.schema(), tc.params);
+    oracle::SplitGainTree reference(gen.schema(), tc.params);
+    Rng rng(21 + ci);
+    for (int i = 1; i <= 6000; ++i) {
+      Instance inst = gen.Sample(&rng);
+      if (i % 5 == 0) inst.label = 0;  // Skew: class 0 dominates.
+      // Classes 1 and 2 nearly constant and 5e-3 apart on feature 0: their
+      // sds sit under the 1e-3 floor, so the floor decides where their
+      // mass goes at each other's means.
+      if (inst.label == 1 || inst.label == 2) {
+        inst.features[0] = 0.25 + 0.005 * inst.label + 0.0005 * (i % 3);
+      }
+      tree.Train(inst);
+      reference.Train(inst);
+      if (i % 50 == 0) {
+        io::Writer got, want;
+        tree.SaveState(got);
+        reference.SaveState(want);
+        ASSERT_EQ(got.data(), want.data())
+            << "case " << ci << " diverged by instance " << i;
+      }
+    }
+    EXPECT_GT(tree.num_leaves(), 1) << "case " << ci << " never split";
+    EXPECT_TRUE(tree.num_leaves() == tc.params.max_leaves ||
+                tree.depth() == tc.params.max_depth)
+        << "case " << ci << " reached neither cap: " << tree.num_leaves()
+        << " leaves, depth " << tree.depth();
+  }
+}
+
+/// One node of a hand-written cs-ptree image.
+struct NodeImage {
+  int64_t feature;
+  int64_t left = -1, right = -1;
+  bool has_leaf = true;
+  bool has_perceptron = true;
+  int perceptron_classes = 0;  ///< 0: the tree's class count.
+};
+
+/// A CSPerceptronTree section with the default params and the given
+/// nodes; every leaf record is empty and its perceptron untrained.
+std::string TreeImage(const StreamSchema& schema,
+                      const std::vector<NodeImage>& nodes) {
+  const CsPerceptronTree::Params p;
+  io::Writer w;
+  w.BeginSection("CSPerceptronTree");
+  io::WriteSchema(w, schema);
+  w.I64(p.grace_period);
+  w.F64(p.split_confidence);
+  w.F64(p.tie_threshold);
+  w.I64(p.max_depth);
+  w.I64(p.max_leaves);
+  w.F64(p.leaf_params.learning_rate);
+  w.Bool(p.leaf_params.cost_sensitive);
+  w.F64(p.leaf_params.count_decay);
+  w.F64(p.leaf_params.max_cost);
+  w.I64(static_cast<int64_t>(nodes.size() + 1) / 2);
+  w.U32(static_cast<uint32_t>(nodes.size()));
+  for (const NodeImage& n : nodes) {
+    w.I64(n.feature);
+    w.F64(0.5);
+    w.I64(n.left);
+    w.I64(n.right);
+    w.I64(0);
+    w.Bool(n.has_leaf);
+    if (!n.has_leaf) continue;
+    w.F64Array(std::vector<double>(static_cast<size_t>(schema.num_classes)));
+    w.U32(static_cast<uint32_t>(schema.num_features));
+    for (int f = 0; f < schema.num_features; ++f) {
+      w.U32(static_cast<uint32_t>(schema.num_classes));
+      for (int c = 0; c < schema.num_classes; ++c) {
+        io::WriteWelford(w, Welford());
+      }
+    }
+    w.Bool(n.has_perceptron);
+    if (n.has_perceptron) {
+      StreamSchema own = schema;
+      if (n.perceptron_classes > 0) own.num_classes = n.perceptron_classes;
+      SoftmaxPerceptron(own).SaveState(w);
+    }
+    w.I64(0);
+    w.F64(0.0);
+  }
+  w.EndSection();
+  return w.data();
+}
+
+/// The field of the WireError LoadState throws on `image`, or "" when it
+/// loads.
+std::string TreeLoadError(const StreamSchema& schema, const std::string& image) {
+  CsPerceptronTree tree(schema);
+  io::Reader r(image);
+  try {
+    tree.LoadState(r);
+  } catch (const io::WireError& e) {
+    return e.field();
+  }
+  return "";
+}
+
+TEST(CsPerceptronTreeTest, LoadStateAcceptsWalkableGraphs) {
+  const StreamSchema schema(3, 2);
+  const std::string root = TreeImage(schema, {{-1}});
+  ASSERT_EQ(TreeLoadError(schema, root), "");
+  // Root split on feature 2 into two leaves, then the left leaf split on
+  // feature 0: children always come after their parent.
+  const std::string deep = TreeImage(
+      schema, {{2, 1, 2, false}, {0, 3, 4, false}, {-1}, {-1}, {-1}});
+  ASSERT_EQ(TreeLoadError(schema, deep), "");
+  CsPerceptronTree tree(schema);
+  io::Reader r(deep);
+  tree.LoadState(r);
+  for (double x : {0.1, 0.9}) {
+    EXPECT_EQ(tree.PredictScores(Instance({x, x, x}, -1)).size(), 2u);
+  }
+}
+
+TEST(CsPerceptronTreeTest, LoadStateRejectsUnwalkableGraphs) {
+  const StreamSchema schema(3, 2);
+  // An internal node whose child is itself: Route would never return.
+  EXPECT_EQ(TreeLoadError(schema, TreeImage(schema, {{0, 0, 0, false}})),
+            "tree.node.left");
+  EXPECT_EQ(TreeLoadError(schema,
+                          TreeImage(schema, {{0, 1, 0, false}, {-1}})),
+            "tree.node.right");
+  // A child pointing back up the tree: a cycle through the root.
+  EXPECT_EQ(TreeLoadError(schema, TreeImage(schema, {{0, 1, 2, false},
+                                                     {1, 0, 2, false},
+                                                     {-1}})),
+            "tree.node.left");
+  // A child past the node table.
+  EXPECT_EQ(TreeLoadError(schema,
+                          TreeImage(schema, {{0, 1, 2, false}, {-1}})),
+            "tree.node.right");
+  // A leaf without its leaf record: Route would hand out a null leaf.
+  EXPECT_EQ(TreeLoadError(schema, TreeImage(schema, {{-1, -1, -1, false}})),
+            "tree.node.has_leaf");
+  // A leaf record without a perceptron: scoring would dereference null.
+  EXPECT_EQ(
+      TreeLoadError(schema, TreeImage(schema, {{-1, -1, -1, true, false}})),
+      "tree.leaf.has_perceptron");
+  // A perceptron scoring a different class count than the tree.
+  EXPECT_EQ(TreeLoadError(schema,
+                          TreeImage(schema, {{-1, -1, -1, true, true, 3}})),
+            "tree.leaf.perceptron");
+  // Split features outside [-1, num_features).
+  EXPECT_EQ(TreeLoadError(schema, TreeImage(schema, {{-2}})),
+            "tree.node.feature");
+  EXPECT_EQ(TreeLoadError(schema,
+                          TreeImage(schema, {{3, 1, 2, false}, {-1}, {-1}})),
+            "tree.node.feature");
 }
 
 TEST(CsPerceptronTreeTest, MulticlassOnRbfConcept) {
