@@ -1,10 +1,10 @@
 // Serving-layer throughput: how many pushes per second an
 // api::ShardedMonitor sustains as producer threads and router shards
 // scale. This is the bench behind the concurrent-serving claim — one
-// api::Monitor serializes every push through a single engine lock, while
-// a ShardedMonitor with K shards lets pushes to different shards proceed
-// in parallel, so throughput should grow with K until the machine (or the
-// shard count) saturates.
+// shard serializes every push through a single engine lock, while K
+// shards let pushes to different shards proceed in parallel, so
+// throughput should grow with K until the machine (or the shard count)
+// saturates.
 //
 // Usage:
 //   bench_serving [--threads 8] [--instances 200000] [--seed 42]

@@ -3,16 +3,18 @@
 // A fraud-detection-style deployment: transactions arrive and must be
 // scored *now*, but ground truth (was it actually fraud?) shows up only
 // after a verification delay — and for some transactions, never. The
-// pull-based Experiment cannot express this; api::Monitor is built for it:
+// pull-based Experiment cannot express this; api::ShardedMonitor, the
+// serving type, is built for it. One stream needs one shard:
 //
-//  1. Build a Monitor from registered components (no stream attached —
-//     events are pushed in).
+//  1. Build a one-shard ShardedMonitor from registered components (no
+//     stream attached — events are pushed in).
 //  2. For each arriving instance: Predict() immediately, queue the label
 //     with a random verification delay, deliver queued labels as their
 //     deadline passes; drop a fraction entirely (label never arrives).
-//  3. Drift alerts and periodic metric samples arrive through callbacks,
-//     carrying the implicated classes and windowed pmAUC/pmGM snapshots.
-//  4. Pause + Snapshot at the end: the run state a shard handoff
+//  3. Drift alerts and periodic metric samples arrive through
+//     shard-tagged callbacks, carrying the implicated classes and
+//     windowed pmAUC/pmGM snapshots.
+//  4. ShardSnapshot(0) at the end: the run state a shard handoff
 //     transfers.
 //
 // The label delay is simulated with the library's own deterministic Rng,
@@ -32,7 +34,8 @@ namespace {
 
 struct DelayedLabel {
   uint64_t due = 0;       ///< Arrival time (instance index) of the label.
-  uint64_t id = 0;        ///< Prediction ticket to complete.
+  int shard = 0;          ///< Prediction ticket to complete: its shard ...
+  uint64_t id = 0;        ///< ... and its shard-local id.
   int label = -1;
 };
 
@@ -54,8 +57,9 @@ int main(int argc, char** argv) try {
   const int kMaxDelay = cli.GetInt("max_delay", 200);
   const double kLossRate = cli.GetDouble("loss", 0.05);
 
-  // --- 1. A benchmark stream as the traffic source, a Monitor as the
-  //        serving endpoint. The monitor never sees the stream object.
+  // --- 1. A benchmark stream as the traffic source, a one-shard
+  //        ShardedMonitor as the serving endpoint. The monitor never sees
+  //        the stream object; every push uses one key.
   const ccd::StreamSpec* spec = ccd::FindStreamSpec("RBF5");
   if (spec == nullptr) {
     std::fprintf(stderr, "error: stream 'RBF5' not registered\n");
@@ -67,28 +71,31 @@ int main(int argc, char** argv) try {
   ccd::BuiltStream built = ccd::BuildStream(*spec, options);
 
   uint64_t alerts = 0;
-  ccd::api::Monitor monitor =
-      ccd::api::MonitorBuilder()
+  constexpr uint64_t kKey = 0;
+  auto monitor =
+      ccd::api::ShardedMonitorBuilder()
           .Schema(built.stream->schema())
           .Classifier("cs-ptree")
           .Detector("DDM-OCI")  // Per-class recall monitor: explains *which*
                                 // classes drifted, not just *that* something did.
           .Seed(7)
           .PendingCapacity(1024)
-          .OnDrift([&](const ccd::DriftAlarm& alarm,
+          .OnDrift([&](int shard, const ccd::DriftAlarm& alarm,
                        const ccd::MetricsSnapshot& m) {
             ++alerts;
-            std::printf("[drift]   t=%-7llu pmAUC=%.3f pmGM=%.3f classes:",
-                        static_cast<unsigned long long>(alarm.position),
+            std::printf("[drift]   shard %d t=%-7llu pmAUC=%.3f pmGM=%.3f "
+                        "classes:",
+                        shard, static_cast<unsigned long long>(alarm.position),
                         m.pmauc, m.pmgm);
             if (alarm.drifted_classes.empty()) std::printf(" (global)");
             for (int c : alarm.drifted_classes) std::printf(" %d", c);
             std::printf("\n");
           })
-          .OnMetrics([](const ccd::MetricsSnapshot& m) {
+          .OnMetrics([](int shard, const ccd::MetricsSnapshot& m) {
             if (m.position % 2500 == 0) {
-              std::printf("[metrics] t=%-7llu pmAUC=%.3f pmGM=%.3f acc=%.3f\n",
-                          static_cast<unsigned long long>(m.position),
+              std::printf("[metrics] shard %d t=%-7llu pmAUC=%.3f pmGM=%.3f "
+                          "acc=%.3f\n",
+                          shard, static_cast<unsigned long long>(m.position),
                           m.pmauc, m.pmgm, m.accuracy);
             }
           })
@@ -104,12 +111,14 @@ int main(int argc, char** argv) try {
     // Deliver every label whose verification completed by now — in
     // *verification* order, which is not prediction order.
     while (!label_queue.empty() && label_queue.top().due <= t) {
-      monitor.Label(label_queue.top().id, label_queue.top().label);
+      const DelayedLabel& dl = label_queue.top();
+      monitor.Label(dl.shard, dl.id, dl.label);
       label_queue.pop();
     }
 
     ccd::Instance instance = built.stream->Next();
-    ccd::api::Monitor::Prediction p = monitor.Predict(instance.features);
+    ccd::api::ShardedMonitor::Prediction p =
+        monitor.Predict(kKey, instance.features);
     (void)p.label;  // A real deployment would act on the prediction here.
 
     if (delay_rng.NextDouble() < kLossRate) {
@@ -118,23 +127,24 @@ int main(int argc, char** argv) try {
     }
     DelayedLabel dl;
     dl.due = t + 1 + static_cast<uint64_t>(delay_rng.UniformInt(0, kMaxDelay));
+    dl.shard = p.shard;
     dl.id = p.id;
     dl.label = instance.label;
     label_queue.push(dl);
   }
   // End of traffic: flush the verification queue.
   while (!label_queue.empty()) {
-    monitor.Label(label_queue.top().id, label_queue.top().label);
+    const DelayedLabel& dl = label_queue.top();
+    monitor.Label(dl.shard, dl.id, dl.label);
     label_queue.pop();
   }
 
-  // --- 3. Pause the intake and snapshot the run state — what a shard
-  //        handoff would serialize.
-  monitor.Pause();
-  ccd::EngineSnapshot snap = monitor.Snapshot();
-  ccd::PrequentialResult result = monitor.Result();
+  // --- 4. The shard's run state — the run-state half of what a shard
+  //        handoff (ShipShard / DrainShard) serializes.
+  const ccd::EngineSnapshot snap = monitor.ShardSnapshot(0);
+  const ccd::PrequentialResult result = monitor.ShardResult(0);
 
-  std::printf("\n--- run state (Snapshot) ---\n");
+  std::printf("\n--- run state (ShardSnapshot(0)) ---\n");
   std::printf("completed instances : %llu\n",
               static_cast<unsigned long long>(snap.position));
   std::printf("labels never arrived: %llu predictions simulated-dropped, "

@@ -11,14 +11,13 @@
 ///  * Suite          — deterministic parallel runner for experiment grids
 ///                     (streams × detectors × classifiers × repeats) with
 ///                     Welford aggregation and CSV/JSON/table sinks,
-///  * Monitor        — push-based online monitoring surface (decoupled
-///                     Predict/Label with delayed-label buffering, drift
-///                     event callbacks, snapshotable run state), built on
-///                     the same engine the offline protocol runs on,
-///  * ShardedMonitor — concurrent serving router over K per-shard engines
-///                     (hash-key routing, one validated push path,
-///                     striped locks, live resharding through the
-///                     state-image codec, shard-tagged drift fan-in).
+///  * ShardedMonitor — the push-based serving type: K per-shard engines
+///                     (the same engine the offline protocol runs on)
+///                     behind hash-key routing, one validated push path,
+///                     striped locks, decoupled Predict/Label with
+///                     delayed-label buffering, live resharding through
+///                     the state-image codec, shard-tagged drift fan-in,
+///  * Monitor        — its one-shard single-stream facade.
 ///
 /// Components self-register via CCD_REGISTER_DETECTOR /
 /// CCD_REGISTER_CLASSIFIER; every lookup failure throws api::ApiError with

@@ -709,8 +709,8 @@ ShardedMonitor ShardedMonitorBuilder::Build() const {
       throw ApiError(e.what());
     }
   } else {
-    // The paper's protocol; timing off, as in MonitorBuilder — a serving
-    // monitor wants alerts, not per-call stopwatches.
+    // The paper's protocol; timing off — a serving monitor wants alerts,
+    // not per-call stopwatches.
     config.metric_window = 1000;
     config.eval_interval = 250;
     config.warmup = 500;

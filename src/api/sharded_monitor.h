@@ -44,12 +44,12 @@ struct ShardedHooks {
   std::function<void(int shard, const MetricsSnapshot&)> on_metrics;
 };
 
-/// Concurrent serving router: K independent MonitorEngine shards — each
-/// with its own classifier/detector — behind a runtime::Router, so pushes
-/// from many threads land on disjoint engines and only serialize when they
-/// hit the *same* shard. This is the horizontal layer above api::Monitor:
-/// a Monitor serializes every push through one engine; a ShardedMonitor
-/// scales push throughput with the shard count (see bench/bench_serving).
+/// The serving type: K independent MonitorEngine shards — each with its
+/// own classifier/detector — behind a runtime::Router, so pushes from many
+/// threads land on disjoint engines and only serialize when they hit the
+/// *same* shard. Push throughput scales with the shard count (see
+/// bench/bench_serving); api::Monitor (api/monitor.h) is the one-shard
+/// single-stream facade over it.
 ///
 ///   auto monitor = api::ShardedMonitorBuilder()
 ///                      .Schema(20, 5)
@@ -70,10 +70,11 @@ struct ShardedHooks {
 /// runtime::Router::HashKey, so each key's instance sequence is handled by
 /// one engine in push order. Per-key streams keep exact prequential
 /// semantics — and with them RBM-IM's per-class drift signal — and a
-/// single-threaded run is bit-identical to K independent api::Monitors fed
-/// the key-partitioned substreams (tests/router_test.cc proves it,
-/// multi-threaded included). Labels go to the shard their Prediction
-/// ticket names, which stays valid across AddShard().
+/// single-threaded run is bit-identical to K independent MonitorEngines,
+/// shard i's components seeded Seed() + i, fed the key-partitioned
+/// substreams (tests/router_test.cc proves it, multi-threaded included).
+/// Labels go to the shard their Prediction ticket names, which stays
+/// valid across AddShard().
 ///
 /// One push path: every push — Predict, Feed, Label, their batch forms
 /// and Flush — is a batch (a per-instance call is a batch of one) handled
@@ -396,9 +397,10 @@ class ShardedMonitor {
   uint64_t generation_ CCD_GUARDED_BY(router_.TableMutex()) = 0;
 };
 
-/// Fluent composer of a ShardedMonitor, mirroring api::MonitorBuilder:
-/// components resolved by registered name, paper-protocol defaults,
-/// ApiError on invalid configuration. Defaults: 1 shard (a sanity
+/// Fluent composer of a ShardedMonitor, mirroring api::Experiment:
+/// components resolved by registered name, paper-protocol defaults
+/// (window 1000, sample every 250, warmup 500, reset on drift, timing
+/// off), ApiError on invalid configuration. Defaults: 1 shard (a sanity
 /// baseline — size real deployments with Shards(k)), classifier
 /// "cs-ptree", no detector, pending capacity 1024 *per shard*.
 class ShardedMonitorBuilder {

@@ -26,7 +26,7 @@ const char* DetectorStateName(DetectorState s);
 ///
 /// Detectors are driven prequentially by MonitorEngine (eval/engine.h),
 /// whether the labels arrive with their instances (offline RunPrequential)
-/// or late through the push API (api::Monitor): for every *labelled*
+/// or late through the push API (api::ShardedMonitor): for every *labelled*
 /// instance the engine calls Observe() with the true instance, the label
 /// the classifier predicted at prediction time and its per-class scores,
 /// always *before* the classifier trains on the instance. Statistical

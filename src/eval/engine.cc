@@ -84,9 +84,6 @@ void MonitorEngine::RequireNotInHook(const char* operation) const {
 
 void MonitorEngine::Feed(const Instance& instance) {
   RequireNotInHook("Feed()");
-  if (paused_) {
-    throw std::logic_error("MonitorEngine: Feed() on a paused engine");
-  }
   if (completed_ < config_.warmup) {
     Complete(instance, /*measured=*/false, 0, {});
     return;
@@ -110,9 +107,6 @@ MonitorEngine::Ticket MonitorEngine::Predict(
 void MonitorEngine::Predict(const std::vector<double>& features, double weight,
                             Ticket* out) {
   RequireNotInHook("Predict()");
-  if (paused_) {
-    throw std::logic_error("MonitorEngine: Predict() on a paused engine");
-  }
   // Build the prediction directly in its ring slot, reusing the slot's
   // feature/score capacity. When full, the oldest prediction is evicted
   // (its label is the most overdue) and its slot becomes the new back.
@@ -379,7 +373,6 @@ void MonitorEngine::Restore(const EngineSnapshot& s) {
   samples_ = s.metric_samples;
   next_id_ = s.next_id;
   last_state_ = s.last_detector_state;
-  paused_ = false;
 
   // Rebuild the metric window by replaying the snapshotted entries: the
   // confusion counts are unit-weight integers, so a fresh sum over the

@@ -197,7 +197,7 @@ class MonitorEngine {
 
   /// Immediate-label fast path: one prequential step (warmup handling,
   /// predict, metrics, detector, drift coupling, train, sampling).
-  /// Throws std::logic_error while paused. Allocation-free in steady state:
+  /// Allocation-free in steady state:
   /// scores are computed into a reused scratch buffer
   /// (OnlineClassifier::PredictScoresInto) and the metric window recycles
   /// its entry slots.
@@ -212,7 +212,7 @@ class MonitorEngine {
   /// Serving path, prediction side. Scores come from the classifier as it
   /// is *now*; a later Label() completes the step with these scores, so
   /// prequential semantics (test before train) hold under verification
-  /// latency. Throws std::logic_error while paused.
+  /// latency.
   Ticket Predict(const std::vector<double>& features, double weight = 1.0);
 
   /// Allocation-free form of Predict(): fills `out` in place, reusing its
@@ -227,9 +227,7 @@ class MonitorEngine {
                     std::vector<Ticket>* out);
 
   /// Serving path, label side. Ids are matched against the pending buffer;
-  /// evicted or never-issued ids return kUnknown and are counted. Allowed
-  /// while paused, so in-flight predictions can be drained before a
-  /// Snapshot() handoff.
+  /// evicted or never-issued ids return kUnknown and are counted.
   LabelOutcome Label(uint64_t id, int true_label);
 
   /// Batch form of Label(): applies the requests strictly in order, so the
@@ -239,21 +237,6 @@ class MonitorEngine {
   /// request.
   void LabelBatch(const std::vector<LabelRequest>& batch,
                   std::vector<LabelOutcome>* outcomes = nullptr);
-
-  /// Pause() refuses new work (Feed/Predict throw std::logic_error) while
-  /// still accepting Label() for in-flight predictions — the drain step of
-  /// a shard handoff. Resume() re-opens the intake. Both are mutating
-  /// entry points: called from inside a hook they throw like Feed() does,
-  /// instead of silently stalling the engine mid-step.
-  void Pause() {
-    RequireNotInHook("Pause()");
-    paused_ = true;
-  }
-  void Resume() {
-    RequireNotInHook("Resume()");
-    paused_ = false;
-  }
-  bool paused() const { return paused_; }
 
   uint64_t position() const { return completed_; }
   size_t pending() const { return pending_count_; }
@@ -275,7 +258,7 @@ class MonitorEngine {
   /// (window within the configured metric window, class counts matching
   /// the schema, pending ids ascending and below next_id, pending count
   /// within this engine's capacity) and throws std::invalid_argument on
-  /// violations. Clears any paused state.
+  /// violations.
   void Restore(const EngineSnapshot& snapshot);
 
   /// Aggregate result over everything completed so far. Callable at any
@@ -335,8 +318,6 @@ class MonitorEngine {
   uint64_t completed_ = 0;
   uint64_t evicted_ = 0;
   uint64_t unmatched_ = 0;
-  // ccd:state-skip(paused_, Restore deliberately lands unpaused; pausing is an operator action, not run state)
-  bool paused_ = false;
   // ccd:state-skip(in_hook_, transient reentrancy guard; Snapshot is only callable when no hook is running)
   bool in_hook_ = false;  ///< True while an EngineHooks callback runs.
   DetectorState last_state_ = DetectorState::kStable;

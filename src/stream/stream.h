@@ -15,7 +15,7 @@ namespace ccd {
 /// A stream is one way — the offline way — of driving evaluation: the
 /// RunPrequential adapter drains it into a MonitorEngine with immediate
 /// labels. Live deployments skip streams entirely and push instances
-/// (and late labels) into api::Monitor themselves.
+/// (and late labels) into api::ShardedMonitor themselves.
 class InstanceStream {
  public:
   virtual ~InstanceStream() = default;

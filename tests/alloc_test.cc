@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "api/component_registry.h"
-#include "api/monitor.h"
 #include "api/sharded_monitor.h"
 #include "classifiers/cs_perceptron_tree.h"
 #include "eval/engine.h"
@@ -136,23 +135,18 @@ std::vector<Instance> MakeData(size_t count, uint64_t seed) {
 constexpr size_t kWarm = 1500;    ///< Past warmup + window fill + buffer growth.
 constexpr size_t kMeasure = 500;  ///< Steady-state pushes counted.
 
-/// Feed leg: warm a monitor past every growth phase, then demand zero
+/// Feed leg: warm an engine past every growth phase, then demand zero
 /// allocations across the next kMeasure pushes.
 void ExpectFeedAllocationFree(const std::string& classifier,
                               const std::string& detector) {
   const std::vector<Instance> data = MakeData(kWarm + kMeasure, 11);
-  api::MonitorBuilder builder;
-  builder.Schema(6, 3).Classifier(classifier).Protocol(SteadyConfig());
-  if (detector.empty()) {
-    builder.NoDetector();
-  } else {
-    builder.Detector(detector);
-  }
-  api::Monitor monitor = builder.Build();
-  for (size_t i = 0; i < kWarm; ++i) monitor.Feed(data[i]);
+  test_util::OwnedEngine owned(StreamSchema(6, 3), classifier, detector, 42,
+                               SteadyConfig(), 1024);
+  MonitorEngine& engine = owned.engine;
+  for (size_t i = 0; i < kWarm; ++i) engine.Feed(data[i]);
 
   const uint64_t allocations = AllocationsDuring([&] {
-    for (size_t i = kWarm; i < data.size(); ++i) monitor.Feed(data[i]);
+    for (size_t i = kWarm; i < data.size(); ++i) engine.Feed(data[i]);
   });
   EXPECT_EQ(allocations, 0u)
       << allocations << " allocations across " << kMeasure
@@ -195,15 +189,14 @@ TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
   static_assert(kWarm % kBatchSize == 0,
                 "warmup must end on a batch boundary");
   const std::vector<Instance> data = MakeData(kWarm + kMeasure, 11);
-  api::MonitorBuilder builder;
-  builder.Schema(6, 3).Classifier("naive-bayes").Detector("RBM-IM").Protocol(
-      SteadyConfig());
-  api::Monitor monitor = builder.Build();
-  for (size_t i = 0; i < kWarm; ++i) monitor.Feed(data[i]);
+  test_util::OwnedEngine owned(StreamSchema(6, 3), "naive-bayes", "RBM-IM",
+                               42, SteadyConfig(), 1024);
+  MonitorEngine& engine = owned.engine;
+  for (size_t i = 0; i < kWarm; ++i) engine.Feed(data[i]);
 
   const uint64_t within_batch = AllocationsDuring([&] {
     for (size_t i = kWarm; i < kWarm + kBatchSize - 1; ++i) {
-      monitor.Feed(data[i]);
+      engine.Feed(data[i]);
     }
   });
   EXPECT_EQ(within_batch, 0u)
@@ -213,7 +206,7 @@ TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
 
   const uint64_t with_boundaries = AllocationsDuring([&] {
     for (size_t i = kWarm + kBatchSize - 1; i < data.size(); ++i) {
-      monitor.Feed(data[i]);
+      engine.Feed(data[i]);
     }
   });
   const uint64_t boundaries = (kMeasure - (kBatchSize - 1)) / kBatchSize + 1;
@@ -273,16 +266,13 @@ TEST(AllocTest, PmAucTicksAreAllocationFreeAtTwentyClasses) {
   PrequentialConfig config = SteadyConfig();
   config.eval_interval = 50;
   config.metric_window = 1000;
-  api::Monitor monitor = api::MonitorBuilder()
-                             .Schema(built.stream->schema())
-                             .Classifier("naive-bayes")
-                             .NoDetector()
-                             .Protocol(config)
-                             .Build();
-  for (size_t i = 0; i < kTickWarm; ++i) monitor.Feed(data[i]);
+  test_util::OwnedEngine owned(built.stream->schema(), "naive-bayes", "", 42,
+                               config, 1024);
+  MonitorEngine& engine = owned.engine;
+  for (size_t i = 0; i < kTickWarm; ++i) engine.Feed(data[i]);
 
   const uint64_t allocations = AllocationsDuring([&] {
-    for (size_t i = kTickWarm; i < data.size(); ++i) monitor.Feed(data[i]);
+    for (size_t i = kTickWarm; i < data.size(); ++i) engine.Feed(data[i]);
   });
   EXPECT_EQ(allocations, 0u)
       << allocations << " allocations across " << kMeasure
@@ -292,16 +282,15 @@ TEST(AllocTest, PmAucTicksAreAllocationFreeAtTwentyClasses) {
 TEST(AllocTest, FeedBatchIsAllocationFree) {
   CCD_ALLOC_GUARD();
   const std::vector<Instance> data = MakeData(kWarm + kMeasure, 13);
-  api::MonitorBuilder builder;
-  builder.Schema(6, 3).Classifier("naive-bayes").NoDetector().Protocol(
-      SteadyConfig());
-  api::Monitor monitor = builder.Build();
+  test_util::OwnedEngine owned(StreamSchema(6, 3), "naive-bayes", "", 42,
+                               SteadyConfig(), 1024);
+  MonitorEngine& engine = owned.engine;
   const std::vector<Instance> warm(data.begin(), data.begin() + kWarm);
   const std::vector<Instance> batch(data.begin() + kWarm, data.end());
-  monitor.FeedBatch(warm);
+  engine.FeedBatch(warm);
 
   const uint64_t allocations =
-      AllocationsDuring([&] { monitor.FeedBatch(batch); });
+      AllocationsDuring([&] { engine.FeedBatch(batch); });
   EXPECT_EQ(allocations, 0u)
       << allocations << " allocations in a steady-state FeedBatch of "
       << batch.size();

@@ -276,7 +276,7 @@ TEST_F(MonitorServiceTest, ShipLoadHandshakeMovesAShardBetweenMonitors) {
   EXPECT_EQ(service_b.Handle("LOAD 1\n" + payload), "OK");
   ExpectSnapshotEq(b.ShardSnapshot(1), before);
 
-  // Source shard is paused; a push routed to it is refused (ERR), while
+  // Source shard is shipped; a push routed to it is refused (ERR), while
   // the same key keeps serving at the target.
   const uint64_t key = test_util::KeysForSlot(/*slot=*/1, /*slots=*/2, 1)[0];
   EXPECT_EQ(service_a.Handle(FeedLine(key, data[0])).rfind("ERR ", 0), 0u);

@@ -1,12 +1,14 @@
-// MonitorEngine + api::Monitor — the push-based online monitoring
-// surface. The load-bearing claims:
+// MonitorEngine, a one-shard ShardedMonitor and its api::Monitor facade —
+// the push-based online monitoring surface. The load-bearing claims:
 //   (a) pushing a stream through the engine with immediate labels is
 //       bit-identical to RunPrequential (offline eval and online serving
 //       share one engine),
 //   (b) delayed labels applied in arrival order reproduce the same
 //       detector state and run result,
 //   (c) the bounded pending buffer evicts oldest-first, counts what it
-//       drops, and never goes out of bounds.
+//       drops, and never goes out of bounds,
+//   (d) the api::Monitor facade is bit-identical to a bare engine on
+//       identically seeded components.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "generators/registry.h"
 #include "stream/stream.h"
 #include "testing_util.h"
+#include "utils/rng.h"
 
 namespace ccd {
 namespace {
@@ -524,8 +527,6 @@ TEST(MonitorEngineTest, HooksMustNotReenterTheMutatingSurface) {
     EXPECT_THROW(self->Predict({1.0, 0.0, 0.0}), std::logic_error);
     EXPECT_THROW(self->Label(1, 2), std::logic_error);
     EXPECT_THROW(self->Restore(EngineSnapshot{}), std::logic_error);
-    EXPECT_THROW(self->Pause(), std::logic_error);
-    EXPECT_THROW(self->Resume(), std::logic_error);
     // ... while the read-only surface stays usable for observability.
     (void)self->position();
     (void)self->Result();
@@ -711,33 +712,18 @@ TEST(EngineSnapshotTest, RestoreRejectsInconsistentSnapshots) {
   ExpectSnapshotEq(good, engine.Snapshot());
 }
 
-TEST(MonitorEngineTest, PauseRefusesIntakeButDrainsLabels) {
-  StreamSchema schema(2, 2, "synthetic");
-  FrozenClassifier clf(schema);
-  MonitorEngine engine(schema, &clf, nullptr, ShortConfig());
-
-  MonitorEngine::Ticket t = engine.Predict({1.0, 2.0});
-  engine.Pause();
-  EXPECT_TRUE(engine.paused());
-  EXPECT_THROW(engine.Predict({0.0, 1.0}), std::logic_error);
-  EXPECT_THROW(engine.Feed(Instance({0.0, 1.0}, 0)), std::logic_error);
-  // Draining in-flight work stays legal while paused.
-  EXPECT_EQ(engine.Label(t.id, 1), LabelOutcome::kApplied);
-  engine.Resume();
-  EXPECT_FALSE(engine.paused());
-  engine.Feed(Instance({0.0, 1.0}, 0));
-  EXPECT_EQ(engine.position(), 2u);
-}
-
 TEST(MonitorEngineTest, NullClassifierIsRejected) {
   StreamSchema schema(2, 2, "synthetic");
   EXPECT_THROW(MonitorEngine(schema, nullptr, nullptr, ShortConfig()),
                std::invalid_argument);
 }
 
-// ------------------------------------------------------- api::Monitor
+// ------------------------------------- one-shard serving and the facade
 
-TEST(ApiMonitorTest, BuilderComposesAndRunsEndToEnd) {
+// A one-shard ShardedMonitor is the single-stream serving surface: mixed
+// Feed and Predict/Label pushes give the numbers of the same composition
+// run offline through api::Experiment.
+TEST(OneShardServingTest, MatchesExperimentEndToEnd) {
   const StreamSpec* spec = FindStreamSpec("RBF5");
   ASSERT_NE(spec, nullptr);
   BuildOptions options;
@@ -747,20 +733,20 @@ TEST(ApiMonitorTest, BuilderComposesAndRunsEndToEnd) {
 
   PrequentialConfig cfg = ShortConfig();
   int drift_callbacks = 0;
-  api::Monitor monitor = api::MonitorBuilder()
-                             .Schema(schema)
-                             .Classifier("cs-ptree")
-                             .Detector("FHDDM")
-                             .Seed(42)
-                             .Protocol(cfg)
-                             .PendingCapacity(16)
-                             .OnDrift([&](const DriftAlarm&,
-                                          const MetricsSnapshot&) {
-                               ++drift_callbacks;
-                             })
-                             .Build();
+  auto monitor = api::ShardedMonitorBuilder()
+                     .Schema(schema)
+                     .Classifier("cs-ptree")
+                     .Detector("FHDDM")
+                     .Seed(42)
+                     .Protocol(cfg)
+                     .PendingCapacity(16)
+                     .OnDrift([&](int shard, const DriftAlarm&,
+                                  const MetricsSnapshot&) {
+                       EXPECT_EQ(shard, 0);
+                       ++drift_callbacks;
+                     })
+                     .Build();
 
-  // Identical composition through Experiment: same engine, same numbers.
   PrequentialResult offline = api::Experiment()
                                   .Stream(*spec)
                                   .Options(options)
@@ -772,49 +758,88 @@ TEST(ApiMonitorTest, BuilderComposesAndRunsEndToEnd) {
   for (uint64_t i = 0; i < cfg.max_instances; ++i) {
     Instance inst = built.stream->Next();
     if (i % 2 == 0) {
-      monitor.Feed(inst);
+      monitor.Feed(/*key=*/0, inst);
     } else {
-      api::Monitor::Prediction p = monitor.Predict(inst.features, inst.weight);
+      const api::ShardedMonitor::Prediction p =
+          monitor.Predict(/*key=*/0, inst.features, inst.weight);
       EXPECT_EQ(static_cast<size_t>(schema.num_classes), p.scores.size());
-      EXPECT_TRUE(monitor.Label(p.id, inst.label));
+      EXPECT_TRUE(monitor.Label(p.shard, p.id, inst.label));
     }
   }
   ExpectBitIdentical(offline, monitor.Result());
   EXPECT_EQ(drift_callbacks, static_cast<int>(monitor.Result().drifts));
 }
 
-TEST(ApiMonitorTest, BuilderValidation) {
-  // Schema is mandatory and must be sane.
-  EXPECT_THROW(api::MonitorBuilder().Build(), api::ApiError);
-  EXPECT_THROW(api::MonitorBuilder().Schema(0, 1).Build(), api::ApiError);
-  // Unknown components throw the registry's listing error.
-  EXPECT_THROW(
-      api::MonitorBuilder().Schema(4, 2).Detector("NotADetector").Build(),
-      api::ApiError);
-  EXPECT_THROW(
-      api::MonitorBuilder().Schema(4, 2).Classifier("NotAClassifier").Build(),
-      api::ApiError);
-  // Degenerate protocols are an ApiError at Build(), not UB later.
-  PrequentialConfig bad;
-  bad.eval_interval = 0;
-  EXPECT_THROW(api::MonitorBuilder().Schema(4, 2).Protocol(bad).Build(),
-               api::ApiError);
-}
+// The facade adds no arithmetic: on the paper's configuration (cs-ptree +
+// RBM-IM on RBF10), a Predict/delayed-Label loop with dropped labels and a
+// pending buffer small enough to evict gives, call for call, the outcomes
+// of a bare engine on identically seeded components.
+TEST(ApiMonitorTest, FacadeIsBitIdenticalToABareEngine) {
+  constexpr size_t kInstances = 20000;
+  constexpr size_t kDelay = 32;
+  constexpr double kDropShare = 0.02;
+  constexpr size_t kCapacity = 128;
+  constexpr uint64_t kSeed = 42;
+  const StreamSpec& spec = *FindStreamSpec("RBF10");
+  BuildOptions options;
+  options.seed = kSeed;
+  options.scale =
+      static_cast<double>(kInstances) / static_cast<double>(spec.full_length);
+  BuiltStream built = BuildStream(spec, options);
+  const StreamSchema schema = built.stream->schema();
+  const std::vector<Instance> data = Take(built.stream.get(), kInstances);
+  Rng rng(7);
+  std::vector<uint8_t> dropped(kInstances);
+  for (uint8_t& d : dropped) d = rng.Bernoulli(kDropShare) ? 1 : 0;
 
-TEST(ApiMonitorTest, PauseSnapshotResumeRoundTrip) {
-  api::Monitor monitor =
-      api::MonitorBuilder().Schema(4, 3).Classifier("naive-bayes").Build();
-  for (int i = 0; i < 40; ++i) {
-    monitor.Feed(Instance({1.0 * i, 0.0, 0.0, 0.0}, i % 3));
+  api::Monitor facade = api::MonitorBuilder()
+                            .Schema(schema)
+                            .Classifier("cs-ptree")
+                            .Detector("RBM-IM")
+                            .Seed(kSeed)
+                            .PendingCapacity(kCapacity)
+                            .Build();
+  // The builder's default protocol: the paper's, timing off.
+  PrequentialConfig paper;
+  paper.metric_window = 1000;
+  paper.eval_interval = 250;
+  paper.warmup = 500;
+  paper.timing = false;
+  test_util::OwnedEngine bare(schema, "cs-ptree", "RBM-IM", kSeed, paper,
+                              kCapacity);
+
+  std::vector<uint64_t> facade_ids(kInstances), bare_ids(kInstances);
+  auto deliver = [&](size_t j) {
+    if (dropped[j]) return;
+    const bool applied = facade.Label(facade_ids[j], data[j].label);
+    EXPECT_EQ(applied, bare.engine.Label(bare_ids[j], data[j].label) ==
+                           LabelOutcome::kApplied)
+        << "label of instance " << j;
+  };
+  for (size_t t = 0; t < kInstances; ++t) {
+    const api::Monitor::Prediction p =
+        facade.Predict(data[t].features, data[t].weight);
+    const MonitorEngine::Ticket q =
+        bare.engine.Predict(data[t].features, data[t].weight);
+    ASSERT_EQ(p.shard, 0);
+    ASSERT_EQ(p.id, q.id) << "instance " << t;
+    ASSERT_EQ(p.label, q.predicted) << "instance " << t;
+    ASSERT_EQ(p.scores, q.scores) << "instance " << t;
+    facade_ids[t] = p.id;
+    bare_ids[t] = q.id;
+    if (t >= kDelay) deliver(t - kDelay);
   }
-  monitor.Pause();
-  EXPECT_THROW(monitor.Feed(Instance({0.0, 0.0, 0.0, 0.0}, 0)),
-               std::logic_error);
-  EngineSnapshot s = monitor.Snapshot();
-  EXPECT_EQ(s.position, 40u);
-  monitor.Resume();
-  monitor.Feed(Instance({0.0, 0.0, 0.0, 0.0}, 0));
-  EXPECT_EQ(monitor.position(), 41u);
+  for (size_t j = kInstances - kDelay; j < kInstances; ++j) deliver(j);
+
+  const PrequentialResult result = bare.engine.Result();
+  ExpectBitIdentical(facade.Result(), result);
+  EXPECT_EQ(facade.position(), bare.engine.position());
+  EXPECT_EQ(facade.pending(), bare.engine.pending());
+  EXPECT_EQ(facade.evicted(), bare.engine.evicted());
+  EXPECT_EQ(facade.unmatched_labels(), bare.engine.unmatched_labels());
+  // The loop exercised what it is meant to: eviction and RBM-IM alarms.
+  EXPECT_GT(bare.engine.evicted(), 0u);
+  EXPECT_GT(result.drifts, 0u);
 }
 
 }  // namespace

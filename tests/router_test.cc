@@ -3,7 +3,7 @@
 //
 //  (a) differential — a hash-routed ShardedMonitor with K shards fed
 //      single-threaded is bit-identical, per shard, to K independent
-//      api::Monitors fed the same key-partitioned substreams;
+//      bare MonitorEngines fed the same key-partitioned substreams;
 //  (b) multi-threaded stress — producer threads pushing interleaved
 //      Predict/Label land per-shard results bit-identical to the
 //      single-threaded replay of the same per-key sequences (plus a
@@ -198,17 +198,18 @@ TEST(MergeSnapshotsTest, SingleShardMergeMatchesEngineResult) {
 // ------------------------------------------------- (a) differential test
 
 // A hash-routed ShardedMonitor fed single-threaded is bit-identical, per
-// shard, to K independent api::Monitors fed the key-partitioned
-// substreams — the router adds routing, not arithmetic. The baseline uses
-// the documented contracts: shard i's components are seeded Seed() + i,
-// and keys partition by Router::KeySlot(key, K).
+// shard, to K independent engines fed the key-partitioned substreams —
+// the router adds routing, not arithmetic. The baseline uses the
+// documented contracts: shard i's components are seeded Seed() + i, and
+// keys partition by Router::KeySlot(key, K).
 // The oracle itself lives in tests/sim_harness.h now: HistoryChecker
-// replays the recorded linearization against per-shard api::Monitors
-// seeded Seed() + i and compares every outcome plus the final per-shard
-// snapshots and the merged aggregate — the same checker the simulation
-// sweeps (sim_test, sim_crash_test) run over seeded interleavings with
-// reshard/drain/SHIP/crash faults. Here it gets the degenerate history:
-// single-threaded, fault-free, Feed-only.
+// replays the recorded linearization against per-shard bare
+// MonitorEngines (test_util::OwnedEngine) seeded Seed() + i and compares
+// every outcome plus the final per-shard snapshots and the merged
+// aggregate — the same checker the simulation sweeps (sim_test,
+// sim_crash_test) run over seeded interleavings with reshard/drain/
+// SHIP/crash faults. Here it gets the degenerate history: single-threaded,
+// fault-free, Feed-only.
 TEST(ShardedDifferentialTest, HashRoutedEqualsIndependentEnginesPerShard) {
   test_util::SimServingConfig config;
   config.shards = 4;
@@ -474,6 +475,9 @@ TEST(PushValidationTest, BatchThatThrowsAppliesNothing) {
     return states;
   };
 
+  const api::ShardedMonitor::Prediction live = monitor.Predict(
+      KeysForSlot(1, kShards, 1)[0], warm[1].instance.features);
+  ASSERT_EQ(live.shard, 1);
   const std::string shipped = monitor.ShipShard(1);
   const auto before = shard_states();
   EXPECT_THROW(monitor.FeedBatch(batch), std::logic_error);
@@ -487,6 +491,9 @@ TEST(PushValidationTest, BatchThatThrowsAppliesNothing) {
   EXPECT_THROW(monitor.LabelBatch(labels), std::out_of_range);
   EXPECT_EQ(monitor.unmatched_labels(), 0u);
   EXPECT_EQ(shard_states(), before);
+  // A shipped shard refuses intake but still accepts labels (the restore
+  // below discards this one along with the rest of the window).
+  EXPECT_TRUE(monitor.Label(1, live.id, warm[1].instance.label));
 
   // After the restore, the retries apply every element exactly once.
   monitor.RestoreShard(1, shipped);
@@ -589,6 +596,8 @@ TEST(ShardedMonitorBuilderTest, ValidatesConfiguration) {
   EXPECT_THROW(
       api::ShardedMonitorBuilder().Schema(0, 3).Build(), api::ApiError);
   EXPECT_THROW(
+      api::ShardedMonitorBuilder().Schema(4, 1).Build(), api::ApiError);
+  EXPECT_THROW(
       api::ShardedMonitorBuilder().Schema(6, 3).Shards(0).Build(),
       api::ApiError);
   EXPECT_THROW(
@@ -609,6 +618,23 @@ TEST(ShardedMonitorBuilderTest, ValidatesConfiguration) {
   EXPECT_THROW(
       api::ShardedMonitorBuilder().Schema(6, 3).Protocol(bad).Build(),
       api::ApiError);
+  bad = ShortConfig();
+  bad.metric_window = 0;
+  EXPECT_THROW(
+      api::ShardedMonitorBuilder().Schema(6, 3).Protocol(bad).Build(),
+      api::ApiError);
+  // The single-stream facade validates through the same builder.
+  EXPECT_THROW(api::MonitorBuilder().Build(), api::ApiError);
+  EXPECT_THROW(api::MonitorBuilder()
+                   .Schema(ServingSchema())
+                   .Classifier("no-such-classifier")
+                   .Build(),
+               api::ApiError);
+  EXPECT_THROW(api::MonitorBuilder()
+                   .Schema(ServingSchema())
+                   .Detector("no-such-detector")
+                   .Build(),
+               api::ApiError);
 }
 
 }  // namespace

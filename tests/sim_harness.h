@@ -6,7 +6,7 @@
 // simulated run actually produced, a fault plane that drops/duplicates
 // labels from the scheduler's seed stream, and a history checker that
 // replays the recorded linearization against per-shard sequential
-// api::Monitor oracles — router_test's differential oracle, generalized
+// MonitorEngine oracles — router_test's differential oracle, generalized
 // to histories containing reshard, drain, SHIP/LOAD, persist and crash
 // events.
 //
@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/monitor.h"
 #include "api/sharded_monitor.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
@@ -49,7 +48,7 @@ namespace test_util {
 // ----------------------------------------------------- serving config
 
 /// One description both the live ShardedMonitor and the sequential
-/// per-shard spec monitors are built from — the checker is only sound
+/// per-shard spec engines are built from — the checker is only sound
 /// when the two sides agree on every knob.
 struct SimServingConfig {
   int num_features = 6;  ///< MakeRbfDriftStream's schema.
@@ -82,23 +81,16 @@ inline api::ShardedMonitor MakeServing(const SimServingConfig& config) {
   return builder.Build();
 }
 
-/// The sequential-spec oracle for shard `shard_index`: an api::Monitor on
+/// The sequential-spec oracle for shard `shard_index`: a bare engine on
 /// identical components, seeded `seed + shard_index` (ShardedMonitor's
 /// documented per-shard seeding contract).
-inline std::unique_ptr<api::Monitor> MakeSpecShard(
+inline std::unique_ptr<OwnedEngine> MakeSpecShard(
     const SimServingConfig& config, int shard_index) {
-  api::MonitorBuilder builder;
-  builder.Schema(config.num_features, config.num_classes)
-      .Classifier(config.classifier)
-      .Seed(config.seed + static_cast<uint64_t>(shard_index))
-      .Protocol(config.protocol)
-      .PendingCapacity(config.pending_capacity);
-  if (config.detector.empty()) {
-    builder.NoDetector();
-  } else {
-    builder.Detector(config.detector);
-  }
-  return std::make_unique<api::Monitor>(builder.Build());
+  return std::make_unique<OwnedEngine>(
+      StreamSchema(config.num_features, config.num_classes),
+      config.classifier, config.detector,
+      config.seed + static_cast<uint64_t>(shard_index), config.protocol,
+      config.pending_capacity);
 }
 
 // ----------------------------------------------------------- history
@@ -109,11 +101,11 @@ enum class SimOpKind {
   kLabel,         ///< Label(shard, id, truth); outcome = applied flag.
   kAddShard,      ///< Table grew; outcome = new shard index.
   kDrainShard,    ///< Shard state migrated in place — spec no-op.
-  kShipShard,     ///< SHIP: shard state captured + shard paused. Marks
+  kShipShard,     ///< SHIP: shard state captured, intake stopped. Marks
                   ///< the cut a later kShipRestore rolls the shard to.
   kShipRestore,   ///< LOAD of the shipped bytes: the shard is exactly its
                   ///< kShipShard state again — labels that drained into
-                  ///< the paused shard inside the window are discarded.
+                  ///< the shipped shard inside the window are discarded.
   kPersist,       ///< Durable cut: marks the prefix a crash rolls back to.
   kCrashRestart,  ///< Process death + Open(): history after the last
                   ///< kPersist never happened.
@@ -343,10 +335,10 @@ class RecordingMonitor {
   }
 
   /// SHIP then LOAD of the same bytes back onto the same shard — the
-  /// migration round-trip. Between the two calls the shard is paused;
+  /// migration round-trip. Between the two calls the shard is shipped;
   /// with `hold_ticks` > 0 the window is stretched so other tasks
   /// provably run into it (Predict/Feed throw std::logic_error — retry
-  /// with PredictRetry below; Label keeps draining into the paused
+  /// with PredictRetry below; Label keeps draining into the shipped
   /// shard, and LOAD then discards exactly those window labels — the
   /// checker models that via the kShipShard cut).
   void ShipRestore(int shard, uint64_t hold_ticks = 0) {
@@ -538,7 +530,7 @@ inline std::string DescribeResultDiff(const PrequentialResult& a,
   return "";
 }
 
-/// Replays a recorded history against per-shard sequential api::Monitor
+/// Replays a recorded history against per-shard sequential MonitorEngine
 /// oracles and compares every observed outcome plus the final per-shard
 /// snapshots and the merged aggregate result.
 ///
@@ -549,7 +541,7 @@ inline std::string DescribeResultDiff(const PrequentialResult& a,
 ///    already checked when applied — only their state is gone) and
 ///    rebuilds the spec fleet by silent replay of the surviving prefix.
 ///  * kShipShard marks a per-shard cut; kShipRestore rolls exactly that
-///    shard back to it — labels that drained into the paused shard
+///    shard back to it — labels that drained into the shipped shard
 ///    inside the SHIP→LOAD window are discarded, everything on other
 ///    shards stands. A window with no interleaved ops degenerates to the
 ///    transparency property: bit-identical to never having moved.
@@ -640,7 +632,7 @@ class HistoryChecker {
     std::vector<EngineSnapshot> spec_snapshots;
     spec_snapshots.reserve(specs_.size());
     for (size_t s = 0; s < specs_.size(); ++s) {
-      EngineSnapshot spec_snapshot = specs_[s]->Snapshot();
+      EngineSnapshot spec_snapshot = specs_[s]->engine.Snapshot();
       const std::string field = DescribeSnapshotDiff(
           live.ShardSnapshot(static_cast<int>(s)), spec_snapshot);
       if (!field.empty()) {
@@ -679,31 +671,31 @@ class HistoryChecker {
     try {
       switch (op.kind) {
         case SimOpKind::kPredict: {
-          api::Monitor* spec = Shard(op.shard);
+          MonitorEngine* spec = Shard(op.shard);
           if (spec == nullptr) return "shard index out of spec range";
-          const api::Monitor::Prediction p =
-              spec->Predict(op.features, op.weight);
-          if (check && p.id != op.id) {
-            return "ticket id: spec " + std::to_string(p.id) + " vs observed " +
+          const MonitorEngine::Ticket t = spec->Predict(op.features, op.weight);
+          if (check && t.id != op.id) {
+            return "ticket id: spec " + std::to_string(t.id) + " vs observed " +
                    std::to_string(op.id);
           }
-          if (check && p.label != op.predicted) {
-            return "predicted label: spec " + std::to_string(p.label) +
+          if (check && t.predicted != op.predicted) {
+            return "predicted label: spec " + std::to_string(t.predicted) +
                    " vs observed " + std::to_string(op.predicted);
           }
-          if (check && p.scores != op.scores) return "prediction scores";
+          if (check && t.scores != op.scores) return "prediction scores";
           return "";
         }
         case SimOpKind::kFeed: {
-          api::Monitor* spec = Shard(op.shard);
+          MonitorEngine* spec = Shard(op.shard);
           if (spec == nullptr) return "shard index out of spec range";
           spec->Feed(op.instance);
           return "";
         }
         case SimOpKind::kLabel: {
-          api::Monitor* spec = Shard(op.shard);
+          MonitorEngine* spec = Shard(op.shard);
           if (spec == nullptr) return "shard index out of spec range";
-          const bool applied = spec->Label(op.id, op.true_label);
+          const bool applied =
+              spec->Label(op.id, op.true_label) == LabelOutcome::kApplied;
           if (check && applied != op.applied) {
             return std::string("label applied: spec ") +
                    (applied ? "true" : "false") + " vs observed " +
@@ -734,11 +726,11 @@ class HistoryChecker {
     return "unknown op kind";
   }
 
-  api::Monitor* Shard(int shard) {
+  MonitorEngine* Shard(int shard) {
     if (shard < 0 || static_cast<size_t>(shard) >= specs_.size()) {
       return nullptr;
     }
-    return specs_[static_cast<size_t>(shard)].get();
+    return &specs_[static_cast<size_t>(shard)]->engine;
   }
 
   static SimCheckResult Fail(size_t index, const SimOp& op,
@@ -753,7 +745,7 @@ class HistoryChecker {
   }
 
   SimServingConfig config_;
-  std::vector<std::unique_ptr<api::Monitor>> specs_;
+  std::vector<std::unique_ptr<OwnedEngine>> specs_;
 };
 
 }  // namespace test_util

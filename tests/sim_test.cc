@@ -438,7 +438,7 @@ ScenarioOutcome RunDrainScenario(uint64_t seed) {
 
 /// SHIP/LOAD under traffic: the controller round-trips shard state
 /// through the migration payload with a stretched pause window, so
-/// producers provably run into the paused shard and retry.
+/// producers provably run into the shipped shard and retry.
 ScenarioOutcome RunShipLoadScenario(uint64_t seed) {
   SimServingConfig config;
   config.shards = 3;

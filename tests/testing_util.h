@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "api/component_registry.h"
 #include "classifiers/classifier.h"
 #include "detectors/detector.h"
 #include "eval/engine.h"
@@ -120,6 +121,32 @@ inline void ExpectSnapshotEq(const EngineSnapshot& a, const EngineSnapshot& b) {
   EXPECT_EQ(a.detector_seconds, b.detector_seconds);
   EXPECT_EQ(a.classifier_seconds, b.classifier_seconds);
 }
+
+/// A bare MonitorEngine that owns its components, created through the
+/// registries (api::Classifiers()/api::Detectors()) with one seed for
+/// both, exactly as ShardedMonitor builds shard i with seed Seed() + i.
+/// It shares no serving code with ShardedMonitor, which is what makes it
+/// the sequential oracle of the serving tests (HistoryChecker, the
+/// one-shard facade check). An empty `detector` means no detector.
+struct OwnedEngine {
+  OwnedEngine(const StreamSchema& schema, const std::string& classifier_name,
+              const std::string& detector_name, uint64_t seed,
+              const PrequentialConfig& config, size_t pending_capacity)
+      : classifier(api::Classifiers().Create(classifier_name, schema, seed,
+                                             {})),
+        detector(detector_name.empty()
+                     ? nullptr
+                     : api::Detectors().Create(detector_name, schema, seed,
+                                               {})),
+        engine(schema, classifier.get(), detector.get(), config, {},
+               pending_capacity) {}
+
+  // Declaration order matters: the engine holds raw pointers into the
+  // components, so they must outlive it on destruction.
+  std::unique_ptr<OnlineClassifier> classifier;
+  std::unique_ptr<DriftDetector> detector;
+  MonitorEngine engine;
+};
 
 /// Stateless classifier: scores depend only on the instance (first feature
 /// modulo the class count gets the mass), Train is a no-op. Under it, a
