@@ -91,7 +91,8 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
                                std::string detector_name,
                                ParamMap detector_params, uint64_t seed,
                                size_t pending_capacity, int shards,
-                               size_t ingress_capacity, ShardedHooks hooks)
+                               ShardedHooks hooks, uint64_t generation,
+                               std::vector<io::StateImage>&& images)
     : schema_(schema),
       config_(config),
       classifier_name_(std::move(classifier_name)),
@@ -100,14 +101,26 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
       detector_params_(std::move(detector_params)),
       seed_(seed),
       pending_capacity_(pending_capacity),
-      ingress_capacity_(ingress_capacity),
       hooks_(std::move(hooks)),
-      router_(shards) {
+      router_(shards),
+      generation_(generation) {
   // Constructor: the monitor is not published yet, so the analysis (and
   // reality) exempt these guarded writes from the lock discipline.
   shards_.reserve(static_cast<size_t>(shards));
   for (int i = 0; i < shards; ++i) {
-    shards_.push_back(MakeShard(i));
+    if (images.empty()) {
+      shards_.push_back(MakeShard(i));
+      continue;
+    }
+    auto slot = std::make_unique<Shard>(nullptr, nullptr, nullptr);
+    Shard& s = *slot;
+    {
+      // Uncontended; taken so InstallImage's guarded writes happen under
+      // their declared capability.
+      runtime::MutexLock lock(&s.mu);
+      InstallImage(s, i, std::move(images[static_cast<size_t>(i)]));
+    }
+    shards_.push_back(std::move(slot));
   }
 }
 
@@ -125,16 +138,7 @@ std::unique_ptr<ShardedMonitor::Shard> ShardedMonitor::MakeShard(
       schema_, classifier.get(), detector.get(), config_,
       MakeShardHooks(shard), pending_capacity_);
   return std::make_unique<Shard>(std::move(classifier), std::move(detector),
-                                 std::move(engine), ingress_capacity_);
-}
-
-void ShardedMonitor::DrainIngress(Shard& s) {
-  // A shipped shard keeps its entries queued: the documented handoff
-  // semantics give them to the successor engine instead.
-  if (s.shipped) return;
-  while (s.ingress.TryPop(&s.ingress_scratch)) {
-    s.engine->Feed(s.ingress_scratch);
-  }
+                                 std::move(engine));
 }
 
 EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
@@ -144,11 +148,6 @@ EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
   if (hooks_.on_drift) {
     h.on_drift = [this, shard](const DriftAlarm& a, const MetricsSnapshot& m) {
       hooks_.on_drift(shard, a, m);
-    };
-  }
-  if (hooks_.on_warning) {
-    h.on_warning = [this, shard](uint64_t position, const MetricsSnapshot& m) {
-      hooks_.on_warning(shard, position, m);
     };
   }
   if (hooks_.on_metrics) {
@@ -209,7 +208,6 @@ void ShardedMonitor::Push(size_t n, TargetFn target, ApplyFn apply) {
     if (begin == end) continue;
     Shard& s = *shards_[slot];
     runtime::MutexLock lock(&s.mu);
-    DrainIngress(s);
     for (size_t k = begin; k < end; ++k) {
       apply(*s.engine, scratch.order[k], static_cast<int>(slot));
     }
@@ -248,22 +246,6 @@ bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
         applied = engine.Label(id, true_label) == LabelOutcome::kApplied;
       });
   return applied;
-}
-
-bool ShardedMonitor::FeedAsync(uint64_t key, const Instance& instance) {
-  runtime::ReaderLock table(&router_.TableMutex());
-  const int slot = router_.RouteKey(key);
-  Shard& s = *shards_[static_cast<size_t>(slot)];
-  return s.ingress.TryPush(instance);
-}
-
-void ShardedMonitor::Flush() {
-  // Every shard is an element with nothing to apply: the primitive's
-  // drain does the work.
-  Push<Route::kShard>(
-      static_cast<size_t>(router_.slots()),
-      [](size_t i) { return static_cast<int>(i); },
-      [](MonitorEngine&, size_t, int) {});
 }
 
 void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
@@ -324,9 +306,6 @@ void ShardedMonitor::DrainShard(int shard) {
   // lock is still taken (uncontended) so every guarded access happens
   // under its declared capability.
   runtime::MutexLock lock(&s.mu);
-  // Queued ingress entries belong to the outgoing engine's history:
-  // apply them before the encode so the handoff is a consistent cut.
-  DrainIngress(s);
   // Encode (SaveState() throws for components without it), decode and
   // InstallImage's engine construction all run before the old shard is
   // touched, so a failed drain is a no-op: the shard keeps serving.
@@ -336,39 +315,6 @@ void ShardedMonitor::DrainShard(int shard) {
 int ShardedMonitor::shards() const { return router_.slots(); }
 
 // ----------------------------------------------------------- durability
-
-ShardedMonitor::ShardedMonitor(
-    const StreamSchema& schema, const PrequentialConfig& config,
-    std::string classifier_name, ParamMap classifier_params,
-    std::string detector_name, ParamMap detector_params, uint64_t seed,
-    size_t pending_capacity, size_t ingress_capacity, ShardedHooks hooks,
-    uint64_t generation, std::vector<io::StateImage>&& images)
-    : schema_(schema),
-      config_(config),
-      classifier_name_(std::move(classifier_name)),
-      classifier_params_(std::move(classifier_params)),
-      detector_name_(std::move(detector_name)),
-      detector_params_(std::move(detector_params)),
-      seed_(seed),
-      pending_capacity_(pending_capacity),
-      ingress_capacity_(ingress_capacity),
-      hooks_(std::move(hooks)),
-      router_(static_cast<int>(images.size())),
-      generation_(generation) {
-  shards_.reserve(images.size());
-  for (size_t i = 0; i < images.size(); ++i) {
-    auto slot = std::make_unique<Shard>(nullptr, nullptr, nullptr,
-                                        ingress_capacity_);
-    Shard& s = *slot;
-    {
-      // Unpublished and uncontended; taken so InstallImage's guarded
-      // writes happen under their declared capability.
-      runtime::MutexLock lock(&s.mu);
-      InstallImage(s, static_cast<int>(i), std::move(images[i]));
-    }
-    shards_.push_back(std::move(slot));
-  }
-}
 
 io::ShardIdentity ShardedMonitor::MakeShardIdentity(int shard) const {
   io::ShardIdentity id;
@@ -402,13 +348,6 @@ void ShardedMonitor::InstallImage(Shard& s, int shard,
 
 void ShardedMonitor::Persist(const std::string& directory) {
   runtime::WriterLock table(&router_.TableMutex());
-  // Apply queued ingress entries first: the persisted cut must reflect
-  // every accepted FeedAsync (reopened queues start empty).
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    runtime::MutexLock lock(&s.mu);
-    DrainIngress(s);
-  }
   io::SnapshotStore store(directory);
   const uint64_t next_gen = generation_ + 1;
 
@@ -485,13 +424,10 @@ ShardedMonitor ShardedMonitor::Open(const std::string& directory,
     }
     images.push_back(std::move(image));
   }
-  // Ingress queues are a serving knob, not persisted state (Persist()
-  // drains them, so they are empty by construction): reopen at the
-  // builder default.
   return ShardedMonitor(
       m.schema, m.config, m.classifier, ParamMap::Parse(m.classifier_params),
       m.detector, ParamMap::Parse(m.detector_params), m.seed,
-      static_cast<size_t>(m.pending_capacity), /*ingress_capacity=*/1024,
+      static_cast<size_t>(m.pending_capacity), static_cast<int>(images.size()),
       std::move(hooks), m.generation, std::move(images));
 }
 
@@ -508,9 +444,6 @@ std::string ShardedMonitor::ShipShard(int shard) {
   router_.RequireSlot(shard);
   Shard& s = *shards_[static_cast<size_t>(shard)];
   runtime::MutexLock lock(&s.mu);
-  // Queued ingress entries must ship with the state — the source stops
-  // below and would otherwise strand them until a restore.
-  DrainIngress(s);
   std::string bytes = EncodeShard(s, shard);
   // Encode succeeded — only now stop the source, so a failed ship
   // leaves the shard serving.
@@ -659,21 +592,10 @@ ShardedMonitorBuilder& ShardedMonitorBuilder::Shards(int shards) {
   return *this;
 }
 
-ShardedMonitorBuilder& ShardedMonitorBuilder::IngressCapacity(size_t capacity) {
-  ingress_capacity_ = capacity < 1 ? 1 : capacity;
-  return *this;
-}
-
 ShardedMonitorBuilder& ShardedMonitorBuilder::OnDrift(
     std::function<void(int, const DriftAlarm&, const MetricsSnapshot&)>
         callback) {
   hooks_.on_drift = std::move(callback);
-  return *this;
-}
-
-ShardedMonitorBuilder& ShardedMonitorBuilder::OnWarning(
-    std::function<void(int, uint64_t, const MetricsSnapshot&)> callback) {
-  hooks_.on_warning = std::move(callback);
   return *this;
 }
 
@@ -724,7 +646,8 @@ ShardedMonitor ShardedMonitorBuilder::Build() const {
 
   return ShardedMonitor(schema_, config, classifier_name_, classifier_params_,
                         detector_name_, detector_params_, seed_,
-                        pending_capacity_, shards_, ingress_capacity_, hooks_);
+                        pending_capacity_, shards_, hooks_, /*generation=*/0,
+                        /*images=*/{});
 }
 
 }  // namespace api

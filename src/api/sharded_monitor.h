@@ -10,7 +10,6 @@
 #include "api/component_registry.h"
 #include "api/param_map.h"
 #include "eval/engine.h"
-#include "runtime/mpsc_queue.h"
 #include "runtime/router.h"
 
 namespace ccd {
@@ -37,9 +36,6 @@ struct ShardedHooks {
   /// (that engine's completed-instance count).
   std::function<void(int shard, const DriftAlarm&, const MetricsSnapshot&)>
       on_drift;
-  /// Shard `shard` entered its detector's warning zone.
-  std::function<void(int shard, uint64_t position, const MetricsSnapshot&)>
-      on_warning;
   /// A periodic per-shard metric sample.
   std::function<void(int shard, const MetricsSnapshot&)> on_metrics;
 };
@@ -76,15 +72,15 @@ struct ShardedHooks {
 /// Labels go to the shard their Prediction ticket names, which stays
 /// valid across AddShard().
 ///
-/// One push path: every push — Predict, Feed, Label, their batch forms
-/// and Flush — is a batch (a per-instance call is a batch of one) handled
-/// by one routine. Under one shared table hold it routes and validates
-/// every element first (a bogus ticket shard throws std::out_of_range, a
+/// One push path: every push — Predict, Feed, Label and their batch
+/// forms — is a batch (a per-instance call is a batch of one) handled by
+/// one routine. Under one shared table hold it routes and validates every
+/// element first (a bogus ticket shard throws std::out_of_range, a
 /// Predict/Feed routed to a shipped shard throws std::logic_error), and
 /// only then, for each involved shard in ascending order, takes that
-/// shard's lock once, drains its FeedAsync ingress and applies its
-/// elements in batch order. So a push that throws applied nothing, and
-/// per-shard results are bit-identical to per-instance calls.
+/// shard's lock once and applies its elements in batch order. So a push
+/// that throws applied nothing, per-shard results are bit-identical to
+/// per-instance calls, and every state capture is a consistent cut.
 ///
 /// Live resharding — the state image (io/state_codec.h) is the one
 /// migration payload:
@@ -151,28 +147,6 @@ class ShardedMonitor {
   /// ticket). Returns false when the id is unknown there — evicted, never
   /// issued, or already labelled. A shipped shard still accepts labels.
   bool Label(int shard, uint64_t id, int true_label);
-
-  /// Lock-free feed ingress: enqueues the instance on the shard `key`
-  /// routes to *without contending on that shard's lock* — the producer
-  /// only holds the shared table lock. Returns false when the shard's
-  /// bounded ingress queue is full (explicit backpressure: retry, call
-  /// Flush(), or fall back to the locked Feed()).
-  ///
-  /// Determinism contract: queued entries are applied, in enqueue order,
-  /// under the shard lock *before* the next locked push on that shard and
-  /// before any state capture (Persist / DrainShard / ShipShard) — so
-  /// every capture is a consistent cut and results are bit-identical to
-  /// having called Feed() at the drain point. Entries enqueued while a
-  /// shard is shipped stay queued and apply to its successor after
-  /// RestoreShard()/DrainShard(). Aggregate *reads* (Snapshot, Result,
-  /// position, ...) do not drain — call Flush() first when producers have
-  /// stopped and every entry must be reflected.
-  bool FeedAsync(uint64_t key, const Instance& instance);
-
-  /// Drains every shard's ingress queue (skipping shipped shards), taking
-  /// each shard lock once. Call after producers quiesce, before reading
-  /// aggregate state.
-  void Flush();
 
   /// Batch pushes: per-shard relative order equals batch order, so
   /// per-shard results are bit-identical to per-instance calls. `out` is
@@ -281,17 +255,12 @@ class ShardedMonitor {
   /// lock stays valid for the monitor's lifetime.
   struct Shard {
     Shard(std::unique_ptr<OnlineClassifier> c, std::unique_ptr<DriftDetector> d,
-          std::unique_ptr<MonitorEngine> e, size_t ingress_capacity)
-        : ingress(ingress_capacity), classifier(std::move(c)),
-          detector(std::move(d)), engine(std::move(e)) {}
+          std::unique_ptr<MonitorEngine> e)
+        : classifier(std::move(c)), detector(std::move(d)),
+          engine(std::move(e)) {}
 
     /// mutable: const sweeps (SerializeShard, Snapshot, ...) still lock.
     mutable runtime::Mutex mu;
-    /// Bounded lock-free feed ingress (see FeedAsync). The producer side
-    /// is internally synchronized; the consumer side (TryPop, inside
-    /// DrainIngress) runs under `mu` — a contract TSA cannot express for
-    /// an internally-locked type, hence no CCD_GUARDED_BY here.
-    runtime::MpscQueue<Instance> ingress;
     /// Set by ShipShard(), cleared by InstallImage(). Guarded by the table
     /// lock, not `mu`: it is written only under the exclusive table hold
     /// and read under a shared one, which is what lets a push validate
@@ -303,32 +272,22 @@ class ShardedMonitor {
     std::unique_ptr<OnlineClassifier> classifier CCD_GUARDED_BY(mu);
     std::unique_ptr<DriftDetector> detector CCD_GUARDED_BY(mu);
     std::unique_ptr<MonitorEngine> engine CCD_GUARDED_BY(mu);
-    /// Consumer-side pop buffer: reused so draining never allocates in
-    /// steady state.
-    Instance ingress_scratch CCD_GUARDED_BY(mu);
   };
 
   /// How the push primitive finds an element's shard.
   enum class Route {
     kKey,    ///< Router::RouteKey(key): Predict/Feed, refused when shipped.
-    kShard,  ///< Router::RequireSlot(shard): a ticket's shard (Label, Flush).
+    kShard,  ///< Router::RequireSlot(shard): a ticket's shard (Label).
   };
 
+  /// Build() passes no `images` and gets `shards` fresh shards; Open()
+  /// passes one decoded state image per shard, installed in its slot.
   ShardedMonitor(const StreamSchema& schema, const PrequentialConfig& config,
                  std::string classifier_name, ParamMap classifier_params,
                  std::string detector_name, ParamMap detector_params,
                  uint64_t seed, size_t pending_capacity, int shards,
-                 size_t ingress_capacity, ShardedHooks hooks);
-
-  /// Restore path of Open(): installs one decoded state image per shard
-  /// instead of building fresh components. Defined in the .cc, where
-  /// io::StateImage is complete.
-  ShardedMonitor(const StreamSchema& schema, const PrequentialConfig& config,
-                 std::string classifier_name, ParamMap classifier_params,
-                 std::string detector_name, ParamMap detector_params,
-                 uint64_t seed, size_t pending_capacity,
-                 size_t ingress_capacity, ShardedHooks hooks,
-                 uint64_t generation, std::vector<io::StateImage>&& images);
+                 ShardedHooks hooks, uint64_t generation,
+                 std::vector<io::StateImage>&& images);
 
   /// The one push primitive behind every push (see "One push path"
   /// above). Element i of `n` goes to the shard `target(i)` names — a key
@@ -367,9 +326,6 @@ class ShardedMonitor {
   /// Engine hooks forwarding to hooks_ with `shard` attached; empty slots
   /// stay empty so uninstalled callbacks keep costing nothing.
   EngineHooks MakeShardHooks(int shard) const;
-  /// Applies every queued ingress entry of `s` to its engine, in enqueue
-  /// order. Skips a shipped shard — the entries wait for its successor.
-  void DrainIngress(Shard& s) CCD_REQUIRES(s.mu);
 
   const StreamSchema schema_;
   const PrequentialConfig config_;
@@ -379,10 +335,6 @@ class ShardedMonitor {
   const ParamMap detector_params_;
   const uint64_t seed_;
   const size_t pending_capacity_;
-  /// Per-shard ingress queue bound (serving knob, not persisted state:
-  /// Open() rebuilds queues at the builder default, empty by definition —
-  /// Persist() drains before capturing).
-  const size_t ingress_capacity_;
   const ShardedHooks hooks_;
 
   runtime::Router router_;
@@ -423,15 +375,10 @@ class ShardedMonitorBuilder {
 
   /// Initial shard count (>= 1; ApiError otherwise).
   ShardedMonitorBuilder& Shards(int shards);
-  /// Per-shard FeedAsync queue bound (rounded up to a power of two,
-  /// clamped to >= 1; default 1024).
-  ShardedMonitorBuilder& IngressCapacity(size_t capacity);
 
   ShardedMonitorBuilder& OnDrift(
       std::function<void(int, const DriftAlarm&, const MetricsSnapshot&)>
           callback);
-  ShardedMonitorBuilder& OnWarning(
-      std::function<void(int, uint64_t, const MetricsSnapshot&)> callback);
   ShardedMonitorBuilder& OnMetrics(
       std::function<void(int, const MetricsSnapshot&)> callback);
 
@@ -454,7 +401,6 @@ class ShardedMonitorBuilder {
   PrequentialConfig config_;
   size_t pending_capacity_ = 1024;
   int shards_ = 1;
-  size_t ingress_capacity_ = 1024;
   ShardedHooks hooks_;
 };
 

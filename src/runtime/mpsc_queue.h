@@ -10,11 +10,11 @@ namespace ccd {
 namespace runtime {
 
 /// Bounded lock-free multi-producer / single-consumer queue (Vyukov's
-/// bounded-MPMC cell design, used here with one consumer): the ingress
-/// buffer in front of a shard lock, so producers hand work to a busy
-/// shard without blocking on its mutex.
+/// bounded-MPMC cell design, used here with one consumer). No serving
+/// path uses it: every ShardedMonitor push takes the shard lock. It is
+/// kept for perfbench's isolated `runtime.mpsc_ns` row.
 ///
-/// Properties the serving layer builds on:
+/// Properties:
 ///  * TryPush() never blocks and never allocates after a cell has held a
 ///    value once — cells store T by *copy assignment*, so a std::vector
 ///    payload reuses its heap buffer on every lap around the ring.
@@ -23,14 +23,8 @@ namespace runtime {
 ///  * FIFO per producer, and globally FIFO in ticket order: consumers see
 ///    entries in the order the producers won their cells.
 ///  * TryPop() is single-consumer only — callers must serialize it
-///    externally (the shard lock does; see api::ShardedMonitor). It pops
-///    by copy assignment into a caller-owned slot for the same
-///    capacity-reuse reason.
-///
-/// Simulation note: the only synchronization is std::atomic, which the
-/// deterministic scheduler does not interrupt — a TryPush or TryPop is one
-/// sim-atomic step, so recording a history event next to a successful call
-/// stays race-free under the sim harness.
+///    externally. It pops by copy assignment into a caller-owned slot for
+///    the same capacity-reuse reason.
 template <typename T>
 class MpscQueue {
  public:
@@ -102,7 +96,7 @@ class MpscQueue {
   size_t mask_ = 0;
   std::atomic<size_t> tail_{0};  ///< Next producer ticket.
   size_t head_ = 0;  ///< Consumer cursor; guarded by the external consumer
-                     ///< serialization (the shard lock in the layer above).
+                     ///< serialization.
 };
 
 }  // namespace runtime

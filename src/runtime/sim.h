@@ -40,7 +40,7 @@
 /// its last lock *acquisition* — including releasing locks, returning,
 /// and recording the result into a history — happens atomically, so a
 /// recorded history is a true linearization of the run. std::atomic
-/// operations (the lock-free ingress queue) are not schedule points.
+/// operations are not schedule points.
 ///
 /// Virtual clock: advances one tick per scheduling decision, and jumps
 /// forward when every live task is sleeping (SleepFor). There is no

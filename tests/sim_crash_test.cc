@@ -145,18 +145,17 @@ int SweepSeeds() {
   return n < 1 ? 1 : n;
 }
 
-/// Crash with ingress entries queued: async feeders run against a
-/// persister under the sim scheduler — Persist drains every queue, so
-/// entries queued at the cut are durable. After the schedule ends, more
-/// entries are parked in the queues with provably nothing draining them,
-/// and the process dies. Queued-but-undrained entries die with it; the
+/// Crash after unpersisted feeds: locked feeders run against a persister
+/// under the sim scheduler, so the persisted cut falls between feeds that
+/// contend on the same shards. After the schedule ends, more feeds land
+/// with no Persist between them and death. They die with the process; the
 /// history checker models exactly that, because their kFeed records sit
 /// after the last kPersist and the kCrashRestart rollback erases them.
-SimCheckResult RunIngressCrashScenario(uint64_t seed) {
+SimCheckResult RunFeedCrashScenario(uint64_t seed) {
   SimServingConfig config;
   config.shards = 3;
   const std::string dir =
-      ScratchDir("sim-ingress-crash-" + std::to_string(seed));
+      ScratchDir("sim-feed-crash-" + std::to_string(seed));
   SimHistory history;
 
   std::vector<std::vector<KeyedInstance>> first;
@@ -177,29 +176,22 @@ SimCheckResult RunIngressCrashScenario(uint64_t seed) {
       sched.Spawn("feeder-" + std::to_string(t), [&recording, &first, t] {
         size_t n = 0;
         for (const KeyedInstance& push : first[static_cast<size_t>(t)]) {
-          if (++n % 4 == 0) {
-            recording.Feed(push.key, push.instance);  // Locked push: drains.
-          } else {
-            while (!recording.FeedAsync(push.key, push.instance)) {
-              recording.Flush();
-            }
-          }
-          if (n % 8 == 0) sim::SleepFor(1 + sim::Choice(3));
+          recording.Feed(push.key, push.instance);
+          if (++n % 8 == 0) sim::SleepFor(1 + sim::Choice(3));
         }
       });
     }
     sched.Spawn("persister", [&recording, &dir] {
       sim::SleepFor(5 + sim::Choice(80));
-      recording.Persist(dir);  // Drains the queues: queued feeds are durable.
+      recording.Persist(dir);
     });
     sched.Run();
-    // Park entries in the queues with no drain between here and death:
-    // no locked push, no Flush, no Persist. Their kFeed records are the
-    // post-cut suffix the rollback must erase.
+    // Applied but never persisted: their kFeed records are the post-cut
+    // suffix the rollback must erase.
     for (size_t i = 0; i < 3; ++i) {
-      recording.FeedAsync(first[0][i].key, first[0][i].instance);
+      recording.Feed(first[0][i].key, first[0][i].instance);
     }
-  }  // Crash: the queued entries die with the process.
+  }  // Crash: the unpersisted feeds die with the process.
 
   auto reopened = api::ShardedMonitor::Open(dir);
   RecordCrashRestart(&history);
@@ -219,15 +211,15 @@ SimCheckResult RunIngressCrashScenario(uint64_t seed) {
   return result;
 }
 
-TEST(SimCrashTest, CrashWithIngressEntriesQueued) {
+TEST(SimCrashTest, CrashAfterUnpersistedFeeds) {
   const int seeds = SweepSeeds();
   for (int s = 0; s < seeds; ++s) {
     const uint64_t seed = 7000 + static_cast<uint64_t>(s);
-    const SimCheckResult result = RunIngressCrashScenario(seed);
+    const SimCheckResult result = RunFeedCrashScenario(seed);
     if (!result.ok) {
-      std::cerr << "CCD_SIM_FAIL scenario=ingress_crash seed=" << seed
+      std::cerr << "CCD_SIM_FAIL scenario=feed_crash seed=" << seed
                 << " error=" << result.error << std::endl;
-      ADD_FAILURE() << "ingress_crash seed " << seed << ": " << result.error;
+      ADD_FAILURE() << "feed_crash seed " << seed << ": " << result.error;
     }
   }
 }

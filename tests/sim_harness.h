@@ -58,7 +58,6 @@ struct SimServingConfig {
   uint64_t seed = 100;
   PrequentialConfig protocol = ShortConfig();
   size_t pending_capacity = 1024;
-  size_t ingress_capacity = 1024;  ///< Per-shard FeedAsync queue bound.
   int shards = 4;
 };
 
@@ -71,7 +70,6 @@ inline api::ShardedMonitor MakeServing(const SimServingConfig& config) {
       .Seed(config.seed)
       .Protocol(config.protocol)
       .PendingCapacity(config.pending_capacity)
-      .IngressCapacity(config.ingress_capacity)
       .Shards(config.shards);
   if (config.detector.empty()) {
     builder.NoDetector();
@@ -199,36 +197,6 @@ class RecordingMonitor {
     op.instance = instance;
     history_->ops.push_back(std::move(op));
   }
-
-  /// Lock-free ingress: enqueue onto the routed shard's bounded queue.
-  /// Recorded as a plain kFeed *only when the live enqueue succeeds* —
-  /// the queue is drained FIFO under the shard lock before that shard's
-  /// next locked operation, so enqueue order per shard IS the order the
-  /// engine will apply the entries in, and the locked op recorded after
-  /// this one sees them applied first. A full queue (false) records
-  /// nothing: the entry never existed. The width_/sim-atomicity argument
-  /// is the same as Feed's — TryPush is a plain atomic op, no yield
-  /// happens between it and the history append.
-  bool FeedAsync(uint64_t key, const Instance& instance) {
-    if (!live_->FeedAsync(key, instance)) {
-      ++rejected_feeds_;
-      return false;
-    }
-    SimOp op;
-    op.kind = SimOpKind::kFeed;
-    op.shard = runtime::Router::KeySlot(key, width_);
-    op.key = key;
-    op.instance = instance;
-    history_->ops.push_back(std::move(op));
-    return true;
-  }
-
-  /// Drains every shard's ingress queue. No history op: flushing only
-  /// applies feeds that were already recorded at enqueue time. Scenarios
-  /// using FeedAsync must call this before HistoryChecker::Check —
-  /// aggregate reads do not drain, so queued entries would otherwise be
-  /// recorded but not yet applied.
-  void Flush() { live_->Flush(); }
 
   /// Batch forms, recorded after the call returns as one op per element
   /// in batch order, each with the shard it landed on. Per-shard relative
@@ -374,7 +342,6 @@ class RecordingMonitor {
   api::ShardedMonitor& live() { return *live_; }
   uint64_t dropped_labels() const { return dropped_labels_; }
   uint64_t duplicated_labels() const { return duplicated_labels_; }
-  uint64_t rejected_feeds() const { return rejected_feeds_; }
 
  private:
   bool LabelOnce(int shard, uint64_t id, int true_label) {
@@ -397,7 +364,6 @@ class RecordingMonitor {
   int width_;
   uint64_t dropped_labels_ = 0;
   uint64_t duplicated_labels_ = 0;
-  uint64_t rejected_feeds_ = 0;  ///< FeedAsync backpressure rejections.
 };
 
 /// Marks a process death in the history: the checker discards every

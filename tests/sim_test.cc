@@ -10,8 +10,9 @@
 //      schedule encoding itself against silent drift;
 //  (c) the target scenarios — reshard-during-predict,
 //      drain-with-labels-in-flight, SHIP/LOAD under traffic, a
-//      dropped/duplicated-label plane over a small pending buffer, async
-//      ingress, and batch pushes mixed with single ones under reshard —
+//      dropped/duplicated-label plane over a small pending buffer,
+//      concurrent feeders during reshard, and batch pushes mixed with
+//      single ones under reshard —
 //      each swept over seeds and validated by the history checker's
 //      sequential-spec oracle;
 //  (d) injected-bug self-tests — histories broken in known ways
@@ -519,31 +520,12 @@ ScenarioOutcome RunFaultPlaneScenario(uint64_t seed) {
   return outcome;
 }
 
-/// Drives one keyed schedule through the lock-free ingress: mostly
-/// FeedAsync (retrying via Flush on backpressure), with a locked Feed
-/// every few pushes so the queue drains mid-run and the two paths
-/// interleave on the same shard.
-void RunAsyncFeeder(RecordingMonitor& recording,
-                    const std::vector<KeyedInstance>& schedule) {
-  size_t n = 0;
-  for (const KeyedInstance& push : schedule) {
-    if (++n % 5 == 0) {
-      FeedRetry(recording, push.key, push.instance);  // Locked push: drains.
-    } else {
-      while (!recording.FeedAsync(push.key, push.instance)) {
-        recording.Flush();  // Queue full: drain it ourselves, then retry.
-      }
-    }
-    if (n % 8 == 0) sim::SleepFor(1 + sim::Choice(3));
-  }
-}
-
-/// Async ingress during reshard: lock-free feeders run against delayed
-/// predict/label producers while the controller grows the table, flushes,
-/// and drains a shard — entries queued at drain time must migrate with
-/// the outgoing engine's state, and the enqueue-order history must stay
-/// the order the engines observed.
-ScenarioOutcome RunAsyncIngressScenario(uint64_t seed) {
+/// Feeds during reshard: concurrent locked feeders run against delayed
+/// predict/label producers while the controller grows the table and
+/// drains a shard — feeds that contend on one shard's lock must apply in
+/// the order the history records, across the grown table and the drained
+/// engine's successor.
+ScenarioOutcome RunFeedsDuringReshardScenario(uint64_t seed) {
   SimServingConfig config;
   config.shards = 3;
   auto monitor = MakeServing(config);
@@ -563,7 +545,11 @@ ScenarioOutcome RunAsyncIngressScenario(uint64_t seed) {
   sim::Scheduler sched(seed);
   for (int t = 0; t < 3; ++t) {
     sched.Spawn("feeder-" + std::to_string(t), [&recording, &feeds, t] {
-      RunAsyncFeeder(recording, feeds[static_cast<size_t>(t)]);
+      size_t n = 0;
+      for (const KeyedInstance& push : feeds[static_cast<size_t>(t)]) {
+        FeedRetry(recording, push.key, push.instance);
+        if (++n % 8 == 0) sim::SleepFor(1 + sim::Choice(3));
+      }
     });
   }
   for (int t = 0; t < 2; ++t) {
@@ -576,64 +562,15 @@ ScenarioOutcome RunAsyncIngressScenario(uint64_t seed) {
   sched.Spawn("controller", [&recording] {
     sim::SleepFor(30);
     recording.AddShard();
-    sim::SleepFor(20);
-    recording.Flush();
-    sim::SleepFor(20);
+    sim::SleepFor(40);
     recording.DrainShard(static_cast<int>(sim::Choice(4)));
   });
   sched.Run();
-  recording.Flush();  // Aggregate reads never drain: apply the tail.
 
   HistoryChecker checker(config);
   ScenarioOutcome outcome;
   outcome.digest = sched.digest();
   outcome.check = checker.Check(history, monitor);
-  return outcome;
-}
-
-/// Queue-full backpressure: a tiny ingress bound with bursty feeders, so
-/// TryPush provably fails (each burst of 4 overruns capacity 2) and the
-/// retry path — Flush, then push again — runs constantly. Rejected
-/// pushes must leave no trace; accepted ones must all land.
-ScenarioOutcome RunIngressBackpressureScenario(uint64_t seed) {
-  SimServingConfig config;
-  config.shards = 3;
-  config.ingress_capacity = 2;
-  auto monitor = MakeServing(config);
-  SimHistory history;
-  RecordingMonitor recording(&monitor, &history);
-
-  std::vector<std::vector<KeyedInstance>> feeds;
-  for (int t = 0; t < 3; ++t) {
-    feeds.push_back(MakeKeyedSchedule(KeysForSlot(t, 3, 6), 60,
-                                      /*seed=*/83 + static_cast<uint64_t>(t)));
-  }
-
-  sim::Scheduler sched(seed);
-  for (int t = 0; t < 3; ++t) {
-    sched.Spawn("feeder-" + std::to_string(t), [&recording, &feeds, t] {
-      const std::vector<KeyedInstance>& schedule =
-          feeds[static_cast<size_t>(t)];
-      for (size_t i = 0; i < schedule.size(); ++i) {
-        while (!recording.FeedAsync(schedule[i].key, schedule[i].instance)) {
-          recording.Flush();
-        }
-        if (i % 4 == 3) sim::SleepFor(1 + sim::Choice(2));
-      }
-    });
-  }
-  sched.Run();
-  recording.Flush();
-
-  HistoryChecker checker(config);
-  ScenarioOutcome outcome;
-  outcome.digest = sched.digest();
-  outcome.check = checker.Check(history, monitor);
-  if (outcome.check.ok && recording.rejected_feeds() == 0) {
-    outcome.check.ok = false;
-    outcome.check.error = "backpressure never triggered (capacity 2, bursts "
-                          "of 4: TryPush should have failed)";
-  }
   return outcome;
 }
 
@@ -773,12 +710,8 @@ TEST(SimSweepTest, DroppedAndDuplicatedLabels) {
   Sweep("fault_plane", RunFaultPlaneScenario);
 }
 
-TEST(SimSweepTest, AsyncIngressDuringReshard) {
-  Sweep("async_ingress", RunAsyncIngressScenario);
-}
-
-TEST(SimSweepTest, IngressBackpressure) {
-  Sweep("ingress_backpressure", RunIngressBackpressureScenario);
+TEST(SimSweepTest, FeedsDuringReshard) {
+  Sweep("feeds_reshard", RunFeedsDuringReshardScenario);
 }
 
 TEST(SimSweepTest, BatchAndSinglePushesUnderReshard) {
