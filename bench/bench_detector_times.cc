@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,7 @@ int main(int argc, char** argv) try {
 
   // (classes, features) pairs matching the artificial benchmark scales,
   // encoded as synthetic stream-axis specs so the Suite grid machinery
-  // (sharding, deterministic seeding, sinks) applies unchanged.
+  // (sharding, deterministic seeding, WriteJson) applies unchanged.
   ccd::api::Suite suite;
   suite.Threads(cli.GetInt("threads", 1)).Detectors(detectors);
   for (auto [k, d] : {std::pair<int, int>{5, 20}, {10, 40}, {20, 80}}) {
@@ -97,8 +96,6 @@ int main(int argc, char** argv) try {
             .count();
     return r;
   });
-  std::string json = cli.GetString("json", "");
-  if (!json.empty()) suite.Sink(std::make_unique<ccd::api::JsonSink>(json));
 
   ccd::api::SuiteResult res = suite.Run();
 
@@ -116,9 +113,14 @@ int main(int argc, char** argv) try {
   }
   std::printf("Detector Observe() cost per workload\n\n%s\n",
               table.ToText().c_str());
+  int status = 0;
+  const std::string json = cli.GetString("json", "");
+  if (!json.empty()) {
+    status |= ccd::bench::ReportWrite(ccd::api::WriteJson(res, json), json);
+  }
   std::string csv = cli.GetString("csv", "");
-  if (!csv.empty() && table.WriteCsv(csv)) std::printf("wrote %s\n", csv.c_str());
-  return 0;
+  if (!csv.empty()) status |= ccd::bench::ReportWrite(table.WriteCsv(csv), csv);
+  return status;
 } catch (const ccd::api::ApiError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

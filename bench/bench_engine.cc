@@ -90,13 +90,11 @@ PathResult Measure(const std::string& path, size_t instances, Fn&& fn) {
   return result;
 }
 
-void WriteJson(const std::string& path, const std::string& classifier,
+bool WriteJson(const std::string& path, const std::string& classifier,
                const std::string& detector, uint64_t instances, int batch,
                const std::vector<PathResult>& rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    throw std::runtime_error("bench_engine: cannot write " + path);
-  }
+  if (out == nullptr) return false;
   std::fprintf(out,
                "{\n  \"bench\": \"engine\",\n  \"schema_version\": %d,\n"
                "  \"instances\": %llu,\n  \"batch\": %d,\n"
@@ -113,7 +111,8 @@ void WriteJson(const std::string& path, const std::string& classifier,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  const bool written = std::ferror(out) == 0;
+  return std::fclose(out) == 0 && written;
 }
 
 }  // namespace
@@ -211,8 +210,8 @@ int main(int argc, char** argv) try {
 
   const std::string json = cli.GetString("json", "");
   if (!json.empty()) {
-    WriteJson(json, classifier, detector, data.size(), batch, rows);
-    std::printf("wrote %s\n", json.c_str());
+    return ccd::bench::ReportWrite(
+        WriteJson(json, classifier, detector, data.size(), batch, rows), json);
   }
   return 0;
 } catch (const ccd::api::ApiError& e) {

@@ -11,7 +11,6 @@
 // across workers (0 = all cores).
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,8 +69,6 @@ int main(int argc, char** argv) try {
   std::vector<std::string> entry_streams;
   for (const Point& p : points) entry_streams.push_back(p.stream);
   ccd::bench::InstallStreamProgress(suite, entry_streams, detectors.size());
-  std::string json = cli.GetString("json", "");
-  if (!json.empty()) suite.Sink(std::make_unique<ccd::api::JsonSink>(json));
 
   ccd::api::SuiteResult res = suite.Run();
   for (size_t p = 0; p < points.size(); ++p) {
@@ -88,9 +85,14 @@ int main(int argc, char** argv) try {
   std::printf(
       "Fig. 9 - pmAUC vs multi-class imbalance ratio (scale=%.4f)\n\n%s\n",
       scale, table.ToText().c_str());
+  int status = 0;
+  const std::string json = cli.GetString("json", "");
+  if (!json.empty()) {
+    status |= ccd::bench::ReportWrite(ccd::api::WriteJson(res, json), json);
+  }
   std::string csv = cli.GetString("csv", "");
-  if (!csv.empty() && table.WriteCsv(csv)) std::printf("wrote %s\n", csv.c_str());
-  return 0;
+  if (!csv.empty()) status |= ccd::bench::ReportWrite(table.WriteCsv(csv), csv);
+  return status;
 } catch (const ccd::api::ApiError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

@@ -160,14 +160,12 @@ RunResult RunOnce(const ccd::StreamSchema& schema,
 
 /// Escapes nothing fancy — the strings here are registry names and CLI
 /// words; this bench's JSON needs no general escaper.
-void WriteJson(const std::string& path, const std::string& classifier,
+bool WriteJson(const std::string& path, const std::string& classifier,
                const std::string& detector, uint64_t instances,
                int threads, int batch,
                const std::vector<std::pair<int, RunResult>>& rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    throw std::runtime_error("bench_serving: cannot write " + path);
-  }
+  if (out == nullptr) return false;
   std::fprintf(out,
                "{\n  \"bench\": \"serving\",\n  \"schema_version\": 1,\n"
                "  \"instances\": %llu,\n"
@@ -199,7 +197,8 @@ void WriteJson(const std::string& path, const std::string& classifier,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  const bool written = std::ferror(out) == 0;
+  return std::fclose(out) == 0 && written;
 }
 
 }  // namespace
@@ -282,15 +281,16 @@ int main(int argc, char** argv) try {
   std::printf("%s\n", table.ToText().c_str());
 
   const std::string csv = cli.GetString("csv", "");
-  if (!csv.empty() && table.WriteCsv(csv)) {
-    std::printf("wrote %s\n", csv.c_str());
-  }
+  int status = 0;
+  if (!csv.empty()) status |= ccd::bench::ReportWrite(table.WriteCsv(csv), csv);
   const std::string json = cli.GetString("json", "");
   if (!json.empty()) {
-    WriteJson(json, classifier, detector, data.size(), threads, batch, rows);
-    std::printf("wrote %s\n", json.c_str());
+    status |= ccd::bench::ReportWrite(
+        WriteJson(json, classifier, detector, data.size(), threads, batch,
+                  rows),
+        json);
   }
-  return 0;
+  return status;
 } catch (const ccd::api::ApiError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

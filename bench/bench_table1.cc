@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "bench_util.h"
 #include "generators/registry.h"
 #include "utils/cli.h"
 #include "utils/table.h"
@@ -82,9 +83,7 @@ int main(int argc, char** argv) try {
       "Note: the measured IR is the time-average of a *dynamic* imbalance\n"
       "schedule oscillating in [IR/2, IR], so it sits below the spec peak.\n");
   std::string csv = cli.GetString("csv", "");
-  if (!csv.empty() && table.WriteCsv(csv)) {
-    std::printf("wrote %s\n", csv.c_str());
-  }
+  if (!csv.empty()) return ccd::bench::ReportWrite(table.WriteCsv(csv), csv);
   return 0;
 } catch (const ccd::api::ApiError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

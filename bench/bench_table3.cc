@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,8 +99,6 @@ int main(int argc, char** argv) try {
   }
   ccd::bench::InstallStreamProgress(
       suite, stream_names, detectors.size() * static_cast<size_t>(repeats));
-  std::string json = cli.GetString("json", "");
-  if (!json.empty()) suite.Sink(std::make_unique<ccd::api::JsonSink>(json));
 
   ccd::api::SuiteResult res = suite.Run();
 
@@ -176,9 +173,14 @@ int main(int argc, char** argv) try {
     }
   }
 
+  int status = 0;
+  const std::string json = cli.GetString("json", "");
+  if (!json.empty()) {
+    status |= ccd::bench::ReportWrite(ccd::api::WriteJson(res, json), json);
+  }
   std::string csv = cli.GetString("csv", "");
-  if (!csv.empty() && table.WriteCsv(csv)) std::printf("wrote %s\n", csv.c_str());
-  return 0;
+  if (!csv.empty()) status |= ccd::bench::ReportWrite(table.WriteCsv(csv), csv);
+  return status;
 } catch (const ccd::api::ApiError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

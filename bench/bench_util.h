@@ -1,11 +1,12 @@
 #ifndef CCD_BENCH_BENCH_UTIL_H_
 #define CCD_BENCH_BENCH_UTIL_H_
 
-// Shared helpers of the benchmark binaries: CSV flag splitting and eager
+// Shared helpers of the benchmark binaries: CSV flag splitting, eager
 // validation of sweep filters, so a typo'd --detectors / --streams value
 // aborts with the valid names listed before any evaluation work starts
 // (a full-scale sweep is hours; failing on its last cell is not an
-// acceptable way to report a typo).
+// acceptable way to report a typo), and the exit status of the --csv /
+// --json output files.
 
 #include <cstdio>
 #include <map>
@@ -75,6 +76,18 @@ inline void InstallStreamProgress(api::Suite& suite,
       std::fprintf(stderr, "done %s\n", s.c_str());
     }
   });
+}
+
+/// Reports one written --csv / --json file: "wrote <path>" on stdout when
+/// `ok`, else an stderr error. Returns the bench's exit status for it (0 or
+/// 1), so a run whose requested output file is missing never exits 0.
+inline int ReportWrite(bool ok, const std::string& path) {
+  if (!ok) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
 }
 
 }  // namespace bench

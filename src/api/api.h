@@ -10,7 +10,7 @@
 ///  * Experiment     — fluent builder of prequential experiment runs,
 ///  * Suite          — deterministic parallel runner for experiment grids
 ///                     (streams × detectors × classifiers × repeats) with
-///                     Welford aggregation and CSV/JSON/table sinks,
+///                     Welford aggregation and a JSON writer (WriteJson),
 ///  * ShardedMonitor — the push-based serving type: K per-shard engines
 ///                     (the same engine the offline protocol runs on)
 ///                     behind hash-key routing, one validated push path,

@@ -536,6 +536,12 @@ uint64_t ShardedMonitor::unmatched_labels() const {
   return sum;
 }
 
+uint64_t ShardedMonitor::drifts() const {
+  uint64_t sum = 0;
+  SweepShards([&sum](const MonitorEngine& e) { sum += e.drifts(); });
+  return sum;
+}
+
 // -------------------------------------------------- ShardedMonitorBuilder
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::Schema(

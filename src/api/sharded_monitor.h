@@ -194,6 +194,7 @@ class ShardedMonitor {
   uint64_t pending() const;           ///< Parked predictions, all shards.
   uint64_t evicted() const;
   uint64_t unmatched_labels() const;
+  uint64_t drifts() const;            ///< DriftLog().size(), no copies.
 
   // --- Durability (implemented on the io layer; see src/io/).
 

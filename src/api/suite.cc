@@ -7,13 +7,12 @@
 
 #include "runtime/sync.h"
 #include "runtime/thread_pool.h"
-#include "utils/table.h"
 
 namespace ccd {
 namespace api {
 namespace {
 
-/// Full-precision double for CSV/JSON (round-trips through strtod).
+/// Full-precision double for JSON (round-trips through strtod).
 std::string FmtG(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -55,50 +54,9 @@ PrequentialResult RunDefaultCell(const SuiteCell& cell) {
 
 }  // namespace
 
-// ----------------------------------------------------------------- sinks
-
-void CsvSink::Write(const SuiteResult& result) {
-  Table t;
-  if (level_ == kCells) {
-    t.SetHeader({"stream", "detector", "classifier", "repeat", "seed",
-                 "instances", "pmauc", "pmgm", "accuracy", "kappa", "drifts",
-                 "detector_seconds", "classifier_seconds"});
-    for (const SuiteCellResult& c : result.cells) {
-      t.AddRow({c.cell.stream_label, c.cell.detector_label, c.cell.classifier,
-                std::to_string(c.cell.repeat),
-                std::to_string(c.cell.options.seed),
-                std::to_string(c.result.instances), FmtG(c.result.mean_pmauc),
-                FmtG(c.result.mean_pmgm), FmtG(c.result.mean_accuracy),
-                FmtG(c.result.mean_kappa), std::to_string(c.result.drifts),
-                FmtG(c.result.detector_seconds),
-                FmtG(c.result.classifier_seconds)});
-    }
-  } else {
-    t.SetHeader({"stream", "detector", "classifier", "repeats", "instances",
-                 "pmauc_mean", "pmauc_std", "pmgm_mean", "pmgm_std",
-                 "accuracy_mean", "accuracy_std", "kappa_mean", "kappa_std",
-                 "drifts_mean", "drifts_std"});
-    for (const SuiteAggregate& a : result.aggregates) {
-      t.AddRow({a.stream_label, a.detector_label, a.classifier,
-                std::to_string(a.pmauc.count()), std::to_string(a.instances),
-                FmtG(a.pmauc.mean()), FmtG(a.pmauc.StdDev()),
-                FmtG(a.pmgm.mean()), FmtG(a.pmgm.StdDev()),
-                FmtG(a.accuracy.mean()), FmtG(a.accuracy.StdDev()),
-                FmtG(a.kappa.mean()), FmtG(a.kappa.StdDev()),
-                FmtG(a.drifts.mean()), FmtG(a.drifts.StdDev())});
-    }
-  }
-  if (!t.WriteCsv(path_)) {
-    std::fprintf(stderr, "error: CsvSink failed to write %s\n", path_.c_str());
-  }
-}
-
-void JsonSink::Write(const SuiteResult& result) {
-  std::ofstream out(path_);
-  if (!out) {
-    std::fprintf(stderr, "error: JsonSink failed to open %s\n", path_.c_str());
-    return;
-  }
+bool WriteJson(const SuiteResult& result, const std::string& path) {
+  std::ofstream out(path);
+  if (!out) return false;
   out << "{\n  \"cells\": [";
   for (size_t i = 0; i < result.cells.size(); ++i) {
     const SuiteCellResult& c = result.cells[i];
@@ -146,24 +104,8 @@ void JsonSink::Write(const SuiteResult& result) {
         << ", \"drifts_std\": " << FmtG(a.drifts.StdDev()) << "}";
   }
   out << "\n  ]\n}\n";
-}
-
-void TableSink::Write(const SuiteResult& result) {
-  Table t;
-  t.SetHeader({"Stream", "Detector", "Classifier", "Repeats", "pmAUC", "±",
-               "pmGM", "±", "Acc", "Kappa", "Drifts"});
-  for (const SuiteAggregate& a : result.aggregates) {
-    t.AddRow({a.stream_label, a.detector_label, a.classifier,
-              std::to_string(a.pmauc.count()),
-              Table::Num(100.0 * a.pmauc.mean()),
-              Table::Num(100.0 * a.pmauc.StdDev()),
-              Table::Num(100.0 * a.pmgm.mean()),
-              Table::Num(100.0 * a.pmgm.StdDev()),
-              Table::Num(100.0 * a.accuracy.mean()),
-              Table::Num(a.kappa.mean()), Table::Num(a.drifts.mean(), 1)});
-  }
-  std::FILE* out = out_ == nullptr ? stdout : out_;
-  std::fputs(t.ToText().c_str(), out);
+  out.close();
+  return !out.fail();
 }
 
 // ----------------------------------------------------------------- suite
@@ -255,11 +197,6 @@ Suite& Suite::Runner(CellRunner runner) {
 
 Suite& Suite::OnCellDone(CellCallback callback) {
   on_cell_done_ = std::move(callback);
-  return *this;
-}
-
-Suite& Suite::Sink(std::unique_ptr<SuiteSink> sink) {
-  sinks_.push_back(std::shared_ptr<SuiteSink>(std::move(sink)));
   return *this;
 }
 
@@ -388,7 +325,6 @@ SuiteResult Suite::Run() const {
     out.aggregates.push_back(std::move(agg));
   }
 
-  for (const std::shared_ptr<SuiteSink>& sink : sinks_) sink->Write(out);
   return out;
 }
 

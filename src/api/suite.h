@@ -2,9 +2,7 @@
 #define CCD_API_SUITE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,49 +72,10 @@ struct SuiteResult {
   std::vector<SuiteAggregate> aggregates;
 };
 
-/// Output plug of a suite run. Sinks are invoked once, after every cell
-/// has finished, on the thread that called Suite::Run().
-class SuiteSink {
- public:
-  virtual ~SuiteSink() = default;
-  virtual void Write(const SuiteResult& result) = 0;
-};
-
-/// Writes one CSV row per cell (kCells) or per aggregate (kAggregates),
-/// with full-precision numbers for post-processing / plotting.
-class CsvSink : public SuiteSink {
- public:
-  enum Level { kCells, kAggregates };
-  explicit CsvSink(std::string path, Level level = kCells)
-      : path_(std::move(path)), level_(level) {}
-  void Write(const SuiteResult& result) override;
-
- private:
-  std::string path_;
-  Level level_;
-};
-
-/// Writes the whole result (cells with drift positions, plus aggregates)
-/// as a single JSON document.
-class JsonSink : public SuiteSink {
- public:
-  explicit JsonSink(std::string path) : path_(std::move(path)) {}
-  void Write(const SuiteResult& result) override;
-
- private:
-  std::string path_;
-};
-
-/// Renders the aggregate grid as an aligned text table (utils/table) to a
-/// FILE* — the quick human-readable view. nullptr means stdout.
-class TableSink : public SuiteSink {
- public:
-  explicit TableSink(std::FILE* out = nullptr) : out_(out) {}
-  void Write(const SuiteResult& result) override;
-
- private:
-  std::FILE* out_;
-};
+/// Writes the whole result (cells with drift positions and alarms, plus
+/// aggregates) as one JSON document at `path`. Returns false when the file
+/// cannot be opened or fully written.
+bool WriteJson(const SuiteResult& result, const std::string& path);
 
 /// Deterministic parallel runner for grids of prequential experiments —
 /// the paper's tables and figures are (stream × detector × seed) grids,
@@ -130,8 +89,8 @@ class TableSink : public SuiteSink {
 ///                              .Scale(0.01)
 ///                              .Repeats(5)
 ///                              .Threads(8)
-///                              .Sink(std::make_unique<api::CsvSink>("r.csv"))
 ///                              .Run();
+///   api::WriteJson(res, "results.json");
 ///
 /// Determinism: every cell derives its seed from the grid coordinates
 /// alone (axis seed + repeat), builds its own stream/classifier/detector,
@@ -198,15 +157,11 @@ class Suite {
   /// Installs a progress callback (see CellCallback).
   Suite& OnCellDone(CellCallback callback);
 
-  /// Attaches an output sink; sinks fire in attachment order after the
-  /// grid completes.
-  Suite& Sink(std::unique_ptr<SuiteSink> sink);
-
   /// The expanded grid in deterministic order, without running anything.
   std::vector<SuiteCell> Cells() const;
 
-  /// Executes the grid on the thread pool, aggregates repeats, feeds the
-  /// sinks, and returns everything. The first cell error (in grid order)
+  /// Executes the grid on the thread pool, aggregates repeats, and returns
+  /// everything. The first cell error (in grid order)
   /// is rethrown after all cells finish.
   SuiteResult Run() const;
 
@@ -237,7 +192,6 @@ class Suite {
   int threads_ = 0;
   CellRunner runner_;
   CellCallback on_cell_done_;
-  std::vector<std::shared_ptr<SuiteSink>> sinks_;
 };
 
 }  // namespace api

@@ -100,25 +100,12 @@ void Rbm::AddClassInput(const std::vector<double>& z,
   }
 }
 
-std::vector<double> Rbm::HiddenProbs(const std::vector<double>& v,
-                                     const std::vector<double>& z) const {
-  std::vector<double> ph;
-  HiddenProbsInto(v, z, &ph);
-  return ph;
-}
-
 void Rbm::HiddenProbsInto(const std::vector<double>& v,
                           const std::vector<double>& z,
                           std::vector<double>* out) const {
   VisiblePreactivationInto(v, out);
   AddClassInput(z, out);
   SigmoidInPlace(out);
-}
-
-std::vector<double> Rbm::VisibleProbs(const std::vector<double>& h) const {
-  std::vector<double> pv;
-  VisibleProbsInto(h, &pv);
-  return pv;
 }
 
 void Rbm::VisibleProbsInto(const std::vector<double>& h,
@@ -157,34 +144,16 @@ void Rbm::VisibleProbsInto(const std::vector<double>& h,
   }
 }
 
-std::vector<double> Rbm::HiddenFromVisible(const std::vector<double>& v) const {
-  std::vector<double> ph;
-  HiddenFromVisibleInto(v, &ph);
-  return ph;
-}
-
 void Rbm::HiddenFromVisibleInto(const std::vector<double>& v,
                                 std::vector<double>* out) const {
   VisiblePreactivationInto(v, out);
   SigmoidInPlace(out);
 }
 
-std::vector<double> Rbm::ClassReadout(const std::vector<double>& v) const {
-  std::vector<double> out;
-  ClassReadoutInto(v, &out);
-  return out;
-}
-
 void Rbm::ClassReadoutInto(const std::vector<double>& v,
                            std::vector<double>* out) const {
   HiddenFromVisibleInto(v, &scratch_.h2);
   ClassProbsInto(scratch_.h2, out);
-}
-
-std::vector<double> Rbm::ClassProbs(const std::vector<double>& h) const {
-  std::vector<double> logits;
-  ClassProbsInto(h, &logits);
-  return logits;
 }
 
 void Rbm::ClassProbsInto(const std::vector<double>& h,
@@ -238,10 +207,6 @@ void Rbm::ClassWeightsInto(std::vector<double>* out) const {
     // Clamp to keep one rare instance from destabilizing the whole model.
     if (x > 50.0) x = 50.0;
   }
-}
-
-void Rbm::TrainBatch(const std::vector<Instance>& batch) {
-  TrainBatch(batch.data(), batch.size());
 }
 
 void Rbm::TrainBatch(const Instance* batch, size_t count) {
@@ -423,12 +388,6 @@ double Rbm::ReconstructionError(const std::vector<double>& x, int y) const {
   // Eq. 26 with a 1/sqrt(V+Z) normalization for a bounded signal.
   return std::sqrt(sq) /
          std::sqrt(static_cast<double>(params_.visible + params_.classes));
-}
-
-std::vector<double> Rbm::ClassifyProbs(const std::vector<double>& x) const {
-  std::vector<double> logits;
-  ClassifyProbsInto(x, &logits);
-  return logits;
 }
 
 void Rbm::ClassifyProbsInto(const std::vector<double>& x,

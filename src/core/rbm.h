@@ -58,35 +58,17 @@ class Rbm {
   /// (0,1) (beta = 1 makes the Eq. 13 weight 0/0) and count_decay in (0,1].
   static void ValidateParams(const Params& params);
 
-  /// One CD-k update from a mini-batch (Eq. 15-21). Instances' features
-  /// must be in [0,1]; labels in [0, classes).
-  void TrainBatch(const std::vector<Instance>& batch);
-  /// Pointer-range form, for callers that recycle a larger instance buffer
-  /// and train on its used prefix (RBM-IM's pending mini-batch).
+  /// One CD-k update from the mini-batch batch[0, count) (Eq. 15-21).
+  /// Instances' features must be in [0,1]; labels in [0, classes). Takes
+  /// a pointer range so RBM-IM can train on the used prefix of its
+  /// recycled pending buffer.
   void TrainBatch(const Instance* batch, size_t count);
 
-  /// Per-class activation probabilities of h given clamped v and z
-  /// (Eq. 10).
-  std::vector<double> HiddenProbs(const std::vector<double>& v,
-                                  const std::vector<double>& z) const;
-  /// P(v_i = 1 | h), Eq. 11.
-  std::vector<double> VisibleProbs(const std::vector<double>& h) const;
-  /// Hidden activations driven by the visible layer only (class input 0);
-  /// the encoding used for the label read-out.
-  std::vector<double> HiddenFromVisible(const std::vector<double>& v) const;
-  /// Softmax label read-out from the visible layer: P(z | h(v)) — the
-  /// "class layer activated to reconstruct the class label" of Sec. V-B.
-  std::vector<double> ClassReadout(const std::vector<double>& v) const;
-  /// Softmax class activations given h, Eq. 12.
-  std::vector<double> ClassProbs(const std::vector<double>& h) const;
-
-  /// Allocation-free forms of the feed-forward passes above: each writes
-  /// into `out` (resized in place, capacity reused) with arithmetic
-  /// bit-identical to its by-value sibling. These are the per-push hot
-  /// path — ReconstructionError() and TrainBatch() route everything
-  /// through reused scratch so a trained, steady-state RBM performs no
-  /// heap allocation per evaluated instance. `out` must not alias `v`,
-  /// `z`, or `h`.
+  /// The feed-forward passes. Each writes into `out` (resized in place,
+  /// capacity reused), so a trained, steady-state RBM performs no heap
+  /// allocation per evaluated instance; ReconstructionError() and
+  /// TrainBatch() route everything through reused scratch the same way.
+  /// `out` must not alias `v`, `z`, `h` or `x`.
   ///
   /// Summation order is part of the contract: every output unit starts
   /// from its bias and adds its products in ascending input index (visible
@@ -94,32 +76,39 @@ class Rbm {
   /// many output units at once, but never reassociate one unit's sum, so
   /// results are bit-identical to the textbook per-unit loops
   /// (tests/rbm_kernel_test.cc holds them to that).
+  ///
+  /// Per-class activation probabilities of h given clamped v and z
+  /// (Eq. 10).
   void HiddenProbsInto(const std::vector<double>& v,
                        const std::vector<double>& z,
                        std::vector<double>* out) const;
+  /// P(v_i = 1 | h), Eq. 11.
   void VisibleProbsInto(const std::vector<double>& h,
                         std::vector<double>* out) const;
+  /// Hidden activations driven by the visible layer only (class input 0);
+  /// the encoding used for the label read-out.
   void HiddenFromVisibleInto(const std::vector<double>& v,
                              std::vector<double>* out) const;
+  /// Softmax label read-out from the visible layer: P(z | h(v)) — the
+  /// "class layer activated to reconstruct the class label" of Sec. V-B.
   void ClassReadoutInto(const std::vector<double>& v,
                         std::vector<double>* out) const;
+  /// Softmax class activations given h, Eq. 12.
   void ClassProbsInto(const std::vector<double>& h,
                       std::vector<double>* out) const;
+  /// Discriminative use of the class layer: P(y | x) via free energy
+  /// (softmax over c_y + sum_j softplus(b_j + W_j.x + u_jy)). Lets the RBM
+  /// double as a classifier and is exercised by tests.
   void ClassifyProbsInto(const std::vector<double>& x,
                          std::vector<double>* out) const;
 
   /// Reconstruction error R(S_n^m) of Eq. 26, normalized by sqrt(V + Z)
   /// into [0,1] so downstream change detection sees a bounded signal. The
   /// feature part reconstructs x~ through the label-clamped pass (Eq. 25,
-  /// 23); the label part y~ is the ClassReadout from v alone — clamping y
+  /// 23); the label part y~ is the class read-out from v alone — clamping y
   /// into the class layer would merely echo the label back and hide
   /// changes of p(y|x) (virtual-vs-real drift would be indistinguishable).
   double ReconstructionError(const std::vector<double>& x, int y) const;
-
-  /// Discriminative use of the class layer: P(y | x) via free energy
-  /// (softmax over c_y + sum_j softplus(b_j + W_j.x + u_jy)). Lets the RBM
-  /// double as a classifier and is exercised by tests.
-  std::vector<double> ClassifyProbs(const std::vector<double>& x) const;
 
   /// Class-balanced gradient weight of class y (Eq. 13 coefficient,
   /// normalized so the average over observed classes is ~1).

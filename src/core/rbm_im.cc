@@ -249,18 +249,13 @@ void RbmIm::Observe(const Instance& instance, int /*predicted*/,
   // The normalizer is sized for params_.num_features and validates the
   // width: an instance that does not match the declared schema throws
   // std::invalid_argument here instead of corrupting the bounds arrays.
-  // Recycle a previously grown slot when one exists so the steady-state
-  // push performs no heap allocation.
-  if (pending_used_ < pending_.size()) {
-    Instance& slot = pending_[pending_used_];
-    normalizer_.ObserveTransformInto(instance.features, &slot.features);
-    slot.label = instance.label;
-    slot.weight = instance.weight;
-  } else {
-    Instance normalized(normalizer_.ObserveTransform(instance.features),
-                        instance.label, instance.weight);
-    pending_.push_back(std::move(normalized));
-  }
+  // Slots are grown once and then recycled, so the steady-state push
+  // performs no heap allocation. A throw leaves at most one spare slot.
+  if (pending_used_ == pending_.size()) pending_.emplace_back();
+  Instance& slot = pending_[pending_used_];
+  normalizer_.ObserveTransformInto(instance.features, &slot.features);
+  slot.label = instance.label;
+  slot.weight = instance.weight;
   ++pending_used_;
   if (pending_used_ >= static_cast<size_t>(params_.batch_size)) {
     ProcessBatch();

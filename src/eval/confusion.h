@@ -28,11 +28,6 @@ class ConfusionMatrix {
     Add(truth, predicted, -weight);
   }
 
-  void Clear() {
-    cells_.assign(cells_.size(), 0.0);
-    total_ = 0.0;
-  }
-
   double cell(int truth, int predicted) const {
     return cells_[static_cast<size_t>(truth) * k_ +
                   static_cast<size_t>(predicted)];

@@ -242,6 +242,9 @@ class MonitorEngine {
   size_t pending() const { return pending_count_; }
   uint64_t evicted() const { return evicted_; }
   uint64_t unmatched_labels() const { return unmatched_; }
+  /// Drift alarms raised so far (the size of the drift log, without
+  /// copying it).
+  uint64_t drifts() const { return acc_.drifts; }
   /// Detector state after the most recent measured step (kStable when no
   /// detector is attached or nothing completed yet).
   DetectorState last_detector_state() const { return last_state_; }

@@ -151,7 +151,7 @@ std::string MonitorService::Dispatch(const std::string& request) {
            " evicted=" + std::to_string(monitor_->evicted()) +
            " unmatched=" + std::to_string(monitor_->unmatched_labels()) +
            " shards=" + std::to_string(monitor_->shards()) +
-           " drifts=" + std::to_string(monitor_->DriftLog().size());
+           " drifts=" + std::to_string(monitor_->drifts());
   }
 
   if (command == "RESULT") {

@@ -66,26 +66,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ParallelFor(int threads, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  ThreadPool pool(threads);
-  std::vector<std::exception_ptr> errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.Submit([&fn, &errors, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool.Wait();
-  for (std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
 void RunThreads(int threads, const std::function<void(int)>& fn) {
   if (threads < 1) threads = 1;
   Mutex mutex;

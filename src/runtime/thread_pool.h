@@ -59,22 +59,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(0..n-1) across `threads` workers and blocks until all calls
-/// return. Convenience wrapper for embarrassingly parallel index loops;
-/// exceptions escaping `fn` propagate to the caller (the first one in
-/// index order; the remaining indices still run).
-void ParallelFor(int threads, std::size_t n,
-                 const std::function<void(std::size_t)>& fn);
-
 /// Runs `fn(0) .. fn(threads-1)` on `threads` *dedicated* threads that
 /// all start together: every thread parks on a start barrier until the
 /// last one is up, so the calls genuinely contend instead of running in
 /// spawn order — the launcher behind the serving benchmarks and the
 /// router stress tests. Joins all threads before returning; the first
 /// exception (in thread-index order) is rethrown on the calling thread.
-/// Unlike ParallelFor this bypasses the pool: each index owns a real
-/// thread for its whole lifetime, which is the point when measuring or
-/// stressing lock contention.
+/// Unlike ThreadPool each index owns a real thread for its whole
+/// lifetime, which is the point when measuring or stressing lock
+/// contention.
 void RunThreads(int threads, const std::function<void(int)>& fn);
 
 }  // namespace runtime

@@ -132,10 +132,4 @@ double FCdf(double x, double d1, double d2) {
 
 double FPValue(double x, double d1, double d2) { return 1.0 - FCdf(x, d1, d2); }
 
-double StudentTTwoSidedPValue(double t, double v) {
-  if (v <= 0.0) return 1.0;
-  double x = v / (v + t * t);
-  return RegularizedBeta(v / 2.0, 0.5, x);
-}
-
 }  // namespace ccd

@@ -36,9 +36,6 @@ double FCdf(double x, double d1, double d2);
 /// Upper-tail p-value for an F statistic.
 double FPValue(double x, double d1, double d2);
 
-/// Two-sided p-value for a Student-t statistic with v degrees of freedom.
-double StudentTTwoSidedPValue(double t, double v);
-
 }  // namespace ccd
 
 #endif  // CCD_STATS_DISTRIBUTIONS_H_

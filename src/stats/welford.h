@@ -29,11 +29,6 @@ class Welford {
   /// Population variance (divide by n).
   double Variance() const { return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0; }
 
-  /// Sample variance (divide by n-1).
-  double SampleVariance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-
   double StdDev() const { return std::sqrt(Variance()); }
 
   /// Raw second central moment — serialization access. mean/m2 must be

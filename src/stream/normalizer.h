@@ -37,26 +37,10 @@ class MinMaxNormalizer {
     }
   }
 
-  /// Maps `x` into [0,1]^d with the current bounds. Constant features map
-  /// to 0.5. Does not update the bounds. Throws std::invalid_argument on a
+  /// Maps `x` into [0,1]^d with the current bounds, writing into `out`
+  /// (capacity reused; `out` must not alias `x`). Constant features map to
+  /// 0.5. Does not update the bounds. Throws std::invalid_argument on a
   /// width mismatch, like Observe().
-  std::vector<double> Transform(const std::vector<double>& x) const {
-    CheckWidth(x);
-    std::vector<double> out(x.size());
-    for (size_t i = 0; i < x.size(); ++i) {
-      double span = hi_[i] - lo_[i];
-      if (span <= 0.0 || !seen_) {
-        out[i] = 0.5;
-      } else {
-        double v = (x[i] - lo_[i]) / span;
-        out[i] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
-      }
-    }
-    return out;
-  }
-
-  /// Allocation-free form of Transform(): writes into `out`, reusing its
-  /// capacity. `out` must not alias `x`. Bit-identical to Transform().
   void TransformInto(const std::vector<double>& x,
                      std::vector<double>* out) const {
     CheckWidth(x);
@@ -72,14 +56,9 @@ class MinMaxNormalizer {
     }
   }
 
-  /// Observe + Transform in one call (the usual streaming order).
-  std::vector<double> ObserveTransform(const std::vector<double>& x) {
-    Observe(x);
-    return Transform(x);
-  }
-
-  /// Allocation-free ObserveTransform(): the per-push path of RBM-IM's
-  /// pending mini-batch, which recycles its instance slots.
+  /// Observe() then TransformInto() (the usual streaming order): the
+  /// per-push path of RBM-IM's pending mini-batch, which recycles its
+  /// instance slots.
   void ObserveTransformInto(const std::vector<double>& x,
                             std::vector<double>* out) {
     Observe(x);

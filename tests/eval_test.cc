@@ -10,11 +10,9 @@
 
 #include "classifiers/naive_bayes.h"
 #include "detectors/ddm.h"
-#include "detectors/fhddm.h"
 #include "eval/confusion.h"
 #include "eval/metrics.h"
 #include "eval/prequential.h"
-#include "eval/self_tuning.h"
 #include "generators/drifting_stream.h"
 #include "generators/rbf.h"
 #include "testing_util.h"
@@ -649,30 +647,6 @@ TEST(PrequentialTest, CountsRealizedClassDistribution) {
   uint64_t total = 0;
   for (uint64_t c : r.class_counts) total += c;
   EXPECT_EQ(total, 3000u);  // Every instance (warmup included) is counted.
-}
-
-TEST(SelfTuningTest, FindsBetterFhddmDelta) {
-  // Tune FHDDM's log10(delta) on a drifting prefix: the objective is the
-  // prequential pmAUC of the standard pipeline. The tuner must return a
-  // parameter no worse than the grid's worst corner.
-  auto evaluate = [](const std::vector<double>& params) {
-    auto stream = MakeDriftStream(3000, 13);
-    GaussianNaiveBayes clf(stream->schema());
-    Fhddm::Params fp;
-    fp.delta = std::pow(10.0, params[0]);
-    Fhddm detector(fp);
-    PrequentialConfig cfg;
-    cfg.max_instances = 6000;
-    cfg.warmup = 200;
-    cfg.timing = false;
-    return RunPrequential(stream.get(), &clf, &detector, cfg).mean_pmauc;
-  };
-  SelfTuningResult r =
-      SelfTuneOnPrefix(evaluate, {-4.0}, {-7.0}, {-1.0}, /*budget=*/12);
-  EXPECT_GE(r.evaluations, 3);
-  EXPECT_GE(r.best_metric, evaluate({-7.0}) - 0.02);
-  EXPECT_GE(r.best_params[0], -7.0);
-  EXPECT_LE(r.best_params[0], -1.0);
 }
 
 }  // namespace

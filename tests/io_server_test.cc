@@ -179,6 +179,14 @@ TEST_F(MonitorServiceTest, SocketServingMatchesDirectServingBitIdentically) {
   EXPECT_NE(stats.find("position=" + std::to_string(oracle.position())),
             std::string::npos)
       << stats;
+  // The drift count comes from per-shard counters, not a copied drift
+  // log; it must still agree with the log on a stream that drifts.
+  const size_t drifts_at = stats.find("drifts=");
+  ASSERT_NE(drifts_at, std::string::npos) << stats;
+  const uint64_t drifts = std::stoull(stats.substr(drifts_at + 7));
+  EXPECT_EQ(drifts, oracle.DriftLog().size()) << stats;
+  EXPECT_EQ(drifts, served.drifts());
+  EXPECT_GT(drifts, 0u) << stats;
   char expect_pmauc[64];
   std::snprintf(expect_pmauc, sizeof(expect_pmauc), "pmauc=%.17g",
                 oracle.Result().mean_pmauc);

@@ -430,8 +430,8 @@ std::string Describe(const Rbm::Params& p, double sigma) {
          " sigma=" + std::to_string(sigma);
 }
 
-/// Every *Into pass, the by-value forms, ReconstructionError and
-/// ClassWeight on fresh inputs. The output buffers arrive oversized and
+/// Every *Into pass, ReconstructionError and ClassWeight on fresh
+/// inputs. The output buffers arrive oversized and
 /// full of stale values, as reused scratch does.
 void ExpectPassesMatch(const Rbm& rbm, const NaiveRbmOracle& oracle,
                        const Rbm::Params& p, Rng* rng,
@@ -518,7 +518,7 @@ TEST(RbmKernelTest, TrainBatchMatchesNaiveLoops) {
                 batch.emplace_back(DrawFeatures(&data, p.visible),
                                    DrawLabel(&data, p.classes));
               }
-              rbm.TrainBatch(batch);
+              rbm.TrainBatch(batch.data(), batch.size());
               oracle.TrainBatch(batch);
               const std::string step = what + " batch " + std::to_string(b);
               EXPECT_TRUE(SameState(rbm, oracle)) << step;
@@ -555,7 +555,7 @@ TEST(RbmKernelTest, InfiniteFeatureKeepsTheZeroGradientSkip) {
     x[static_cast<size_t>(p.visible) / 2] =
         std::numeric_limits<double>::infinity();
     batch.emplace_back(std::move(x), 0);
-    rbm.TrainBatch(batch);
+    rbm.TrainBatch(batch.data(), batch.size());
     oracle.TrainBatch(batch);
     EXPECT_TRUE(SameState(rbm, oracle)) << Describe(p, 0.3);
   }
@@ -577,8 +577,11 @@ TEST(RbmKernelTest, ComparisonsCatchTinyPerturbations) {
   EXPECT_FALSE(SameState(rbm, oracle));
   const std::vector<double> v(static_cast<size_t>(p.visible), 0.5);
   const std::vector<double> h(static_cast<size_t>(p.hidden), 0.5);
-  EXPECT_FALSE(SameBits(rbm.HiddenFromVisible(v), oracle.HiddenFromVisible(v)));
-  EXPECT_FALSE(SameBits(rbm.VisibleProbs(h), oracle.VisibleProbs(h)));
+  std::vector<double> out;
+  rbm.HiddenFromVisibleInto(v, &out);
+  EXPECT_FALSE(SameBits(out, oracle.HiddenFromVisible(v)));
+  rbm.VisibleProbsInto(h, &out);
+  EXPECT_FALSE(SameBits(out, oracle.VisibleProbs(h)));
   EXPECT_FALSE(SameBits(-0.0, 0.0));
 }
 

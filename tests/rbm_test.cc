@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/rbm.h"
 #include "io/wire.h"
@@ -51,19 +52,20 @@ TEST(RbmTest, ProbabilityOutputsAreValid) {
   Rbm rbm(SmallParams(), 3);
   std::vector<double> v = {0.1, 0.9, 0.5, 0.3, 0.7, 0.2};
   std::vector<double> z = {1.0, 0.0, 0.0};
-  auto h = rbm.HiddenProbs(v, z);
+  std::vector<double> h, vr, zr;
+  rbm.HiddenProbsInto(v, z, &h);
   ASSERT_EQ(h.size(), 8u);
   for (double p : h) {
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 1.0);
   }
-  auto vr = rbm.VisibleProbs(h);
+  rbm.VisibleProbsInto(h, &vr);
   ASSERT_EQ(vr.size(), 6u);
   for (double p : vr) {
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 1.0);
   }
-  auto zr = rbm.ClassProbs(h);
+  rbm.ClassProbsInto(h, &zr);
   double sum = 0.0;
   for (double p : zr) {
     EXPECT_GT(p, 0.0);
@@ -77,21 +79,25 @@ TEST(RbmTest, EnergyDecreasesForTrainedPatterns) {
   // data should have lower energy than random noise configurations.
   Rbm rbm(SmallParams(), 3);
   Rng rng(5);
-  for (int b = 0; b < 300; ++b) rbm.TrainBatch(DrawBatch(&rng, 20));
+  for (int b = 0; b < 300; ++b) {
+    const std::vector<Instance> batch = DrawBatch(&rng, 20);
+    rbm.TrainBatch(batch.data(), batch.size());
+  }
 
   double trained_energy = 0.0, noise_energy = 0.0;
+  std::vector<double> h, hn;
   for (int i = 0; i < 100; ++i) {
     Instance inst = DrawProto(&rng, rng.UniformInt(0, 2));
     std::vector<double> z(3, 0.0);
     z[static_cast<size_t>(inst.label)] = 1.0;
-    auto h = rbm.HiddenProbs(inst.features, z);
+    rbm.HiddenProbsInto(inst.features, z, &h);
     trained_energy += rbm.Energy(inst.features, h, z);
 
     std::vector<double> vn(6);
     for (double& v : vn) v = rng.NextDouble();
     std::vector<double> zn(3, 0.0);
     zn[static_cast<size_t>(rng.UniformInt(0, 2))] = 1.0;
-    auto hn = rbm.HiddenProbs(vn, zn);
+    rbm.HiddenProbsInto(vn, zn, &hn);
     noise_energy += rbm.Energy(vn, hn, zn);
   }
   EXPECT_LT(trained_energy, noise_energy);
@@ -109,7 +115,10 @@ TEST(RbmTest, ReconstructionErrorDropsWithTraining) {
     return sum / 200.0;
   };
   double before = mean_recon(&rng);
-  for (int b = 0; b < 400; ++b) rbm.TrainBatch(DrawBatch(&rng, 20));
+  for (int b = 0; b < 400; ++b) {
+    const std::vector<Instance> batch = DrawBatch(&rng, 20);
+    rbm.TrainBatch(batch.data(), batch.size());
+  }
   double after = mean_recon(&rng);
   EXPECT_LT(after, before - 0.02);
 }
@@ -128,7 +137,10 @@ TEST(RbmTest, ReconstructionErrorIsNormalized) {
 TEST(RbmTest, ReconstructionHigherForUnseenConcept) {
   Rbm rbm(SmallParams(), 3);
   Rng rng(11);
-  for (int b = 0; b < 400; ++b) rbm.TrainBatch(DrawBatch(&rng, 20));
+  for (int b = 0; b < 400; ++b) {
+    const std::vector<Instance> batch = DrawBatch(&rng, 20);
+    rbm.TrainBatch(batch.data(), batch.size());
+  }
   // In-distribution error.
   double in_dist = 0.0;
   for (int i = 0; i < 200; ++i) {
@@ -148,12 +160,16 @@ TEST(RbmTest, ReconstructionHigherForUnseenConcept) {
 TEST(RbmTest, ClassReadoutLearnsPosterior) {
   Rbm rbm(SmallParams(), 3);
   Rng rng(13);
-  for (int b = 0; b < 600; ++b) rbm.TrainBatch(DrawBatch(&rng, 20));
+  for (int b = 0; b < 600; ++b) {
+    const std::vector<Instance> batch = DrawBatch(&rng, 20);
+    rbm.TrainBatch(batch.data(), batch.size());
+  }
   int correct = 0;
+  std::vector<double> probs;
   for (int i = 0; i < 300; ++i) {
     int y = rng.UniformInt(0, 2);
     Instance inst = DrawProto(&rng, y);
-    auto probs = rbm.ClassReadout(inst.features);
+    rbm.ClassReadoutInto(inst.features, &probs);
     int arg = 0;
     for (int k = 1; k < 3; ++k) {
       if (probs[static_cast<size_t>(k)] > probs[static_cast<size_t>(arg)]) arg = k;
@@ -175,7 +191,7 @@ TEST(RbmTest, ClassWeightFavorsMinority) {
       int y = u < 0.90 ? 0 : (u < 0.99 ? 1 : 2);
       batch.push_back(DrawProto(&rng, y));
     }
-    rbm.TrainBatch(batch);
+    rbm.TrainBatch(batch.data(), batch.size());
   }
   EXPECT_GT(rbm.ClassWeight(2), rbm.ClassWeight(1));
   EXPECT_GT(rbm.ClassWeight(1), rbm.ClassWeight(0));
@@ -187,7 +203,10 @@ TEST(RbmTest, BalancedWeightsWhenDisabled) {
   p.class_balanced = false;
   Rbm rbm(p, 3);
   Rng rng(17);
-  for (int b = 0; b < 50; ++b) rbm.TrainBatch(DrawBatch(&rng, 20, 0.9, 0.09));
+  for (int b = 0; b < 50; ++b) {
+    const std::vector<Instance> batch = DrawBatch(&rng, 20, 0.9, 0.09);
+    rbm.TrainBatch(batch.data(), batch.size());
+  }
   EXPECT_DOUBLE_EQ(rbm.ClassWeight(0), 1.0);
   EXPECT_DOUBLE_EQ(rbm.ClassWeight(2), 1.0);
 }
@@ -208,8 +227,8 @@ TEST(RbmTest, SkewInsensitiveLossHelpsMinorityRepresentation) {
       int y = u < 0.97 ? 0 : (u < 0.99 ? 1 : 2);
       batch.push_back(DrawProto(&rng, y));
     }
-    rbm_b.TrainBatch(batch);
-    rbm_p.TrainBatch(batch);
+    rbm_b.TrainBatch(batch.data(), batch.size());
+    rbm_p.TrainBatch(batch.data(), batch.size());
   }
   double err_b = 0.0, err_p = 0.0;
   for (int i = 0; i < 300; ++i) {
@@ -224,8 +243,10 @@ TEST(RbmTest, DeterministicGivenSeed) {
   Rbm a(SmallParams(), 21), b(SmallParams(), 21);
   Rng ra(23), rb(23);
   for (int i = 0; i < 20; ++i) {
-    a.TrainBatch(DrawBatch(&ra, 10));
-    b.TrainBatch(DrawBatch(&rb, 10));
+    const std::vector<Instance> batch_a = DrawBatch(&ra, 10);
+    const std::vector<Instance> batch_b = DrawBatch(&rb, 10);
+    a.TrainBatch(batch_a.data(), batch_a.size());
+    b.TrainBatch(batch_b.data(), batch_b.size());
   }
   Instance probe = DrawProto(&ra, 1);
   EXPECT_DOUBLE_EQ(a.ReconstructionError(probe.features, 1),
@@ -235,8 +256,12 @@ TEST(RbmTest, DeterministicGivenSeed) {
 TEST(RbmTest, ClassifyProbsFreeEnergyIsDistribution) {
   Rbm rbm(SmallParams(), 3);
   Rng rng(25);
-  for (int b = 0; b < 100; ++b) rbm.TrainBatch(DrawBatch(&rng, 20));
-  auto probs = rbm.ClassifyProbs(DrawProto(&rng, 0).features);
+  for (int b = 0; b < 100; ++b) {
+    const std::vector<Instance> batch = DrawBatch(&rng, 20);
+    rbm.TrainBatch(batch.data(), batch.size());
+  }
+  std::vector<double> probs;
+  rbm.ClassifyProbsInto(DrawProto(&rng, 0).features, &probs);
   double sum = 0.0;
   for (double p : probs) {
     EXPECT_GE(p, 0.0);

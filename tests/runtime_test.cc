@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -114,33 +113,6 @@ TEST(ThreadPoolTest, ClampsWorkerCountToAtLeastOne) {
 
 TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
   EXPECT_GE(runtime::ThreadPool::DefaultThreads(), 1);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  // Each index writes only its own slot — the determinism contract cells
-  // rely on — so no synchronization is needed to check coverage.
-  std::vector<int> hits(500, 0);
-  runtime::ParallelFor(8, hits.size(), [&hits](size_t i) { ++hits[i]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForTest, ZeroIterationsIsANoop) {
-  runtime::ParallelFor(4, 0, [](size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ParallelForTest, PropagatesExceptionsAfterAllIndicesRan) {
-  std::atomic<int> ran{0};
-  try {
-    runtime::ParallelFor(4, 20, [&ran](size_t i) {
-      ++ran;
-      if (i == 3) throw std::runtime_error("cell 3 failed");
-    });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "cell 3 failed");
-  }
-  // The failing index must not cancel its siblings.
-  EXPECT_EQ(ran.load(), 20);
 }
 
 }  // namespace

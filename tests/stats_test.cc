@@ -4,7 +4,6 @@
 
 #include "stats/distributions.h"
 #include "stats/granger.h"
-#include "stats/nelder_mead.h"
 #include "stats/ranking.h"
 #include "stats/trend.h"
 #include "stats/welford.h"
@@ -34,12 +33,6 @@ TEST(DistributionsTest, FCdfKnownValues) {
   EXPECT_NEAR(FCdf(4.965, 1, 10), 0.95, 2e-3);
   // F(5, 20): 95th percentile ~ 2.711.
   EXPECT_NEAR(FCdf(2.711, 5, 20), 0.95, 2e-3);
-}
-
-TEST(DistributionsTest, StudentTKnownValues) {
-  // t with 10 dof: |t|=2.228 -> two-sided p ~ 0.05.
-  EXPECT_NEAR(StudentTTwoSidedPValue(2.228, 10), 0.05, 2e-3);
-  EXPECT_NEAR(StudentTTwoSidedPValue(0.0, 10), 1.0, 1e-9);
 }
 
 TEST(DistributionsTest, LogGammaMatchesFactorials) {
@@ -256,28 +249,6 @@ TEST(BayesianSignedTest, EquivalentAlgorithmsLandInRope) {
   BayesianSignedResult r = BayesianSignedTest(a, b, 0.01, 5000, 3);
   ASSERT_TRUE(r.valid);
   EXPECT_GT(r.p_rope, 0.9);
-}
-
-// --------------------------------------------------------------- nelder-mead
-TEST(NelderMeadTest, MinimizesQuadratic) {
-  auto f = [](const std::vector<double>& x) {
-    double a = x[0] - 1.5, b = x[1] + 0.5;
-    return a * a + 2.0 * b * b;
-  };
-  NelderMeadOptions opt;
-  opt.max_evaluations = 400;
-  NelderMeadResult r =
-      NelderMeadMinimize(f, {0.0, 0.0}, {-5.0, -5.0}, {5.0, 5.0}, opt);
-  EXPECT_NEAR(r.best_point[0], 1.5, 0.05);
-  EXPECT_NEAR(r.best_point[1], -0.5, 0.05);
-  EXPECT_LT(r.best_value, 0.01);
-}
-
-TEST(NelderMeadTest, RespectsBoxBounds) {
-  auto f = [](const std::vector<double>& x) { return -x[0]; };  // Wants +inf.
-  NelderMeadResult r = NelderMeadMinimize(f, {0.5}, {0.0}, {2.0}, {});
-  EXPECT_LE(r.best_point[0], 2.0 + 1e-12);
-  EXPECT_NEAR(r.best_point[0], 2.0, 0.01);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // api::Suite — the deterministic parallel experiment-suite runner: grid
 // expansion, per-repeat seeding, thread-count-independent results, Welford
-// aggregation, sinks, and error propagation.
+// aggregation, the JSON writer, and error propagation.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -140,27 +138,10 @@ TEST(SuiteTest, CustomRunnerKeepsGridAndOrdering) {
   EXPECT_DOUBLE_EQ(res.cells[1].result.mean_pmauc, 1.0);
 }
 
-TEST(SuiteTest, SinksReceiveTheCompletedRun) {
-  const std::string cells_csv = ::testing::TempDir() + "ccd_suite_cells.csv";
-  const std::string agg_csv = ::testing::TempDir() + "ccd_suite_agg.csv";
+TEST(SuiteTest, WriteJsonWritesTheCompletedRun) {
   const std::string json = ::testing::TempDir() + "ccd_suite.json";
-  api::Suite suite = MakeGrid(4);
-  suite.Sink(std::make_unique<api::CsvSink>(cells_csv))
-      .Sink(std::make_unique<api::CsvSink>(agg_csv,
-                                           api::CsvSink::kAggregates))
-      .Sink(std::make_unique<api::JsonSink>(json));
-  suite.Run();
-
-  std::string cells_text = Slurp(cells_csv);
-  EXPECT_NE(cells_text.find("stream,detector,classifier,repeat,seed"),
-            std::string::npos);
-  EXPECT_NE(cells_text.find("RBF5"), std::string::npos);
-  // 8 cells + header.
-  EXPECT_EQ(std::count(cells_text.begin(), cells_text.end(), '\n'), 9);
-
-  std::string agg_text = Slurp(agg_csv);
-  EXPECT_NE(agg_text.find("pmauc_mean,pmauc_std"), std::string::npos);
-  EXPECT_EQ(std::count(agg_text.begin(), agg_text.end(), '\n'), 5);
+  api::SuiteResult res = MakeGrid(4).Run();
+  ASSERT_TRUE(api::WriteJson(res, json));
 
   std::string json_text = Slurp(json);
   EXPECT_NE(json_text.find("\"cells\""), std::string::npos);
@@ -168,9 +149,20 @@ TEST(SuiteTest, SinksReceiveTheCompletedRun) {
   EXPECT_NE(json_text.find("\"drift_positions\""), std::string::npos);
   EXPECT_NE(json_text.find("\"drift_events\""), std::string::npos);
   EXPECT_NE(json_text.find("\"drifted_classes\""), std::string::npos);
-  std::remove(cells_csv.c_str());
-  std::remove(agg_csv.c_str());
+  // One object per cell and per aggregate: 8 cells, 4 aggregates.
+  size_t objects = 0;
+  for (size_t at = json_text.find("{\"stream\""); at != std::string::npos;
+       at = json_text.find("{\"stream\"", at + 1)) {
+    ++objects;
+  }
+  EXPECT_EQ(objects, 12u);
   std::remove(json.c_str());
+}
+
+TEST(SuiteTest, WriteJsonReportsAnUnwritablePath) {
+  api::SuiteResult res;
+  EXPECT_FALSE(api::WriteJson(
+      res, ::testing::TempDir() + "ccd_no_such_dir/sub/result.json"));
 }
 
 TEST(SuiteTest, UnknownComponentFailsBeforeAnyCellRuns) {
