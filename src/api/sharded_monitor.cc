@@ -512,35 +512,29 @@ std::vector<ShardAlarm> ShardedMonitor::DriftLog() const {
   return MergeShardAlarms(CollectSnapshots());
 }
 
-uint64_t ShardedMonitor::position() const {
-  uint64_t sum = 0;
-  SweepShards([&sum](const MonitorEngine& e) { sum += e.position(); });
+ShardedMonitor::Counters ShardedMonitor::SumCounters() const {
+  Counters sum;
+  SweepShards([&sum](const MonitorEngine& e) {
+    sum.position += e.position();
+    sum.pending += e.pending();
+    sum.evicted += e.evicted();
+    sum.unmatched_labels += e.unmatched_labels();
+    sum.drifts += e.drifts();
+  });
   return sum;
 }
 
-uint64_t ShardedMonitor::pending() const {
-  uint64_t sum = 0;
-  SweepShards([&sum](const MonitorEngine& e) { sum += e.pending(); });
-  return sum;
-}
+uint64_t ShardedMonitor::position() const { return SumCounters().position; }
 
-uint64_t ShardedMonitor::evicted() const {
-  uint64_t sum = 0;
-  SweepShards([&sum](const MonitorEngine& e) { sum += e.evicted(); });
-  return sum;
-}
+uint64_t ShardedMonitor::pending() const { return SumCounters().pending; }
+
+uint64_t ShardedMonitor::evicted() const { return SumCounters().evicted; }
 
 uint64_t ShardedMonitor::unmatched_labels() const {
-  uint64_t sum = 0;
-  SweepShards([&sum](const MonitorEngine& e) { sum += e.unmatched_labels(); });
-  return sum;
+  return SumCounters().unmatched_labels;
 }
 
-uint64_t ShardedMonitor::drifts() const {
-  uint64_t sum = 0;
-  SweepShards([&sum](const MonitorEngine& e) { sum += e.drifts(); });
-  return sum;
-}
+uint64_t ShardedMonitor::drifts() const { return SumCounters().drifts; }
 
 // -------------------------------------------------- ShardedMonitorBuilder
 

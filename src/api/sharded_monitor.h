@@ -17,6 +17,7 @@ namespace io {
 // io/state_codec.h — only the .cc depends on the io layer.
 struct ShardIdentity;
 struct StateImage;
+class MonitorService;
 }  // namespace io
 namespace api {
 
@@ -246,6 +247,7 @@ class ShardedMonitor {
 
  private:
   friend class ShardedMonitorBuilder;
+  friend class io::MonitorService;  // STATS reads SumCounters().
 
   /// One slot of the striped-lock discipline: the slot mutex lives in the
   /// same struct as the engine it guards, so Thread Safety Analysis can
@@ -305,6 +307,20 @@ class ShardedMonitor {
   /// a valid lower bound.
   template <typename ReadFn>
   void SweepShards(ReadFn read) const;
+
+  /// The counters STATS reports, summed over the shards one sweep visits.
+  /// Each shard's counters are read under one slot-lock hold, so they come
+  /// from one cut of that shard: `drifts` counts exactly the alarms raised
+  /// on the `position` instances it completed.
+  struct Counters {
+    uint64_t position = 0;
+    uint64_t pending = 0;
+    uint64_t evicted = 0;
+    uint64_t unmatched_labels = 0;
+    uint64_t drifts = 0;
+  };
+  Counters SumCounters() const;
+
   std::vector<EngineSnapshot> CollectSnapshots() const;
 
   /// The identity half of shard `shard`'s state image (seed_ + shard and

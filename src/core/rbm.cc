@@ -15,12 +15,6 @@ void SigmoidInPlace(std::vector<double>* x) {
   for (double& a : *x) a = Sigmoid(a);
 }
 
-double Softplus(double x) {
-  if (x > 30.0) return x;
-  if (x < -30.0) return 0.0;
-  return std::log1p(std::exp(x));
-}
-
 void SoftmaxInPlace(std::vector<double>* logits) {
   double max_logit = -1e300;
   for (double l : *logits) {
@@ -142,18 +136,6 @@ void Rbm::VisibleProbsInto(const std::vector<double>& h,
     for (size_t j = 0; j < h_n; ++j) s += hp[j] * row[j];
     pv[i] = Sigmoid(s);
   }
-}
-
-void Rbm::HiddenFromVisibleInto(const std::vector<double>& v,
-                                std::vector<double>* out) const {
-  VisiblePreactivationInto(v, out);
-  SigmoidInPlace(out);
-}
-
-void Rbm::ClassReadoutInto(const std::vector<double>& v,
-                           std::vector<double>* out) const {
-  HiddenFromVisibleInto(v, &scratch_.h2);
-  ClassProbsInto(scratch_.h2, out);
 }
 
 void Rbm::ClassProbsInto(const std::vector<double>& h,
@@ -388,25 +370,6 @@ double Rbm::ReconstructionError(const std::vector<double>& x, int y) const {
   // Eq. 26 with a 1/sqrt(V+Z) normalization for a bounded signal.
   return std::sqrt(sq) /
          std::sqrt(static_cast<double>(params_.visible + params_.classes));
-}
-
-void Rbm::ClassifyProbsInto(const std::vector<double>& x,
-                            std::vector<double>* out) const {
-  // Free-energy discriminative read-out:
-  //   log P(y|x) ∝ c_y + sum_j softplus(b_j + W_.j x + u_jy).
-  const size_t h_n = static_cast<size_t>(params_.hidden);
-  const size_t z_n = static_cast<size_t>(params_.classes);
-  std::vector<double>& base = scratch_.base;
-  VisiblePreactivationInto(x, &base);
-  std::vector<double>& logits = *out;
-  logits.assign(c_.begin(), c_.end());
-  double* acc = logits.data();
-  for (size_t j = 0; j < h_n; ++j) {
-    const double bj = base[j];
-    const double* row = &u_[j * z_n];
-    for (size_t k = 0; k < z_n; ++k) acc[k] += Softplus(bj + row[k]);
-  }
-  SoftmaxInPlace(out);
 }
 
 double Rbm::Energy(const std::vector<double>& v, const std::vector<double>& h,

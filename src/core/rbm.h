@@ -85,22 +85,9 @@ class Rbm {
   /// P(v_i = 1 | h), Eq. 11.
   void VisibleProbsInto(const std::vector<double>& h,
                         std::vector<double>* out) const;
-  /// Hidden activations driven by the visible layer only (class input 0);
-  /// the encoding used for the label read-out.
-  void HiddenFromVisibleInto(const std::vector<double>& v,
-                             std::vector<double>* out) const;
-  /// Softmax label read-out from the visible layer: P(z | h(v)) — the
-  /// "class layer activated to reconstruct the class label" of Sec. V-B.
-  void ClassReadoutInto(const std::vector<double>& v,
-                        std::vector<double>* out) const;
   /// Softmax class activations given h, Eq. 12.
   void ClassProbsInto(const std::vector<double>& h,
                       std::vector<double>* out) const;
-  /// Discriminative use of the class layer: P(y | x) via free energy
-  /// (softmax over c_y + sum_j softplus(b_j + W_j.x + u_jy)). Lets the RBM
-  /// double as a classifier and is exercised by tests.
-  void ClassifyProbsInto(const std::vector<double>& x,
-                         std::vector<double>* out) const;
 
   /// Reconstruction error R(S_n^m) of Eq. 26, normalized by sqrt(V + Z)
   /// into [0,1] so downstream change detection sees a bounded signal. The
@@ -154,7 +141,7 @@ class Rbm {
   /// Pure scratch: every vector is fully rewritten before it is read, so
   /// the buffers carry no model state and never serialize.
   struct Scratch {
-    std::vector<double> z, h, h2, xr, zr, base;       // Feed-forward.
+    std::vector<double> z, h, h2, xr, zr;             // Feed-forward.
     std::vector<double> gw, gu, ga, gb, gc;           // CD gradients.
     std::vector<double> class_weight;                 // Per-batch weights.
     std::vector<double> z0, h_state, ph0, vk, zk, phk;  // Gibbs chain.

@@ -64,7 +64,7 @@ MonitorEngine::MonitorEngine(const StreamSchema& schema,
     throw std::invalid_argument("MonitorEngine: classifier must not be null");
   }
   ValidatePrequentialConfig(config_);
-  acc_.class_counts.assign(
+  run_.class_counts.assign(
       schema_.num_classes > 0 ? static_cast<size_t>(schema_.num_classes) : 0,
       0);
   // Preallocate the pending ring up front: growing a ring while rotated
@@ -76,7 +76,7 @@ void MonitorEngine::RequireNotInHook(const char* operation) const {
   if (in_hook_) {
     throw std::logic_error(
         std::string("MonitorEngine: reentrant ") + operation +
-        " from inside an engine callback — on_drift/on_warning/on_metrics "
+        " from inside an engine callback — on_drift/on_metrics "
         "fire mid-step, so hooks must not call back into the engine's "
         "mutating surface (read-only accessors are fine)");
   }
@@ -84,7 +84,7 @@ void MonitorEngine::RequireNotInHook(const char* operation) const {
 
 void MonitorEngine::Feed(const Instance& instance) {
   RequireNotInHook("Feed()");
-  if (completed_ < config_.warmup) {
+  if (run_.position < config_.warmup) {
     Complete(instance, /*measured=*/false, 0, {});
     return;
   }
@@ -114,13 +114,13 @@ void MonitorEngine::Predict(const std::vector<double>& features, double weight,
   if (pending_count_ >= capacity_) {
     slot = pending_head_;
     pending_head_ = (pending_head_ + 1) % capacity_;
-    ++evicted_;
+    ++run_.evicted;
   } else {
     slot = (pending_head_ + pending_count_) % capacity_;
     ++pending_count_;
   }
   PendingPrediction& p = pending_slots_[slot];
-  p.id = next_id_++;
+  p.id = run_.next_id++;
   p.instance.features = features;
   p.instance.label = -1;
   p.instance.weight = weight;
@@ -155,7 +155,7 @@ LabelOutcome MonitorEngine::Label(uint64_t id, int true_label) {
     }
   }
   if (lo == pending_count_ || PendingAt(lo).id != id) {
-    ++unmatched_;
+    ++run_.unmatched_labels;
     return LabelOutcome::kUnknown;
   }
   // Bubble the match to the nearer edge of the ring and pop it there: the
@@ -180,7 +180,7 @@ LabelOutcome MonitorEngine::Label(uint64_t id, int true_label) {
   }
   PendingPrediction& p = pending_slots_[vacated];
   p.instance.label = true_label;
-  const bool measured = completed_ >= config_.warmup;
+  const bool measured = run_.position >= config_.warmup;
   Complete(p.instance, measured, p.predicted, p.scores);
   return LabelOutcome::kApplied;
 }
@@ -200,11 +200,10 @@ void MonitorEngine::LabelBatch(const std::vector<LabelRequest>& batch,
 void MonitorEngine::Complete(const Instance& instance, bool measured,
                              int predicted,
                              const std::vector<double>& scores) {
-  const uint64_t i = completed_;
-  ++acc_.instances;
+  const uint64_t i = run_.position;
   if (instance.label >= 0 &&
-      static_cast<size_t>(instance.label) < acc_.class_counts.size()) {
-    ++acc_.class_counts[static_cast<size_t>(instance.label)];
+      static_cast<size_t>(instance.label) < run_.class_counts.size()) {
+    ++run_.class_counts[static_cast<size_t>(instance.label)];
   }
 
   if (!measured) {
@@ -219,7 +218,7 @@ void MonitorEngine::Complete(const Instance& instance, bool measured,
       // a spurious classifier reset there.
       (void)detector_->state();
     }
-    ++completed_;
+    ++run_.position;
     return;
   }
 
@@ -229,38 +228,27 @@ void MonitorEngine::Complete(const Instance& instance, bool measured,
     if (config_.timing) {
       auto t0 = Clock::now();
       detector_->Observe(instance, predicted, scores);
-      acc_.detector_seconds += Seconds(t0, Clock::now());
+      run_.detector_seconds += Seconds(t0, Clock::now());
     } else {
       detector_->Observe(instance, predicted, scores);
     }
     // Read state() exactly once per observation: latching detectors
     // consume their flag on read.
-    const DetectorState st = detector_->state();
-    const DetectorState prev = last_state_;
-    last_state_ = st;
-    if (st == DetectorState::kDrift) {
-      ++acc_.drifts;
-      acc_.drift_positions.push_back(i);
-      acc_.drift_events.push_back(DriftAlarm{i, detector_->drifted_classes()});
+    run_.last_detector_state = detector_->state();
+    if (run_.last_detector_state == DetectorState::kDrift) {
+      run_.drift_log.push_back(DriftAlarm{i, detector_->drifted_classes()});
       if (hooks_.on_drift) {
         HookScope scope(&in_hook_);
-        hooks_.on_drift(acc_.drift_events.back(), TakeSnapshot(i));
+        hooks_.on_drift(run_.drift_log.back(), TakeSnapshot(i));
       }
       if (config_.reset_on_drift) classifier_->Reset();
-    } else if (st == DetectorState::kWarning &&
-               prev != DetectorState::kWarning && hooks_.on_warning) {
-      // Fire on the *transition* into the warning zone only: DDM-family
-      // detectors sit in kWarning for whole regions, and the snapshot's
-      // pmAUC pass is too expensive to run per instance.
-      HookScope scope(&in_hook_);
-      hooks_.on_warning(i, TakeSnapshot(i));
     }
   }
 
   if (config_.timing) {
     auto t0 = Clock::now();
     classifier_->Train(instance);
-    acc_.classifier_seconds += Seconds(t0, Clock::now());
+    run_.classifier_seconds += Seconds(t0, Clock::now());
   } else {
     classifier_->Train(instance);
   }
@@ -272,12 +260,12 @@ void MonitorEngine::Complete(const Instance& instance, bool measured,
     double pmgm = metrics_.PmGMean();
     double accuracy = metrics_.Accuracy();
     double kappa = metrics_.Kappa();
-    sum_pmauc_ += pmauc;
-    sum_pmgm_ += pmgm;
-    sum_acc_ += accuracy;
-    sum_kappa_ += kappa;
-    ++samples_;
-    acc_.pmauc_series.emplace_back(i, pmauc);
+    run_.sum_pmauc += pmauc;
+    run_.sum_pmgm += pmgm;
+    run_.sum_accuracy += accuracy;
+    run_.sum_kappa += kappa;
+    ++run_.metric_samples;
+    run_.pmauc_series.emplace_back(i, pmauc);
     if (hooks_.on_metrics) {
       MetricsSnapshot snapshot;
       snapshot.position = i;
@@ -290,7 +278,7 @@ void MonitorEngine::Complete(const Instance& instance, bool measured,
       hooks_.on_metrics(snapshot);
     }
   }
-  ++completed_;
+  ++run_.position;
 }
 
 MetricsSnapshot MonitorEngine::TakeSnapshot(uint64_t position) const {
@@ -306,15 +294,8 @@ MetricsSnapshot MonitorEngine::TakeSnapshot(uint64_t position) const {
 
 EngineSnapshot MonitorEngine::Snapshot() const {
   EngineSnapshot s;
-  s.position = completed_;
+  static_cast<EngineRunState&>(s) = run_;
   s.pending = pending_count_;
-  s.evicted = evicted_;
-  s.unmatched_labels = unmatched_;
-  s.metric_samples = samples_;
-  s.next_id = next_id_;
-  s.last_detector_state = last_state_;
-  s.drift_log = acc_.drift_events;
-  s.class_counts = acc_.class_counts;
   metrics_.CopyWindow(&s.window);
   s.pending_predictions.reserve(pending_count_);
   for (size_t k = 0; k < pending_count_; ++k) {
@@ -323,13 +304,6 @@ EngineSnapshot MonitorEngine::Snapshot() const {
     s.pending_predictions.push_back(
         EngineSnapshot::PendingEntry{p.id, p.instance, p.predicted, p.scores});
   }
-  s.sum_pmauc = sum_pmauc_;
-  s.sum_pmgm = sum_pmgm_;
-  s.sum_accuracy = sum_acc_;
-  s.sum_kappa = sum_kappa_;
-  s.pmauc_series = acc_.pmauc_series;
-  s.detector_seconds = acc_.detector_seconds;
-  s.classifier_seconds = acc_.classifier_seconds;
   return s;
 }
 
@@ -367,12 +341,7 @@ void MonitorEngine::Restore(const EngineSnapshot& s) {
     prev_id = p.id;
   }
 
-  completed_ = s.position;
-  evicted_ = s.evicted;
-  unmatched_ = s.unmatched_labels;
-  samples_ = s.metric_samples;
-  next_id_ = s.next_id;
-  last_state_ = s.last_detector_state;
+  run_ = static_cast<const EngineRunState&>(s);
 
   // Rebuild the metric window by replaying the snapshotted entries: the
   // confusion counts are unit-weight integers, so a fresh sum over the
@@ -395,23 +364,6 @@ void MonitorEngine::Restore(const EngineSnapshot& s) {
     slot.predicted = p.predicted;
     slot.scores = p.scores;
   }
-
-  acc_ = PrequentialResult{};
-  acc_.instances = s.position;
-  acc_.drifts = s.drift_log.size();
-  acc_.drift_events = s.drift_log;
-  acc_.drift_positions.reserve(s.drift_log.size());
-  for (const DriftAlarm& a : s.drift_log) {
-    acc_.drift_positions.push_back(a.position);
-  }
-  acc_.class_counts = s.class_counts;
-  acc_.pmauc_series = s.pmauc_series;
-  acc_.detector_seconds = s.detector_seconds;
-  acc_.classifier_seconds = s.classifier_seconds;
-  sum_pmauc_ = s.sum_pmauc;
-  sum_pmgm_ = s.sum_pmgm;
-  sum_acc_ = s.sum_accuracy;
-  sum_kappa_ = s.sum_kappa;
 }
 
 namespace {
@@ -427,6 +379,31 @@ int Severity(DetectorState s) {
       return 2;
   }
   return 0;
+}
+
+/// The one derivation of a PrequentialResult from accumulated run state:
+/// counts, the drift log and its positions, and the sample means.
+PrequentialResult ResultOf(const EngineRunState& run) {
+  PrequentialResult r;
+  r.instances = run.position;
+  r.drifts = run.drift_log.size();
+  r.drift_events = run.drift_log;
+  r.drift_positions.reserve(run.drift_log.size());
+  for (const DriftAlarm& a : run.drift_log) {
+    r.drift_positions.push_back(a.position);
+  }
+  r.class_counts = run.class_counts;
+  r.pmauc_series = run.pmauc_series;
+  r.detector_seconds = run.detector_seconds;
+  r.classifier_seconds = run.classifier_seconds;
+  if (run.metric_samples > 0) {
+    const double n = static_cast<double>(run.metric_samples);
+    r.mean_pmauc = run.sum_pmauc / n;
+    r.mean_pmgm = run.sum_pmgm / n;
+    r.mean_accuracy = run.sum_accuracy / n;
+    r.mean_kappa = run.sum_kappa / n;
+  }
+  return r;
 }
 
 }  // namespace
@@ -497,38 +474,9 @@ std::vector<ShardAlarm> MergeShardAlarms(
 }
 
 PrequentialResult MergedResult(const std::vector<EngineSnapshot>& shards) {
-  const EngineSnapshot merged = MergeSnapshots(shards);
-  PrequentialResult r;
-  r.instances = merged.position;
-  r.drifts = merged.drift_log.size();
-  r.drift_events = merged.drift_log;
-  r.drift_positions.reserve(merged.drift_log.size());
-  for (const DriftAlarm& a : merged.drift_log) {
-    r.drift_positions.push_back(a.position);
-  }
-  r.class_counts = merged.class_counts;
-  r.pmauc_series = merged.pmauc_series;
-  r.detector_seconds = merged.detector_seconds;
-  r.classifier_seconds = merged.classifier_seconds;
-  if (merged.metric_samples > 0) {
-    const double n = static_cast<double>(merged.metric_samples);
-    r.mean_pmauc = merged.sum_pmauc / n;
-    r.mean_pmgm = merged.sum_pmgm / n;
-    r.mean_accuracy = merged.sum_accuracy / n;
-    r.mean_kappa = merged.sum_kappa / n;
-  }
-  return r;
+  return ResultOf(MergeSnapshots(shards));
 }
 
-PrequentialResult MonitorEngine::Result() const {
-  PrequentialResult r = acc_;
-  if (samples_ > 0) {
-    r.mean_pmauc = sum_pmauc_ / static_cast<double>(samples_);
-    r.mean_pmgm = sum_pmgm_ / static_cast<double>(samples_);
-    r.mean_accuracy = sum_acc_ / static_cast<double>(samples_);
-    r.mean_kappa = sum_kappa_ / static_cast<double>(samples_);
-  }
-  return r;
-}
+PrequentialResult MonitorEngine::Result() const { return ResultOf(run_); }
 
 }  // namespace ccd

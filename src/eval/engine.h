@@ -40,50 +40,27 @@ struct EngineHooks {
   /// A drift alarm on a measured (post-warmup) instance, before the
   /// classifier reset/train for that instance.
   std::function<void(const DriftAlarm&, const MetricsSnapshot&)> on_drift;
-  /// The detector *entered* its warning zone on this instance — fired on
-  /// the transition only, not on every instance of a persistent warning
-  /// region (DDM-family detectors re-report kWarning per observation, and
-  /// the snapshot is too expensive for per-instance use).
-  std::function<void(uint64_t position, const MetricsSnapshot&)> on_warning;
   /// A periodic metric sample (every `eval_interval` measured instances,
   /// once the window holds enough entries) — the same samples that feed
   /// PrequentialResult::pmauc_series and the result means.
   std::function<void(const MetricsSnapshot&)> on_metrics;
 };
 
-/// Copyable run state of a MonitorEngine at a point in time: everything a
-/// moved shard needs to resume evaluation mid-stream, and everything an
-/// operator needs to inspect a live monitor. Together with the
-/// classifier's and detector's SaveState() payloads (io::StateImage
-/// carries all three) this is the *complete* engine state:
-/// MonitorEngine::Restore() rebuilds an engine whose subsequent behavior —
-/// and whose own Snapshot() — is bit-identical to the original's.
-struct EngineSnapshot {
-  /// One parked serving-path prediction, so a restored engine can still
-  /// accept the late Label() calls of its predecessor.
-  struct PendingEntry {
-    uint64_t id = 0;
-    Instance instance;  ///< Features + weight; label still unknown.
-    int predicted = 0;
-    std::vector<double> scores;
-  };
-
+/// The run state a MonitorEngine accumulates as it completes instances —
+/// the engine's one accumulator, and the part of an EngineSnapshot that
+/// is copied whole. Every PrequentialResult field is derived from it.
+struct EngineRunState {
   uint64_t position = 0;           ///< Completed (labelled) instances.
-  uint64_t pending = 0;            ///< Predictions still awaiting a label.
   uint64_t evicted = 0;            ///< Predictions whose label never came.
   uint64_t unmatched_labels = 0;   ///< Label() calls with no pending match.
   uint64_t metric_samples = 0;     ///< Periodic samples taken so far.
   uint64_t next_id = 1;            ///< Next Predict() ticket id.
-  /// Detector state after the most recent measured step — the warning-zone
-  /// latch. Without it a restored engine would re-fire on_warning on the
-  /// first instance of a warning region the original had already entered.
+  /// Detector state after the most recent measured step, kept as observed
+  /// state: the wire and MergeSnapshots carry it, so a restored or merged
+  /// view reports the warning zone the detector is in.
   DetectorState last_detector_state = DetectorState::kStable;
   std::vector<DriftAlarm> drift_log;
   std::vector<uint64_t> class_counts;
-  /// Contents of the sliding metric window, oldest first.
-  std::vector<WindowedMetrics::Entry> window;
-  /// Contents of the pending buffer, ascending by id.
-  std::vector<PendingEntry> pending_predictions;
   /// Accumulated periodic metric samples (the running means of Result()).
   double sum_pmauc = 0.0;
   double sum_pmgm = 0.0;
@@ -93,6 +70,32 @@ struct EngineSnapshot {
   /// Accumulated wall time (only meaningful with config.timing).
   double detector_seconds = 0.0;
   double classifier_seconds = 0.0;
+};
+
+/// Copyable run state of a MonitorEngine at a point in time: everything a
+/// moved shard needs to resume evaluation mid-stream, and everything an
+/// operator needs to inspect a live monitor. Together with the
+/// classifier's and detector's SaveState() payloads (io::StateImage
+/// carries all three) this is the *complete* engine state:
+/// MonitorEngine::Restore() rebuilds an engine whose subsequent behavior —
+/// and whose own Snapshot() — is bit-identical to the original's. The
+/// accumulated record is the EngineRunState base; the members below are
+/// captured only when a snapshot is taken.
+struct EngineSnapshot : EngineRunState {
+  /// One parked serving-path prediction, so a restored engine can still
+  /// accept the late Label() calls of its predecessor.
+  struct PendingEntry {
+    uint64_t id = 0;
+    Instance instance;  ///< Features + weight; label still unknown.
+    int predicted = 0;
+    std::vector<double> scores;
+  };
+
+  uint64_t pending = 0;            ///< Predictions still awaiting a label.
+  /// Contents of the sliding metric window, oldest first.
+  std::vector<WindowedMetrics::Entry> window;
+  /// Contents of the pending buffer, ascending by id.
+  std::vector<PendingEntry> pending_predictions;
 };
 
 /// A drift alarm attributed to the serving shard whose engine raised it —
@@ -129,10 +132,11 @@ EngineSnapshot MergeSnapshots(const std::vector<EngineSnapshot>& shards);
 std::vector<ShardAlarm> MergeShardAlarms(
     const std::vector<EngineSnapshot>& shards);
 
-/// Aggregate PrequentialResult over per-shard snapshots: instance/drift/
-/// class counts summed, mean metrics the sample-weighted means over all
-/// shards' periodic samples (identical to one engine's Result() when given
-/// a single snapshot). Wall-clock fields are summed.
+/// Aggregate PrequentialResult over per-shard snapshots: the derivation
+/// MonitorEngine::Result() uses, applied to MergeSnapshots(shards) — so
+/// instance/drift/class counts are summed, mean metrics are the
+/// sample-weighted means over all shards' periodic samples, wall-clock
+/// fields are summed, and a single snapshot gives that engine's Result().
 PrequentialResult MergedResult(const std::vector<EngineSnapshot>& shards);
 
 /// Outcome of MonitorEngine::Label().
@@ -238,16 +242,18 @@ class MonitorEngine {
   void LabelBatch(const std::vector<LabelRequest>& batch,
                   std::vector<LabelOutcome>* outcomes = nullptr);
 
-  uint64_t position() const { return completed_; }
+  uint64_t position() const { return run_.position; }
   size_t pending() const { return pending_count_; }
-  uint64_t evicted() const { return evicted_; }
-  uint64_t unmatched_labels() const { return unmatched_; }
+  uint64_t evicted() const { return run_.evicted; }
+  uint64_t unmatched_labels() const { return run_.unmatched_labels; }
   /// Drift alarms raised so far (the size of the drift log, without
   /// copying it).
-  uint64_t drifts() const { return acc_.drifts; }
+  uint64_t drifts() const { return run_.drift_log.size(); }
   /// Detector state after the most recent measured step (kStable when no
   /// detector is attached or nothing completed yet).
-  DetectorState last_detector_state() const { return last_state_; }
+  DetectorState last_detector_state() const {
+    return run_.last_detector_state;
+  }
   const StreamSchema& schema() const { return schema_; }
   const PrequentialConfig& config() const { return config_; }
 
@@ -317,18 +323,11 @@ class MonitorEngine {
   std::vector<PendingPrediction> pending_slots_;
   size_t pending_head_ = 0;
   size_t pending_count_ = 0;
-  uint64_t next_id_ = 1;
-  uint64_t completed_ = 0;
-  uint64_t evicted_ = 0;
-  uint64_t unmatched_ = 0;
   // ccd:state-skip(in_hook_, transient reentrancy guard; Snapshot is only callable when no hook is running)
   bool in_hook_ = false;  ///< True while an EngineHooks callback runs.
-  DetectorState last_state_ = DetectorState::kStable;
 
-  /// Accumulating result; means are finalized in Result().
-  PrequentialResult acc_;
-  double sum_pmauc_ = 0.0, sum_pmgm_ = 0.0, sum_acc_ = 0.0, sum_kappa_ = 0.0;
-  uint64_t samples_ = 0;
+  /// The accumulated run state; Result() derives from it.
+  EngineRunState run_;
   // ccd:state-skip(scores_scratch_, transient Feed-path scratch rewritten every push; holds no run state)
   std::vector<double> scores_scratch_;
 };

@@ -146,12 +146,14 @@ std::string MonitorService::Dispatch(const std::string& request) {
   }
 
   if (command == "STATS") {
-    return "OK position=" + std::to_string(monitor_->position()) +
-           " pending=" + std::to_string(monitor_->pending()) +
-           " evicted=" + std::to_string(monitor_->evicted()) +
-           " unmatched=" + std::to_string(monitor_->unmatched_labels()) +
+    // One sweep: every shard's counters come from one cut of that shard.
+    const api::ShardedMonitor::Counters c = monitor_->SumCounters();
+    return "OK position=" + std::to_string(c.position) +
+           " pending=" + std::to_string(c.pending) +
+           " evicted=" + std::to_string(c.evicted) +
+           " unmatched=" + std::to_string(c.unmatched_labels) +
            " shards=" + std::to_string(monitor_->shards()) +
-           " drifts=" + std::to_string(monitor_->drifts());
+           " drifts=" + std::to_string(c.drifts);
   }
 
   if (command == "RESULT") {

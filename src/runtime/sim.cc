@@ -8,6 +8,7 @@
 #include <mutex>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 /// Implementation notes.
 ///
@@ -131,9 +132,6 @@ struct SchedulerImpl {
   // like a deadlock, with diagnostics.
   uint64_t max_steps = 20u * 1000u * 1000u;
 
-  bool record_trace = false;
-  std::vector<TraceEvent> trace;
-
   int running = -1;
   bool started = false;
   bool finished = false;
@@ -179,16 +177,6 @@ void Record(Impl& impl, EventKind kind, uint32_t object, uint64_t arg) {
   h = Splitmix64(h ^ object);
   h = Splitmix64(h ^ arg);
   impl.digest = h;
-  if (impl.record_trace) {
-    TraceEvent e;
-    e.step = impl.steps;
-    e.clock = impl.clock;
-    e.actor = impl.running;
-    e.kind = static_cast<int>(kind);
-    e.object = object;
-    e.arg = arg;
-    impl.trace.push_back(e);
-  }
 }
 
 bool AllDoneLocked(const Impl& impl) {
@@ -443,10 +431,8 @@ void AbortLocked(Impl& impl, Lock& lk) {
 
 }  // namespace
 
-Scheduler::Scheduler(uint64_t seed, SimOptions options)
-    : impl_(new Impl()) {
+Scheduler::Scheduler(uint64_t seed) : impl_(new Impl()) {
   impl_->rng_state = Splitmix64(seed ^ 0x5ca1ab1e0ddba11ull);
-  impl_->record_trace = options.record_trace;
 }
 
 Scheduler::~Scheduler() {
@@ -510,9 +496,6 @@ void Scheduler::Run() {
 uint64_t Scheduler::digest() const { return impl_->digest; }
 uint64_t Scheduler::steps() const { return impl_->steps; }
 uint64_t Scheduler::now() const { return impl_->clock; }
-const std::vector<TraceEvent>& Scheduler::trace() const {
-  return impl_->trace;
-}
 
 bool SimActive() noexcept { return tls_scheduler != nullptr; }
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "runtime/sim_hooks.h"
 
@@ -29,7 +28,7 @@
 /// is bit-identical across runs, processes and platforms. No wall clock,
 /// no std::hash, no address-dependent decisions — sync objects get dense
 /// ids in first-touch order (itself schedule-determined), tasks get ids
-/// in spawn order, and the trace digest hashes only those ids. Two runs
+/// in spawn order, and the schedule digest hashes only those ids. Two runs
 /// with the same seed produce the same digest() or something is broken.
 ///
 /// Atomicity model: a task runs uninterrupted from one schedule point to
@@ -79,27 +78,9 @@ class SimAborted : public std::exception {
   const char* what() const noexcept override { return "sim task aborted"; }
 };
 
-/// One recorded schedule event (only kept when Options::record_trace).
-/// `object` is the dense first-touch id of the sync object, never an
-/// address; `actor` is the task id. The digest hashes the same fields.
-struct TraceEvent {
-  uint64_t step = 0;
-  uint64_t clock = 0;
-  int actor = -1;
-  int kind = 0;  // EventKind as int; see sim.cc
-  uint32_t object = 0;
-  uint64_t arg = 0;
-};
-
-struct SimOptions {
-  /// Keep the full per-event trace (memory ~40 bytes/event). The rolling
-  /// digest is always maintained; sweeps leave this off.
-  bool record_trace = false;
-};
-
 class Scheduler {
  public:
-  explicit Scheduler(uint64_t seed, SimOptions options = SimOptions());
+  explicit Scheduler(uint64_t seed);
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -122,9 +103,6 @@ class Scheduler {
 
   /// Virtual clock after the run.
   uint64_t now() const;
-
-  /// Full event list; empty unless SimOptions::record_trace.
-  const std::vector<TraceEvent>& trace() const;
 
  private:
   friend struct SimAccess;

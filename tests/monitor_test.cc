@@ -107,7 +107,21 @@ TEST(MonitorEngineTest, FeedIsBitIdenticalToRunPrequential) {
   }
 }
 
-// Predict()+Label() back to back is the same step as Feed().
+/// Result() is derived from the run state alone: its counts agree with the
+/// engine's accessors, and drift_positions mirrors drift_events.
+void ExpectResultMatchesRunState(const MonitorEngine& engine) {
+  const PrequentialResult r = engine.Result();
+  EXPECT_EQ(r.instances, engine.position());
+  EXPECT_EQ(r.drifts, engine.drifts());
+  EXPECT_EQ(r.drift_events.size(), r.drifts);
+  ASSERT_EQ(r.drift_positions.size(), r.drifts);
+  for (size_t i = 0; i < r.drift_positions.size(); ++i) {
+    EXPECT_EQ(r.drift_positions[i], r.drift_events[i].position);
+  }
+}
+
+// Predict()+Label() back to back is the same step as Feed(), and so is
+// Feed() continued on an engine restored from a mid-stream Snapshot().
 TEST(MonitorEngineTest, SplitPredictLabelMatchesFeed) {
   const StreamSpec* spec = FindStreamSpec("RBF5");
   ASSERT_NE(spec, nullptr);
@@ -133,6 +147,26 @@ TEST(MonitorEngineTest, SplitPredictLabelMatchesFeed) {
   ExpectBitIdentical(feed_engine.Result(), split_engine.Result());
   EXPECT_EQ(split_engine.pending(), 0u);
   EXPECT_EQ(split_engine.evicted(), 0u);
+
+  // The restored engine drives the first engine's components onward, so
+  // it continues exactly where the snapshot was taken.
+  GaussianNaiveBayes clf_restore(a.stream->schema());
+  Fhddm det_restore;
+  MonitorEngine first_half(a.stream->schema(), &clf_restore, &det_restore,
+                           cfg);
+  const size_t half = data.size() / 2;
+  for (size_t i = 0; i < half; ++i) first_half.Feed(data[i]);
+  ExpectResultMatchesRunState(first_half);
+  MonitorEngine restored(a.stream->schema(), &clf_restore, &det_restore, cfg);
+  restored.Restore(first_half.Snapshot());
+  ExpectResultMatchesRunState(restored);
+  for (size_t i = half; i < data.size(); ++i) restored.Feed(data[i]);
+  ExpectBitIdentical(feed_engine.Result(), restored.Result());
+
+  EXPECT_GT(feed_engine.drifts(), 0u);
+  ExpectResultMatchesRunState(feed_engine);
+  ExpectResultMatchesRunState(split_engine);
+  ExpectResultMatchesRunState(restored);
 }
 
 // ------------------------------------------- (b) delayed-label semantics
@@ -475,27 +509,6 @@ TEST(MonitorEngineTest, DriftEventsCarryDriftedClasses) {
   }
 }
 
-TEST(MonitorEngineTest, WarningFiresOncePerRegionEntry) {
-  StreamSchema schema(3, 4, "synthetic");
-  FrozenClassifier clf(schema);
-  WarningRegionDetector det;
-  PrequentialConfig cfg = ShortConfig();
-  cfg.warmup = 100;
-
-  std::vector<uint64_t> warnings;
-  EngineHooks hooks;
-  hooks.on_warning = [&](uint64_t position, const MetricsSnapshot&) {
-    warnings.push_back(position);
-  };
-  MonitorEngine engine(schema, &clf, &det, cfg, std::move(hooks));
-  for (int i = 0; i < 1000; ++i) {
-    engine.Feed(Instance({static_cast<double>(i % 5), 0.0, 0.0}, i % 4));
-  }
-  // One callback per region *entry* (positions 299 and 599: the 300th and
-  // 600th Observe), not one per warning instance.
-  EXPECT_EQ(warnings, (std::vector<uint64_t>{299u, 599u}));
-}
-
 // ---------------------------------------------------- hook reentrancy
 
 // Regression for the callback-reentrancy hole: hooks fire mid-step (the
@@ -612,10 +625,10 @@ TEST(MonitorEngineTest, SnapshotCapturesRunState) {
 }
 
 // Regression for the Snapshot() gaps: evicted/unmatched counters, the
-// pending buffer contents and the warning-zone latch used to be absent or
-// read-only, so a restored engine could neither serve its predecessor's
-// in-flight predictions nor suppress a re-fired warning. A restored
-// engine's own Snapshot() must now reproduce the source snapshot exactly.
+// pending buffer contents and the detector state used to be absent or
+// read-only, so a restored engine could not serve its predecessor's
+// in-flight predictions. A restored engine's own Snapshot() must now
+// reproduce the source snapshot exactly, detector state included.
 TEST(EngineSnapshotTest, RestoredEngineSnapshotRoundTripsExactly) {
   StreamSchema schema(3, 4, "synthetic");
   FrozenClassifier clf(schema);
@@ -649,25 +662,15 @@ TEST(EngineSnapshotTest, RestoredEngineSnapshotRoundTripsExactly) {
   // The stubs are value types: a copy carries their complete state.
   FrozenClassifier clf2(clf);
   WarningRegionDetector det2(det);
-  int warnings_after_restore = 0;
-  EngineHooks hooks;
-  hooks.on_warning = [&](uint64_t, const MetricsSnapshot&) {
-    ++warnings_after_restore;
-  };
-  MonitorEngine restored(schema, &clf2, &det2, cfg, std::move(hooks),
+  MonitorEngine restored(schema, &clf2, &det2, cfg, EngineHooks{},
                          /*pending_capacity=*/4);
   restored.Restore(s1);
   ExpectSnapshotEq(s1, restored.Snapshot());
+  EXPECT_EQ(restored.last_detector_state(), DetectorState::kWarning);
 
   // The predecessor's in-flight predictions are servable.
   EXPECT_EQ(restored.Label(ids[4], 2), LabelOutcome::kApplied);
   EXPECT_EQ(restored.position(), 621u);
-  // The warning latch survived: instances 622..660 sit in the same warning
-  // region the original already entered, so on_warning must NOT re-fire.
-  for (int i = 621; i < 660; ++i) {
-    restored.Feed(Instance({static_cast<double>(i % 5), 0.0, 0.0}, i % 4));
-  }
-  EXPECT_EQ(warnings_after_restore, 0);
 }
 
 TEST(EngineSnapshotTest, RestoreRejectsInconsistentSnapshots) {

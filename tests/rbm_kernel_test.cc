@@ -454,18 +454,9 @@ void ExpectPassesMatch(const Rbm& rbm, const NaiveRbmOracle& oracle,
     rbm.VisibleProbsInto(h, &out);
     EXPECT_TRUE(SameBits(out, oracle.VisibleProbs(h)))
         << what << " VisibleProbsInto";
-    rbm.HiddenFromVisibleInto(v, &out);
-    EXPECT_TRUE(SameBits(out, oracle.HiddenFromVisible(v)))
-        << what << " HiddenFromVisibleInto";
-    rbm.ClassReadoutInto(v, &out);
-    EXPECT_TRUE(SameBits(out, oracle.ClassReadout(v)))
-        << what << " ClassReadoutInto";
     rbm.ClassProbsInto(h, &out);
     EXPECT_TRUE(SameBits(out, oracle.ClassProbs(h)))
         << what << " ClassProbsInto";
-    rbm.ClassifyProbsInto(v, &out);
-    EXPECT_TRUE(SameBits(out, oracle.ClassifyProbs(v)))
-        << what << " ClassifyProbsInto";
     EXPECT_TRUE(SameBits(rbm.ReconstructionError(v, y),
                          oracle.ReconstructionError(v, y)))
         << what << " ReconstructionError y=" << y;
@@ -576,10 +567,11 @@ TEST(RbmKernelTest, ComparisonsCatchTinyPerturbations) {
   oracle.NudgeWeight(5 * p.hidden + 2, 1e-12);  // W_52.
   EXPECT_FALSE(SameState(rbm, oracle));
   const std::vector<double> v(static_cast<size_t>(p.visible), 0.5);
+  const std::vector<double> z(static_cast<size_t>(p.classes), 0.0);
   const std::vector<double> h(static_cast<size_t>(p.hidden), 0.5);
   std::vector<double> out;
-  rbm.HiddenFromVisibleInto(v, &out);
-  EXPECT_FALSE(SameBits(out, oracle.HiddenFromVisible(v)));
+  rbm.HiddenProbsInto(v, z, &out);
+  EXPECT_FALSE(SameBits(out, oracle.HiddenProbs(v, z)));
   rbm.VisibleProbsInto(h, &out);
   EXPECT_FALSE(SameBits(out, oracle.VisibleProbs(h)));
   EXPECT_FALSE(SameBits(-0.0, 0.0));

@@ -157,6 +157,18 @@ TEST(RbmTest, ReconstructionHigherForUnseenConcept) {
   EXPECT_GT(shifted / 200.0, in_dist / 200.0 + 0.02);
 }
 
+/// The label read-out ReconstructionError scores against: P(z | h(v))
+/// with h driven by the visible layer alone (no class input).
+std::vector<double> ReadOutClass(const Rbm& rbm,
+                                 const std::vector<double>& x) {
+  const std::vector<double> no_class(
+      static_cast<size_t>(rbm.params().classes), 0.0);
+  std::vector<double> h, probs;
+  rbm.HiddenProbsInto(x, no_class, &h);
+  rbm.ClassProbsInto(h, &probs);
+  return probs;
+}
+
 TEST(RbmTest, ClassReadoutLearnsPosterior) {
   Rbm rbm(SmallParams(), 3);
   Rng rng(13);
@@ -165,11 +177,10 @@ TEST(RbmTest, ClassReadoutLearnsPosterior) {
     rbm.TrainBatch(batch.data(), batch.size());
   }
   int correct = 0;
-  std::vector<double> probs;
   for (int i = 0; i < 300; ++i) {
     int y = rng.UniformInt(0, 2);
     Instance inst = DrawProto(&rng, y);
-    rbm.ClassReadoutInto(inst.features, &probs);
+    const std::vector<double> probs = ReadOutClass(rbm, inst.features);
     int arg = 0;
     for (int k = 1; k < 3; ++k) {
       if (probs[static_cast<size_t>(k)] > probs[static_cast<size_t>(arg)]) arg = k;
@@ -253,15 +264,16 @@ TEST(RbmTest, DeterministicGivenSeed) {
                    b.ReconstructionError(probe.features, 1));
 }
 
-TEST(RbmTest, ClassifyProbsFreeEnergyIsDistribution) {
+TEST(RbmTest, ClassReadoutIsDistribution) {
   Rbm rbm(SmallParams(), 3);
   Rng rng(25);
   for (int b = 0; b < 100; ++b) {
     const std::vector<Instance> batch = DrawBatch(&rng, 20);
     rbm.TrainBatch(batch.data(), batch.size());
   }
-  std::vector<double> probs;
-  rbm.ClassifyProbsInto(DrawProto(&rng, 0).features, &probs);
+  const std::vector<double> probs =
+      ReadOutClass(rbm, DrawProto(&rng, 0).features);
+  ASSERT_EQ(probs.size(), 3u);
   double sum = 0.0;
   for (double p : probs) {
     EXPECT_GE(p, 0.0);

@@ -11,10 +11,10 @@
 //  (c) the target scenarios — reshard-during-predict,
 //      drain-with-labels-in-flight, SHIP/LOAD under traffic, a
 //      dropped/duplicated-label plane over a small pending buffer,
-//      concurrent feeders during reshard, and batch pushes mixed with
-//      single ones under reshard —
+//      concurrent feeders during reshard, batch pushes mixed with
+//      single ones under reshard, and STATS reads beside live feeds —
 //      each swept over seeds and validated by the history checker's
-//      sequential-spec oracle;
+//      sequential-spec oracle (STATS by the final drift log);
 //  (d) injected-bug self-tests — histories broken in known ways
 //      (dropped applied-label record, mis-sharded feed, tampered
 //      outcome, spurious crash marker) make the checker fire, proving
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "io/monitor_service.h"
 #include "runtime/sim.h"
 #include "runtime/sync.h"
 #include "runtime/thread_pool.h"
@@ -670,6 +671,71 @@ ScenarioOutcome RunBatchMixScenario(uint64_t seed) {
   return outcome;
 }
 
+/// The value of `field=` in a STATS reply; fails the check when absent.
+uint64_t StatsField(const std::string& reply, const std::string& field,
+                    SimCheckResult* check) {
+  const size_t at = reply.find(" " + field + "=");
+  if (at == std::string::npos) {
+    check->ok = false;
+    check->error = "STATS reply without " + field + ": " + reply;
+    return 0;
+  }
+  return std::stoull(reply.substr(at + field.size() + 2));
+}
+
+/// STATS under live feeds: one shard on a drifting stream, a Feed producer
+/// and an operator reading STATS through io::MonitorService. Every reply
+/// must come from one cut of the shard: its `drifts` is exactly the number
+/// of alarms in the final drift log raised before its `position`.
+ScenarioOutcome RunStatsCutScenario(uint64_t seed) {
+  SimServingConfig config;
+  config.shards = 1;
+  auto monitor = MakeServing(config);
+  io::MonitorService service(&monitor);
+  const std::vector<KeyedInstance> feeds =
+      MakeKeyedSchedule({0, 1, 2}, 1200, /*seed=*/101);
+
+  std::vector<std::string> replies;
+  sim::Scheduler sched(seed);
+  sched.Spawn("feeder", [&monitor, &feeds] {
+    size_t n = 0;
+    for (const KeyedInstance& push : feeds) {
+      monitor.Feed(push.key, push.instance);
+      if (++n % 4 == 0) sim::SleepFor(sim::Choice(2));
+    }
+  });
+  sched.Spawn("operator", [&service, &replies] {
+    for (int i = 0; i < 300; ++i) {
+      replies.push_back(service.Handle("STATS"));
+      sim::SleepFor(sim::Choice(3));
+    }
+  });
+  sched.Run();
+
+  ScenarioOutcome outcome;
+  outcome.digest = sched.digest();
+  const std::vector<ShardAlarm> log = monitor.DriftLog();
+  if (log.empty()) {
+    outcome.check = {false, "the stream raised no drift alarm"};
+    return outcome;
+  }
+  for (size_t i = 0; i < replies.size() && outcome.check.ok; ++i) {
+    const uint64_t position =
+        StatsField(replies[i], "position", &outcome.check);
+    const uint64_t drifts = StatsField(replies[i], "drifts", &outcome.check);
+    uint64_t before = 0;
+    for (const ShardAlarm& a : log) before += a.alarm.position < position;
+    if (outcome.check.ok && drifts != before) {
+      outcome.check = {false, "STATS reply " + std::to_string(i) + " '" +
+                                  replies[i] + "' counts " +
+                                  std::to_string(drifts) + " drifts, " +
+                                  std::to_string(before) +
+                                  " alarms lie below its position"};
+    }
+  }
+  return outcome;
+}
+
 // ------------------------------------------------------------- sweeps
 
 /// Seeds per scenario: 5 in tier-1, CCD_SIM_SEEDS (e.g. 1000) in the
@@ -716,6 +782,10 @@ TEST(SimSweepTest, FeedsDuringReshard) {
 
 TEST(SimSweepTest, BatchAndSinglePushesUnderReshard) {
   Sweep("batch_mix", RunBatchMixScenario);
+}
+
+TEST(SimSweepTest, StatsReadsOneCutPerShard) {
+  Sweep("stats_cut", RunStatsCutScenario);
 }
 
 // Acceptance: same seed → bit-identical schedule digest *and* checker

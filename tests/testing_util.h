@@ -220,10 +220,9 @@ class ScorelessClassifier : public OnlineClassifier {
   StreamSchema schema_;
 };
 
-/// Detector that sits in persistent warning regions — the DDM-family shape
-/// the engine's warning-zone latch exists for (on_warning must fire on
-/// region *entry*, not per instance, and a snapshot/restore inside a
-/// region must not re-fire it).
+/// Detector that sits in persistent warning regions — the DDM-family
+/// shape whose current state the engine records as last_detector_state
+/// (a snapshot/restore inside a region must carry it over).
 class WarningRegionDetector : public DriftDetector {
  public:
   void Observe(const Instance&, int, const std::vector<double>&) override {
