@@ -1,8 +1,10 @@
 #include "api/sharded_monitor.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "eval/admission.h"
 #include "io/snapshot_store.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
@@ -158,8 +160,10 @@ EngineHooks ShardedMonitor::MakeShardHooks(int shard) const {
   return h;
 }
 
-template <ShardedMonitor::Route kRoute, typename TargetFn, typename ApplyFn>
-void ShardedMonitor::Push(size_t n, TargetFn target, ApplyFn apply) {
+template <ShardedMonitor::Route kRoute, typename TargetFn, typename AdmitFn,
+          typename ApplyFn>
+void ShardedMonitor::Push(size_t n, TargetFn target, AdmitFn admit,
+                          ApplyFn apply) {
   PushScratch& scratch = t_push;
   if (scratch.active) {
     throw std::logic_error(
@@ -173,6 +177,7 @@ void ShardedMonitor::Push(size_t n, TargetFn target, ApplyFn apply) {
   scratch.shard.resize(n);
   scratch.bound.assign(shards, 0);
   for (size_t i = 0; i < n; ++i) {
+    admit(i);
     int shard;
     if constexpr (kRoute == Route::kKey) {
       shard = router_.RouteKey(target(i));
@@ -220,6 +225,7 @@ ShardedMonitor::Prediction ShardedMonitor::Predict(
   Prediction p;
   Push<Route::kKey>(
       1, [key](size_t) { return key; },
+      [&](size_t) { CheckRow(schema_, features, weight, std::nullopt); },
       [&](MonitorEngine& engine, size_t, int shard) {
         MonitorEngine::Ticket t = engine.Predict(features, weight);
         p.shard = shard;
@@ -233,6 +239,9 @@ ShardedMonitor::Prediction ShardedMonitor::Predict(
 void ShardedMonitor::Feed(uint64_t key, const Instance& instance) {
   Push<Route::kKey>(
       1, [key](size_t) { return key; },
+      [&](size_t) {
+        CheckRow(schema_, instance.features, instance.weight, instance.label);
+      },
       [&instance](MonitorEngine& engine, size_t, int) {
         engine.Feed(instance);
       });
@@ -242,6 +251,7 @@ bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
   bool applied = false;
   Push<Route::kShard>(
       1, [shard](size_t) { return shard; },
+      [&](size_t) { CheckLabel(schema_, true_label); },
       [&](MonitorEngine& engine, size_t, int) {
         applied = engine.Label(id, true_label) == LabelOutcome::kApplied;
       });
@@ -251,6 +261,10 @@ bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
 void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
   Push<Route::kKey>(
       batch.size(), [&batch](size_t i) { return batch[i].key; },
+      [&](size_t i) {
+        const Instance& row = batch[i].instance;
+        CheckRow(schema_, row.features, row.weight, row.label);
+      },
       [&batch](MonitorEngine& engine, size_t i, int) {
         engine.Feed(batch[i].instance);
       });
@@ -262,6 +276,10 @@ void ShardedMonitor::PredictBatch(const std::vector<KeyedInstance>& batch,
   MonitorEngine::Ticket t;  // Reused across elements.
   Push<Route::kKey>(
       batch.size(), [&batch](size_t i) { return batch[i].key; },
+      [&](size_t i) {
+        const Instance& row = batch[i].instance;
+        CheckRow(schema_, row.features, row.weight, std::nullopt);
+      },
       [&](MonitorEngine& engine, size_t i, int shard) {
         engine.Predict(batch[i].instance.features, batch[i].instance.weight,
                        &t);
@@ -278,6 +296,7 @@ void ShardedMonitor::LabelBatch(const std::vector<ShardLabel>& batch,
   if (outcomes) outcomes->resize(batch.size());
   Push<Route::kShard>(
       batch.size(), [&batch](size_t i) { return batch[i].shard; },
+      [&](size_t i) { CheckLabel(schema_, batch[i].label); },
       [&](MonitorEngine& engine, size_t i, int) {
         const LabelOutcome outcome = engine.Label(batch[i].id, batch[i].label);
         if (outcomes) (*outcomes)[i] = outcome;

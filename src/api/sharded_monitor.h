@@ -76,7 +76,8 @@ struct ShardedHooks {
 /// One push path: every push — Predict, Feed, Label and their batch
 /// forms — is a batch (a per-instance call is a batch of one) handled by
 /// one routine. Under one shared table hold it routes and validates every
-/// element first (a bogus ticket shard throws std::out_of_range, a
+/// element first (a row that fails admission, eval/admission.h, throws
+/// AdmissionError, a bogus ticket shard throws std::out_of_range, a
 /// Predict/Feed routed to a shipped shard throws std::logic_error), and
 /// only then, for each involved shard in ascending order, takes that
 /// shard's lock once and applies its elements in batch order. So a push
@@ -294,11 +295,13 @@ class ShardedMonitor {
 
   /// The one push primitive behind every push (see "One push path"
   /// above). Element i of `n` goes to the shard `target(i)` names — a key
-  /// for kKey, a shard index for kShard — and `apply(engine, i, shard)`
-  /// runs under that shard's lock. Throws before applying anything when
-  /// any element fails validation. Defined in the .cc, its only user.
-  template <Route kRoute, typename TargetFn, typename ApplyFn>
-  void Push(size_t n, TargetFn target, ApplyFn apply);
+  /// for kKey, a shard index for kShard — after `admit(i)` has run its
+  /// admission check, and `apply(engine, i, shard)` runs under that
+  /// shard's lock. Throws before applying anything when any element fails
+  /// validation. Defined in the .cc, its only user.
+  template <Route kRoute, typename TargetFn, typename AdmitFn,
+            typename ApplyFn>
+  void Push(size_t n, TargetFn target, AdmitFn admit, ApplyFn apply);
 
   /// Calls `read(engine)` for every shard, locking one slot at a time
   /// (the table reader hold re-taken per slot), so producers on other

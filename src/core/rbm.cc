@@ -154,8 +154,11 @@ void Rbm::ClassProbsInto(const std::vector<double>& h,
 }
 
 double Rbm::ClassWeight(int y) const {
-  ClassWeightsInto(&scratch_.class_weight);
-  return scratch_.class_weight[static_cast<size_t>(y)];
+  // A local buffer, not the in-flight batch's weights: a read between
+  // TrainRange calls must not change what the rest of the batch trains on.
+  std::vector<double> weights;
+  ClassWeightsInto(&weights);
+  return weights[static_cast<size_t>(y)];
 }
 
 void Rbm::ClassWeightsInto(std::vector<double>* out) const {
@@ -193,20 +196,20 @@ void Rbm::ClassWeightsInto(std::vector<double>* out) const {
 
 void Rbm::TrainBatch(const Instance* batch, size_t count) {
   if (count == 0) return;
+  BeginBatch(batch, count);
+  TrainRange(batch, 0, count);
+  EndBatch(count);
+}
+
+void Rbm::BeginBatch(const Instance* batch, size_t count) {
   const size_t v_n = static_cast<size_t>(params_.visible);
   const size_t h_n = static_cast<size_t>(params_.hidden);
   const size_t z_n = static_cast<size_t>(params_.classes);
-
-  std::vector<double>& gw = scratch_.gw;
-  std::vector<double>& gu = scratch_.gu;
-  std::vector<double>& ga = scratch_.ga;
-  std::vector<double>& gb = scratch_.gb;
-  std::vector<double>& gc = scratch_.gc;
-  gw.assign(v_n * h_n, 0.0);
-  gu.assign(h_n * z_n, 0.0);
-  ga.assign(v_n, 0.0);
-  gb.assign(h_n, 0.0);
-  gc.assign(z_n, 0.0);
+  batch_.gw.assign(v_n * h_n, 0.0);
+  batch_.gu.assign(h_n * z_n, 0.0);
+  batch_.ga.assign(v_n, 0.0);
+  batch_.gb.assign(h_n, 0.0);
+  batch_.gc.assign(z_n, 0.0);
 
   // Update the decayed class counts first so this batch's weights reflect
   // its own composition.
@@ -218,14 +221,25 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     }
   }
   // The counts stay fixed for the rest of the batch, and so do the weights.
-  std::vector<double>& class_weight = scratch_.class_weight;
-  ClassWeightsInto(&class_weight);
+  ClassWeightsInto(&batch_.class_weight);
+}
+
+void Rbm::TrainRange(const Instance* batch, size_t begin, size_t end) {
+  const size_t v_n = static_cast<size_t>(params_.visible);
+  const size_t h_n = static_cast<size_t>(params_.hidden);
+  const size_t z_n = static_cast<size_t>(params_.classes);
+  std::vector<double>& gw = batch_.gw;
+  std::vector<double>& gu = batch_.gu;
+  std::vector<double>& ga = batch_.ga;
+  std::vector<double>& gb = batch_.gb;
+  std::vector<double>& gc = batch_.gc;
+  const std::vector<double>& class_weight = batch_.class_weight;
 
   std::vector<double>& z0 = scratch_.z0;
   std::vector<double>& h_state = scratch_.h_state;
   z0.resize(z_n);
   h_state.resize(h_n);
-  for (size_t bi = 0; bi < count; ++bi) {
+  for (size_t bi = begin; bi < end; ++bi) {
     const Instance& s = batch[bi];
     if (s.label < 0 || s.label >= params_.classes) continue;
     const std::vector<double>& v0 = s.features;
@@ -333,12 +347,15 @@ void Rbm::TrainBatch(const Instance* batch, size_t count) {
     }
   }
 
+}
+
+void Rbm::EndBatch(size_t count) {
   double lr = params_.learning_rate / static_cast<double>(count);
-  for (size_t i = 0; i < w_.size(); ++i) w_[i] += lr * gw[i];
-  for (size_t i = 0; i < u_.size(); ++i) u_[i] += lr * gu[i];
-  for (size_t i = 0; i < a_.size(); ++i) a_[i] += lr * ga[i];
-  for (size_t i = 0; i < b_.size(); ++i) b_[i] += lr * gb[i];
-  for (size_t i = 0; i < c_.size(); ++i) c_[i] += lr * gc[i];
+  for (size_t i = 0; i < w_.size(); ++i) w_[i] += lr * batch_.gw[i];
+  for (size_t i = 0; i < u_.size(); ++i) u_[i] += lr * batch_.gu[i];
+  for (size_t i = 0; i < a_.size(); ++i) a_[i] += lr * batch_.ga[i];
+  for (size_t i = 0; i < b_.size(); ++i) b_[i] += lr * batch_.gb[i];
+  for (size_t i = 0; i < c_.size(); ++i) c_[i] += lr * batch_.gc[i];
 }
 
 double Rbm::ReconstructionError(const std::vector<double>& x, int y) const {

@@ -61,8 +61,22 @@ class Rbm {
   /// One CD-k update from the mini-batch batch[0, count) (Eq. 15-21).
   /// Instances' features must be in [0,1]; labels in [0, classes). Takes
   /// a pointer range so RBM-IM can train on the used prefix of its
-  /// recycled pending buffer.
+  /// recycled batch buffer. Exactly BeginBatch, TrainRange over
+  /// [0, count) and EndBatch; a no-op when count is 0.
   void TrainBatch(const Instance* batch, size_t count);
+
+  /// TrainBatch in three steps, so a caller can spread one update over
+  /// time. BeginBatch decays the class counts over all of batch[0, count)
+  /// (count >= 1), fixes the class weights and zeroes the gradients;
+  /// TrainRange runs the CD-k and discriminative steps of batch[begin,
+  /// end); EndBatch applies the lr/count update. Ranges that cover
+  /// [0, count) in order give exactly TrainBatch's result: the same
+  /// instances, in the same order, with the same RNG draws. Between
+  /// BeginBatch and EndBatch the model is mid-update, so nothing may read
+  /// it (passes, SaveState) until EndBatch.
+  void BeginBatch(const Instance* batch, size_t count);
+  void TrainRange(const Instance* batch, size_t begin, size_t end);
+  void EndBatch(size_t count);
 
   /// The feed-forward passes. Each writes into `out` (resized in place,
   /// capacity reused), so a trained, steady-state RBM performs no heap
@@ -142,10 +156,15 @@ class Rbm {
   /// the buffers carry no model state and never serialize.
   struct Scratch {
     std::vector<double> z, h, h2, xr, zr;             // Feed-forward.
-    std::vector<double> gw, gu, ga, gb, gc;           // CD gradients.
-    std::vector<double> class_weight;                 // Per-batch weights.
     std::vector<double> z0, h_state, ph0, vk, zk, phk;  // Gibbs chain.
     std::vector<double> hv, py, err, dh, g;           // Discriminative step.
+  };
+  /// The update in flight between BeginBatch and EndBatch: the gradients
+  /// TrainRange accumulates and the class weights BeginBatch fixed. Kept
+  /// apart from Scratch so no pass or read-out can overwrite them mid-batch.
+  struct Batch {
+    std::vector<double> gw, gu, ga, gb, gc;
+    std::vector<double> class_weight;
   };
 
   Params params_;
@@ -158,6 +177,8 @@ class Rbm {
   std::vector<double> class_counts_;
   // ccd:state-skip(scratch_, transient feed-forward/CD scratch fully rewritten before every read; no model state)
   mutable Scratch scratch_;
+  // ccd:state-skip(batch_, in-flight update between BeginBatch and EndBatch; RbmIm ends it before SaveState writes; empty at every capture)
+  Batch batch_;
 };
 
 }  // namespace ccd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "io/codecs.h"
 #include "stats/granger.h"
@@ -16,6 +17,10 @@ const RbmIm::Params& Validated(const RbmIm::Params& params) {
   RbmIm::ValidateParams(params);
   return params;
 }
+
+/// A close's training is spread over this many slices of the observations
+/// that follow it, so the slices land on a fifth of a 50-instance batch.
+constexpr size_t kTrainingSlices = 10;
 
 }  // namespace
 
@@ -61,6 +66,9 @@ void RbmIm::Reset() {
   normalizer_ = MinMaxNormalizer(params_.num_features);
   pending_.clear();
   pending_used_ = 0;
+  // The owed training belonged to the RBM just replaced.
+  owed_.passes = 0;
+  owed_.next = 0;
   monitors_.clear();
   monitors_.resize(static_cast<size_t>(params_.num_classes));
   for (auto& m : monitors_) {
@@ -78,6 +86,7 @@ void RbmIm::Reset() {
 }
 
 void RbmIm::SaveState(io::Writer& w) const {
+  Settle();
   w.BeginSection("RBM-IM");
   w.I64(params_.num_features);
   w.I64(params_.num_classes);
@@ -257,13 +266,36 @@ void RbmIm::Observe(const Instance& instance, int /*predicted*/,
   slot.label = instance.label;
   slot.weight = instance.weight;
   ++pending_used_;
-  if (pending_used_ >= static_cast<size_t>(params_.batch_size)) {
+  const size_t batch_size = static_cast<size_t>(params_.batch_size);
+  if (pending_used_ >= batch_size) {
     ProcessBatch();
-    pending_used_ = 0;
+  } else {
+    PayTraining((batch_size + kTrainingSlices - 1) / kTrainingSlices);
   }
 }
 
+void RbmIm::PayTraining(size_t budget) const {
+  while (budget > 0 && owed_.passes > 0) {
+    const Instance* batch = owed_.batch.data();
+    if (owed_.next == 0) rbm_->BeginBatch(batch, owed_.used);
+    const size_t end = owed_.next + std::min(budget, owed_.used - owed_.next);
+    rbm_->TrainRange(batch, owed_.next, end);
+    budget -= end - owed_.next;
+    owed_.next = end;
+    if (owed_.next == owed_.used) {
+      rbm_->EndBatch(owed_.used);
+      owed_.next = 0;
+      --owed_.passes;
+    }
+  }
+}
+
+void RbmIm::Settle() const {
+  PayTraining(std::numeric_limits<size_t>::max());
+}
+
 void RbmIm::ProcessBatch() {
+  Settle();  // The monitor pass reads the RBM the last close trained.
   ++batches_;
   const bool warm = batches_ <= static_cast<uint64_t>(params_.warmup_batches);
 
@@ -372,14 +404,14 @@ void RbmIm::ProcessBatch() {
     state_ = DetectorState::kDrift;
   }
 
-  // ---- Adapt: online CD-k update with the skew-insensitive loss. After a
+  // ---- Adapt: owe an online CD-k update with the skew-insensitive loss,
+  // paid by the next observations (see step 3 in the header). After a
   // detected drift the batch is replayed to accelerate re-alignment.
-  rbm_->TrainBatch(pending_.data(), pending_used_);
-  if (any_drift) {
-    for (int i = 0; i < params_.post_drift_boost; ++i) {
-      rbm_->TrainBatch(pending_.data(), pending_used_);
-    }
-  }
+  std::swap(pending_, owed_.batch);
+  owed_.used = pending_used_;
+  owed_.passes = 1 + (any_drift ? std::max(0, params_.post_drift_boost) : 0);
+  owed_.next = 0;
+  pending_used_ = 0;
 }
 
 bool RbmIm::JumpTest(ClassMonitor* m) const {

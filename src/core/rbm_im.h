@@ -34,8 +34,19 @@ namespace ccd {
 ///          with an outlying positive slope, signals slow (gradual /
 ///          incremental) drift (Sec. V-B);
 ///   3. *adapt*: CD-k train the RBM on the batch with the class-balanced
-///      loss, so the stored concept follows the stream, its imbalance
-///      ratio, and evolving class roles.
+///      loss (one pass, or 1 + `post_drift_boost` passes after a drift),
+///      so the stored concept follows the stream, its imbalance ratio,
+///      and evolving class roles. Steps 1-2 run on the observation that
+///      closes the batch, because the verdict is that observation's; the
+///      training does not. The close swaps the batch into a second buffer
+///      and records the passes it owes, and each following observation
+///      that does not close a batch trains one fixed slice of them
+///      (about a tenth of a batch). Whatever is left is settled before
+///      anything reads the RBM: the next close's monitor pass, SaveState()
+///      and rbm(). Reset() drops it with the RBM. The slices replay the
+///      same instances in the same order with the same RNG draws, so every
+///      decision and every capture sees exactly the weights of training
+///      the whole batch at its close.
 ///
 /// `trigger` selects the decision rule for the ablation study: kCombined
 /// (default) ORs the jump and trend tests; kZScore uses only the jump test;
@@ -108,8 +119,12 @@ class RbmIm : public DriftDetector {
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 
-  /// Introspection for tests and diagnostics.
-  const Rbm& rbm() const { return *rbm_; }
+  /// Introspection for tests and diagnostics. Settles owed training
+  /// first, so the RBM read is the one every decision sees.
+  const Rbm& rbm() const {
+    Settle();
+    return *rbm_;
+  }
   double last_reconstruction(int k) const;
   double trend_slope(int k) const;
   /// Jump-test z-score of class k's latest batch (0 until baseline ready).
@@ -158,6 +173,10 @@ class RbmIm : public DriftDetector {
   };
 
   void ProcessBatch();
+  /// Trains up to `budget` instances of the owed passes, in order.
+  void PayTraining(size_t budget) const;
+  /// Trains everything still owed.
+  void Settle() const;
   bool DecideDrift(ClassMonitor* m);
   bool JumpTest(ClassMonitor* m) const;
   bool TrendTest(ClassMonitor* m) const;
@@ -172,6 +191,18 @@ class RbmIm : public DriftDetector {
   /// the per-push path never allocates once the buffer has grown.
   std::vector<Instance> pending_;
   size_t pending_used_ = 0;
+  /// CD-k training the last close still owes: that batch (swapped out of
+  /// `pending_`, so both buffers keep their slots), the passes left over
+  /// it and the next instance of the current pass. Mutable because the
+  /// const readers of the RBM, SaveState() and rbm(), settle it first.
+  struct OwedTraining {
+    std::vector<Instance> batch;
+    size_t used = 0;
+    int passes = 0;
+    size_t next = 0;
+  };
+  // ccd:state-skip(owed_, in-flight training of the last closed batch; settled before SaveState writes; empty at every capture)
+  mutable OwedTraining owed_;
   std::vector<ClassMonitor> monitors_;  ///< One per class.
   // Per-batch pooling scratch, reused across ProcessBatch calls so the
   // batch boundary only allocates inside the decision statistics (ADWIN

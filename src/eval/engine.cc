@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include "eval/admission.h"
 
 namespace ccd {
 namespace {
@@ -84,6 +87,7 @@ void MonitorEngine::RequireNotInHook(const char* operation) const {
 
 void MonitorEngine::Feed(const Instance& instance) {
   RequireNotInHook("Feed()");
+  CheckRow(schema_, instance.features, instance.weight, instance.label);
   if (run_.position < config_.warmup) {
     Complete(instance, /*measured=*/false, 0, {});
     return;
@@ -107,6 +111,7 @@ MonitorEngine::Ticket MonitorEngine::Predict(
 void MonitorEngine::Predict(const std::vector<double>& features, double weight,
                             Ticket* out) {
   RequireNotInHook("Predict()");
+  CheckRow(schema_, features, weight, std::nullopt);
   // Build the prediction directly in its ring slot, reusing the slot's
   // feature/score capacity. When full, the oldest prediction is evicted
   // (its label is the most overdue) and its slot becomes the new back.
@@ -142,6 +147,7 @@ void MonitorEngine::PredictBatch(const std::vector<Instance>& batch,
 
 LabelOutcome MonitorEngine::Label(uint64_t id, int true_label) {
   RequireNotInHook("Label()");
+  CheckLabel(schema_, true_label);
   // Ids are issued monotonically and the ring is ordered, so the lookup is
   // a binary search over logical indices even when labels arrive out of
   // order.

@@ -175,6 +175,12 @@ struct LabelRequest {
 /// prediction is evicted and counted (`evicted()`), so an engine under a
 /// label outage degrades to a bounded-memory predictor instead of leaking.
 ///
+/// Admission: Feed, Predict and Label run CheckRow/CheckLabel
+/// (eval/admission.h) before anything changes, so a row of the wrong
+/// width, a non-finite feature or weight, a weight <= 0 or an
+/// out-of-range label throws AdmissionError and leaves the engine as it
+/// was.
+///
 /// The engine is single-threaded by design: one engine per stream shard,
 /// sharding above it (api::Suite, api::ShardedMonitor).
 class MonitorEngine {

@@ -178,9 +178,13 @@ TEST(AllocTest, FeedIsAllocationFreeWithDdm) {
 
 TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
   CCD_ALLOC_GUARD();
-  // RBM-IM buffers each push into a recycled pending slot and only does
-  // real work every batch_size (50) observations. The contract is split
-  // accordingly: pushes inside a batch are strictly allocation-free, and
+  // RBM-IM buffers each push into a recycled pending slot. The push that
+  // closes a batch (every batch_size = 50) runs the monitor pass and the
+  // decision, then swaps the batch into a second recycled buffer; the
+  // first pushes of the next batch each train one slice of it, in reused
+  // gradient and Gibbs-chain scratch. Both buffers and the scratch are
+  // warm after kWarm. The contract is split accordingly: pushes inside a
+  // batch, training slices included, are strictly allocation-free, and
   // the batch boundary — whose pooling bookkeeping reuses member scratch
   // and recycled pool buffers — allocates only inside the decision
   // statistics (Granger regressions, ADWIN buckets, deque chunk churn),

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -259,6 +260,46 @@ TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
   // The monitor is untouched by the whole gauntlet.
   EXPECT_EQ(monitor.position(), 0u);
   EXPECT_EQ(monitor.SerializeShard(0), shard0);
+}
+
+// A row that fails admission is answered ERR on the same connection,
+// which stays open: the next request on it is served, and the refused
+// rows changed nothing STATS reports.
+TEST_F(MonitorServiceTest, RefusedRowsAnswerErrAndKeepTheConnection) {
+  api::ShardedMonitor monitor = MakeMonitor();
+  io::MonitorService service(&monitor);
+  const std::string path = SocketPath("admit");
+  io::FrameServer server(path, service.Handler());
+  io::FrameClient client(path);
+
+  auto stream = MakeRbfDriftStream(400, 11);
+  const std::vector<Instance> data = Take(stream.get(), 200);
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(client.Call(FeedLine(7 + i % 5, data[i])), "OK");
+  }
+  const std::string stats = client.Call("STATS");
+  Instance nan = data[0];
+  nan.features[0] = std::numeric_limits<double>::quiet_NaN();  // "nan".
+  Instance wide = data[0];
+  wide.features.push_back(0.5);
+  Instance label = data[0];
+  label.label = monitor.schema().num_classes;
+  const std::vector<std::string> refused = {
+      FeedLine(7, nan),
+      FeedLine(7, wide),
+      FeedLine(7, label),
+      "PREDICT 7 inf 0 0 0 0 0",
+      "LABEL 0 1 -1",
+  };
+  for (const std::string& request : refused) {
+    SCOPED_TRACE(request);
+    const std::string reply = client.Call(request);
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+    EXPECT_EQ(client.Call("STATS"), stats);
+  }
+  EXPECT_EQ(client.Call(FeedLine(7, data[0])), "OK");
+  EXPECT_EQ(monitor.position(), data.size() + 1);
+  server.Stop();
 }
 
 // The cross-process migration handshake, in-process: SHIP a live shard

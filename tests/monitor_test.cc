@@ -15,8 +15,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "eval/engine.h"
 #include "eval/prequential.h"
 #include "generators/registry.h"
+#include "io/wire.h"
 #include "stream/stream.h"
 #include "testing_util.h"
 #include "utils/rng.h"
@@ -35,6 +38,7 @@ namespace ccd {
 namespace {
 
 using test_util::ExpectBitIdentical;
+using test_util::ExpectRefused;
 using test_util::ExpectSnapshotEq;
 using test_util::FrozenClassifier;
 using test_util::ShortConfig;
@@ -843,6 +847,128 @@ TEST(ApiMonitorTest, FacadeIsBitIdenticalToABareEngine) {
   // The loop exercised what it is meant to: eviction and RBM-IM alarms.
   EXPECT_GT(bare.engine.evicted(), 0u);
   EXPECT_GT(result.drifts, 0u);
+}
+
+// ------------------------------------------------------------- Admission
+
+template <typename Component>
+std::string Saved(const Component& component) {
+  io::Writer w;
+  component.SaveState(w);
+  return w.data();
+}
+
+// Every kind of bad row is refused before the engine, its classifier or
+// its detector changes: the snapshot and both components' SaveState bytes
+// stay as they were, and the parked prediction can still be labelled.
+TEST(AdmissionTest, EngineRefusesBadRowsBeforeAnyChange) {
+  auto stream = test_util::MakeRbfDriftStream(100000, 3);
+  test_util::OwnedEngine owned(stream->schema(), "naive-bayes", "RBM-IM", 5,
+                               ShortConfig(), 16);
+  MonitorEngine& engine = owned.engine;
+  for (int i = 0; i < 420; ++i) engine.Feed(stream->Next());
+  const Instance good = stream->Next();
+  const MonitorEngine::Ticket ticket = engine.Predict(good.features);
+  const EngineSnapshot before = engine.Snapshot();
+  const std::string classifier_before = Saved(*owned.classifier);
+  const std::string detector_before = Saved(*owned.detector);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto with_feature = [&good](size_t i, double v) {
+    Instance row = good;
+    row.features[i] = v;
+    return row;
+  };
+  auto with_weight = [&good](double w) {
+    Instance row = good;
+    row.weight = w;
+    return row;
+  };
+  Instance wide = good;
+  wide.features.push_back(0.5);
+  Instance narrow = good;
+  narrow.features.pop_back();
+  for (const Instance& row : {wide, narrow}) {
+    ExpectRefused(RejectReason::kWidth, [&] { engine.Feed(row); });
+    ExpectRefused(RejectReason::kWidth, [&] { engine.Predict(row.features); });
+  }
+  for (const Instance& row :
+       {with_feature(0, nan), with_feature(2, inf), with_feature(5, -inf)}) {
+    ExpectRefused(RejectReason::kFeature, [&] { engine.Feed(row); });
+    ExpectRefused(RejectReason::kFeature,
+                  [&] { engine.Predict(row.features); });
+  }
+  for (double w : {0.0, -1.0, nan, inf}) {
+    ExpectRefused(RejectReason::kWeight,
+                  [&] { engine.Feed(with_weight(w)); });
+    ExpectRefused(RejectReason::kWeight,
+                  [&] { engine.Predict(good.features, w); });
+  }
+  for (int label : {-1, 3}) {
+    Instance row = good;
+    row.label = label;
+    ExpectRefused(RejectReason::kLabel, [&] { engine.Feed(row); });
+    ExpectRefused(RejectReason::kLabel,
+                  [&] { engine.Label(ticket.id, label); });
+  }
+
+  ExpectSnapshotEq(engine.Snapshot(), before);
+  EXPECT_EQ(Saved(*owned.classifier), classifier_before);
+  EXPECT_EQ(Saved(*owned.detector), detector_before);
+  EXPECT_EQ(engine.Label(ticket.id, good.label), LabelOutcome::kApplied);
+}
+
+// Regressions for the two rows admission exists for. Fed straight to the
+// components, a NaN feature enters RBM-IM's min-max bounds and every
+// reconstruction error after it, and a wide row reaches naive-bayes, which
+// reads the schema's width of it and drops the rest without a word. At the
+// engine both are refused, so a run with the bad row pushed mid-stream is
+// bit-identical to one that never saw it, drift alarms included.
+TEST(AdmissionTest, RefusedRowsLeaveTheRunAsIfNeverPushed) {
+  const StreamSpec* spec = FindStreamSpec("RBF10");
+  ASSERT_NE(spec, nullptr);
+  BuildOptions options;
+  options.scale = 0.002;  // 4000 instances, two drifts RBM-IM alarms on.
+  options.seed = 37;
+  auto make_stream = [&] { return BuildStream(*spec, options).stream; };
+  const StreamSchema schema = make_stream()->schema();
+  PrequentialConfig config = ShortConfig();
+  config.reset_on_drift = true;
+  struct Case {
+    const char* detector;
+    RejectReason reason;
+  };
+  for (const Case& c : {Case{"RBM-IM", RejectReason::kFeature},
+                        Case{"", RejectReason::kWidth}}) {
+    SCOPED_TRACE(c.detector);
+    test_util::OwnedEngine pushed(schema, "naive-bayes", c.detector, 9,
+                                  config, 16);
+    test_util::OwnedEngine oracle(schema, "naive-bayes", c.detector, 9,
+                                  config, 16);
+    auto a = make_stream();
+    auto b = make_stream();
+    for (int i = 0; i < 4000; ++i) {
+      const Instance row = a->Next();
+      oracle.engine.Feed(b->Next());
+      if (i == 1200) {
+        Instance bad = row;
+        if (c.reason == RejectReason::kFeature) {
+          bad.features[1] = std::numeric_limits<double>::quiet_NaN();
+        } else {
+          bad.features.push_back(1e6);
+        }
+        ExpectRefused(c.reason, [&] { pushed.engine.Feed(bad); });
+      }
+      pushed.engine.Feed(row);
+    }
+    ExpectBitIdentical(pushed.engine.Result(), oracle.engine.Result());
+    EXPECT_EQ(Saved(*pushed.classifier), Saved(*oracle.classifier));
+    if (c.detector[0] != '\0') {
+      EXPECT_GT(pushed.engine.drifts(), 0u);
+      EXPECT_EQ(Saved(*pushed.detector), Saved(*oracle.detector));
+    }
+  }
 }
 
 }  // namespace

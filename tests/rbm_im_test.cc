@@ -318,6 +318,98 @@ TEST(RbmImTest, RejectsOutOfDomainParams) {
   }
 }
 
+std::string Save(const RbmIm& det) {
+  io::Writer w;
+  det.SaveState(w);
+  return w.data();
+}
+
+std::string SaveRbm(const Rbm& rbm) {
+  io::Writer w;
+  rbm.SaveState(w);
+  return w.data();
+}
+
+// A close owes its CD-k training to the observations after it, which pay
+// it in slices; SaveState() and rbm() settle what is left. `eager` is
+// captured after every Observe, so it always settles at once, the order of
+// training the whole batch at its close. `lazy` is read only at every
+// close and at one point inside each batch's slicing that moves from batch
+// to batch, and after a drift in the middle of the boost passes. Its reads
+// alternate between SaveState() and rbm(), and each must give `eager`'s
+// bytes. The streams are prefixes; RBF10's holds its first drift. At
+// batch size 25 a boost batch owes 25 slices to 24 observations, so the
+// next close itself must settle the last one; that case reads `lazy` only
+// at closes that raise no drift, since any read from the drift on would
+// settle the boost first.
+TEST(RbmImTest, SlicedTrainingMatchesTrainingAtTheClose) {
+  struct Case {
+    const char* stream;
+    uint64_t length;
+    int batch_size;
+    bool drifts;     ///< Whether a drift must fire within the prefix.
+    bool mid_reads;  ///< Whether `lazy` is read inside batches and at
+                     ///< drifting closes too.
+  };
+  for (const Case& c : {Case{"RBF10", 1600, 50, true, true},
+                        Case{"RBF10", 1600, 25, true, false},
+                        Case{"RBF20", 500, 50, false, true},
+                        Case{"IntelSensors", 600, 50, false, true}}) {
+    SCOPED_TRACE(std::string(c.stream) + " batch_size " +
+                 std::to_string(c.batch_size));
+    const StreamSpec* spec = FindStreamSpec(c.stream);
+    ASSERT_NE(spec, nullptr);
+    BuildOptions o;
+    o.scale = 0.002;
+    o.seed = 37;
+    BuiltStream built = BuildStream(*spec, o);
+    ASSERT_GE(built.length, c.length);
+    RbmIm::Params p = DetectorParams(spec->num_features, spec->num_classes);
+    p.batch_size = c.batch_size;
+    int drifts = 0;
+    RbmIm eager(p, 37);
+    RbmIm lazy(p, 37);
+    const uint64_t batch = static_cast<uint64_t>(p.batch_size);
+    const uint64_t slice = (batch + 9) / 10;  // Instances per slice.
+    uint64_t read_at = 0;  // Offset into the batch of the next read.
+    for (uint64_t i = 0; i < c.length; ++i) {
+      const Instance inst = built.stream->Next();
+      eager.Observe(inst, inst.label, {});
+      lazy.Observe(inst, inst.label, {});
+      ASSERT_EQ(eager.state(), lazy.state()) << "instance " << i;
+      const std::string want = Save(eager);
+      const uint64_t offset = (i + 1) % batch;
+      const uint64_t b = (i + 1) / batch;
+      const bool drifted = lazy.state() == DetectorState::kDrift;
+      if (offset == 0) {
+        // A close: read before any slice runs, then pick the next read.
+        // After a drift it falls halfway through the second of the three
+        // passes; otherwise inside the one pass, a different slice each
+        // batch.
+        if (drifted) {
+          ++drifts;
+          read_at = (3 * batch / 2) / slice;
+        } else {
+          read_at = 1 + (b * 3) % (batch / slice + 2);
+        }
+        if (drifted && !c.mid_reads) continue;
+      } else if (!c.mid_reads || offset != read_at) {
+        continue;
+      }
+      if (b % 2 == 0) {
+        ASSERT_EQ(Save(lazy), want) << "SaveState at instance " << i;
+      } else {
+        ASSERT_EQ(SaveRbm(lazy.rbm()), SaveRbm(eager.rbm()))
+            << "rbm() at instance " << i;
+        ASSERT_EQ(Save(lazy), want) << "instance " << i;
+      }
+    }
+    if (c.drifts) {
+      EXPECT_GE(drifts, 1) << "no drift fired, so the boost path never ran";
+    }
+  }
+}
+
 TEST(RbmImTest, LoadStateRejectsOutOfDomainParams) {
   RbmIm::Params p = DetectorParams(6, 3);
   p.cd_steps = 7;    // Unique among the serialized integers.

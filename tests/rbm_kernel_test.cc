@@ -10,7 +10,9 @@
 // executable spec (one output unit at a time, W and U walked by column,
 // the pre-activation recomputed per pass, ClassWeight per instance). Both
 // models start from the same serialized state, train on the same batches
-// and are compared with memcmp, down to the RNG cursor.
+// and are compared with memcmp, down to the RNG cursor. The update also
+// runs in steps (BeginBatch, TrainRange, EndBatch), which RBM-IM uses to
+// spread a close's training; every way of splitting a batch must match.
 
 #include <gtest/gtest.h>
 
@@ -30,12 +32,6 @@ namespace ccd {
 namespace {
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-double Softplus(double x) {
-  if (x > 30.0) return x;
-  if (x < -30.0) return 0.0;
-  return std::log1p(std::exp(x));
-}
 
 class NaiveRbmOracle {
  public:
@@ -161,34 +157,6 @@ class NaiveRbmOracle {
 
   std::vector<double> ClassReadout(const std::vector<double>& v) const {
     return ClassProbs(HiddenFromVisible(v));
-  }
-
-  std::vector<double> ClassifyProbs(const std::vector<double>& x) const {
-    std::vector<double> base(static_cast<size_t>(p_.hidden));
-    for (int j = 0; j < p_.hidden; ++j) {
-      double act = b_[static_cast<size_t>(j)];
-      for (int i = 0; i < p_.visible; ++i) {
-        act += x[static_cast<size_t>(i)] * W(i, j);
-      }
-      base[static_cast<size_t>(j)] = act;
-    }
-    std::vector<double> logits(static_cast<size_t>(p_.classes));
-    double max_logit = -1e300;
-    for (int k = 0; k < p_.classes; ++k) {
-      double l = c_[static_cast<size_t>(k)];
-      for (int j = 0; j < p_.hidden; ++j) {
-        l += Softplus(base[static_cast<size_t>(j)] + U(j, k));
-      }
-      logits[static_cast<size_t>(k)] = l;
-      if (l > max_logit) max_logit = l;
-    }
-    double total = 0.0;
-    for (double& l : logits) {
-      l = std::exp(l - max_logit);
-      total += l;
-    }
-    for (double& l : logits) l /= total;
-    return logits;
   }
 
   double ClassWeight(int y) const {
@@ -517,6 +485,71 @@ TEST(RbmKernelTest, TrainBatchMatchesNaiveLoops) {
               if (HasFailure()) return;  // One report per broken config.
             }
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(RbmKernelTest, SplitBatchMatchesTrainBatchAtEverySplit) {
+  // RBM-IM spreads a close's update over the observations after it:
+  // BeginBatch, TrainRange over consecutive ranges, EndBatch. Every way of
+  // cutting the batch, two ranges split at each point and one instance
+  // per range, must give TrainBatch's and the naive loops' state bit for
+  // bit, RNG cursor included. ClassWeight reads between the ranges, as a
+  // diagnostic read between slices would.
+  constexpr int kBatches = 3;
+  constexpr size_t kBatchSize = 9;
+  for (const Shape& s : {Shape{5, 4, 3}, Shape{40, 20, 10}}) {
+    for (int cd_steps : {1, 2}) {
+      for (double sigma : {0.3, 300.0}) {
+        Rbm::Params p;
+        p.visible = s.visible;
+        p.hidden = s.hidden;
+        p.classes = s.classes;
+        p.cd_steps = cd_steps;
+        NaiveRbmOracle oracle(p, 59, sigma);
+        Rbm whole = oracle.Load();
+        Rng data(61);
+        for (int b = 0; b < kBatches; ++b) {
+          std::vector<Instance> batch;
+          for (size_t i = 0; i < kBatchSize; ++i) {
+            batch.emplace_back(DrawFeatures(&data, p.visible),
+                               DrawLabel(&data, p.classes));
+          }
+          const std::string before = SaveRbm(whole);
+          auto from_before = [&]() {
+            Rbm rbm(p, 0);
+            io::Reader r(before);
+            rbm.LoadState(r);
+            return rbm;
+          };
+          auto read_weights = [&p](const Rbm& rbm) {
+            for (int k = 0; k < p.classes; ++k) (void)rbm.ClassWeight(k);
+          };
+          whole.TrainBatch(batch.data(), batch.size());
+          oracle.TrainBatch(batch);
+          const std::string what =
+              Describe(p, sigma) + " batch " + std::to_string(b);
+          ASSERT_TRUE(SameState(whole, oracle)) << what;
+          for (size_t split = 0; split <= kBatchSize; ++split) {
+            Rbm rbm = from_before();
+            rbm.BeginBatch(batch.data(), batch.size());
+            rbm.TrainRange(batch.data(), 0, split);
+            read_weights(rbm);
+            rbm.TrainRange(batch.data(), split, batch.size());
+            rbm.EndBatch(batch.size());
+            EXPECT_TRUE(SameState(rbm, oracle)) << what << " split " << split;
+          }
+          Rbm single = from_before();
+          single.BeginBatch(batch.data(), batch.size());
+          for (size_t i = 0; i < kBatchSize; ++i) {
+            single.TrainRange(batch.data(), i, i + 1);
+            read_weights(single);
+          }
+          single.EndBatch(batch.size());
+          EXPECT_TRUE(SameState(single, oracle)) << what << " one per range";
+          if (HasFailure()) return;
         }
       }
     }

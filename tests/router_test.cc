@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -507,6 +509,63 @@ TEST(PushValidationTest, BatchThatThrowsAppliesNothing) {
     EXPECT_EQ(after[i].second, before[i].second + 1);
     EXPECT_EQ(predictions[i].shard, s);
   }
+}
+
+// Admission runs in the route-and-validate pass, so one bad row anywhere
+// in a batch refuses the whole batch: no shard's state moves, not even
+// the shards whose rows were good and come first.
+TEST(PushValidationTest, BatchWithOneInadmissibleRowAppliesNothing) {
+  constexpr int kShards = 3;
+  auto monitor = ServingBuilder(kShards).Build();
+  const std::vector<KeyedInstance> warm =
+      MakeKeyedSchedule({0, 1, 2, 3, 4, 5, 6, 7}, 300, /*seed=*/47);
+  for (const KeyedInstance& push : warm) {
+    monitor.Feed(push.key, push.instance);
+  }
+  std::vector<api::ShardedMonitor::KeyedInstance> batch;
+  for (int s = 0; s < kShards; ++s) {
+    batch.push_back({KeysForSlot(s, kShards, 1)[0],
+                     warm[static_cast<size_t>(s)].instance});
+  }
+  const api::ShardedMonitor::Prediction live = monitor.Predict(
+      batch[1].key, batch[1].instance.features);
+  auto images = [&] {
+    std::vector<std::string> out;
+    for (int s = 0; s < kShards; ++s) out.push_back(monitor.SerializeShard(s));
+    return out;
+  };
+  const std::vector<std::string> before = images();
+  auto expect_refused = [&](RejectReason reason,
+                            const std::function<void()>& push) {
+    test_util::ExpectRefused(reason, push);
+    EXPECT_EQ(images(), before) << static_cast<int>(reason);
+  };
+
+  std::vector<api::ShardedMonitor::KeyedInstance> bad = batch;
+  bad.back().instance.features[0] = std::numeric_limits<double>::quiet_NaN();
+  expect_refused(RejectReason::kFeature, [&] { monitor.FeedBatch(bad); });
+  bad = batch;
+  bad.back().instance.features.push_back(0.5);
+  std::vector<api::ShardedMonitor::Prediction> predictions;
+  expect_refused(RejectReason::kWidth,
+                 [&] { monitor.PredictBatch(bad, &predictions); });
+  bad = batch;
+  bad.back().instance.weight = 0.0;
+  expect_refused(RejectReason::kWeight, [&] { monitor.FeedBatch(bad); });
+  bad = batch;
+  bad.back().instance.label = ServingSchema().num_classes;
+  expect_refused(RejectReason::kLabel, [&] { monitor.FeedBatch(bad); });
+  const std::vector<api::ShardedMonitor::ShardLabel> labels = {
+      {live.shard, live.id, 0}, {0, 1, -1}};
+  expect_refused(RejectReason::kLabel, [&] { monitor.LabelBatch(labels); });
+  expect_refused(RejectReason::kLabel,
+                 [&] { monitor.Label(live.shard, live.id, -1); });
+  EXPECT_EQ(monitor.unmatched_labels(), 0u);
+
+  // The good rows apply once the bad one is gone.
+  monitor.FeedBatch(batch);
+  EXPECT_TRUE(monitor.Label(live.shard, live.id, 0));
+  EXPECT_NE(images(), before);
 }
 
 // A push from inside a callback is refused before it takes a lock: the

@@ -18,6 +18,7 @@
 #include "api/component_registry.h"
 #include "classifiers/classifier.h"
 #include "detectors/detector.h"
+#include "eval/admission.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
 #include "generators/drifting_stream.h"
@@ -88,6 +89,18 @@ inline void ExpectInstanceEq(const Instance& a, const Instance& b) {
   EXPECT_EQ(a.features, b.features);
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.weight, b.weight);
+}
+
+/// Runs `push`, which must throw AdmissionError for `reason`.
+inline void ExpectRefused(RejectReason reason,
+                          const std::function<void()>& push) {
+  try {
+    push();
+    ADD_FAILURE() << "expected an AdmissionError, reason "
+                  << static_cast<int>(reason);
+  } catch (const AdmissionError& e) {
+    EXPECT_EQ(e.reason(), reason) << e.what();
+  }
 }
 
 /// Asserts every field of two EngineSnapshots is equal, bit for bit —
