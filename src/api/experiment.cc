@@ -3,6 +3,12 @@
 namespace ccd {
 namespace api {
 
+Experiment::Experiment() {
+  // The paper's protocol (PrequentialConfig's defaults) over the realized
+  // stream length.
+  config_.max_instances = 0;
+}
+
 Experiment& Experiment::Stream(const std::string& name) {
   const StreamSpec* spec = FindStreamSpec(name);
   if (spec == nullptr) {
@@ -54,7 +60,6 @@ Experiment& Experiment::NoDetector() {
 
 Experiment& Experiment::Prequential(const PrequentialConfig& config) {
   config_ = config;
-  has_config_ = true;
   return *this;
 }
 
@@ -75,17 +80,8 @@ Experiment::Built Experiment::Build() const {
                                       detector_params_);
   }
 
-  if (has_config_) {
-    out.config = config_;
-    if (out.config.max_instances == 0) out.config.max_instances = out.stream.length;
-  } else {
-    // The paper's protocol: windowed metrics over W=1000 sampled every 250
-    // instances after a 500-instance warmup, over the realized length.
-    out.config.max_instances = out.stream.length;
-    out.config.metric_window = 1000;
-    out.config.eval_interval = 250;
-    out.config.warmup = 500;
-  }
+  out.config = config_;
+  if (out.config.max_instances == 0) out.config.max_instances = out.stream.length;
   // Reject degenerate protocols here, where the caller composed them —
   // RunPrequential would throw std::invalid_argument later, but an
   // ApiError at Build() points at the Experiment that carried them.

@@ -41,7 +41,7 @@ class Experiment {
     PrequentialConfig config;
   };
 
-  Experiment() = default;
+  Experiment();
 
   /// Selects a registered benchmark stream by name (see AllStreamSpecs());
   /// throws an ApiError listing all stream names when unknown.
@@ -78,7 +78,6 @@ class Experiment {
   ParamMap classifier_params_;
   std::string detector_name_;  ///< Empty = no detector.
   ParamMap detector_params_;
-  bool has_config_ = false;
   PrequentialConfig config_;
 };
 

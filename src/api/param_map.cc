@@ -1,11 +1,9 @@
 #include "api/param_map.h"
 
 #include <cctype>
-#include <cerrno>
-#include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
+
+#include "utils/parse_number.h"
 
 namespace ccd {
 namespace api {
@@ -17,6 +15,11 @@ std::string Trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+[[noreturn]] void ThrowMalformed(const std::string& key,
+                                 const std::string& raw, const char* why) {
+  throw ApiError("parameter '" + key + "=" + raw + "' " + why);
 }
 
 }  // namespace
@@ -76,33 +79,15 @@ const std::string* ParamMap::Raw(const std::string& key) const {
 int ParamMap::GetInt(const std::string& key, int def) const {
   const std::string* raw = Raw(key);
   if (raw == nullptr) return def;
-  char* end = nullptr;
-  errno = 0;
-  long v = std::strtol(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') {
-    throw ApiError("parameter '" + key + "=" + *raw + "' is not an integer");
-  }
-  if (errno == ERANGE || v < INT_MIN || v > INT_MAX) {
-    throw ApiError("parameter '" + key + "=" + *raw +
-                   "' is out of integer range");
-  }
-  return static_cast<int>(v);
+  if (const char* why = ParseInt(*raw, &def)) ThrowMalformed(key, *raw, why);
+  return def;
 }
 
 double ParamMap::GetDouble(const std::string& key, double def) const {
   const std::string* raw = Raw(key);
   if (raw == nullptr) return def;
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0') {
-    throw ApiError("parameter '" + key + "=" + *raw + "' is not a number");
-  }
-  if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)) {
-    throw ApiError("parameter '" + key + "=" + *raw +
-                   "' is out of double range");
-  }
-  return v;
+  if (const char* why = ParseDouble(*raw, &def)) ThrowMalformed(key, *raw, why);
+  return def;
 }
 
 bool ParamMap::GetBool(const std::string& key, bool def) const {
@@ -114,8 +99,8 @@ bool ParamMap::GetBool(const std::string& key, bool def) const {
   if (*raw == "false" || *raw == "0" || *raw == "off" || *raw == "no") {
     return false;
   }
-  throw ApiError("parameter '" + key + "=" + *raw +
-                 "' is not a boolean (use true/false/1/0/on/off/yes/no)");
+  ThrowMalformed(key, *raw,
+                 "is not a boolean (use true/false/1/0/on/off/yes/no)");
 }
 
 std::string ParamMap::GetString(const std::string& key,

@@ -20,39 +20,39 @@ std::string DescribeComponent(const std::string& name,
   return "'" + name + "'" + (params.empty() ? "" : " {" + params + "}");
 }
 
-/// Throws ApiError when an image with identity `image` cannot become a
-/// shard of the monitor whose own identity is `own`. Seeds are not
-/// compared: LoadState() overwrites every RNG cursor.
-void RejectForeignImage(const io::ShardIdentity& image,
-                        const io::ShardIdentity& own) {
-  const std::string prefix = "ShardedMonitor::RestoreShard: image ";
+/// Why a shard image with identity `image` cannot join the fleet whose
+/// identity is `own`, or nullopt when it can. The one comparison of two
+/// identities: RestoreShard() and Open() both decide through it. Seeds are
+/// not compared (LoadState() overwrites every RNG cursor), nor is the
+/// schema's display name.
+std::optional<std::string> ForeignImageReason(const io::ShardIdentity& image,
+                                              const io::ShardIdentity& own) {
   if (image.schema.num_features != own.schema.num_features ||
       image.schema.num_classes != own.schema.num_classes) {
-    throw ApiError(prefix + "schema (" +
-                   std::to_string(image.schema.num_features) + " features, " +
-                   std::to_string(image.schema.num_classes) +
-                   " classes) does not match this monitor (" +
-                   std::to_string(own.schema.num_features) + ", " +
-                   std::to_string(own.schema.num_classes) + ")");
+    return "schema (" + std::to_string(image.schema.num_features) +
+           " features, " + std::to_string(image.schema.num_classes) +
+           " classes) does not match the fleet's (" +
+           std::to_string(own.schema.num_features) + ", " +
+           std::to_string(own.schema.num_classes) + ")";
   }
   if (image.classifier != own.classifier ||
       image.classifier_params != own.classifier_params) {
-    throw ApiError(
-        prefix + "classifier " +
-        DescribeComponent(image.classifier, image.classifier_params) +
-        " does not match this monitor's " +
-        DescribeComponent(own.classifier, own.classifier_params));
+    return "classifier " +
+           DescribeComponent(image.classifier, image.classifier_params) +
+           " does not match the fleet's " +
+           DescribeComponent(own.classifier, own.classifier_params);
   }
   if (image.detector != own.detector ||
       image.detector_params != own.detector_params) {
-    throw ApiError(prefix + "detector " +
-                   DescribeComponent(image.detector, image.detector_params) +
-                   " does not match this monitor's " +
-                   DescribeComponent(own.detector, own.detector_params));
+    return "detector " +
+           DescribeComponent(image.detector, image.detector_params) +
+           " does not match the fleet's " +
+           DescribeComponent(own.detector, own.detector_params);
   }
   if (image.config != own.config) {
-    throw ApiError(prefix + "PrequentialConfig does not match this monitor's");
+    return "PrequentialConfig does not match the fleet's";
   }
+  return std::nullopt;
 }
 
 /// The push primitive's partition scratch: one per pushing thread, reused
@@ -86,22 +86,11 @@ class ScratchClaim {
 
 // --------------------------------------------------------- ShardedMonitor
 
-ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
-                               const PrequentialConfig& config,
-                               std::string classifier_name,
-                               ParamMap classifier_params,
-                               std::string detector_name,
-                               ParamMap detector_params, uint64_t seed,
+ShardedMonitor::ShardedMonitor(io::ShardIdentity identity,
                                size_t pending_capacity, int shards,
                                ShardedHooks hooks, uint64_t generation,
                                std::vector<io::StateImage>&& images)
-    : schema_(schema),
-      config_(config),
-      classifier_name_(std::move(classifier_name)),
-      classifier_params_(std::move(classifier_params)),
-      detector_name_(std::move(detector_name)),
-      detector_params_(std::move(detector_params)),
-      seed_(seed),
+    : identity_(std::move(identity)),
       pending_capacity_(pending_capacity),
       hooks_(std::move(hooks)),
       router_(shards),
@@ -128,16 +117,17 @@ ShardedMonitor::ShardedMonitor(const StreamSchema& schema,
 
 std::unique_ptr<ShardedMonitor::Shard> ShardedMonitor::MakeShard(
     int shard) const {
-  const uint64_t seed = seed_ + static_cast<uint64_t>(shard);
-  std::unique_ptr<OnlineClassifier> classifier =
-      Classifiers().Create(classifier_name_, schema_, seed, classifier_params_);
+  const io::ShardIdentity& id = identity_;
+  const uint64_t seed = id.seed + static_cast<uint64_t>(shard);
+  std::unique_ptr<OnlineClassifier> classifier = Classifiers().Create(
+      id.classifier, id.schema, seed, ParamMap::Parse(id.classifier_params));
   std::unique_ptr<DriftDetector> detector;
-  if (!detector_name_.empty()) {
-    detector =
-        Detectors().Create(detector_name_, schema_, seed, detector_params_);
+  if (!id.detector.empty()) {
+    detector = Detectors().Create(id.detector, id.schema, seed,
+                                  ParamMap::Parse(id.detector_params));
   }
   auto engine = std::make_unique<MonitorEngine>(
-      schema_, classifier.get(), detector.get(), config_,
+      id.schema, classifier.get(), detector.get(), id.config,
       MakeShardHooks(shard), pending_capacity_);
   return std::make_unique<Shard>(std::move(classifier), std::move(detector),
                                  std::move(engine));
@@ -225,7 +215,7 @@ ShardedMonitor::Prediction ShardedMonitor::Predict(
   Prediction p;
   Push<Route::kKey>(
       1, [key](size_t) { return key; },
-      [&](size_t) { CheckRow(schema_, features, weight, std::nullopt); },
+      [&](size_t) { CheckRow(schema(), features, weight, std::nullopt); },
       [&](MonitorEngine& engine, size_t, int shard) {
         MonitorEngine::Ticket t = engine.Predict(features, weight);
         p.shard = shard;
@@ -240,7 +230,7 @@ void ShardedMonitor::Feed(uint64_t key, const Instance& instance) {
   Push<Route::kKey>(
       1, [key](size_t) { return key; },
       [&](size_t) {
-        CheckRow(schema_, instance.features, instance.weight, instance.label);
+        CheckRow(schema(), instance.features, instance.weight, instance.label);
       },
       [&instance](MonitorEngine& engine, size_t, int) {
         engine.Feed(instance);
@@ -251,7 +241,7 @@ bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
   bool applied = false;
   Push<Route::kShard>(
       1, [shard](size_t) { return shard; },
-      [&](size_t) { CheckLabel(schema_, true_label); },
+      [&](size_t) { CheckLabel(schema(), true_label); },
       [&](MonitorEngine& engine, size_t, int) {
         applied = engine.Label(id, true_label) == LabelOutcome::kApplied;
       });
@@ -263,7 +253,7 @@ void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
       batch.size(), [&batch](size_t i) { return batch[i].key; },
       [&](size_t i) {
         const Instance& row = batch[i].instance;
-        CheckRow(schema_, row.features, row.weight, row.label);
+        CheckRow(schema(), row.features, row.weight, row.label);
       },
       [&batch](MonitorEngine& engine, size_t i, int) {
         engine.Feed(batch[i].instance);
@@ -278,7 +268,7 @@ void ShardedMonitor::PredictBatch(const std::vector<KeyedInstance>& batch,
       batch.size(), [&batch](size_t i) { return batch[i].key; },
       [&](size_t i) {
         const Instance& row = batch[i].instance;
-        CheckRow(schema_, row.features, row.weight, std::nullopt);
+        CheckRow(schema(), row.features, row.weight, std::nullopt);
       },
       [&](MonitorEngine& engine, size_t i, int shard) {
         engine.Predict(batch[i].instance.features, batch[i].instance.weight,
@@ -296,7 +286,7 @@ void ShardedMonitor::LabelBatch(const std::vector<ShardLabel>& batch,
   if (outcomes) outcomes->resize(batch.size());
   Push<Route::kShard>(
       batch.size(), [&batch](size_t i) { return batch[i].shard; },
-      [&](size_t i) { CheckLabel(schema_, batch[i].label); },
+      [&](size_t i) { CheckLabel(schema(), batch[i].label); },
       [&](MonitorEngine& engine, size_t i, int) {
         const LabelOutcome outcome = engine.Label(batch[i].id, batch[i].label);
         if (outcomes) (*outcomes)[i] = outcome;
@@ -336,14 +326,8 @@ int ShardedMonitor::shards() const { return router_.slots(); }
 // ----------------------------------------------------------- durability
 
 io::ShardIdentity ShardedMonitor::MakeShardIdentity(int shard) const {
-  io::ShardIdentity id;
-  id.schema = schema_;
-  id.classifier = classifier_name_;
-  id.classifier_params = classifier_params_.ToString();
-  id.detector = detector_name_;
-  id.detector_params = detector_params_.ToString();
-  id.seed = seed_ + static_cast<uint64_t>(shard);
-  id.config = config_;
+  io::ShardIdentity id = identity_;
+  id.seed += static_cast<uint64_t>(shard);
   return id;
 }
 
@@ -355,8 +339,8 @@ std::string ShardedMonitor::EncodeShard(const Shard& s, int shard) const {
 void ShardedMonitor::InstallImage(Shard& s, int shard,
                                   io::StateImage&& image) {
   auto engine = std::make_unique<MonitorEngine>(
-      schema_, image.classifier.get(), image.detector.get(), config_,
-      MakeShardHooks(shard), pending_capacity_);
+      identity_.schema, image.classifier.get(), image.detector.get(),
+      identity_.config, MakeShardHooks(shard), pending_capacity_);
   engine->Restore(image.snapshot);
   // Commit — no-throw moves, outgoing engine first.
   s.engine = std::move(engine);
@@ -370,16 +354,7 @@ void ShardedMonitor::Persist(const std::string& directory) {
   io::SnapshotStore store(directory);
   const uint64_t next_gen = generation_ + 1;
 
-  io::Manifest manifest;
-  manifest.schema = schema_;
-  manifest.classifier = classifier_name_;
-  manifest.classifier_params = classifier_params_.ToString();
-  manifest.detector = detector_name_;
-  manifest.detector_params = detector_params_.ToString();
-  manifest.seed = seed_;
-  manifest.config = config_;
-  manifest.pending_capacity = pending_capacity_;
-  manifest.generation = next_gen;
+  io::Manifest manifest{identity_, pending_capacity_, next_gen, {}};
   manifest.shards.reserve(shards_.size());
 
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -436,18 +411,16 @@ ShardedMonitor ShardedMonitor::Open(const std::string& directory,
               ", or CRC mismatch) — swapped or torn file");
     }
     io::StateImage image = io::DecodeStateImage(bytes);
-    if (image.identity.schema.num_features != m.schema.num_features ||
-        image.identity.schema.num_classes != m.schema.num_classes) {
+    if (const auto why = ForeignImageReason(image.identity, m.identity)) {
       throw io::WireError(store.Path(f.file), 0,
-                          "shard schema disagrees with the manifest");
+                          "shard image of another fleet: " + *why);
     }
     images.push_back(std::move(image));
   }
-  return ShardedMonitor(
-      m.schema, m.config, m.classifier, ParamMap::Parse(m.classifier_params),
-      m.detector, ParamMap::Parse(m.detector_params), m.seed,
-      static_cast<size_t>(m.pending_capacity), static_cast<int>(images.size()),
-      std::move(hooks), m.generation, std::move(images));
+  return ShardedMonitor(std::move(m.identity),
+                        static_cast<size_t>(m.pending_capacity),
+                        static_cast<int>(images.size()), std::move(hooks),
+                        m.generation, std::move(images));
 }
 
 std::string ShardedMonitor::SerializeShard(int shard) const {
@@ -476,7 +449,9 @@ void ShardedMonitor::RestoreShard(int shard, const std::string& bytes) {
   // serving — and must never reach a later Persist(), which would write
   // a generation Open() cannot read.
   io::StateImage image = io::DecodeStateImage(bytes);
-  RejectForeignImage(image.identity, MakeShardIdentity(shard));
+  if (const auto why = ForeignImageReason(image.identity, identity_)) {
+    throw ApiError("ShardedMonitor::RestoreShard: image " + *why);
+  }
   runtime::WriterLock table(&router_.TableMutex());
   router_.RequireSlot(shard);
   Shard& s = *shards_[static_cast<size_t>(shard)];
@@ -557,9 +532,17 @@ uint64_t ShardedMonitor::drifts() const { return SumCounters().drifts; }
 
 // -------------------------------------------------- ShardedMonitorBuilder
 
+ShardedMonitorBuilder::ShardedMonitorBuilder() {
+  identity_.classifier = "cs-ptree";
+  identity_.seed = 42;
+  // The paper's protocol; timing off — a serving monitor wants alerts,
+  // not per-call stopwatches.
+  identity_.config.timing = false;
+}
+
 ShardedMonitorBuilder& ShardedMonitorBuilder::Schema(
     const StreamSchema& schema) {
-  schema_ = schema;
+  identity_.schema = schema;
   has_schema_ = true;
   return *this;
 }
@@ -571,33 +554,32 @@ ShardedMonitorBuilder& ShardedMonitorBuilder::Schema(int num_features,
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::Classifier(
     const std::string& name, ParamMap params) {
-  classifier_name_ = name;
-  classifier_params_ = std::move(params);
+  identity_.classifier = name;
+  identity_.classifier_params = params.ToString();
   return *this;
 }
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::Detector(const std::string& name,
                                                        ParamMap params) {
-  detector_name_ = name;
-  detector_params_ = std::move(params);
+  identity_.detector = name;
+  identity_.detector_params = params.ToString();
   return *this;
 }
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::NoDetector() {
-  detector_name_.clear();
-  detector_params_ = ParamMap();
+  identity_.detector.clear();
+  identity_.detector_params.clear();
   return *this;
 }
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::Seed(uint64_t seed) {
-  seed_ = seed;
+  identity_.seed = seed;
   return *this;
 }
 
 ShardedMonitorBuilder& ShardedMonitorBuilder::Protocol(
     const PrequentialConfig& config) {
-  config_ = config;
-  has_config_ = true;
+  identity_.config = config;
   return *this;
 }
 
@@ -631,7 +613,7 @@ ShardedMonitor ShardedMonitorBuilder::Build() const {
         "classes) before Build() — a push monitor has no stream to infer it "
         "from");
   }
-  if (!schema_.Valid()) {
+  if (!identity_.schema.Valid()) {
     throw ApiError(
         "ShardedMonitorBuilder: invalid schema (need num_features > 0 and "
         "num_classes >= 2)");
@@ -641,32 +623,19 @@ ShardedMonitor ShardedMonitorBuilder::Build() const {
                    ") is degenerate; a serving router needs >= 1 shard");
   }
 
-  PrequentialConfig config;
-  if (has_config_) {
-    config = config_;
-    try {
-      ValidatePrequentialConfig(config);
-    } catch (const std::invalid_argument& e) {
-      throw ApiError(e.what());
-    }
-  } else {
-    // The paper's protocol; timing off — a serving monitor wants alerts,
-    // not per-call stopwatches.
-    config.metric_window = 1000;
-    config.eval_interval = 250;
-    config.warmup = 500;
-    config.timing = false;
+  try {
+    ValidatePrequentialConfig(identity_.config);
+  } catch (const std::invalid_argument& e) {
+    throw ApiError(e.what());
   }
 
   // Resolve the component names eagerly so an unknown name is an ApiError
   // at Build(), not inside the first AddShard() mid-serving.
-  Classifiers().Require(classifier_name_);
-  if (!detector_name_.empty()) Detectors().Require(detector_name_);
+  Classifiers().Require(identity_.classifier);
+  if (!identity_.detector.empty()) Detectors().Require(identity_.detector);
 
-  return ShardedMonitor(schema_, config, classifier_name_, classifier_params_,
-                        detector_name_, detector_params_, seed_,
-                        pending_capacity_, shards_, hooks_, /*generation=*/0,
-                        /*images=*/{});
+  return ShardedMonitor(identity_, pending_capacity_, shards_, hooks_,
+                        /*generation=*/0, /*images=*/{});
 }
 
 }  // namespace api

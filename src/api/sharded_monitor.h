@@ -10,12 +10,12 @@
 #include "api/component_registry.h"
 #include "api/param_map.h"
 #include "eval/engine.h"
+#include "io/shard_identity.h"
 #include "runtime/router.h"
 
 namespace ccd {
 namespace io {
-// io/state_codec.h — only the .cc depends on the io layer.
-struct ShardIdentity;
+// io/state_codec.h — only the .cc depends on the codecs.
 struct StateImage;
 class MonitorService;
 }  // namespace io
@@ -179,7 +179,7 @@ class ShardedMonitor {
   void DrainShard(int shard);
 
   int shards() const;
-  const StreamSchema& schema() const { return schema_; }
+  const StreamSchema& schema() const { return identity_.schema; }
 
   /// Per-shard run state / result (the engine's own, shard-local view).
   EngineSnapshot ShardSnapshot(int shard) const;
@@ -213,8 +213,10 @@ class ShardedMonitor {
   void Persist(const std::string& directory);
 
   /// Reopens a monitor persisted by Persist(): validates the manifest and
-  /// every shard file (size + CRC before decoding a byte), rebuilds the
-  /// components through the registries and restores their learned state.
+  /// every shard file (size + CRC before decoding a byte, then the
+  /// image's identity against the manifest's, as RestoreShard() does),
+  /// rebuilds the components through the registries and restores their
+  /// learned state.
   /// Serving then continues bit-identically to the monitor that persisted
   /// — tests/io_store_test.cc proves it across a SIGKILL. Hooks are not
   /// persisted; pass them anew. Throws io::WireError on any corruption.
@@ -286,11 +288,8 @@ class ShardedMonitor {
 
   /// Build() passes no `images` and gets `shards` fresh shards; Open()
   /// passes one decoded state image per shard, installed in its slot.
-  ShardedMonitor(const StreamSchema& schema, const PrequentialConfig& config,
-                 std::string classifier_name, ParamMap classifier_params,
-                 std::string detector_name, ParamMap detector_params,
-                 uint64_t seed, size_t pending_capacity, int shards,
-                 ShardedHooks hooks, uint64_t generation,
+  ShardedMonitor(io::ShardIdentity identity, size_t pending_capacity,
+                 int shards, ShardedHooks hooks, uint64_t generation,
                  std::vector<io::StateImage>&& images);
 
   /// The one push primitive behind every push (see "One push path"
@@ -326,8 +325,8 @@ class ShardedMonitor {
 
   std::vector<EngineSnapshot> CollectSnapshots() const;
 
-  /// The identity half of shard `shard`'s state image (seed_ + shard and
-  /// the registry names/params).
+  /// The identity half of shard `shard`'s state image: identity_ with
+  /// seed + shard.
   io::ShardIdentity MakeShardIdentity(int shard) const;
   /// Shard `shard`'s live state as a sealed state image. The components
   /// write themselves in place; nothing is copied.
@@ -341,19 +340,14 @@ class ShardedMonitor {
   void InstallImage(Shard& s, int shard, io::StateImage&& image)
       CCD_REQUIRES(s.mu);
 
-  /// Builds shard `shard`'s fresh components + engine (seed_ + shard).
+  /// Builds shard `shard`'s fresh components + engine (seed + shard).
   std::unique_ptr<Shard> MakeShard(int shard) const;
   /// Engine hooks forwarding to hooks_ with `shard` attached; empty slots
   /// stay empty so uninstalled callbacks keep costing nothing.
   EngineHooks MakeShardHooks(int shard) const;
 
-  const StreamSchema schema_;
-  const PrequentialConfig config_;
-  const std::string classifier_name_;
-  const ParamMap classifier_params_;
-  const std::string detector_name_;  ///< Empty = no detector.
-  const ParamMap detector_params_;
-  const uint64_t seed_;
+  /// The fleet's identity; `seed` is the base seed (shard i: seed + i).
+  const io::ShardIdentity identity_;
   const size_t pending_capacity_;
   const ShardedHooks hooks_;
 
@@ -377,7 +371,7 @@ class ShardedMonitor {
 /// "cs-ptree", no detector, pending capacity 1024 *per shard*.
 class ShardedMonitorBuilder {
  public:
-  ShardedMonitorBuilder() = default;
+  ShardedMonitorBuilder();
 
   ShardedMonitorBuilder& Schema(const StreamSchema& schema);
   ShardedMonitorBuilder& Schema(int num_features, int num_classes);
@@ -410,15 +404,8 @@ class ShardedMonitorBuilder {
   ShardedMonitor Build() const;
 
  private:
-  StreamSchema schema_;
+  io::ShardIdentity identity_;
   bool has_schema_ = false;
-  std::string classifier_name_ = "cs-ptree";
-  ParamMap classifier_params_;
-  std::string detector_name_;  ///< Empty = no detector.
-  ParamMap detector_params_;
-  uint64_t seed_ = 42;
-  bool has_config_ = false;
-  PrequentialConfig config_;
   size_t pending_capacity_ = 1024;
   int shards_ = 1;
   ShardedHooks hooks_;

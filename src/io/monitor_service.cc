@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "utils/parse_number.h"
+
 namespace ccd {
 namespace io {
 
@@ -20,52 +22,16 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-double ParseDouble(const std::string& token, const char* what) {
-  size_t used = 0;
-  double v;
-  try {
-    v = std::stod(token, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(what) + " '" + token +
-                                "' is not a number");
+/// One request token parsed by `parse` (utils/parse_number.h); throws
+/// std::invalid_argument naming `what` and the token when it is malformed.
+template <typename T>
+T ParseToken(const char* (*parse)(const std::string&, T*),
+             const std::string& token, const char* what) {
+  T value{};
+  if (const char* why = parse(token, &value)) {
+    throw std::invalid_argument(std::string(what) + " '" + token + "' " + why);
   }
-  if (used != token.size()) {
-    throw std::invalid_argument(std::string(what) + " '" + token +
-                                "' has trailing characters");
-  }
-  return v;
-}
-
-uint64_t ParseU64(const std::string& token, const char* what) {
-  size_t used = 0;
-  unsigned long long v;
-  try {
-    v = std::stoull(token, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(what) + " '" + token +
-                                "' is not a non-negative integer");
-  }
-  if (used != token.size()) {
-    throw std::invalid_argument(std::string(what) + " '" + token +
-                                "' has trailing characters");
-  }
-  return static_cast<uint64_t>(v);
-}
-
-int ParseInt(const std::string& token, const char* what) {
-  size_t used = 0;
-  int v;
-  try {
-    v = std::stoi(token, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(what) + " '" + token +
-                                "' is not an integer");
-  }
-  if (used != token.size()) {
-    throw std::invalid_argument(std::string(what) + " '" + token +
-                                "' has trailing characters");
-  }
-  return v;
+  return value;
 }
 
 std::vector<double> ParseFeatures(const std::vector<std::string>& tokens,
@@ -76,7 +42,7 @@ std::vector<double> ParseFeatures(const std::vector<std::string>& tokens,
   std::vector<double> features;
   features.reserve(tokens.size() - from);
   for (size_t i = from; i < tokens.size(); ++i) {
-    features.push_back(ParseDouble(tokens[i], "feature"));
+    features.push_back(ParseToken(ParseDouble, tokens[i], "feature"));
   }
   return features;
 }
@@ -119,7 +85,7 @@ std::string MonitorService::Dispatch(const std::string& request) {
     if (tokens.size() < 3) {
       throw std::invalid_argument("usage: PREDICT <key> <features...>");
     }
-    uint64_t key = ParseU64(tokens[1], "key");
+    uint64_t key = ParseToken(ParseU64, tokens[1], "key");
     return FormatPrediction(monitor_->Predict(key, ParseFeatures(tokens, 2)));
   }
 
@@ -128,8 +94,8 @@ std::string MonitorService::Dispatch(const std::string& request) {
       throw std::invalid_argument("usage: FEED <key> <label> <features...>");
     }
     Instance instance;
-    uint64_t key = ParseU64(tokens[1], "key");
-    instance.label = ParseInt(tokens[2], "label");
+    uint64_t key = ParseToken(ParseU64, tokens[1], "key");
+    instance.label = ParseToken(ParseInt, tokens[2], "label");
     instance.features = ParseFeatures(tokens, 3);
     monitor_->Feed(key, instance);
     return "OK";
@@ -139,9 +105,9 @@ std::string MonitorService::Dispatch(const std::string& request) {
     if (tokens.size() != 4) {
       throw std::invalid_argument("usage: LABEL <shard> <id> <label>");
     }
-    bool applied = monitor_->Label(ParseInt(tokens[1], "shard"),
-                                   ParseU64(tokens[2], "id"),
-                                   ParseInt(tokens[3], "label"));
+    bool applied = monitor_->Label(ParseToken(ParseInt, tokens[1], "shard"),
+                                   ParseToken(ParseU64, tokens[2], "id"),
+                                   ParseToken(ParseInt, tokens[3], "label"));
     return applied ? "OK applied" : "OK unknown";
   }
 
@@ -179,7 +145,8 @@ std::string MonitorService::Dispatch(const std::string& request) {
 
   if (command == "SHIP") {
     if (tokens.size() != 2) throw std::invalid_argument("usage: SHIP <shard>");
-    return "OK\n" + monitor_->ShipShard(ParseInt(tokens[1], "shard"));
+    return "OK\n" +
+           monitor_->ShipShard(ParseToken(ParseInt, tokens[1], "shard"));
   }
 
   if (command == "LOAD") {
@@ -187,7 +154,7 @@ std::string MonitorService::Dispatch(const std::string& request) {
       throw std::invalid_argument(
           "usage: LOAD <shard>\\n<state image bytes>");
     }
-    monitor_->RestoreShard(ParseInt(tokens[1], "shard"),
+    monitor_->RestoreShard(ParseToken(ParseInt, tokens[1], "shard"),
                            request.substr(newline + 1));
     return "OK";
   }

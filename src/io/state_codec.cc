@@ -36,6 +36,30 @@ DriftAlarm ReadAlarm(Reader& r) {
   return a;
 }
 
+/// The identity in wire order — the one layout state images and the
+/// manifest share.
+void WriteIdentity(Writer& w, const ShardIdentity& id) {
+  WriteSchema(w, id.schema);
+  w.String(id.classifier);
+  w.String(id.classifier_params);
+  w.String(id.detector);
+  w.String(id.detector_params);
+  w.U64(id.seed);
+  WriteConfig(w, id.config);
+}
+
+ShardIdentity ReadIdentity(Reader& r) {
+  ShardIdentity id;
+  id.schema = ReadSchema(r);
+  id.classifier = r.String("identity.classifier");
+  id.classifier_params = r.String("identity.classifier_params");
+  id.detector = r.String("identity.detector");
+  id.detector_params = r.String("identity.detector_params");
+  id.seed = r.U64("identity.seed");
+  id.config = ReadConfig(r);
+  return id;
+}
+
 }  // namespace
 
 void WriteConfig(Writer& w, const PrequentialConfig& config) {
@@ -164,13 +188,7 @@ std::string EncodeStateImage(const ShardIdentity& identity,
                              const DriftDetector* detector) {
   Writer w;
   w.BeginSection("StateImage");
-  WriteSchema(w, identity.schema);
-  w.String(identity.classifier);
-  w.String(identity.classifier_params);
-  w.String(identity.detector);
-  w.String(identity.detector_params);
-  w.U64(identity.seed);
-  WriteConfig(w, identity.config);
+  WriteIdentity(w, identity);
   WriteSnapshot(w, snapshot);
   classifier.SaveState(w);
   w.Bool(detector != nullptr);
@@ -184,14 +202,8 @@ StateImage DecodeStateImage(const std::string& bytes) {
   Reader r(body);
   r.BeginSection("StateImage");
   StateImage image;
-  ShardIdentity& id = image.identity;
-  id.schema = ReadSchema(r);
-  id.classifier = r.String("image.classifier");
-  id.classifier_params = r.String("image.classifier_params");
-  id.detector = r.String("image.detector");
-  id.detector_params = r.String("image.detector_params");
-  id.seed = r.U64("image.seed");
-  id.config = ReadConfig(r);
+  image.identity = ReadIdentity(r);
+  const ShardIdentity& id = image.identity;
   image.snapshot = ReadSnapshot(r);
   // Rebuild the components from their registry identity, then overwrite
   // the fresh instances' learned state from the wire. Registry failures
@@ -226,13 +238,7 @@ const char kManifestName[] = "MANIFEST";
 std::string EncodeManifest(const Manifest& m) {
   Writer w;
   w.BeginSection("Manifest");
-  WriteSchema(w, m.schema);
-  w.String(m.classifier);
-  w.String(m.classifier_params);
-  w.String(m.detector);
-  w.String(m.detector_params);
-  w.U64(m.seed);
-  WriteConfig(w, m.config);
+  WriteIdentity(w, m.identity);
   w.U64(m.pending_capacity);
   w.U64(m.generation);
   w.U32(static_cast<uint32_t>(m.shards.size()));
@@ -250,13 +256,7 @@ Manifest DecodeManifest(const std::string& bytes) {
   Reader r(body);
   r.BeginSection("Manifest");
   Manifest m;
-  m.schema = ReadSchema(r);
-  m.classifier = r.String("manifest.classifier");
-  m.classifier_params = r.String("manifest.classifier_params");
-  m.detector = r.String("manifest.detector");
-  m.detector_params = r.String("manifest.detector_params");
-  m.seed = r.U64("manifest.seed");
-  m.config = ReadConfig(r);
+  m.identity = ReadIdentity(r);
   m.pending_capacity = r.U64("manifest.pending_capacity");
   m.generation = r.U64("manifest.generation");
   uint32_t n = r.Count("manifest.shards", 1u << 20);

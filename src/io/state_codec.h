@@ -10,6 +10,7 @@
 #include "detectors/detector.h"
 #include "eval/engine.h"
 #include "eval/prequential.h"
+#include "io/shard_identity.h"
 #include "io/wire.h"
 
 namespace ccd {
@@ -31,19 +32,6 @@ PrequentialConfig ReadConfig(Reader& r);
 /// the codec only enforces wire-format integrity.
 void WriteSnapshot(Writer& w, const EngineSnapshot& snapshot);
 EngineSnapshot ReadSnapshot(Reader& r);
-
-/// What a state image says about the shard it came from: the registry
-/// identity needed to rebuild its components from nothing (names +
-/// canonical `key=value` params + seed) and the evaluation protocol.
-struct ShardIdentity {
-  StreamSchema schema;
-  std::string classifier;         ///< Registry name, e.g. "cs-ptree".
-  std::string classifier_params;  ///< ParamMap::ToString() canonical form.
-  std::string detector;           ///< Registry name; empty = no detector.
-  std::string detector_params;
-  uint64_t seed = 0;
-  PrequentialConfig config;
-};
 
 /// The decoded form of one monitoring shard: its identity, the engine's
 /// run state, and the components rebuilt from the identity with their
@@ -93,13 +81,7 @@ struct Manifest {
     uint32_t crc = 0;
   };
 
-  StreamSchema schema;
-  std::string classifier;
-  std::string classifier_params;
-  std::string detector;  ///< Empty = no detector.
-  std::string detector_params;
-  uint64_t seed = 0;
-  PrequentialConfig config;
+  ShardIdentity identity;  ///< Seed = the fleet's base seed.
   uint64_t pending_capacity = 0;
   uint64_t generation = 0;
   std::vector<ShardFile> shards;

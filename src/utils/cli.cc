@@ -1,18 +1,13 @@
 #include "utils/cli.h"
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
-#include <cstdlib>
+#include "utils/parse_number.h"
 
 namespace ccd {
 namespace {
 
 [[noreturn]] void ThrowMalformed(const std::string& name,
-                                 const std::string& value,
-                                 const char* expected) {
-  throw CliError("--" + name + ": expected " + expected + ", got '" + value +
-                 "'");
+                                 const std::string& value, const char* why) {
+  throw CliError("--" + name + ": '" + value + "' " + why);
 }
 
 }  // namespace
@@ -48,35 +43,19 @@ std::string Cli::GetString(const std::string& name,
 int Cli::GetInt(const std::string& name, int def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  const std::string& value = it->second;
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    ThrowMalformed(name, value, "an integer");
+  if (const char* why = ParseInt(it->second, &def)) {
+    ThrowMalformed(name, it->second, why);
   }
-  if (errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX) {
-    throw CliError("--" + name + ": integer out of range: '" + value + "'");
-  }
-  return static_cast<int>(parsed);
+  return def;
 }
 
 double Cli::GetDouble(const std::string& name, double def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  const std::string& value = it->second;
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    ThrowMalformed(name, value, "a number");
+  if (const char* why = ParseDouble(it->second, &def)) {
+    ThrowMalformed(name, it->second, why);
   }
-  // ERANGE also fires on *underflow*, where strtod still returns the best
-  // representable value (a subnormal or zero) — only overflow is an error.
-  if (errno == ERANGE && (parsed == HUGE_VAL || parsed == -HUGE_VAL)) {
-    throw CliError("--" + name + ": number out of range: '" + value + "'");
-  }
-  return parsed;
+  return def;
 }
 
 bool Cli::GetBool(const std::string& name, bool def) const {
@@ -89,7 +68,8 @@ bool Cli::GetBool(const std::string& name, bool def) const {
   if (value == "0" || value == "false" || value == "no" || value == "off") {
     return false;
   }
-  ThrowMalformed(name, value, "a boolean (1/0/true/false/yes/no/on/off)");
+  ThrowMalformed(name, value,
+                 "is not a boolean (1/0/true/false/yes/no/on/off)");
 }
 
 }  // namespace ccd

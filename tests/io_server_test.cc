@@ -217,6 +217,10 @@ TEST_F(MonitorServiceTest, PredictLabelTicketFlowWorksOverTheWire) {
                            std::to_string(id) + " 1"),
             "OK unknown");
   EXPECT_EQ(monitor.position(), 1u);
+  // An underflowing feature reads as strtod's nearest value, as Cli and
+  // ParamMap read it.
+  EXPECT_EQ(service.Handle("FEED 7 0 1e-400 0 0 0 0 0"), "OK");
+  EXPECT_EQ(monitor.position(), 2u);
 }
 
 TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
@@ -251,6 +255,8 @@ TEST_F(MonitorServiceTest, MalformedRequestsReturnErrNeverThrow) {
       "LOAD 0",                  // Binary command without payload.
       "LOAD 0\nnot a state image",
       "LOAD 0\n" + foreign,    // Another fleet's shard.
+      "PREDICT -1 1 2 3 4 5 6",  // Negative key (strtoull wraps it).
+      "LABEL 0 -3 1",            // Negative id.
   };
   for (const std::string& request : bad) {
     SCOPED_TRACE(request);

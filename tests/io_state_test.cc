@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "api/api.h"
 #include "eval/engine.h"
 #include "generators/registry.h"
+#include "io/snapshot_store.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
 #include "testing_util.h"
@@ -253,6 +256,48 @@ TEST(SnapshotCodecTest, PopulatedSnapshotRoundTripsFieldForField) {
   io::Reader r(w.data());
   ExpectSnapshotEq(io::ReadSnapshot(r), s);
   EXPECT_TRUE(r.AtEnd());
+}
+
+// Wire pin: the bytes of a fresh, unpushed fleet's shard image and
+// manifest. With no pushes they hold no computed floating-point state, so
+// every compiler produces the same bytes. The CRC covers all but the 4-byte
+// trailer: a whole sealed envelope always checksums to the CRC-32
+// residue. Update these constants only together with a
+// kStateSchemaVersion or kFormatVersion bump — different bytes under the
+// same versions mean fleets persisted by older builds stop opening.
+TEST(StateCodecTest, FreshFleetBytesArePinned) {
+  PrequentialConfig cfg;
+  cfg.max_instances = 5000;
+  cfg.metric_window = 300;
+  cfg.eval_interval = 50;
+  cfg.warmup = 120;
+  cfg.reset_on_drift = false;
+  cfg.timing = false;
+  auto monitor = api::ShardedMonitorBuilder()
+                     .Schema(5, 3)
+                     .Classifier("naive-bayes")
+                     .Detector("DDM", {"warning_level=2.5"})
+                     .Protocol(cfg)
+                     .Seed(42)
+                     .Shards(2)
+                     .Build();
+  const auto content_crc = [](const std::string& sealed) {
+    return io::Crc32(sealed.data(), sealed.size() - 4);
+  };
+
+  const std::string image = monitor.SerializeShard(0);
+  EXPECT_EQ(image.size(), 1009u);
+  EXPECT_EQ(content_crc(image), 0xce8c9f69u);
+
+  const std::string dir =
+      ::testing::TempDir() + "ccd-wire-pin-" + std::to_string(::getpid());
+  monitor.Persist(dir);
+  io::SnapshotStore store(dir);
+  const std::string manifest = store.Read(io::kManifestName);
+  EXPECT_EQ(manifest.size(), 301u);
+  EXPECT_EQ(content_crc(manifest), 0xa7e71497u);
+  for (const std::string& name : store.List()) store.Remove(name);
+  ::rmdir(dir.c_str());
 }
 
 TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {

@@ -232,6 +232,43 @@ TEST(PersistOpenTest, CorruptedArtifactsAreTypedErrors) {
   RemoveTree(dir);
 }
 
+// A shard file of another fleet, re-registered in the manifest with its
+// true size and CRC, passes the integrity checks; Open must still refuse
+// it through the same identity comparison RestoreShard uses. The control:
+// the same re-registration of a same-fleet image opens.
+TEST(PersistOpenTest, ShardImageOfAnotherFleetIsATypedError) {
+  const std::string dir = ScratchDir("persist-foreign");
+  api::ShardedMonitor monitor = BuildMonitor(2);
+  monitor.Persist(dir);
+  io::SnapshotStore store(dir);
+  const io::Manifest manifest =
+      io::DecodeManifest(store.Read(io::kManifestName));
+  const auto register_shard0 = [&](const std::string& bytes) {
+    io::Manifest m = manifest;
+    m.shards[0].size = bytes.size();
+    m.shards[0].crc = io::Crc32(bytes.data(), bytes.size(), /*seed=*/0);
+    store.Write(m.shards[0].file, bytes);
+    store.Write(io::kManifestName, io::EncodeManifest(m));
+  };
+
+  PrequentialConfig cfg = ShortConfig();
+  cfg.warmup = 100;
+  register_shard0(api::ShardedMonitorBuilder()
+                      .Schema(monitor.schema())
+                      .Classifier("naive-bayes")
+                      .NoDetector()
+                      .Seed(42)
+                      .Shards(2)
+                      .Protocol(cfg)
+                      .Build()
+                      .SerializeShard(0));
+  EXPECT_THROW(api::ShardedMonitor::Open(dir), io::WireError);
+
+  register_shard0(BuildMonitor(2).SerializeShard(0));
+  EXPECT_NO_THROW(api::ShardedMonitor::Open(dir));
+  RemoveTree(dir);
+}
+
 // ------------------------------------------------------ schema conformance
 
 // statedump --schema / CheckStateSchema: serialized images must conform

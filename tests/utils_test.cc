@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "utils/cli.h"
 #include "utils/matrix.h"
+#include "utils/parse_number.h"
 #include "utils/rng.h"
 #include "utils/table.h"
 
@@ -164,6 +167,62 @@ TEST(TableTest, TextAndCsvRendering) {
   std::string csv = t.ToCsv();
   EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
+}
+
+// The one rule set of every text front door (Cli, ParamMap,
+// MonitorService): whole token, no surrounding whitespace, in range.
+TEST(ParseNumberTest, WholeTokenRulesForEachType) {
+  struct Row {
+    std::string text;
+    bool is_int;
+    bool is_u64;
+    bool is_double;
+  };
+  const Row rows[] = {
+      {"42", true, true, true},
+      {"+7", true, true, true},
+      {"-3", true, false, true},
+      {"-1", true, false, true},  // strtoull alone would wrap to 2^64 - 1.
+      {"5000000000", false, true, true},
+      {"18446744073709551615", false, true, true},
+      {"18446744073709551616", false, false, true},
+      {"99999999999999999999", false, false, true},
+      {"1.5", false, false, true},
+      {"1e-400", false, false, true},  // Underflow reads as 0.
+      {"1e999", false, false, false},  // Overflow.
+      {"nan", false, false, true},     // Finiteness is admission's rule.
+      {"0x10", false, false, true},    // Integers are base 10 only.
+      {"", false, false, false},
+      {" 5", false, false, false},
+      {"5 ", false, false, false},
+      {"10x", false, false, false},
+      {std::string("5\0x", 3), false, false, false},
+      {"abc", false, false, false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE("'" + row.text + "'");
+    int i = 0;
+    uint64_t u = 0;
+    double d = 0.0;
+    EXPECT_EQ(ParseInt(row.text, &i) == nullptr, row.is_int);
+    EXPECT_EQ(ParseU64(row.text, &u) == nullptr, row.is_u64);
+    EXPECT_EQ(ParseDouble(row.text, &d) == nullptr, row.is_double);
+  }
+
+  int i = 0;
+  ASSERT_EQ(ParseInt("-3", &i), nullptr);
+  EXPECT_EQ(i, -3);
+  uint64_t u = 0;
+  ASSERT_EQ(ParseU64("18446744073709551615", &u), nullptr);
+  EXPECT_EQ(u, UINT64_MAX);
+  double d = 1.0;
+  ASSERT_EQ(ParseDouble("1e-400", &d), nullptr);
+  EXPECT_EQ(d, 0.0);
+  // A failed parse gives a reason and leaves the output untouched.
+  int kept = 9;
+  EXPECT_STREQ(ParseInt("5000000000", &kept), "is out of range");
+  EXPECT_STREQ(ParseInt("10x", &kept), "is not an integer");
+  EXPECT_EQ(kept, 9);
 }
 
 TEST(CliTest, MalformedIntIsACliErrorNamingTheFlag) {

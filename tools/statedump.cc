@@ -41,10 +41,7 @@ std::string ReadFileOrDie(const std::string& path) {
   return buf.str();
 }
 
-void PrintImage(const std::string& label, const ccd::io::StateImage& image) {
-  const ccd::io::ShardIdentity& id = image.identity;
-  const ccd::EngineSnapshot& s = image.snapshot;
-  std::printf("%s\n", label.c_str());
+void PrintIdentity(const ccd::io::ShardIdentity& id) {
   std::printf("  schema      %d features, %d classes (%s)\n",
               id.schema.num_features, id.schema.num_classes,
               id.schema.name.c_str());
@@ -57,6 +54,12 @@ void PrintImage(const std::string& label, const ccd::io::StateImage& image) {
               id.detector_params.c_str());
   std::printf("  seed        %llu\n",
               static_cast<unsigned long long>(id.seed));
+}
+
+void PrintImage(const std::string& label, const ccd::io::StateImage& image) {
+  const ccd::EngineSnapshot& s = image.snapshot;
+  std::printf("%s\n", label.c_str());
+  PrintIdentity(image.identity);
   std::printf(
       "  counters    position=%llu pending=%llu evicted=%llu "
       "unmatched=%llu drifts=%zu\n",
@@ -110,19 +113,9 @@ int DumpDirectory(const std::string& dir, bool verify,
   std::printf("%s: persisted monitor, format v%u, generation %llu\n",
               dir.c_str(), ccd::io::kFormatVersion,
               static_cast<unsigned long long>(m.generation));
-  std::printf("  schema      %d features, %d classes (%s)\n",
-              m.schema.num_features, m.schema.num_classes,
-              m.schema.name.c_str());
-  std::printf("  classifier  %s%s%s\n", m.classifier.c_str(),
-              m.classifier_params.empty() ? "" : "  ",
-              m.classifier_params.c_str());
-  std::printf("  detector    %s%s%s\n",
-              m.detector.empty() ? "(none)" : m.detector.c_str(),
-              m.detector_params.empty() ? "" : "  ",
-              m.detector_params.c_str());
+  PrintIdentity(m.identity);
   std::printf("  shards      %zu, pending capacity %llu\n", m.shards.size(),
               static_cast<unsigned long long>(m.pending_capacity));
-  std::printf("  seed        %llu\n", static_cast<unsigned long long>(m.seed));
 
   int failures = 0;
   for (size_t i = 0; i < m.shards.size(); ++i) {
