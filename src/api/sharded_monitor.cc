@@ -1,6 +1,5 @@
 #include "api/sharded_monitor.h"
 
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -13,47 +12,6 @@ namespace ccd {
 namespace api {
 
 namespace {
-
-std::string DescribeComponent(const std::string& name,
-                              const std::string& params) {
-  if (name.empty()) return "(none)";
-  return "'" + name + "'" + (params.empty() ? "" : " {" + params + "}");
-}
-
-/// Why a shard image with identity `image` cannot join the fleet whose
-/// identity is `own`, or nullopt when it can. The one comparison of two
-/// identities: RestoreShard() and Open() both decide through it. Seeds are
-/// not compared (LoadState() overwrites every RNG cursor), nor is the
-/// schema's display name.
-std::optional<std::string> ForeignImageReason(const io::ShardIdentity& image,
-                                              const io::ShardIdentity& own) {
-  if (image.schema.num_features != own.schema.num_features ||
-      image.schema.num_classes != own.schema.num_classes) {
-    return "schema (" + std::to_string(image.schema.num_features) +
-           " features, " + std::to_string(image.schema.num_classes) +
-           " classes) does not match the fleet's (" +
-           std::to_string(own.schema.num_features) + ", " +
-           std::to_string(own.schema.num_classes) + ")";
-  }
-  if (image.classifier != own.classifier ||
-      image.classifier_params != own.classifier_params) {
-    return "classifier " +
-           DescribeComponent(image.classifier, image.classifier_params) +
-           " does not match the fleet's " +
-           DescribeComponent(own.classifier, own.classifier_params);
-  }
-  if (image.detector != own.detector ||
-      image.detector_params != own.detector_params) {
-    return "detector " +
-           DescribeComponent(image.detector, image.detector_params) +
-           " does not match the fleet's " +
-           DescribeComponent(own.detector, own.detector_params);
-  }
-  if (image.config != own.config) {
-    return "PrequentialConfig does not match the fleet's";
-  }
-  return std::nullopt;
-}
 
 /// The push primitive's partition scratch: one per pushing thread, reused
 /// across calls, so a steady-state push does not allocate.
@@ -365,10 +323,7 @@ void ShardedMonitor::Persist(const std::string& directory) {
     f.file = "shard-" + std::to_string(i) + "-g" + std::to_string(next_gen) +
              ".state";
     f.size = bytes.size();
-    // Seeded with the shard index: a sealed envelope's whole-file CRC is
-    // the fixed CRC-32 residue (the trailer is its own checksum), so an
-    // unseeded digest could not tell shard files apart when swapped.
-    f.crc = io::Crc32(bytes.data(), bytes.size(), static_cast<uint32_t>(i));
+    f.crc = io::ShardFileCrc(bytes);
     store.Write(f.file, bytes);
     manifest.shards.push_back(std::move(f));
   }
@@ -399,23 +354,7 @@ ShardedMonitor ShardedMonitor::Open(const std::string& directory,
   std::vector<io::StateImage> images;
   images.reserve(m.shards.size());
   for (size_t i = 0; i < m.shards.size(); ++i) {
-    const io::Manifest::ShardFile& f = m.shards[i];
-    const std::string bytes = store.Read(f.file);
-    if (bytes.size() != f.size ||
-        io::Crc32(bytes.data(), bytes.size(), static_cast<uint32_t>(i)) !=
-            f.crc) {
-      throw io::WireError(
-          store.Path(f.file), 0,
-          "shard file does not match its manifest entry (size " +
-              std::to_string(bytes.size()) + " vs " + std::to_string(f.size) +
-              ", or CRC mismatch) — swapped or torn file");
-    }
-    io::StateImage image = io::DecodeStateImage(bytes);
-    if (const auto why = ForeignImageReason(image.identity, m.identity)) {
-      throw io::WireError(store.Path(f.file), 0,
-                          "shard image of another fleet: " + *why);
-    }
-    images.push_back(std::move(image));
+    images.push_back(io::ReadShardFile(store, m, i));
   }
   return ShardedMonitor(std::move(m.identity),
                         static_cast<size_t>(m.pending_capacity),
@@ -449,7 +388,7 @@ void ShardedMonitor::RestoreShard(int shard, const std::string& bytes) {
   // serving — and must never reach a later Persist(), which would write
   // a generation Open() cannot read.
   io::StateImage image = io::DecodeStateImage(bytes);
-  if (const auto why = ForeignImageReason(image.identity, identity_)) {
+  if (const auto why = io::ForeignImageReason(image.identity, identity_)) {
     throw ApiError("ShardedMonitor::RestoreShard: image " + *why);
   }
   runtime::WriterLock table(&router_.TableMutex());

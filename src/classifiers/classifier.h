@@ -54,12 +54,15 @@ class OnlineClassifier {
   /// SaveState()/LoadState() alone.
   virtual std::unique_ptr<OnlineClassifier> CloneState() const;
 
-  /// Serializes *all* learned state (parameters, weights, counters, RNG
-  /// cursors) to the versioned wire format — the one way classifier state
-  /// leaves a live engine (persistence, SHIP/LOAD, DrainShard):
-  /// LoadState() on a freshly registry-constructed instance of the same
-  /// type must make its future behavior bit-identical to this
-  /// classifier's, across processes and machines. The defaults throw
+  /// Serializes *all* learned state (weights, counters, RNG cursors) to
+  /// the versioned wire format — the one way classifier state leaves a
+  /// live engine (persistence, SHIP/LOAD, DrainShard). The schema and
+  /// params are construction-time configuration and are not written;
+  /// io::ShardIdentity carries them. LoadState() on an instance the
+  /// registry built from the same name, params and schema must make its
+  /// future behavior bit-identical to this classifier's, across processes
+  /// and machines; it throws io::WireError on any payload shape that
+  /// instance's configuration could not have produced. The defaults throw
   /// std::logic_error naming the component; every registered classifier
   /// implements both (the io round-trip property test loops over the
   /// registry to keep that true).

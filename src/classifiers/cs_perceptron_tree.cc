@@ -219,16 +219,6 @@ std::unique_ptr<OnlineClassifier> CsPerceptronTree::Clone() const {
 
 void CsPerceptronTree::SaveState(io::Writer& w) const {
   w.BeginSection("CSPerceptronTree");
-  io::WriteSchema(w, schema_);
-  w.I64(params_.grace_period);
-  w.F64(params_.split_confidence);
-  w.F64(params_.tie_threshold);
-  w.I64(params_.max_depth);
-  w.I64(params_.max_leaves);
-  w.F64(params_.leaf_params.learning_rate);
-  w.Bool(params_.leaf_params.cost_sensitive);
-  w.F64(params_.leaf_params.count_decay);
-  w.F64(params_.leaf_params.max_cost);
   w.I64(num_leaves_);
   w.U32(static_cast<uint32_t>(nodes_.size()));
   for (const Node& node : nodes_) {
@@ -257,16 +247,6 @@ void CsPerceptronTree::SaveState(io::Writer& w) const {
 
 void CsPerceptronTree::LoadState(io::Reader& r) {
   r.BeginSection("CSPerceptronTree");
-  schema_ = io::ReadSchema(r);
-  params_.grace_period = static_cast<int>(r.I64("tree.grace_period"));
-  params_.split_confidence = r.F64("tree.split_confidence");
-  params_.tie_threshold = r.F64("tree.tie_threshold");
-  params_.max_depth = static_cast<int>(r.I64("tree.max_depth"));
-  params_.max_leaves = static_cast<int>(r.I64("tree.max_leaves"));
-  params_.leaf_params.learning_rate = r.F64("tree.leaf.learning_rate");
-  params_.leaf_params.cost_sensitive = r.Bool("tree.leaf.cost_sensitive");
-  params_.leaf_params.count_decay = r.F64("tree.leaf.count_decay");
-  params_.leaf_params.max_cost = r.F64("tree.leaf.max_cost");
   num_leaves_ = static_cast<int>(r.I64("tree.num_leaves"));
   uint32_t count = r.Count("tree.nodes");
   if (count == 0) r.Fail("tree.nodes", "a live tree always has a root");
@@ -343,13 +323,6 @@ void CsPerceptronTree::LoadState(io::Reader& r) {
         r.Fail("tree.leaf.has_perceptron",
                "node " + std::to_string(idx) + " has a leaf without a "
                "perceptron");
-      }
-      const StreamSchema& ps = n.leaf->perceptron->schema();
-      if (ps.num_features != schema_.num_features ||
-          ps.num_classes != schema_.num_classes) {
-        r.Fail("tree.leaf.perceptron",
-               "node " + std::to_string(idx) +
-                   "'s perceptron schema does not match the tree's");
       }
       n.leaf->since_split_check =
           static_cast<int>(r.I64("tree.leaf.since_split_check"));

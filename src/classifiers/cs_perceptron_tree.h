@@ -83,7 +83,9 @@ class CsPerceptronTree : public OnlineClassifier {
   void MaybeSplit(int node_index);
   double Entropy(const std::vector<double>& counts) const;
 
+  // ccd:state-skip(schema_, construction-time configuration; io::ShardIdentity carries it)
   StreamSchema schema_;
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   std::vector<Node> nodes_;
   int num_leaves_ = 0;

@@ -91,7 +91,6 @@ std::unique_ptr<OnlineClassifier> GaussianNaiveBayes::Clone() const {
 
 void GaussianNaiveBayes::SaveState(io::Writer& w) const {
   w.BeginSection("GaussianNB");
-  io::WriteSchema(w, schema_);
   w.U32(static_cast<uint32_t>(stats_.size()));
   for (const std::vector<Welford>& row : stats_) {
     w.U32(static_cast<uint32_t>(row.size()));
@@ -104,7 +103,6 @@ void GaussianNaiveBayes::SaveState(io::Writer& w) const {
 
 void GaussianNaiveBayes::LoadState(io::Reader& r) {
   r.BeginSection("GaussianNB");
-  schema_ = io::ReadSchema(r);
   uint32_t k = r.Count("nb.stats");
   if (k != static_cast<uint32_t>(schema_.num_classes)) {
     r.Fail("nb.stats", std::to_string(k) + " class rows, schema has " +

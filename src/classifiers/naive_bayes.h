@@ -38,6 +38,7 @@ class GaussianNaiveBayes : public OnlineClassifier {
   void LoadState(io::Reader& reader) override;
 
  private:
+  // ccd:state-skip(schema_, construction-time configuration; io::ShardIdentity carries it)
   StreamSchema schema_;
   /// stats_[k][i] models feature i under class k.
   std::vector<std::vector<Welford>> stats_;

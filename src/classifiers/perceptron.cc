@@ -87,11 +87,6 @@ std::unique_ptr<OnlineClassifier> SoftmaxPerceptron::Clone() const {
 
 void SoftmaxPerceptron::SaveState(io::Writer& w) const {
   w.BeginSection("SoftmaxPerceptron");
-  io::WriteSchema(w, schema_);
-  w.F64(params_.learning_rate);
-  w.Bool(params_.cost_sensitive);
-  w.F64(params_.count_decay);
-  w.F64(params_.max_cost);
   w.U32(static_cast<uint32_t>(weights_.size()));
   for (const std::vector<double>& row : weights_) w.F64Array(row);
   w.F64Array(class_counts_);
@@ -101,11 +96,6 @@ void SoftmaxPerceptron::SaveState(io::Writer& w) const {
 
 void SoftmaxPerceptron::LoadState(io::Reader& r) {
   r.BeginSection("SoftmaxPerceptron");
-  schema_ = io::ReadSchema(r);
-  params_.learning_rate = r.F64("perceptron.learning_rate");
-  params_.cost_sensitive = r.Bool("perceptron.cost_sensitive");
-  params_.count_decay = r.F64("perceptron.count_decay");
-  params_.max_cost = r.F64("perceptron.max_cost");
   uint32_t k = r.Count("perceptron.weights");
   if (k != static_cast<uint32_t>(schema_.num_classes)) {
     r.Fail("perceptron.weights", std::to_string(k) +

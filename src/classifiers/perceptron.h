@@ -45,7 +45,9 @@ class SoftmaxPerceptron : public OnlineClassifier {
   double CostWeight(int k) const;
 
  private:
+  // ccd:state-skip(schema_, construction-time configuration; io::ShardIdentity carries it)
   StreamSchema schema_;
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   /// weights_[k] has d+1 entries (bias last).
   std::vector<std::vector<double>> weights_;

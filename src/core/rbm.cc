@@ -416,16 +416,6 @@ double Rbm::Energy(const std::vector<double>& v, const std::vector<double>& h,
 
 void Rbm::SaveState(io::Writer& w) const {
   w.BeginSection("rbm");
-  w.I64(params_.visible);
-  w.I64(params_.hidden);
-  w.I64(params_.classes);
-  w.F64(params_.learning_rate);
-  w.F64(params_.discriminative_rate);
-  w.I64(params_.cd_steps);
-  w.F64(params_.weight_init_sigma);
-  w.Bool(params_.class_balanced);
-  w.F64(params_.beta);
-  w.F64(params_.count_decay);
   io::WriteRng(w, rng_);
   w.F64Array(w_);
   w.F64Array(u_);
@@ -438,22 +428,6 @@ void Rbm::SaveState(io::Writer& w) const {
 
 void Rbm::LoadState(io::Reader& r) {
   r.BeginSection("rbm");
-  Params p;
-  p.visible = static_cast<int>(r.I64("rbm.visible"));
-  p.hidden = static_cast<int>(r.I64("rbm.hidden"));
-  p.classes = static_cast<int>(r.I64("rbm.classes"));
-  p.learning_rate = r.F64("rbm.learning_rate");
-  p.discriminative_rate = r.F64("rbm.discriminative_rate");
-  p.cd_steps = static_cast<int>(r.I64("rbm.cd_steps"));
-  p.weight_init_sigma = r.F64("rbm.weight_init_sigma");
-  p.class_balanced = r.Bool("rbm.class_balanced");
-  p.beta = r.F64("rbm.beta");
-  p.count_decay = r.F64("rbm.count_decay");
-  try {
-    ValidateParams(p);
-  } catch (const ParamError& e) {
-    r.Fail(e.field().c_str(), e.what());
-  }
   io::ReadRngInto(r, &rng_);
   std::vector<double> w_in = r.F64Array("rbm.w");
   std::vector<double> u_in = r.F64Array("rbm.u");
@@ -461,17 +435,16 @@ void Rbm::LoadState(io::Reader& r) {
   std::vector<double> b_in = r.F64Array("rbm.b");
   std::vector<double> c_in = r.F64Array("rbm.c");
   std::vector<double> counts_in = r.F64Array("rbm.class_counts");
-  size_t v = static_cast<size_t>(p.visible);
-  size_t h = static_cast<size_t>(p.hidden);
-  size_t z = static_cast<size_t>(p.classes);
+  size_t v = static_cast<size_t>(params_.visible);
+  size_t h = static_cast<size_t>(params_.hidden);
+  size_t z = static_cast<size_t>(params_.classes);
   if (w_in.size() != v * h || u_in.size() != h * z || a_in.size() != v ||
       b_in.size() != h || c_in.size() != z || counts_in.size() != z) {
     r.Fail("rbm.w", "weight array sizes disagree with layer dimensions " +
-                        std::to_string(p.visible) + "x" +
-                        std::to_string(p.hidden) + "x" +
-                        std::to_string(p.classes));
+                        std::to_string(params_.visible) + "x" +
+                        std::to_string(params_.hidden) + "x" +
+                        std::to_string(params_.classes));
   }
-  params_ = p;
   w_ = std::move(w_in);
   u_ = std::move(u_in);
   a_ = std::move(a_in);

@@ -123,13 +123,14 @@ class Rbm {
   /// Decayed observation count of class y.
   double class_count(int y) const { return class_counts_[static_cast<size_t>(y)]; }
 
-  /// Serializes the complete model — parameters, every weight and bias,
-  /// the decayed class counts, and the RNG cursor (the CD-k Gibbs chain
-  /// must continue the exact deviate sequence after a restore).
+  /// Serializes the learned model — every weight and bias, the decayed
+  /// class counts, and the RNG cursor (the CD-k Gibbs chain must continue
+  /// the exact deviate sequence after a restore). The params are not
+  /// written: they are the owner's construction-time configuration.
   void SaveState(io::Writer& writer) const;
-  /// Inverse of SaveState(); resizes all layers to the serialized
-  /// dimensions. Throws io::WireError when weight array sizes disagree
-  /// with the serialized layer dimensions.
+  /// Inverse of SaveState() into an Rbm built with the same params.
+  /// Throws io::WireError when an array's size disagrees with this
+  /// instance's visible x hidden x classes layers.
   void LoadState(io::Reader& reader);
 
  private:
@@ -167,6 +168,7 @@ class Rbm {
     std::vector<double> class_weight;
   };
 
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   Rng rng_;
   std::vector<double> w_;  ///< V x H.

@@ -88,31 +88,6 @@ void RbmIm::Reset() {
 void RbmIm::SaveState(io::Writer& w) const {
   Settle();
   w.BeginSection("RBM-IM");
-  w.I64(params_.num_features);
-  w.I64(params_.num_classes);
-  w.I64(params_.batch_size);
-  w.F64(params_.hidden_ratio);
-  w.F64(params_.learning_rate);
-  w.I64(params_.cd_steps);
-  w.Bool(params_.class_balanced);
-  w.F64(params_.beta);
-  w.U8(static_cast<uint8_t>(params_.trigger));
-  w.F64(params_.jump_sigmas);
-  w.F64(params_.cusum_slack);
-  w.F64(params_.cusum_threshold);
-  w.F64(params_.baseline_decay);
-  w.F64(params_.sigma_floor);
-  w.I64(params_.granger_window);
-  w.I64(params_.granger_lag);
-  w.F64(params_.granger_alpha);
-  w.F64(params_.slope_sigmas);
-  w.F64(params_.adwin_delta);
-  w.I64(params_.min_batches);
-  w.I64(params_.warmup_batches);
-  w.I64(params_.trend_window_min);
-  w.I64(params_.trend_window_max);
-  w.I64(params_.post_drift_boost);
-  w.I64(params_.eval_pool);
   w.U64(seed_);
   rbm_->SaveState(w);
   io::WriteNormalizer(w, normalizer_);
@@ -144,53 +119,33 @@ void RbmIm::SaveState(io::Writer& w) const {
 
 void RbmIm::LoadState(io::Reader& r) {
   r.BeginSection("RBM-IM");
-  Params p;
-  p.num_features = static_cast<int>(r.I64("rbm_im.num_features"));
-  p.num_classes = static_cast<int>(r.I64("rbm_im.num_classes"));
-  p.batch_size = static_cast<int>(r.I64("rbm_im.batch_size"));
-  p.hidden_ratio = r.F64("rbm_im.hidden_ratio");
-  p.learning_rate = r.F64("rbm_im.learning_rate");
-  p.cd_steps = static_cast<int>(r.I64("rbm_im.cd_steps"));
-  p.class_balanced = r.Bool("rbm_im.class_balanced");
-  p.beta = r.F64("rbm_im.beta");
-  uint8_t trigger = r.U8("rbm_im.trigger");
-  if (trigger > static_cast<uint8_t>(Trigger::kGranger)) {
-    r.Fail("rbm_im.trigger", "invalid trigger value " + std::to_string(trigger));
-  }
-  p.trigger = static_cast<Trigger>(trigger);
-  p.jump_sigmas = r.F64("rbm_im.jump_sigmas");
-  p.cusum_slack = r.F64("rbm_im.cusum_slack");
-  p.cusum_threshold = r.F64("rbm_im.cusum_threshold");
-  p.baseline_decay = r.F64("rbm_im.baseline_decay");
-  p.sigma_floor = r.F64("rbm_im.sigma_floor");
-  p.granger_window = static_cast<int>(r.I64("rbm_im.granger_window"));
-  p.granger_lag = static_cast<int>(r.I64("rbm_im.granger_lag"));
-  p.granger_alpha = r.F64("rbm_im.granger_alpha");
-  p.slope_sigmas = r.F64("rbm_im.slope_sigmas");
-  p.adwin_delta = r.F64("rbm_im.adwin_delta");
-  p.min_batches = static_cast<int>(r.I64("rbm_im.min_batches"));
-  p.warmup_batches = static_cast<int>(r.I64("rbm_im.warmup_batches"));
-  p.trend_window_min = static_cast<int>(r.I64("rbm_im.trend_window_min"));
-  p.trend_window_max = static_cast<int>(r.I64("rbm_im.trend_window_max"));
-  p.post_drift_boost = static_cast<int>(r.I64("rbm_im.post_drift_boost"));
-  p.eval_pool = static_cast<int>(r.I64("rbm_im.eval_pool"));
-  try {
-    ValidateParams(p);
-  } catch (const ParamError& e) {
-    r.Fail(e.field().c_str(), e.what());
-  }
-  params_ = p;
   seed_ = r.U64("rbm_im.seed");
-  // Rebuild the component skeleton for the serialized dimensions (fresh
-  // RBM, normalizer, per-class monitors), then overwrite every piece of
+  // Rebuild the component skeleton (fresh RBM, normalizer, per-class
+  // monitors) from this instance's params, then overwrite every piece of
   // adaptive state from the wire.
   Reset();
+  // Every row the RBM reads must be num_features wide.
+  const auto check_width = [&](const std::vector<double>& x,
+                               const char* field) {
+    if (x.size() != static_cast<size_t>(params_.num_features)) {
+      r.Fail(field, "row of " + std::to_string(x.size()) +
+                        " features, num_features is " +
+                        std::to_string(params_.num_features));
+    }
+  };
   rbm_->LoadState(r);
   io::ReadNormalizerInto(r, &normalizer_);
   uint32_t npending = r.Count("rbm_im.pending");
+  // A batch closes the moment it holds batch_size instances.
+  if (npending >= static_cast<uint32_t>(params_.batch_size)) {
+    r.Fail("rbm_im.pending", std::to_string(npending) +
+                                 " pending instances, batch_size is " +
+                                 std::to_string(params_.batch_size));
+  }
   pending_.clear();
   for (uint32_t i = 0; i < npending; ++i) {
     pending_.push_back(io::ReadInstance(r));
+    check_width(pending_.back().features, "rbm_im.pending");
   }
   pending_used_ = pending_.size();
   uint32_t nmonitors = r.Count("rbm_im.monitors");
@@ -201,9 +156,15 @@ void RbmIm::LoadState(io::Reader& r) {
   }
   for (ClassMonitor& m : monitors_) {
     uint32_t nrecent = r.Count("rbm_im.monitor.recent");
+    if (nrecent > static_cast<uint32_t>(params_.eval_pool)) {
+      r.Fail("rbm_im.monitor.recent", std::to_string(nrecent) +
+                                          " pooled instances, eval_pool is " +
+                                          std::to_string(params_.eval_pool));
+    }
     m.recent.clear();
     for (uint32_t i = 0; i < nrecent; ++i) {
       m.recent.push_back(r.F64Array("rbm_im.monitor.recent_instance"));
+      check_width(m.recent.back(), "rbm_im.monitor.recent_instance");
     }
     m.adwin->LoadState(r);
     io::ReadTrendInto(r, m.trend.get());

@@ -111,11 +111,12 @@ class RbmIm : public DriftDetector {
   void Reset() override;
   std::string name() const override { return "RBM-IM"; }
   std::vector<int> drifted_classes() const override { return drifted_; }
-  /// Writes the complete detector state — the RBM (weights + RNG
-  /// cursor), normalizer bounds, pending mini-batch, and every per-class
-  /// monitor (ADWIN buckets, trend sums, baselines, CUSUM) — to the wire
-  /// format, so a LoadState()ed copy's future batch decisions are
-  /// bit-identical.
+  /// Writes the learned detector state — the seed Reset() re-seeds the
+  /// RBM from, the RBM (weights + RNG cursor), normalizer bounds, pending
+  /// mini-batch, and every per-class monitor (ADWIN buckets, trend sums,
+  /// baselines, CUSUM) — to the wire format, so a LoadState()ed copy's
+  /// future batch decisions are bit-identical. LoadState() checks every
+  /// payload shape against this instance's params.
   void SaveState(io::Writer& writer) const override;
   void LoadState(io::Reader& reader) override;
 
@@ -182,6 +183,7 @@ class RbmIm : public DriftDetector {
   bool TrendTest(ClassMonitor* m) const;
   void ResetMonitor(ClassMonitor* m);
 
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   uint64_t seed_;
   std::unique_ptr<Rbm> rbm_;

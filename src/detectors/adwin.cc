@@ -107,10 +107,6 @@ bool Adwin::DetectCut() {
 
 void Adwin::SaveState(io::Writer& w) const {
   w.BeginSection("ADWIN");
-  w.F64(params_.delta);
-  w.I64(params_.max_buckets);
-  w.I64(params_.min_window);
-  w.I64(params_.check_interval);
   io::WriteDetectorState(w, state_);
   w.U32(static_cast<uint32_t>(rows_.size()));
   for (const std::deque<Bucket>& row : rows_) {
@@ -130,10 +126,6 @@ void Adwin::SaveState(io::Writer& w) const {
 
 void Adwin::LoadState(io::Reader& r) {
   r.BeginSection("ADWIN");
-  params_.delta = r.F64("adwin.delta");
-  params_.max_buckets = static_cast<int>(r.I64("adwin.max_buckets"));
-  params_.min_window = static_cast<int>(r.I64("adwin.min_window"));
-  params_.check_interval = static_cast<int>(r.I64("adwin.check_interval"));
   state_ = io::ReadDetectorState(r, "adwin.state");
   uint32_t nrows = r.Count("adwin.rows");
   if (nrows == 0) r.Fail("adwin.rows", "a live ADWIN always has row 0");
@@ -141,6 +133,12 @@ void Adwin::LoadState(io::Reader& r) {
   for (uint32_t i = 0; i < nrows; ++i) {
     rows_.emplace_back();
     uint32_t nbuckets = r.Count("adwin.row");
+    // Compress() leaves no row above max_buckets.
+    if (nbuckets > static_cast<uint32_t>(params_.max_buckets)) {
+      r.Fail("adwin.row", std::to_string(nbuckets) +
+                              " buckets in one row, max_buckets is " +
+                              std::to_string(params_.max_buckets));
+    }
     for (uint32_t j = 0; j < nbuckets; ++j) {
       Bucket b;
       b.sum = r.F64("adwin.bucket.sum");

@@ -57,6 +57,7 @@ class Adwin : public ErrorRateDetector {
   void Compress();
   bool DetectCut();
 
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   /// rows_[r] holds buckets of capacity 2^r, newest first within a row.

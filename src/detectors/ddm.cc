@@ -39,9 +39,6 @@ void Ddm::AddError(bool error) {
 
 void Ddm::SaveState(io::Writer& w) const {
   w.BeginSection("DDM");
-  w.F64(params_.warning_level);
-  w.F64(params_.drift_level);
-  w.I64(params_.min_instances);
   io::WriteDetectorState(w, state_);
   w.I64(n_);
   w.F64(p_);
@@ -52,9 +49,6 @@ void Ddm::SaveState(io::Writer& w) const {
 
 void Ddm::LoadState(io::Reader& r) {
   r.BeginSection("DDM");
-  params_.warning_level = r.F64("ddm.warning_level");
-  params_.drift_level = r.F64("ddm.drift_level");
-  params_.min_instances = static_cast<int>(r.I64("ddm.min_instances"));
   state_ = io::ReadDetectorState(r, "ddm.state");
   n_ = r.I64("ddm.n");
   p_ = r.F64("ddm.p");

@@ -31,6 +31,7 @@ class Ddm : public ErrorRateDetector {
   void LoadState(io::Reader& reader) override;
 
  private:
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   long long n_ = 0;

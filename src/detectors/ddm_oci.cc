@@ -68,13 +68,6 @@ void DdmOci::Observe(const Instance& instance, int predicted,
 
 void DdmOci::SaveState(io::Writer& w) const {
   w.BeginSection("DDM-OCI");
-  w.I64(params_.num_classes);
-  w.F64(params_.warning_threshold);
-  w.F64(params_.drift_threshold);
-  w.F64(params_.decay);
-  w.I64(params_.min_class_count);
-  w.I64(params_.consecutive_violations);
-  w.F64(params_.max_decay);
   io::WriteDetectorState(w, state_);
   w.F64Array(recall_);
   w.F64Array(recall_max_);
@@ -87,14 +80,6 @@ void DdmOci::SaveState(io::Writer& w) const {
 
 void DdmOci::LoadState(io::Reader& r) {
   r.BeginSection("DDM-OCI");
-  params_.num_classes = static_cast<int>(r.I64("ddm_oci.num_classes"));
-  params_.warning_threshold = r.F64("ddm_oci.warning_threshold");
-  params_.drift_threshold = r.F64("ddm_oci.drift_threshold");
-  params_.decay = r.F64("ddm_oci.decay");
-  params_.min_class_count = static_cast<int>(r.I64("ddm_oci.min_class_count"));
-  params_.consecutive_violations =
-      static_cast<int>(r.I64("ddm_oci.consecutive_violations"));
-  params_.max_decay = r.F64("ddm_oci.max_decay");
   state_ = io::ReadDetectorState(r, "ddm_oci.state");
   recall_ = r.F64Array("ddm_oci.recall");
   recall_max_ = r.F64Array("ddm_oci.recall_max");

@@ -50,6 +50,7 @@ class DdmOci : public DriftDetector {
   double recall(int k) const { return recall_[static_cast<size_t>(k)]; }
 
  private:
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   std::vector<double> recall_;

@@ -57,15 +57,18 @@ class DriftDetector {
   /// Component state moves through SaveState()/LoadState() alone.
   virtual std::unique_ptr<DriftDetector> CloneState() const;
 
-  /// Serializes *all* adaptive statistics (parameters, windows, counters,
-  /// RNG cursors) to the versioned wire format — the one way detector
-  /// state leaves a live engine (persistence, SHIP/LOAD, DrainShard):
-  /// LoadState() on a freshly registry-constructed instance of the same
-  /// type must make its future Observe()/state() behavior bit-identical to
-  /// this detector's, across processes and machines. The defaults throw
-  /// std::logic_error naming the component; every registered detector
-  /// implements both (the io round-trip property test loops over the
-  /// registry to keep that true).
+  /// Serializes *all* adaptive statistics (windows, counters, RNG
+  /// cursors) to the versioned wire format — the one way detector state
+  /// leaves a live engine (persistence, SHIP/LOAD, DrainShard). The params
+  /// and schema are construction-time configuration and are not written;
+  /// io::ShardIdentity carries them. LoadState() on an instance the
+  /// registry built from the same name, params and schema must make its
+  /// future Observe()/state() behavior bit-identical to this detector's,
+  /// across processes and machines; it throws io::WireError on any payload
+  /// shape that instance's configuration could not have produced. The
+  /// defaults throw std::logic_error naming the component; every
+  /// registered detector implements both (the io round-trip property test
+  /// loops over the registry to keep that true).
   virtual void SaveState(io::Writer& writer) const;
   virtual void LoadState(io::Reader& reader);
 

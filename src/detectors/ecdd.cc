@@ -46,10 +46,6 @@ void Ecdd::AddError(bool error) {
 
 void Ecdd::SaveState(io::Writer& w) const {
   w.BeginSection("ECDD");
-  w.F64(params_.lambda);
-  w.F64(params_.drift_l);
-  w.F64(params_.warning_l);
-  w.I64(params_.min_instances);
   io::WriteDetectorState(w, state_);
   w.I64(n_);
   w.F64(p_hat_);
@@ -59,10 +55,6 @@ void Ecdd::SaveState(io::Writer& w) const {
 
 void Ecdd::LoadState(io::Reader& r) {
   r.BeginSection("ECDD");
-  params_.lambda = r.F64("ecdd.lambda");
-  params_.drift_l = r.F64("ecdd.drift_l");
-  params_.warning_l = r.F64("ecdd.warning_l");
-  params_.min_instances = static_cast<int>(r.I64("ecdd.min_instances"));
   state_ = io::ReadDetectorState(r, "ecdd.state");
   n_ = r.I64("ecdd.n");
   p_hat_ = r.F64("ecdd.p_hat");

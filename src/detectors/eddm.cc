@@ -53,9 +53,6 @@ void Eddm::AddError(bool error) {
 
 void Eddm::SaveState(io::Writer& w) const {
   w.BeginSection("EDDM");
-  w.F64(params_.alpha);
-  w.F64(params_.beta);
-  w.I64(params_.min_errors);
   io::WriteDetectorState(w, state_);
   w.I64(instances_);
   w.I64(last_error_at_);
@@ -68,9 +65,6 @@ void Eddm::SaveState(io::Writer& w) const {
 
 void Eddm::LoadState(io::Reader& r) {
   r.BeginSection("EDDM");
-  params_.alpha = r.F64("eddm.alpha");
-  params_.beta = r.F64("eddm.beta");
-  params_.min_errors = static_cast<int>(r.I64("eddm.min_errors"));
   state_ = io::ReadDetectorState(r, "eddm.state");
   instances_ = r.I64("eddm.instances");
   last_error_at_ = r.I64("eddm.last_error_at");

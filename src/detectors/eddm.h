@@ -31,6 +31,7 @@ class Eddm : public ErrorRateDetector {
   void LoadState(io::Reader& reader) override;
 
  private:
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   long long instances_ = 0;

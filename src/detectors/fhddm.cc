@@ -37,25 +37,23 @@ void Fhddm::AddError(bool error) {
 
 void Fhddm::SaveState(io::Writer& w) const {
   w.BeginSection("FHDDM");
-  w.I64(params_.window_size);
-  w.F64(params_.delta);
   io::WriteDetectorState(w, state_);
   io::WriteBoolDeque(w, window_);
   w.I64(correct_);
   w.F64(p_max_);
-  w.F64(epsilon_);
   w.EndSection();
 }
 
 void Fhddm::LoadState(io::Reader& r) {
   r.BeginSection("FHDDM");
-  params_.window_size = static_cast<int>(r.I64("fhddm.window_size"));
-  params_.delta = r.F64("fhddm.delta");
   state_ = io::ReadDetectorState(r, "fhddm.state");
   window_ = io::ReadBoolDeque(r, "fhddm.window");
+  if (window_.size() > static_cast<size_t>(params_.window_size)) {
+    r.Fail("fhddm.window", "longer than window_size " +
+                               std::to_string(params_.window_size));
+  }
   correct_ = static_cast<int>(r.I64("fhddm.correct"));
   p_max_ = r.F64("fhddm.p_max");
-  epsilon_ = r.F64("fhddm.epsilon");
   r.EndSection("FHDDM");
 }
 

@@ -32,11 +32,13 @@ class Fhddm : public ErrorRateDetector {
   void LoadState(io::Reader& reader) override;
 
  private:
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   std::deque<bool> window_;  ///< true = correct prediction.
   int correct_ = 0;
   double p_max_ = 0.0;
+  // ccd:state-skip(epsilon_, derived from params_ by Reset at construction; never changes after)
   double epsilon_ = 0.0;
 };
 

@@ -53,9 +53,6 @@ void HddmA::AddError(bool error) {
 
 void HddmA::SaveState(io::Writer& w) const {
   w.BeginSection("HDDM-A");
-  w.F64(params_.drift_confidence);
-  w.F64(params_.warning_confidence);
-  w.I64(params_.min_instances);
   io::WriteDetectorState(w, state_);
   w.F64(n_);
   w.F64(sum_);
@@ -67,9 +64,6 @@ void HddmA::SaveState(io::Writer& w) const {
 
 void HddmA::LoadState(io::Reader& r) {
   r.BeginSection("HDDM-A");
-  params_.drift_confidence = r.F64("hddm.drift_confidence");
-  params_.warning_confidence = r.F64("hddm.warning_confidence");
-  params_.min_instances = static_cast<int>(r.I64("hddm.min_instances"));
   state_ = io::ReadDetectorState(r, "hddm.state");
   n_ = r.F64("hddm.n");
   sum_ = r.F64("hddm.sum");

@@ -33,6 +33,7 @@ class HddmA : public ErrorRateDetector {
  private:
   double Bound(double n, double confidence) const;
 
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   double n_ = 0.0;

@@ -39,10 +39,6 @@ void PageHinkley::AddError(bool error) {
 
 void PageHinkley::SaveState(io::Writer& w) const {
   w.BeginSection("PageHinkley");
-  w.F64(params_.delta);
-  w.F64(params_.lambda);
-  w.F64(params_.alpha);
-  w.I64(params_.min_instances);
   io::WriteDetectorState(w, state_);
   w.I64(n_);
   w.F64(mean_);
@@ -53,10 +49,6 @@ void PageHinkley::SaveState(io::Writer& w) const {
 
 void PageHinkley::LoadState(io::Reader& r) {
   r.BeginSection("PageHinkley");
-  params_.delta = r.F64("ph.delta");
-  params_.lambda = r.F64("ph.lambda");
-  params_.alpha = r.F64("ph.alpha");
-  params_.min_instances = static_cast<int>(r.I64("ph.min_instances"));
   state_ = io::ReadDetectorState(r, "ph.state");
   n_ = r.I64("ph.n");
   mean_ = r.F64("ph.mean");

@@ -30,6 +30,7 @@ class PageHinkley : public ErrorRateDetector {
   void LoadState(io::Reader& reader) override;
 
  private:
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   long long n_ = 0;

@@ -83,10 +83,6 @@ void PerfSim::Observe(const Instance& instance, int predicted,
 
 void PerfSim::SaveState(io::Writer& w) const {
   w.BeginSection("PerfSim");
-  w.I64(params_.num_classes);
-  w.I64(params_.chunk_size);
-  w.F64(params_.differentiation_weight);
-  w.I64(params_.min_errors);
   io::WriteDetectorState(w, state_);
   w.F64Array(reference_);
   w.F64Array(current_);
@@ -99,10 +95,6 @@ void PerfSim::SaveState(io::Writer& w) const {
 
 void PerfSim::LoadState(io::Reader& r) {
   r.BeginSection("PerfSim");
-  params_.num_classes = static_cast<int>(r.I64("perfsim.num_classes"));
-  params_.chunk_size = static_cast<int>(r.I64("perfsim.chunk_size"));
-  params_.differentiation_weight = r.F64("perfsim.differentiation_weight");
-  params_.min_errors = static_cast<int>(r.I64("perfsim.min_errors"));
   state_ = io::ReadDetectorState(r, "perfsim.state");
   reference_ = r.F64Array("perfsim.reference");
   current_ = r.F64Array("perfsim.current");

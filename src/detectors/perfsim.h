@@ -40,6 +40,7 @@ class PerfSim : public DriftDetector {
   static double CosineSimilarity(const std::vector<double>& a,
                                  const std::vector<double>& b);
 
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   std::vector<double> reference_;  ///< K*K reference confusion cells.

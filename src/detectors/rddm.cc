@@ -95,12 +95,6 @@ void Rddm::AddError(bool error) {
 
 void Rddm::SaveState(io::Writer& w) const {
   w.BeginSection("RDDM");
-  w.F64(params_.warning_level);
-  w.F64(params_.drift_level);
-  w.I64(params_.min_errors);
-  w.I64(params_.min_instances);
-  w.I64(params_.max_instances);
-  w.I64(params_.warn_limit);
   io::WriteDetectorState(w, state_);
   w.I64(n_);
   w.I64(errors_);
@@ -116,12 +110,6 @@ void Rddm::SaveState(io::Writer& w) const {
 
 void Rddm::LoadState(io::Reader& r) {
   r.BeginSection("RDDM");
-  params_.warning_level = r.F64("rddm.warning_level");
-  params_.drift_level = r.F64("rddm.drift_level");
-  params_.min_errors = static_cast<int>(r.I64("rddm.min_errors"));
-  params_.min_instances = static_cast<int>(r.I64("rddm.min_instances"));
-  params_.max_instances = static_cast<int>(r.I64("rddm.max_instances"));
-  params_.warn_limit = static_cast<int>(r.I64("rddm.warn_limit"));
   state_ = io::ReadDetectorState(r, "rddm.state");
   n_ = r.I64("rddm.n");
   errors_ = r.I64("rddm.errors");
@@ -130,8 +118,14 @@ void Rddm::LoadState(io::Reader& r) {
   s_min_ = r.F64("rddm.s_min");
   warn_count_ = static_cast<int>(r.I64("rddm.warn_count"));
   recent_ = io::ReadBoolVector(r, "rddm.recent");
+  if (recent_.size() != static_cast<size_t>(params_.min_instances)) {
+    r.Fail("rddm.recent", "circular buffer of " +
+                              std::to_string(recent_.size()) +
+                              " bits, min_instances is " +
+                              std::to_string(params_.min_instances));
+  }
   uint64_t pos = r.U64("rddm.recent_pos");
-  if (recent_.empty() || pos >= recent_.size()) {
+  if (pos >= recent_.size()) {
     r.Fail("rddm.recent_pos",
            "cursor " + std::to_string(pos) + " outside circular buffer of " +
                std::to_string(recent_.size()));

@@ -39,6 +39,7 @@ class Rddm : public ErrorRateDetector {
   void SoftReset();
   void Push(bool error);
 
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   long long n_ = 0;

@@ -107,11 +107,6 @@ void Wstd::AddError(bool error) {
 
 void Wstd::SaveState(io::Writer& w) const {
   w.BeginSection("WSTD");
-  w.I64(params_.window_size);
-  w.F64(params_.warning_significance);
-  w.F64(params_.drift_significance);
-  w.I64(params_.max_old_instances);
-  w.I64(params_.check_interval);
   io::WriteDetectorState(w, state_);
   // The wire keeps the history as doubles, 1.0 = error, oldest first.
   std::deque<double> history(history_.size());
@@ -123,23 +118,12 @@ void Wstd::SaveState(io::Writer& w) const {
 
 void Wstd::LoadState(io::Reader& r) {
   r.BeginSection("WSTD");
-  Params p;
-  p.window_size = static_cast<int>(r.I64("wstd.window_size"));
-  p.warning_significance = r.F64("wstd.warning_significance");
-  p.drift_significance = r.F64("wstd.drift_significance");
-  p.max_old_instances = static_cast<int>(r.I64("wstd.max_old_instances"));
-  p.check_interval = static_cast<int>(r.I64("wstd.check_interval"));
-  try {
-    ValidateParams(p);
-  } catch (const ParamError& e) {
-    r.Fail(e.field().c_str(), e.what());
-  }
-  params_ = p;
   Reset();
   state_ = io::ReadDetectorState(r, "wstd.state");
   const std::deque<double> history = io::ReadF64Deque(r, "wstd.history");
-  const size_t window = static_cast<size_t>(p.window_size);
-  if (history.size() > static_cast<size_t>(p.max_old_instances) + window) {
+  const size_t window = static_cast<size_t>(params_.window_size);
+  if (history.size() >
+      static_cast<size_t>(params_.max_old_instances) + window) {
     r.Fail("wstd.history", "longer than max_old_instances + window_size");
   }
   for (size_t i = 0; i < history.size(); ++i) {

@@ -78,6 +78,7 @@ class Wstd : public ErrorRateDetector {
   void LoadState(io::Reader& reader) override;
 
  private:
+  // ccd:state-skip(params_, construction-time configuration; io::ShardIdentity carries it)
   Params params_;
   DetectorState state_ = DetectorState::kStable;
   BitRing history_;  ///< true = error, oldest first.

@@ -247,7 +247,7 @@ void MonitorEngine::Complete(const Instance& instance, bool measured,
         HookScope scope(&in_hook_);
         hooks_.on_drift(run_.drift_log.back(), TakeSnapshot(i));
       }
-      if (config_.reset_on_drift) classifier_->Reset();
+      classifier_->Reset();  // The alarm retires the old concept.
     }
   }
 

@@ -16,7 +16,6 @@ struct PrequentialConfig {
   int metric_window = 1000;   ///< W for pmAUC / pmGM (paper: 1000).
   int eval_interval = 250;    ///< Sample the windowed metrics every N inst.
   uint64_t warmup = 500;      ///< Train-only prefix (no metrics, no drift).
-  bool reset_on_drift = true; ///< Reset the classifier when drift fires.
   bool timing = true;         ///< Measure detector/classifier wall time.
 };
 
@@ -24,7 +23,7 @@ inline bool operator==(const PrequentialConfig& a, const PrequentialConfig& b) {
   return a.max_instances == b.max_instances &&
          a.metric_window == b.metric_window &&
          a.eval_interval == b.eval_interval && a.warmup == b.warmup &&
-         a.reset_on_drift == b.reset_on_drift && a.timing == b.timing;
+         a.timing == b.timing;
 }
 inline bool operator!=(const PrequentialConfig& a, const PrequentialConfig& b) {
   return !(a == b);

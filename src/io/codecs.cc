@@ -3,34 +3,6 @@
 namespace ccd {
 namespace io {
 
-void WriteSchema(Writer& w, const StreamSchema& schema) {
-  w.BeginSection("schema");
-  w.I64(schema.num_features);
-  w.I64(schema.num_classes);
-  w.String(schema.name);
-  w.EndSection();
-}
-
-StreamSchema ReadSchema(Reader& r) {
-  r.BeginSection("schema");
-  StreamSchema schema;
-  int64_t features = r.I64("schema.num_features");
-  int64_t classes = r.I64("schema.num_classes");
-  if (features <= 0 || features > 1'000'000) {
-    r.Fail("schema.num_features", "implausible feature count " +
-                                      std::to_string(features));
-  }
-  if (classes <= 0 || classes > 1'000'000) {
-    r.Fail("schema.num_classes",
-           "implausible class count " + std::to_string(classes));
-  }
-  schema.num_features = static_cast<int>(features);
-  schema.num_classes = static_cast<int>(classes);
-  schema.name = r.String("schema.name");
-  r.EndSection("schema");
-  return schema;
-}
-
 void WriteInstance(Writer& w, const Instance& x) {
   w.F64Array(x.features);
   w.I64(x.label);

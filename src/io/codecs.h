@@ -25,16 +25,13 @@ namespace io {
 /// `python3 tools/state_audit.py --update`; the static-analysis CI job
 /// fails any schema change that skips the bump (schema-drift gate
 /// against tools/wire_schema.json).
-inline constexpr uint32_t kStateSchemaVersion = 2;
+inline constexpr uint32_t kStateSchemaVersion = 3;
 
 /// Small-type codecs shared by every component's SaveState()/LoadState().
 /// Each pair is an exact inverse: Read*(Write*(x)) reproduces x bit for
 /// bit, including the floating-point internals accessor-exposed for this
 /// purpose (Welford m2, SlidingTrend running sums, Rng Gaussian cache).
 /// Readers validate as they go and throw WireError on malformed input.
-
-void WriteSchema(Writer& w, const StreamSchema& schema);
-StreamSchema ReadSchema(Reader& r);
 
 void WriteInstance(Writer& w, const Instance& x);
 Instance ReadInstance(Reader& r);

@@ -1,5 +1,6 @@
 #include "io/state_codec.h"
 
+#include <optional>
 #include <utility>
 
 #include "api/component_registry.h"
@@ -36,6 +37,34 @@ DriftAlarm ReadAlarm(Reader& r) {
   return a;
 }
 
+void WriteSchema(Writer& w, const StreamSchema& schema) {
+  w.BeginSection("schema");
+  w.I64(schema.num_features);
+  w.I64(schema.num_classes);
+  w.String(schema.name);
+  w.EndSection();
+}
+
+StreamSchema ReadSchema(Reader& r) {
+  r.BeginSection("schema");
+  StreamSchema schema;
+  int64_t features = r.I64("schema.num_features");
+  int64_t classes = r.I64("schema.num_classes");
+  if (features <= 0 || features > 1'000'000) {
+    r.Fail("schema.num_features", "implausible feature count " +
+                                      std::to_string(features));
+  }
+  if (classes <= 0 || classes > 1'000'000) {
+    r.Fail("schema.num_classes",
+           "implausible class count " + std::to_string(classes));
+  }
+  schema.num_features = static_cast<int>(features);
+  schema.num_classes = static_cast<int>(classes);
+  schema.name = r.String("schema.name");
+  r.EndSection("schema");
+  return schema;
+}
+
 /// The identity in wire order — the one layout state images and the
 /// manifest share.
 void WriteIdentity(Writer& w, const ShardIdentity& id) {
@@ -68,7 +97,6 @@ void WriteConfig(Writer& w, const PrequentialConfig& config) {
   w.I64(config.metric_window);
   w.I64(config.eval_interval);
   w.U64(config.warmup);
-  w.Bool(config.reset_on_drift);
   w.Bool(config.timing);
   w.EndSection();
 }
@@ -80,7 +108,6 @@ PrequentialConfig ReadConfig(Reader& r) {
   c.metric_window = static_cast<int>(r.I64("config.metric_window"));
   c.eval_interval = static_cast<int>(r.I64("config.eval_interval"));
   c.warmup = r.U64("config.warmup");
-  c.reset_on_drift = r.Bool("config.reset_on_drift");
   c.timing = r.Bool("config.timing");
   r.EndSection("PrequentialConfig");
   // The same degeneracy gate every run-entry point applies; a config that
@@ -274,6 +301,36 @@ Manifest DecodeManifest(const std::string& bytes) {
   r.EndSection("Manifest");
   r.ExpectEnd("Manifest envelope");
   return m;
+}
+
+uint32_t ShardFileCrc(const std::string& sealed) {
+  return Crc32(sealed.data(), sealed.size() < 4 ? 0 : sealed.size() - 4);
+}
+
+StateImage ReadShardFile(const SnapshotStore& store, const Manifest& manifest,
+                         size_t shard) {
+  const Manifest::ShardFile& f = manifest.shards.at(shard);
+  const std::string bytes = store.Read(f.file);
+  if (bytes.size() != f.size || ShardFileCrc(bytes) != f.crc) {
+    throw WireError(store.Path(f.file), 0,
+                    "shard file does not match its manifest entry (size " +
+                        std::to_string(bytes.size()) + " vs " +
+                        std::to_string(f.size) +
+                        ", or CRC mismatch) — swapped, stale or torn file");
+  }
+  StateImage image = DecodeStateImage(bytes);
+  std::optional<std::string> why =
+      ForeignImageReason(image.identity, manifest.identity);
+  const uint64_t seed = manifest.identity.seed + shard;
+  if (!why && image.identity.seed != seed) {
+    why = "seed " + std::to_string(image.identity.seed) +
+          " is not the fleet's shard seed " + std::to_string(seed);
+  }
+  if (why) {
+    throw WireError(store.Path(f.file), 0,
+                    "shard image of another fleet: " + *why);
+  }
+  return image;
 }
 
 }  // namespace io

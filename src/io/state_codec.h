@@ -11,6 +11,7 @@
 #include "eval/engine.h"
 #include "eval/prequential.h"
 #include "io/shard_identity.h"
+#include "io/snapshot_store.h"
 #include "io/wire.h"
 
 namespace ccd {
@@ -57,10 +58,12 @@ std::string EncodeStateImage(const ShardIdentity& identity,
                              const DriftDetector* detector);
 
 /// Parses a sealed envelope back into a StateImage: validates magic,
-/// version and CRC, reads the identity and run state, reconstructs the
-/// components through the api registries (an unknown registry name
-/// surfaces as WireError, not ApiError) and restores their learned state
-/// via LoadState(). Every malformed input path throws WireError.
+/// version and CRC, reads the identity and run state, builds the
+/// components through the api registries from the identity's names and
+/// params (an unknown name or out-of-domain params surface as WireError
+/// at "image.components", not ApiError) and loads their learned state via
+/// LoadState(), which checks each payload's shapes against the built
+/// instance. Every malformed input path throws WireError.
 StateImage DecodeStateImage(const std::string& bytes);
 
 /// File name of a persisted monitor's manifest inside its directory. The
@@ -72,8 +75,9 @@ extern const char kManifestName[];
 
 /// Directory manifest of a persisted api::ShardedMonitor: the fleet
 /// identity (everything the builder was told) plus one entry per shard
-/// file with its expected size and CRC-32, so a reopened monitor detects
-/// a swapped or truncated shard file before decoding a byte of it.
+/// file with its expected size and content CRC (ShardFileCrc), so a
+/// reopened monitor detects a swapped, stale or truncated shard file
+/// before decoding a byte of it.
 struct Manifest {
   struct ShardFile {
     std::string file;
@@ -94,6 +98,19 @@ std::string EncodeManifest(const Manifest& manifest);
 /// Parses and validates manifest bytes; throws WireError on corruption or
 /// an empty shard list.
 Manifest DecodeManifest(const std::string& bytes);
+
+/// The CRC a manifest entry records for a sealed shard file: CRC-32 over
+/// every byte before the trailer, which equals the trailer itself, so it
+/// names the file's content.
+uint32_t ShardFileCrc(const std::string& sealed);
+
+/// Reads shard file `shard` of `manifest` from `store` and checks it the
+/// one way ShardedMonitor::Open() and statedump both do: the size and
+/// content CRC of its entry, a full decode, and an identity that
+/// ForeignImageReason() accepts with the seed base + `shard`. Throws
+/// WireError naming the file on any mismatch.
+StateImage ReadShardFile(const SnapshotStore& store, const Manifest& manifest,
+                         size_t shard);
 
 }  // namespace io
 }  // namespace ccd

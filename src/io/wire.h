@@ -173,7 +173,7 @@ class Reader {
 /// Format version of everything the io layer writes (state images,
 /// manifests). Bump on any incompatible layout change; readers reject
 /// other versions with a typed error instead of misparsing.
-constexpr uint32_t kFormatVersion = 3;
+constexpr uint32_t kFormatVersion = 4;
 
 /// File/blob magic: "CCDS" little-endian.
 constexpr uint32_t kMagic = 0x53444343u;

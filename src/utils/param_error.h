@@ -9,7 +9,8 @@ namespace ccd {
 
 /// A component parameter outside its domain. field() is the qualified key
 /// of the offending member ("rbm.cd_steps", "wstd.window_size"), the same
-/// key LoadState reports through io::WireError.
+/// key a state image whose identity names such params reports through
+/// io::WireError.
 class ParamError : public std::invalid_argument {
  public:
   ParamError(const std::string& field, const std::string& message)

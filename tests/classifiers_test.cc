@@ -285,11 +285,11 @@ TEST(GaussianNaiveBayesTest, CachedLikelihoodsMatchRecomputingOracle) {
         oracle.Reset();
       }
       if (i == 1700 || i == 2400) {
-        // Serialize mid-stream into a model built for another schema:
-        // LoadState must rebuild the cache from the loaded statistics.
+        // Serialize mid-stream into a fresh model: LoadState must rebuild
+        // the cache from the loaded statistics.
         io::Writer w;
         nb.SaveState(w);
-        GaussianNaiveBayes loaded(StreamSchema(1, 2));
+        GaussianNaiveBayes loaded(schema);
         io::Reader r(w.data());
         loaded.LoadState(r);
         ASSERT_TRUE(r.AtEnd());
@@ -428,23 +428,12 @@ struct NodeImage {
   int perceptron_classes = 0;  ///< 0: the tree's class count.
 };
 
-/// A CSPerceptronTree section with the default params and the given
-/// nodes; every leaf record is empty and its perceptron untrained.
+/// A CSPerceptronTree section with the given nodes; every leaf record is
+/// empty and its perceptron untrained.
 std::string TreeImage(const StreamSchema& schema,
                       const std::vector<NodeImage>& nodes) {
-  const CsPerceptronTree::Params p;
   io::Writer w;
   w.BeginSection("CSPerceptronTree");
-  io::WriteSchema(w, schema);
-  w.I64(p.grace_period);
-  w.F64(p.split_confidence);
-  w.F64(p.tie_threshold);
-  w.I64(p.max_depth);
-  w.I64(p.max_leaves);
-  w.F64(p.leaf_params.learning_rate);
-  w.Bool(p.leaf_params.cost_sensitive);
-  w.F64(p.leaf_params.count_decay);
-  w.F64(p.leaf_params.max_cost);
   w.I64(static_cast<int64_t>(nodes.size() + 1) / 2);
   w.U32(static_cast<uint32_t>(nodes.size()));
   for (const NodeImage& n : nodes) {
@@ -530,10 +519,11 @@ TEST(CsPerceptronTreeTest, LoadStateRejectsUnwalkableGraphs) {
   EXPECT_EQ(
       TreeLoadError(schema, TreeImage(schema, {{-1, -1, -1, true, false}})),
       "tree.leaf.has_perceptron");
-  // A perceptron scoring a different class count than the tree.
+  // A perceptron scoring a different class count than the tree: the leaf
+  // perceptron is built from the tree's schema and refuses the rows.
   EXPECT_EQ(TreeLoadError(schema,
                           TreeImage(schema, {{-1, -1, -1, true, true, 3}})),
-            "tree.leaf.perceptron");
+            "perceptron.weights");
   // Split features outside [-1, num_features).
   EXPECT_EQ(TreeLoadError(schema, TreeImage(schema, {{-2}})),
             "tree.node.feature");

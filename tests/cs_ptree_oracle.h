@@ -64,16 +64,6 @@ class SplitGainTree {
 
   void SaveState(io::Writer& w) const {
     w.BeginSection("CSPerceptronTree");
-    io::WriteSchema(w, schema_);
-    w.I64(params_.grace_period);
-    w.F64(params_.split_confidence);
-    w.F64(params_.tie_threshold);
-    w.I64(params_.max_depth);
-    w.I64(params_.max_leaves);
-    w.F64(params_.leaf_params.learning_rate);
-    w.Bool(params_.leaf_params.cost_sensitive);
-    w.F64(params_.leaf_params.count_decay);
-    w.F64(params_.leaf_params.max_cost);
     w.I64(num_leaves_);
     w.U32(static_cast<uint32_t>(nodes_.size()));
     for (const Node& node : nodes_) {

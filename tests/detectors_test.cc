@@ -22,6 +22,7 @@
 #include "io/wire.h"
 #include "utils/param_error.h"
 #include "utils/rng.h"
+#include "testing_util.h"
 #include "wilcoxon_oracle.h"
 
 namespace ccd {
@@ -419,7 +420,7 @@ TEST(WstdTest, MatchesPooledSortOracleAcrossParamsAndRoundTrip) {
         if (i == steps / 2) {
           io::Writer w;
           wstd->SaveState(w);
-          wstd = std::make_unique<Wstd>();
+          wstd = std::make_unique<Wstd>(p);
           io::Reader r(w.data());
           wstd->LoadState(r);
           ASSERT_TRUE(r.AtEnd());
@@ -485,14 +486,9 @@ TEST(WstdTest, OutOfDomainParamsThrowNamingTheField) {
 
 /// A WSTD state image as SaveState lays it out, with the given params and
 /// history.
-std::string WstdImage(const Wstd::Params& p, const std::deque<double>& h) {
+std::string WstdImage(const std::deque<double>& h) {
   io::Writer w;
   w.BeginSection("WSTD");
-  w.I64(p.window_size);
-  w.F64(p.warning_significance);
-  w.F64(p.drift_significance);
-  w.I64(p.max_old_instances);
-  w.I64(p.check_interval);
   io::WriteDetectorState(w, DetectorState::kStable);
   io::WriteF64Deque(w, h);
   w.I64(0);
@@ -504,28 +500,57 @@ TEST(WstdTest, LoadStateRejectsNonBinaryOverlongHistoryAndBadParams) {
   Wstd::Params p;
   p.window_size = 4;
   p.max_old_instances = 6;
-  auto load = [](const std::string& bytes) {
-    Wstd wstd;
+  auto load = [&p](const std::string& bytes) {
+    Wstd wstd(p);
     io::Reader r(bytes);
     wstd.LoadState(r);
   };
-  EXPECT_NO_THROW(load(WstdImage(p, std::deque<double>(10, 1.0))));
+  EXPECT_NO_THROW(load(WstdImage(std::deque<double>(10, 1.0))));
   // A 0.5 used to load and skew every later rank sum.
   std::deque<double> half(8, 0.0);
   half[3] = 0.5;
-  EXPECT_THROW(load(WstdImage(p, half)), io::WireError);
-  EXPECT_THROW(load(WstdImage(p, std::deque<double>(11, 0.0))),
-               io::WireError);
-  Wstd::Params wrapped = p;
-  wrapped.max_old_instances = -1;
-  try {
-    load(WstdImage(wrapped, {}));
-    ADD_FAILURE() << "expected WireError";
-  } catch (const io::WireError& e) {
-    EXPECT_NE(std::string(e.what()).find("wstd.max_old_instances"),
-              std::string::npos)
-        << e.what();
-  }
+  EXPECT_THROW(load(WstdImage(half)), io::WireError);
+  EXPECT_THROW(load(WstdImage(std::deque<double>(11, 0.0))), io::WireError);
+  // Params travel only in the shard identity: an image claiming
+  // out-of-domain ones fails when the registry builds the detector.
+  test_util::ExpectIdentityParamsRejected(StreamSchema(4, 2), "WSTD",
+                                          "max_old_instances=-1",
+                                          "wstd.max_old_instances");
+}
+
+// Every windowed detector checks the payload's shapes against the params
+// it was built with: a window longer than window_size, a circular buffer
+// of another size or an ADWIN row above max_buckets is refused, not
+// adopted.
+TEST(DetectorStateTest, LoadStateRefusesShapesOfOtherParams) {
+  const auto load_error = [](const DriftDetector& from, DriftDetector* to) {
+    io::Writer w;
+    from.SaveState(w);
+    io::Reader r(w.data());
+    try {
+      to->LoadState(r);
+    } catch (const io::WireError& e) {
+      return e.field();
+    }
+    return std::string();
+  };
+  const auto fed = [](std::unique_ptr<ErrorRateDetector> d) {
+    for (int i = 0; i < 200; ++i) d->AddError(i % 7 == 0);
+    return d;
+  };
+  Fhddm::Params narrow_window;
+  narrow_window.window_size = 25;
+  Fhddm fhddm(narrow_window);
+  EXPECT_EQ(load_error(*fed(std::make_unique<Fhddm>()), &fhddm),
+            "fhddm.window");
+  Rddm::Params small_ring;
+  small_ring.min_instances = 100;
+  Rddm rddm(small_ring);
+  EXPECT_EQ(load_error(*fed(std::make_unique<Rddm>()), &rddm), "rddm.recent");
+  Adwin::Params few_buckets;
+  few_buckets.max_buckets = 2;
+  Adwin adwin(few_buckets);
+  EXPECT_EQ(load_error(*fed(std::make_unique<Adwin>()), &adwin), "adwin.row");
 }
 
 // ------------------------------------------------------- observe interface

@@ -271,7 +271,6 @@ TEST(StateCodecTest, FreshFleetBytesArePinned) {
   cfg.metric_window = 300;
   cfg.eval_interval = 50;
   cfg.warmup = 120;
-  cfg.reset_on_drift = false;
   cfg.timing = false;
   auto monitor = api::ShardedMonitorBuilder()
                      .Schema(5, 3)
@@ -286,16 +285,16 @@ TEST(StateCodecTest, FreshFleetBytesArePinned) {
   };
 
   const std::string image = monitor.SerializeShard(0);
-  EXPECT_EQ(image.size(), 1009u);
-  EXPECT_EQ(content_crc(image), 0xce8c9f69u);
+  EXPECT_EQ(image.size(), 927u);
+  EXPECT_EQ(content_crc(image), 0xfd6bec20u);
 
   const std::string dir =
       ::testing::TempDir() + "ccd-wire-pin-" + std::to_string(::getpid());
   monitor.Persist(dir);
   io::SnapshotStore store(dir);
   const std::string manifest = store.Read(io::kManifestName);
-  EXPECT_EQ(manifest.size(), 301u);
-  EXPECT_EQ(content_crc(manifest), 0xa7e71497u);
+  EXPECT_EQ(manifest.size(), 299u);
+  EXPECT_EQ(content_crc(manifest), 0x56058bf9u);
   for (const std::string& name : store.List()) store.Remove(name);
   ::rmdir(dir.c_str());
 }
@@ -306,8 +305,7 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   cfg.metric_window = 123;
   cfg.eval_interval = 17;
   cfg.warmup = 250;
-  cfg.reset_on_drift = false;
-  cfg.timing = true;
+  cfg.timing = false;
   io::Writer w;
   io::WriteConfig(w, cfg);
   io::Reader r(w.data());
@@ -316,7 +314,6 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   EXPECT_EQ(back.metric_window, cfg.metric_window);
   EXPECT_EQ(back.eval_interval, cfg.eval_interval);
   EXPECT_EQ(back.warmup, cfg.warmup);
-  EXPECT_EQ(back.reset_on_drift, cfg.reset_on_drift);
   EXPECT_EQ(back.timing, cfg.timing);
 
   // A config that would divide by zero must not survive deserialization.
@@ -328,32 +325,34 @@ TEST(ConfigCodecTest, RoundTripsAndRejectsDegenerateConfigs) {
   EXPECT_THROW(io::ReadConfig(rbad), io::WireError);
 }
 
-// LoadState validates dimensions against the serialized schema, so bytes
-// of a structurally different shard cannot smear into a live component.
+// LoadState validates every dimension against the schema the target was
+// built with, so bytes of a structurally different shard cannot smear
+// into a live component.
 TEST(ComponentStateValidationTest, MismatchedDimensionsAreTypedErrors) {
-  StreamSchema wide(8, 4, "wide");
-  StreamSchema narrow(3, 2, "narrow");
   auto stream = MakeRbfDriftStream(200, 31);
   // Serialize a classifier trained on the stream's schema...
   auto trained = api::MakeClassifier("perceptron", stream->schema(), 42);
   for (const Instance& inst : Take(stream.get(), 120)) trained->Train(inst);
   io::Writer w;
   trained->SaveState(w);
-  // ...and load it into a same-type classifier: fine (schema travels).
+  // ...and load it into a same-type classifier of the same schema: fine.
   auto target = api::MakeClassifier("perceptron", stream->schema(), 1);
   io::Reader ok(w.data());
   target->LoadState(ok);
 
-  // Corrupt the payload row count so rows disagree with the schema.
-  // (Schema num_classes is serialized before weights; change one weight
-  // row count by truncating inside the section → typed error.)
+  // Targets built for other schemas refuse the rows.
+  for (const StreamSchema& other :
+       {StreamSchema(8, 4, "wide"), StreamSchema(3, 2, "narrow")}) {
+    auto victim = api::MakeClassifier("perceptron", other, 2);
+    io::Reader r(w.data());
+    EXPECT_THROW(victim->LoadState(r), io::WireError) << other.name;
+  }
+
+  // A payload cut short inside the section is a typed error too.
   const std::string bytes = w.data();
   io::Reader truncated(bytes.data(), bytes.size() - 9);
   auto victim = api::MakeClassifier("perceptron", stream->schema(), 2);
   EXPECT_THROW(victim->LoadState(truncated), io::WireError);
-
-  (void)wide;
-  (void)narrow;
 }
 
 }  // namespace

@@ -203,7 +203,7 @@ TEST(PersistOpenTest, CorruptedArtifactsAreTypedErrors) {
   io::Manifest manifest = io::DecodeManifest(store.Read(io::kManifestName));
 
   // Swapping two shard files is caught even though both are internally
-  // valid envelopes: the manifest CRCs are seeded with the shard index.
+  // valid envelopes: each manifest CRC names its file's content.
   const std::string a = store.Read(manifest.shards[0].file);
   const std::string b = store.Read(manifest.shards[1].file);
   store.Write(manifest.shards[0].file, b);
@@ -246,7 +246,7 @@ TEST(PersistOpenTest, ShardImageOfAnotherFleetIsATypedError) {
   const auto register_shard0 = [&](const std::string& bytes) {
     io::Manifest m = manifest;
     m.shards[0].size = bytes.size();
-    m.shards[0].crc = io::Crc32(bytes.data(), bytes.size(), /*seed=*/0);
+    m.shards[0].crc = io::ShardFileCrc(bytes);
     store.Write(m.shards[0].file, bytes);
     store.Write(io::kManifestName, io::EncodeManifest(m));
   };
@@ -266,6 +266,37 @@ TEST(PersistOpenTest, ShardImageOfAnotherFleetIsATypedError) {
 
   register_shard0(BuildMonitor(2).SerializeShard(0));
   EXPECT_NO_THROW(api::ShardedMonitor::Open(dir));
+  RemoveTree(dir);
+}
+
+// Two shard files of one fleet with the same length swap undetected when
+// the manifest CRC covers a sealed envelope whole (its value then depends
+// on nothing but the length). The entry's CRC names the content, so Open
+// refuses the swap even though both files are valid images of this fleet.
+TEST(PersistOpenTest, SwappedShardFilesOfEqualLengthAreATypedError) {
+  const std::string dir = ScratchDir("persist-swap");
+  api::ShardedMonitor monitor =
+      api::ShardedMonitorBuilder()
+          .Schema(MakeRbfDriftStream(10, 1)->schema())
+          .Classifier("naive-bayes")
+          .NoDetector()
+          .Seed(42)
+          .Shards(2)
+          .Build();
+  const std::vector<KeyedFeed> schedule = MakeSchedule(200, 41);
+  for (const KeyedFeed& f : schedule) monitor.Feed(f.key, f.instance);
+  monitor.Persist(dir);
+
+  io::SnapshotStore store(dir);
+  const io::Manifest manifest =
+      io::DecodeManifest(store.Read(io::kManifestName));
+  const std::string a = store.Read(manifest.shards[0].file);
+  const std::string b = store.Read(manifest.shards[1].file);
+  ASSERT_EQ(a.size(), b.size()) << "the swap needs files of equal length";
+  ASSERT_NE(a, b);
+  store.Write(manifest.shards[0].file, b);
+  store.Write(manifest.shards[1].file, a);
+  EXPECT_THROW(api::ShardedMonitor::Open(dir), io::WireError);
   RemoveTree(dir);
 }
 
@@ -509,6 +540,42 @@ TEST(ShardMigrationTest, ForeignImagesAreRejectedAndPersistStaysOpenable) {
   }
   ExpectMonitorsEqual(target, reopened);
   RemoveTree(dir);
+}
+
+// Component configuration travels only in the image's identity, which
+// builds the components LoadState fills. A payload written under other
+// params, re-sealed under this fleet's identity, must be refused by its
+// shapes: here fleet B's default 100-bit FHDDM window under fleet A's
+// window_size=25. Accepting it would leave shard 0 running a 100-bit
+// window while its next image claimed 25.
+TEST(ShardMigrationTest, PayloadOfOtherParamsUnderThisIdentityIsRefused) {
+  PrequentialConfig cfg = ShortConfig();
+  cfg.warmup = 100;
+  auto fleet = [&](const api::ParamMap& fhddm_params) {
+    return api::ShardedMonitorBuilder()
+        .Schema(MakeRbfDriftStream(10, 1)->schema())
+        .Classifier("naive-bayes")
+        .Detector("FHDDM", fhddm_params)
+        .Seed(42)
+        .Shards(2)
+        .Protocol(cfg)
+        .Build();
+  };
+  api::ShardedMonitor a = fleet({"window_size=25"});
+  api::ShardedMonitor b = fleet({});
+  for (const KeyedFeed& f : MakeSchedule(600, 43)) {
+    a.Feed(f.key, f.instance);
+    b.Feed(f.key, f.instance);
+  }
+  const std::string before = a.SerializeShard(0);
+  const io::StateImage own = io::DecodeStateImage(before);
+  const io::StateImage other = io::DecodeStateImage(b.SerializeShard(0));
+  const std::string forged =
+      io::EncodeStateImage(own.identity, other.snapshot, *other.classifier,
+                           other.detector.get());
+
+  EXPECT_THROW(a.RestoreShard(0, forged), io::WireError);
+  EXPECT_EQ(a.SerializeShard(0), before);
 }
 
 }  // namespace

@@ -933,8 +933,7 @@ TEST(AdmissionTest, RefusedRowsLeaveTheRunAsIfNeverPushed) {
   options.seed = 37;
   auto make_stream = [&] { return BuildStream(*spec, options).stream; };
   const StreamSchema schema = make_stream()->schema();
-  PrequentialConfig config = ShortConfig();
-  config.reset_on_drift = true;
+  const PrequentialConfig config = ShortConfig();
   struct Case {
     const char* detector;
     RejectReason reason;

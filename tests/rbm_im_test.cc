@@ -17,10 +17,6 @@
 namespace ccd {
 namespace {
 
-using test_util::EncodedF64;
-using test_util::EncodedI64;
-using test_util::ForgeWireValue;
-
 RbmIm::Params DetectorParams(int d, int k) {
   RbmIm::Params p;
   p.num_features = d;
@@ -410,31 +406,49 @@ TEST(RbmImTest, SlicedTrainingMatchesTrainingAtTheClose) {
   }
 }
 
+// RBM-IM's params travel only in the shard identity: an image whose
+// identity claims out-of-domain params fails when the registry builds the
+// detector from them, before a byte of its payload is read.
 TEST(RbmImTest, LoadStateRejectsOutOfDomainParams) {
-  RbmIm::Params p = DetectorParams(6, 3);
-  p.cd_steps = 7;    // Unique among the serialized integers.
-  p.beta = 0.875;    // Unique among the serialized doubles.
-  const RbmIm det(p, 1);
-  io::Writer w;
-  det.SaveState(w);
-  // The first match is the RBM-IM section's own field; the nested RBM
-  // section repeats the values further on.
-  const std::pair<std::string, const char*> forged[] = {
-      {ForgeWireValue(w.data(), EncodedI64(7), EncodedI64(0)),
-       "rbm_im.cd_steps"},
-      {ForgeWireValue(w.data(), EncodedF64(0.875), EncodedF64(1.0)),
-       "rbm_im.beta"},
+  const StreamSchema schema(6, 3);
+  test_util::ExpectIdentityParamsRejected(schema, "RBM-IM", "cd_steps=0",
+                                          "rbm_im.cd_steps");
+  test_util::ExpectIdentityParamsRejected(schema, "RBM-IM", "beta=1",
+                                          "rbm_im.beta");
+}
+
+// LoadState checks the payload's shapes against the params the target was
+// built with, instead of resizing to whatever the bytes say.
+TEST(RbmImTest, LoadStateRejectsPayloadOfOtherParams) {
+  const auto params = [](int k, int batch_size, int eval_pool) {
+    RbmIm::Params p = DetectorParams(6, k);
+    p.batch_size = batch_size;
+    p.eval_pool = eval_pool;
+    return p;
   };
-  for (const auto& [bytes, field] : forged) {
-    RbmIm target(DetectorParams(6, 3), 1);
+  // One close pools about 7 instances per class; 10 stay pending.
+  RbmIm det(params(3, 20, 16), 1);
+  Rng rng(5);
+  for (int i = 0; i < 30; ++i) {
+    std::vector<double> x(6);
+    for (double& v : x) v = rng.NextDouble();
+    det.Observe(Instance(x, i % 3), 0, {});
+  }
+  const std::string bytes = Save(det);
+  const auto load_error = [&bytes](const RbmIm::Params& p) -> std::string {
+    RbmIm target(p, 1);
     io::Reader r(bytes);
     try {
       target.LoadState(r);
-      ADD_FAILURE() << "expected WireError at " << field;
     } catch (const io::WireError& e) {
-      EXPECT_EQ(e.field(), field) << e.what();
+      return e.field();
     }
-  }
+    return "";
+  };
+  EXPECT_EQ(load_error(params(3, 20, 16)), "");
+  EXPECT_EQ(load_error(params(3, 10, 16)), "rbm_im.pending");
+  EXPECT_EQ(load_error(params(3, 20, 4)), "rbm_im.monitor.recent");
+  EXPECT_EQ(load_error(params(4, 20, 16)), "rbm.w");
 }
 
 }  // namespace

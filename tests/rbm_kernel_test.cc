@@ -65,16 +65,6 @@ class NaiveRbmOracle {
   std::string Save() const {
     io::Writer w;
     w.BeginSection("rbm");
-    w.I64(p_.visible);
-    w.I64(p_.hidden);
-    w.I64(p_.classes);
-    w.F64(p_.learning_rate);
-    w.F64(p_.discriminative_rate);
-    w.I64(p_.cd_steps);
-    w.F64(p_.weight_init_sigma);
-    w.Bool(p_.class_balanced);
-    w.F64(p_.beta);
-    w.F64(p_.count_decay);
     io::WriteRng(w, rng_);
     w.F64Array(w_);
     w.F64Array(u_);

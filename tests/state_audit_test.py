@@ -128,6 +128,21 @@ class CoverageTest(unittest.TestCase):
             self.assertIn("LoadState", out)
             self.assertNotIn("Gauge::scratch_", out)  # justified skip
 
+    def test_first_member_after_access_specifier_counts(self):
+        # mean_ is declared right after `private:`, which the statement
+        # splitter keeps in the same statement as the member: it must
+        # still be a field, so dropping it from Save/Load fires.
+        source = CLEAN_SOURCE.replace(
+            'w.F64("mean", mean_);', "").replace(
+            'mean_ = r.F64("mean");', "")
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = FixtureTree(tmp, source=source)
+            tree.pin_manifest()
+            code, out = tree.run()
+            self.assertEqual(code, 1, out)
+            self.assertIn("[state-coverage]", out)
+            self.assertIn("Gauge::mean_", out)
+
     def test_whole_object_copy_covers_everything(self):
         # CloneState's `return Gauge(*this)` never yields coverage
         # findings — pinned here so the exemption does not regress.

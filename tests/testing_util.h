@@ -24,6 +24,7 @@
 #include "generators/drifting_stream.h"
 #include "generators/rbf.h"
 #include "generators/sea.h"
+#include "io/state_codec.h"
 #include "io/wire.h"
 #include "runtime/router.h"
 #include "runtime/thread_pool.h"
@@ -60,28 +61,32 @@ inline void ExpectBitIdentical(const PrequentialResult& a,
   EXPECT_EQ(a.class_counts, b.class_counts);
 }
 
-/// One tagged wire value, encoded as io::Writer writes it.
-inline std::string EncodedI64(int64_t v) {
-  io::Writer w;
-  w.I64(v);
-  return w.data();
-}
-
-inline std::string EncodedF64(double v) {
-  io::Writer w;
-  w.F64(v);
-  return w.data();
-}
-
-/// `bytes` with the first occurrence of the encoded value `from` replaced
-/// by `to`: a serialized state no valid component would write. Pick a
-/// `from` that occurs nowhere earlier in the image.
-inline std::string ForgeWireValue(std::string bytes, const std::string& from,
-                                  const std::string& to) {
-  const size_t at = bytes.find(from);
-  EXPECT_NE(at, std::string::npos) << "value to forge not found";
-  if (at != std::string::npos) bytes.replace(at, from.size(), to);
-  return bytes;
+/// Asserts that a sealed state image of a fresh naive-bayes shard running
+/// `detector` (payload from its default params) fails to decode once its
+/// identity claims `detector_params`: DecodeStateImage builds the detector
+/// from the identity, so out-of-domain params fail there, as a WireError
+/// at "image.components" whose text names `field`.
+inline void ExpectIdentityParamsRejected(const StreamSchema& schema,
+                                         const std::string& detector,
+                                         const std::string& detector_params,
+                                         const std::string& field) {
+  io::ShardIdentity id;
+  id.schema = schema;
+  id.classifier = "naive-bayes";
+  id.detector = detector;
+  id.detector_params = detector_params;
+  auto classifier = api::MakeClassifier(id.classifier, schema, 1);
+  auto payload = api::MakeDetector(detector, schema, 1);
+  const std::string image = io::EncodeStateImage(id, EngineSnapshot{},
+                                                 *classifier, payload.get());
+  try {
+    io::DecodeStateImage(image);
+    ADD_FAILURE() << "expected WireError for " << detector_params;
+  } catch (const io::WireError& e) {
+    EXPECT_EQ(e.field(), "image.components") << e.what();
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
 }
 
 /// Asserts two Instances are bit-identical.

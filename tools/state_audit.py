@@ -76,8 +76,6 @@ PRIMITIVES = {
 # ( ) = section open/close. Used for the manifest wire_pattern that
 # statedump --schema re-checks against real state images.
 HELPERS = {
-    "WriteSchema": ("Schema", r"\(iis\)"),
-    "ReadSchema": ("Schema", None),
     "WriteInstance": ("Instance", r"aid"),
     "ReadInstance": ("Instance", None),
     "WriteDetectorState": ("DetectorState", r"b"),
@@ -354,8 +352,12 @@ def extract_refs(body_nostr, field_names):
 WHOLE_OBJECT_RE = re.compile(r"\*\s*this\b")
 
 FIELD_STMT_SKIP = re.compile(
-    r"^\s*(public|private|protected|using|typedef|friend|static|enum|class|"
+    r"^\s*(using|typedef|friend|static|enum|class|"
     r"struct|template|constexpr|explicit|virtual|operator)\b")
+# Leading access specifiers belong to no declaration: `private: Params
+# params_;` is one statement to the splitter, and its member must count.
+ACCESS_SPECIFIERS = re.compile(
+    r"^(?:\s*(?:public|private|protected)\s*:(?!:))+")
 
 
 def split_declarators(stmt):
@@ -423,6 +425,10 @@ def parse_fields(class_body_nostr, body_offset, full_text):
             continue
         if c == ";":
             stmt = class_body_nostr[stmt_start:i]
+            access = ACCESS_SPECIFIERS.match(stmt)
+            if access:
+                stmt_start += access.end()
+                stmt = stmt[access.end():]
             stmt_clean = re.sub(r"\{[^{}]*\}", "", stmt)
             if (stmt_clean.strip() and not FIELD_STMT_SKIP.match(stmt_clean)
                     and not has_toplevel_paren(stmt_clean)):

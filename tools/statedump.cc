@@ -2,8 +2,13 @@
 // single sealed state-image file) without loading it into a monitor.
 //
 //   statedump <directory>            # manifest + every shard file
-//   statedump <directory> --verify   # also fully decode every image
+//   statedump <directory> --verify   # also print each shard's counters
 //   statedump --image <file>         # one sealed .state image
+//
+// Every shard file of a directory gets exactly the check
+// ShardedMonitor::Open() runs (io::ReadShardFile: size, content CRC,
+// full decode, fleet identity and shard seed), so a directory statedump
+// passes is one Open() accepts.
 //
 // Either mode accepts --schema <tools/wire_schema.json>: every decoded
 // image's raw tag stream is additionally cross-checked against the
@@ -95,7 +100,7 @@ int DumpImage(const std::string& path, bool decoded_ok_only,
   if (!decoded_ok_only) {
     std::printf("%s: sealed state image, format v%u, %zu bytes, crc %08x\n",
                 path.c_str(), ccd::io::kFormatVersion, bytes.size(),
-                ccd::io::Crc32(bytes.data(), bytes.size()));
+                ccd::io::ShardFileCrc(bytes));
     PrintImage("", image);
   }
   if (schema != nullptr && CheckAgainstSchema(path, bytes, *schema) != 0) {
@@ -123,24 +128,15 @@ int DumpDirectory(const std::string& dir, bool verify,
     std::printf("  shard %-3zu   %s  %llu bytes  crc %08x", i, f.file.c_str(),
                 static_cast<unsigned long long>(f.size), f.crc);
     try {
-      const std::string bytes = store.Read(f.file);
-      // Manifest CRCs are seeded with the shard index (see
-      // ShardedMonitor::Persist) so swapped shard files fail here.
-      if (bytes.size() != f.size ||
-          ccd::io::Crc32(bytes.data(), bytes.size(),
-                         static_cast<uint32_t>(i)) != f.crc) {
-        throw ccd::io::WireError(
-            f.file, 0, "shard file does not match its manifest entry");
-      }
+      const ccd::io::StateImage image = ccd::io::ReadShardFile(store, m, i);
       if (verify) {
-        ccd::io::StateImage image = ccd::io::DecodeStateImage(bytes);
         std::printf("  position=%llu drifts=%zu",
                     static_cast<unsigned long long>(image.snapshot.position),
                     image.snapshot.drift_log.size());
       }
       std::printf("  ok\n");
       if (schema != nullptr &&
-          CheckAgainstSchema(f.file, bytes, *schema) != 0) {
+          CheckAgainstSchema(f.file, store.Read(f.file), *schema) != 0) {
         ++failures;
       }
     } catch (const ccd::io::WireError& e) {
