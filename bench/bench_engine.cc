@@ -15,10 +15,14 @@
 // The stream is materialized up front; every path pushes the same
 // instances, so rows differ only in call granularity. tests/alloc_test.cc
 // pins the zero-allocation property itself; this bench records what it
-// buys.
+// buys. The serve row also times every Label call and records its p50,
+// p99 and p99.9 with the sample count: with RBM-IM a label can close a
+// mini-batch, so the tail is where the detector's work shows. The gate
+// compares throughput only; tails on shared runners are too noisy.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -42,6 +46,26 @@ struct PathResult {
   std::string path;
   double seconds = 0.0;
   double per_sec = 0.0;
+  /// Per-Label latency percentiles in microseconds; serve row only.
+  size_t label_samples = 0;
+  double label_p50_us = 0.0;
+  double label_p99_us = 0.0;
+  double label_p999_us = 0.0;
+
+  void SetLabelLatency(std::vector<double> us) {
+    if (us.empty()) return;
+    std::sort(us.begin(), us.end());
+    // Nearest rank: the smallest sample with at least q of all at or below.
+    const auto at = [&us](double q) {
+      const size_t rank = static_cast<size_t>(
+          std::ceil(q * static_cast<double>(us.size())));
+      return us[std::max<size_t>(rank, 1) - 1];
+    };
+    label_samples = us.size();
+    label_p50_us = at(0.5);
+    label_p99_us = at(0.99);
+    label_p999_us = at(0.999);
+  }
 };
 
 /// Protocol for the measured runs: the monitor defaults (window 1000,
@@ -104,11 +128,19 @@ bool WriteJson(const std::string& path, const std::string& classifier,
                batch, classifier.c_str(),
                detector.empty() ? "none" : detector.c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
+    const PathResult& row = rows[i];
     std::fprintf(out,
                  "    {\"path\": \"%s\", \"seconds\": %.6f, "
-                 "\"per_sec\": %.1f}%s\n",
-                 rows[i].path.c_str(), rows[i].seconds, rows[i].per_sec,
-                 i + 1 < rows.size() ? "," : "");
+                 "\"per_sec\": %.1f",
+                 row.path.c_str(), row.seconds, row.per_sec);
+    if (row.label_samples > 0) {
+      std::fprintf(out,
+                   ", \"label_samples\": %zu, \"label_p50_us\": %.3f, "
+                   "\"label_p99_us\": %.3f, \"label_p999_us\": %.3f",
+                   row.label_samples, row.label_p50_us, row.label_p99_us,
+                   row.label_p999_us);
+    }
+    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   const bool written = std::ferror(out) == 0;
@@ -171,12 +203,19 @@ int main(int argc, char** argv) try {
   {
     EngineRig rig = MakeEngine(schema, classifier, detector, seed);
     ccd::MonitorEngine::Ticket ticket;
+    std::vector<double> label_us;
+    label_us.reserve(data.size());
     rows.push_back(Measure("serve", data.size(), [&] {
       for (const ccd::Instance& instance : data) {
         rig.engine->Predict(instance.features, instance.weight, &ticket);
+        const auto t0 = Clock::now();
         rig.engine->Label(ticket.id, instance.label);
+        label_us.push_back(
+            std::chrono::duration<double, std::micro>(Clock::now() - t0)
+                .count());
       }
     }));
+    rows.back().SetLabelLatency(std::move(label_us));
   }
   {
     EngineRig rig = MakeEngine(schema, classifier, detector, seed);
@@ -207,6 +246,13 @@ int main(int argc, char** argv) try {
                   ccd::Table::Num(row.per_sec / 1000.0, 1)});
   }
   std::printf("%s\n", table.ToText().c_str());
+  for (const PathResult& row : rows) {
+    if (row.label_samples == 0) continue;
+    std::printf("%s Label latency [us] over %zu calls: p50 %.3f, p99 %.3f, "
+                "p99.9 %.3f\n",
+                row.path.c_str(), row.label_samples, row.label_p50_us,
+                row.label_p99_us, row.label_p999_us);
+  }
 
   const std::string json = cli.GetString("json", "");
   if (!json.empty()) {

@@ -22,6 +22,24 @@ const RbmIm::Params& Validated(const RbmIm::Params& params) {
 /// that follow it, so the slices land on a fifth of a 50-instance batch.
 constexpr size_t kTrainingSlices = 10;
 
+/// Once training has settled, every ceil(batch_size / kEvaluationSlices)-th
+/// observation, counted back from the last one before the close, computes
+/// the monitor-pass errors of the rows that arrived since: the 7th, 14th,
+/// ..., 49th of a 50-instance batch, of which the 7th usually still
+/// trains. With the training slices and the close that is about a third
+/// of the observations; spreading the work thinner makes plain buffering
+/// slower.
+constexpr size_t kEvaluationSlices = 8;
+
+/// The borrowed older-pool errors are paid by this many last evaluating
+/// observations: late enough that few classes still gain the rows that
+/// would make them unnecessary, spread enough that none pays them all.
+constexpr size_t kBorrowSlices = 3;
+
+/// A class's verdict averages at least this many rows (Eq. 27 over the
+/// cross-batch pool), borrowing older pooled ones when the batch has fewer.
+constexpr int kMinEval = 8;
+
 }  // namespace
 
 RbmIm::RbmIm(const Params& params, uint64_t seed)
@@ -69,6 +87,12 @@ void RbmIm::Reset() {
   // The owed training belonged to the RBM just replaced.
   owed_.passes = 0;
   owed_.next = 0;
+  const size_t classes = static_cast<size_t>(params_.num_classes);
+  cache_.rows.assign(static_cast<size_t>(params_.batch_size), 0.0);
+  cache_.count.assign(classes, 0);
+  cache_.borrowed.assign(classes * kMinEval, 0.0);
+  cache_.borrowed_done.assign(classes, 0);
+  cache_.rows_done = 0;
   monitors_.clear();
   monitors_.resize(static_cast<size_t>(params_.num_classes));
   for (auto& m : monitors_) {
@@ -230,9 +254,80 @@ void RbmIm::Observe(const Instance& instance, int /*predicted*/,
   const size_t batch_size = static_cast<size_t>(params_.batch_size);
   if (pending_used_ >= batch_size) {
     ProcessBatch();
-  } else {
+  } else if (owed_.passes > 0) {
     PayTraining((batch_size + kTrainingSlices - 1) / kTrainingSlices);
+  } else if (!NextCloseIsWarm()) {
+    // Training has settled, so the weights the close reads are fixed.
+    const size_t stride =
+        (batch_size + kEvaluationSlices - 1) / kEvaluationSlices;
+    const size_t left = batch_size - 1 - pending_used_;
+    if (left % stride == 0) PayEvaluation(left / stride + 1);
   }
+}
+
+bool RbmIm::NextCloseIsWarm() const {
+  return batches_ + 1 <= static_cast<uint64_t>(params_.warmup_batches);
+}
+
+int RbmIm::Borrowed(int k, int count) const {
+  const int pool =
+      static_cast<int>(monitors_[static_cast<size_t>(k)].recent.size());
+  // The pool after this batch's rows join it, evicting the oldest.
+  const int pooled = std::min(params_.eval_pool, pool + count);
+  const int n_eval = std::min(std::max(kMinEval, count), pooled);
+  return n_eval - std::min(count, params_.eval_pool);
+}
+
+void RbmIm::CacheRowErrors() {
+  for (; cache_.rows_done < pending_used_; ++cache_.rows_done) {
+    const Instance& s = pending_[cache_.rows_done];
+    if (s.label < 0 || s.label >= params_.num_classes) continue;
+    cache_.rows[cache_.rows_done] =
+        rbm_->ReconstructionError(s.features, s.label);
+    ++cache_.count[static_cast<size_t>(s.label)];
+  }
+}
+
+void RbmIm::CacheBorrowedErrors(int k, int n) {
+  const size_t kk = static_cast<size_t>(k);
+  const std::deque<std::vector<double>>& pool = monitors_[kk].recent;
+  for (int& j = cache_.borrowed_done[kk]; j < n; ++j) {
+    const size_t newest = static_cast<size_t>(j);
+    cache_.borrowed[kk * kMinEval + newest] =
+        rbm_->ReconstructionError(pool[pool.size() - 1 - newest], k);
+  }
+}
+
+void RbmIm::PayEvaluation(size_t evaluations_left) {
+  CacheRowErrors();
+  if (evaluations_left > kBorrowSlices) return;
+  // Borrowed rows of the classes seen so far, as many as their counts so
+  // far need (a later row of the class can only lower that), shared out
+  // evenly over the evaluations left.
+  int missing = 0;
+  for (int k = 0; k < params_.num_classes; ++k) {
+    const int count = cache_.count[static_cast<size_t>(k)];
+    if (count == 0) continue;
+    missing += std::max(0, Borrowed(k, count) -
+                               cache_.borrowed_done[static_cast<size_t>(k)]);
+  }
+  int budget = (missing + static_cast<int>(evaluations_left) - 1) /
+               static_cast<int>(evaluations_left);
+  for (int k = 0; k < params_.num_classes && budget > 0; ++k) {
+    const int count = cache_.count[static_cast<size_t>(k)];
+    if (count == 0) continue;
+    const int done = cache_.borrowed_done[static_cast<size_t>(k)];
+    const int n = std::min(Borrowed(k, count), done + budget);
+    if (n <= done) continue;
+    budget -= n - done;
+    CacheBorrowedErrors(k, n);
+  }
+}
+
+void RbmIm::ClearCache() {
+  cache_.rows_done = 0;
+  std::fill(cache_.count.begin(), cache_.count.end(), 0);
+  std::fill(cache_.borrowed_done.begin(), cache_.borrowed_done.end(), 0);
 }
 
 void RbmIm::PayTraining(size_t budget) const {
@@ -257,15 +352,46 @@ void RbmIm::Settle() const {
 
 void RbmIm::ProcessBatch() {
   Settle();  // The monitor pass reads the RBM the last close trained.
+  const bool warm = NextCloseIsWarm();
   ++batches_;
-  const bool warm = batches_ <= static_cast<uint64_t>(params_.warmup_batches);
 
-  // ---- Monitor: pool this batch's instances per class, then compute the
-  // per-class mean reconstruction error (Eq. 27) over the pooled recent
-  // instances against the *current* model, before it trains on this batch.
-  // Pooling across batches gives minority classes a low-variance estimate.
-  std::vector<bool>& fresh = fresh_scratch_;
-  fresh.assign(static_cast<size_t>(params_.num_classes), false);
+  // ---- Monitor: the per-class mean reconstruction error (Eq. 27) over
+  // the class's newest pooled instances against the *current* model,
+  // before it trains on this batch. Pooling across batches gives minority
+  // classes a low-variance estimate. Errors the batch's observations
+  // already cached are summed as they are; the rest are computed here.
+  std::vector<double>& r_sum = r_sum_scratch_;
+  r_sum.assign(static_cast<size_t>(params_.num_classes), 0.0);
+  std::vector<int>& r_count = r_count_scratch_;
+  r_count.assign(static_cast<size_t>(params_.num_classes), 0);
+  if (!warm) {
+    CacheRowErrors();
+    // Newest first: frequent classes use exactly this batch's data
+    // (undiluted signal), at most eval_pool rows of it; rare classes then
+    // borrow a few recent older pooled instances to tame variance.
+    for (size_t i = pending_used_; i-- > 0;) {
+      const int label = pending_[i].label;
+      if (label < 0 || label >= params_.num_classes) continue;
+      const size_t k = static_cast<size_t>(label);
+      if (r_count[k] < params_.eval_pool) {
+        r_sum[k] += cache_.rows[i];
+        ++r_count[k];
+      }
+    }
+    for (int k = 0; k < params_.num_classes; ++k) {
+      const size_t kk = static_cast<size_t>(k);
+      if (cache_.count[kk] == 0) continue;  // No new data: no verdict.
+      const int borrowed = Borrowed(k, cache_.count[kk]);
+      CacheBorrowedErrors(k, borrowed);
+      for (int j = 0; j < borrowed; ++j) {
+        r_sum[kk] += cache_.borrowed[kk * kMinEval + static_cast<size_t>(j)];
+      }
+      r_count[kk] += borrowed;
+    }
+  }
+  ClearCache();
+
+  // Pool this batch's instances per class.
   for (size_t i = 0; i < pending_used_; ++i) {
     const Instance& s = pending_[i];
     if (s.label < 0 || s.label >= params_.num_classes) continue;
@@ -280,35 +406,6 @@ void RbmIm::ProcessBatch() {
       m.recent.push_back(std::move(slot));
     } else {
       m.recent.push_back(s.features);
-    }
-    fresh[static_cast<size_t>(s.label)] = true;
-  }
-  std::vector<double>& r_sum = r_sum_scratch_;
-  r_sum.assign(static_cast<size_t>(params_.num_classes), 0.0);
-  std::vector<int>& r_count = r_count_scratch_;
-  r_count.assign(static_cast<size_t>(params_.num_classes), 0);
-  if (!warm) {
-    std::vector<int>& batch_count = batch_count_scratch_;
-    batch_count.assign(static_cast<size_t>(params_.num_classes), 0);
-    for (size_t i = 0; i < pending_used_; ++i) {
-      const Instance& s = pending_[i];
-      if (s.label >= 0 && s.label < params_.num_classes) {
-        ++batch_count[static_cast<size_t>(s.label)];
-      }
-    }
-    for (int k = 0; k < params_.num_classes; ++k) {
-      if (!fresh[static_cast<size_t>(k)]) continue;  // No new data: no verdict.
-      ClassMonitor& m = monitors_[static_cast<size_t>(k)];
-      // Evaluate the newest max(4, batch_count) pooled instances: frequent
-      // classes use exactly this batch's data (undiluted signal); rare
-      // classes borrow a few recent older instances to tame variance.
-      int n_eval = std::max(8, batch_count[static_cast<size_t>(k)]);
-      n_eval = std::min<int>(n_eval, static_cast<int>(m.recent.size()));
-      for (int i = 0; i < n_eval; ++i) {
-        const auto& x = m.recent[m.recent.size() - 1 - static_cast<size_t>(i)];
-        r_sum[static_cast<size_t>(k)] += rbm_->ReconstructionError(x, k);
-      }
-      r_count[static_cast<size_t>(k)] = n_eval;
     }
   }
 

@@ -21,7 +21,15 @@ namespace ccd {
 ///   1. *monitor*: for every class m present in the batch, compute the mean
 ///      normalized reconstruction error R(M_t^m) against the current RBM
 ///      (Eq. 26-27) — new data that no longer matches the stored concept
-///      reconstructs poorly;
+///      reconstructs poorly. The errors are computed while the batch
+///      fills: once the training of step 3 has settled, the RBM's weights
+///      are fixed until the close, and an error is a pure function of the
+///      weights and the row. So every few observations (6 of a 50-instance
+///      batch) one computes the errors of the rows that arrived since, and
+///      the last few also compute the older pooled rows that rare classes
+///      borrow. The close sums the cached errors in the order it would
+///      have computed them, this batch's rows then the pool's, newest
+///      first, and computes only what is still missing;
 ///   2. *decide*: per class, two complementary change tests:
 ///        - a *jump* test: R(M_t^m) is compared against an exponentially
 ///          weighted baseline of that class's own history; a z-score above
@@ -41,12 +49,13 @@ namespace ccd {
 ///      training does not. The close swaps the batch into a second buffer
 ///      and records the passes it owes, and each following observation
 ///      that does not close a batch trains one fixed slice of them
-///      (about a tenth of a batch). Whatever is left is settled before
-///      anything reads the RBM: the next close's monitor pass, SaveState()
-///      and rbm(). Reset() drops it with the RBM. The slices replay the
-///      same instances in the same order with the same RNG draws, so every
-///      decision and every capture sees exactly the weights of training
-///      the whole batch at its close.
+///      (about a tenth of a batch) before any error of step 1 is cached.
+///      Whatever is left is settled before anything reads the RBM: the
+///      next close's monitor pass, SaveState() and rbm(). Reset() drops
+///      it with the RBM. The slices replay the same instances in the same
+///      order with the same RNG draws, so every decision and every
+///      capture sees exactly the weights of training the whole batch at
+///      its close.
 ///
 /// `trigger` selects the decision rule for the ablation study: kCombined
 /// (default) ORs the jump and trend tests; kZScore uses only the jump test;
@@ -174,6 +183,19 @@ class RbmIm : public DriftDetector {
   };
 
   void ProcessBatch();
+  bool NextCloseIsWarm() const;
+  /// How many older pooled rows, newest first, a close averages for
+  /// class k after the newest min(count, eval_pool) of the batch's
+  /// `count` >= 1 rows of it.
+  int Borrowed(int k, int count) const;
+  /// Caches the error of every pending row that has none yet.
+  void CacheRowErrors();
+  /// Caches the errors of class k's `n` newest pooled rows.
+  void CacheBorrowedErrors(int k, int n);
+  /// One evaluating observation's share of step 1; `evaluations_left`
+  /// counts it and the ones still to come before the close.
+  void PayEvaluation(size_t evaluations_left);
+  void ClearCache();
   /// Trains up to `budget` instances of the owed passes, in order.
   void PayTraining(size_t budget) const;
   /// Trains everything still owed.
@@ -205,18 +227,28 @@ class RbmIm : public DriftDetector {
   };
   // ccd:state-skip(owed_, in-flight training of the last closed batch; settled before SaveState writes; empty at every capture)
   mutable OwedTraining owed_;
+  /// Step 1's errors cached while the batch fills, against the weights
+  /// the close reads: filled only while owed_.passes == 0, emptied by the
+  /// close, Reset() and LoadState(). Sized at construction. Empty only
+  /// means the close computes the errors itself.
+  struct ErrorCache {
+    std::vector<double> rows;  ///< Error of pending_[i], i < rows_done.
+    size_t rows_done = 0;
+    std::vector<int> count;  ///< Per class: its rows among the first rows_done.
+    /// Per class, kMinEval slots: errors of its pooled rows, newest first.
+    std::vector<double> borrowed;
+    std::vector<int> borrowed_done;  ///< Per class: borrowed errors cached.
+  };
+  // ccd:state-skip(cache_, errors derived from the RBM and rows already on the wire; a restored detector recomputes them)
+  ErrorCache cache_;
   std::vector<ClassMonitor> monitors_;  ///< One per class.
-  // Per-batch pooling scratch, reused across ProcessBatch calls so the
-  // batch boundary only allocates inside the decision statistics (ADWIN
+  // Per-batch scratch, reused across ProcessBatch calls so the batch
+  // boundary only allocates inside the decision statistics (ADWIN
   // buckets, Granger regressions), never for bookkeeping.
-  // ccd:state-skip(fresh_scratch_, transient ProcessBatch scratch fully rewritten per batch; no run state)
-  std::vector<bool> fresh_scratch_;
   // ccd:state-skip(r_sum_scratch_, transient ProcessBatch scratch fully rewritten per batch; no run state)
   std::vector<double> r_sum_scratch_;
   // ccd:state-skip(r_count_scratch_, transient ProcessBatch scratch fully rewritten per batch; no run state)
   std::vector<int> r_count_scratch_;
-  // ccd:state-skip(batch_count_scratch_, transient ProcessBatch scratch fully rewritten per batch; no run state)
-  std::vector<int> batch_count_scratch_;
   // TrendTest's two Granger windows, copied out of trend_history.
   // ccd:state-skip(granger_prev_scratch_, transient TrendTest scratch fully rewritten per call; no run state)
   mutable std::vector<double> granger_prev_scratch_;

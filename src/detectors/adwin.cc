@@ -3,8 +3,16 @@
 #include <cmath>
 
 #include "io/codecs.h"
+#include "utils/param_error.h"
 
 namespace ccd {
+
+Adwin::Adwin(const Params& params) : params_(params) {
+  // Compress() merges the two oldest buckets of a row that holds more.
+  ParamError::Require(params_.max_buckets >= 1, "adwin.max_buckets",
+                      "be >= 1", params_.max_buckets);
+  Reset();
+}
 
 void Adwin::Reset() {
   state_ = DetectorState::kStable;

@@ -27,7 +27,8 @@ class Adwin : public ErrorRateDetector {
   };
 
   Adwin() : Adwin(Params()) {}
-  explicit Adwin(const Params& params) : params_(params) { Reset(); }
+  /// Throws ParamError unless max_buckets >= 1.
+  explicit Adwin(const Params& params);
 
   /// Inserts a real-valued observation (not only 0/1 errors).
   void AddValue(double value);

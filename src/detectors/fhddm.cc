@@ -3,8 +3,16 @@
 #include <cmath>
 
 #include "io/codecs.h"
+#include "utils/param_error.h"
 
 namespace ccd {
+
+Fhddm::Fhddm(const Params& params) : params_(params) {
+  // An empty window never fills, so no test would ever run.
+  ParamError::Require(params_.window_size >= 1, "fhddm.window_size",
+                      "be >= 1", params_.window_size);
+  Reset();
+}
 
 void Fhddm::Reset() {
   state_ = DetectorState::kStable;

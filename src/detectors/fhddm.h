@@ -22,7 +22,8 @@ class Fhddm : public ErrorRateDetector {
   };
 
   Fhddm() : Fhddm(Params()) {}
-  explicit Fhddm(const Params& params) : params_(params) { Reset(); }
+  /// Throws ParamError unless window_size >= 1.
+  explicit Fhddm(const Params& params);
 
   void AddError(bool error) override;
   DetectorState state() const override { return state_; }

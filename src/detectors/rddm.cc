@@ -3,8 +3,16 @@
 #include <cmath>
 
 #include "io/codecs.h"
+#include "utils/param_error.h"
 
 namespace ccd {
+
+Rddm::Rddm(const Params& params) : params_(params) {
+  // The rebuilt window is a ring of min_instances error bits.
+  ParamError::Require(params_.min_instances >= 1, "rddm.min_instances",
+                      "be >= 1", params_.min_instances);
+  Reset();
+}
 
 void Rddm::Reset() {
   state_ = DetectorState::kStable;

@@ -26,7 +26,8 @@ class Rddm : public ErrorRateDetector {
   };
 
   Rddm() : Rddm(Params()) {}
-  explicit Rddm(const Params& params) : params_(params) { Reset(); }
+  /// Throws ParamError unless min_instances >= 1.
+  explicit Rddm(const Params& params);
 
   void AddError(bool error) override;
   DetectorState state() const override { return state_; }

@@ -1,5 +1,6 @@
 #include "io/state_codec.h"
 
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -11,6 +12,18 @@ namespace ccd {
 namespace io {
 
 namespace {
+
+/// Scores feed the pmAUC window, whose sort has no order for NaN; an
+/// infinite score makes a pair's ratio NaN.
+std::vector<double> ReadScores(Reader& r, const char* field) {
+  std::vector<double> scores = r.F64Array(field);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (!std::isfinite(scores[i])) {
+      r.Fail(field, "score " + std::to_string(i) + " is not finite");
+    }
+  }
+  return scores;
+}
 
 void WriteU64Vector(Writer& w, const std::vector<uint64_t>& v) {
   w.U32(static_cast<uint32_t>(v.size()));
@@ -179,7 +192,7 @@ EngineSnapshot ReadSnapshot(Reader& r) {
     WindowedMetrics::Entry e;
     e.truth = static_cast<int>(r.I64("snapshot.window.truth"));
     e.predicted = static_cast<int>(r.I64("snapshot.window.predicted"));
-    e.scores = r.F64Array("snapshot.window.scores");
+    e.scores = ReadScores(r, "snapshot.window.scores");
     s.window.push_back(std::move(e));
   }
   uint32_t parked = r.Count("snapshot.pending_predictions");
@@ -189,7 +202,7 @@ EngineSnapshot ReadSnapshot(Reader& r) {
     p.id = r.U64("snapshot.pending.id");
     p.instance = ReadInstance(r);
     p.predicted = static_cast<int>(r.I64("snapshot.pending.predicted"));
-    p.scores = r.F64Array("snapshot.pending.scores");
+    p.scores = ReadScores(r, "snapshot.pending.scores");
     s.pending_predictions.push_back(std::move(p));
   }
   s.sum_pmauc = r.F64("snapshot.sum_pmauc");

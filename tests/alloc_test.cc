@@ -179,16 +179,19 @@ TEST(AllocTest, FeedIsAllocationFreeWithDdm) {
 TEST(AllocTest, FeedIsAllocationFreeWithRbmIm) {
   CCD_ALLOC_GUARD();
   // RBM-IM buffers each push into a recycled pending slot. The push that
-  // closes a batch (every batch_size = 50) runs the monitor pass and the
-  // decision, then swaps the batch into a second recycled buffer; the
-  // first pushes of the next batch each train one slice of it, in reused
-  // gradient and Gibbs-chain scratch. Both buffers and the scratch are
-  // warm after kWarm. The contract is split accordingly: pushes inside a
-  // batch, training slices included, are strictly allocation-free, and
-  // the batch boundary — whose pooling bookkeeping reuses member scratch
-  // and recycled pool buffers — allocates only inside the decision
-  // statistics (Granger regressions, ADWIN buckets, deque chunk churn),
-  // a small amortized constant per batch, never per push.
+  // closes a batch (every batch_size = 50) sums the monitor pass's errors
+  // and runs the decision, then swaps the batch into a second recycled
+  // buffer; the first pushes of the next batch each train one slice of
+  // it, in reused gradient and Gibbs-chain scratch, and every seventh push
+  // after that computes the reconstruction errors of the rows that
+  // arrived since into an error cache sized at construction. Both buffers
+  // and the scratch are warm after kWarm. The contract is split
+  // accordingly: pushes inside a batch, training slices and error passes
+  // included, are strictly allocation-free, and the batch boundary —
+  // whose pooling bookkeeping reuses member scratch and recycled pool
+  // buffers — allocates only inside the decision statistics (Granger
+  // regressions, ADWIN buckets, deque chunk churn), a small amortized
+  // constant per batch, never per push.
   constexpr size_t kBatchSize = 50;  // RbmIm::Params default.
   static_assert(kWarm % kBatchSize == 0,
                 "warmup must end on a batch boundary");

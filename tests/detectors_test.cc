@@ -484,6 +484,59 @@ TEST(WstdTest, OutOfDomainParamsThrowNamingTheField) {
   }
 }
 
+// Each of these used to build a detector that broke at its first
+// observations: RDDM {min_instances=0} took `% 0` of an empty ring (a
+// SIGSEGV), ADWIN {max_buckets=0} merged buckets out of rows that never
+// shrank and grew until it was killed, and FHDDM {window_size=0} never
+// filled its window, so it never tested. Construction now refuses them,
+// directly and through the registry. Construction only: at the old code
+// the ADWIN case exhausts memory once it observes.
+TEST(DetectorParamsTest, ZeroSizedBuffersAreRefusedAtConstruction) {
+  const auto field_of = [](const std::function<void()>& build) {
+    try {
+      build();
+    } catch (const ParamError& e) {
+      return e.field();
+    }
+    return std::string("<accepted>");
+  };
+  Rddm::Params rddm;
+  rddm.min_instances = 0;
+  EXPECT_EQ(field_of([&] { Rddm d(rddm); }), "rddm.min_instances");
+  Adwin::Params adwin;
+  adwin.max_buckets = 0;
+  EXPECT_EQ(field_of([&] { Adwin d(adwin); }), "adwin.max_buckets");
+  Fhddm::Params fhddm;
+  fhddm.window_size = 0;
+  EXPECT_EQ(field_of([&] { Fhddm d(fhddm); }), "fhddm.window_size");
+  // The smallest accepted sizes construct.
+  rddm.min_instances = 1;
+  adwin.max_buckets = 1;
+  fhddm.window_size = 1;
+  EXPECT_EQ(field_of([&] { Rddm d(rddm); }), "<accepted>");
+  EXPECT_EQ(field_of([&] { Adwin d(adwin); }), "<accepted>");
+  EXPECT_EQ(field_of([&] { Fhddm d(fhddm); }), "<accepted>");
+
+  struct Bad {
+    const char* detector;
+    const char* param;
+    const char* field;
+  };
+  for (const Bad& b : {Bad{"RDDM", "min_instances=0", "rddm.min_instances"},
+                       Bad{"ADWIN", "max_buckets=0", "adwin.max_buckets"},
+                       Bad{"FHDDM", "window_size=0", "fhddm.window_size"}}) {
+    try {
+      api::MakeDetector(b.detector, StreamSchema(4, 3), 1, {b.param});
+      ADD_FAILURE() << "expected ApiError for " << b.detector << " "
+                    << b.param;
+    } catch (const api::ApiError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(b.detector), std::string::npos) << msg;
+      EXPECT_NE(msg.find(b.field), std::string::npos) << msg;
+    }
+  }
+}
+
 /// A WSTD state image as SaveState lays it out, with the given params and
 /// history.
 std::string WstdImage(const std::deque<double>& h) {

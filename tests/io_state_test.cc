@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -256,6 +257,40 @@ TEST(SnapshotCodecTest, PopulatedSnapshotRoundTripsFieldForField) {
   io::Reader r(w.data());
   ExpectSnapshotEq(io::ReadSnapshot(r), s);
   EXPECT_TRUE(r.AtEnd());
+}
+
+// A restored window or parked prediction with a NaN or infinite score
+// would reach the pmAUC sort, which has no order for NaN; the codec
+// refuses the image and names the field.
+TEST(SnapshotCodecTest, NonFiniteScoresAreRefusedWithTheField) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double bad : kBad) {
+    SCOPED_TRACE(bad);
+    EngineSnapshot window;
+    window.window.push_back(WindowedMetrics::Entry{1, 2, {0.1, bad, 0.7}});
+    EngineSnapshot pending;
+    EngineSnapshot::PendingEntry p;
+    p.id = 1;
+    p.instance.features = {1.0, 2.0};
+    p.scores = {bad, 0.5};
+    pending.pending_predictions.push_back(p);
+    for (const auto& [snapshot, field] :
+         {std::pair<const EngineSnapshot&, const char*>{
+              window, "snapshot.window.scores"},
+          {pending, "snapshot.pending.scores"}}) {
+      io::Writer w;
+      io::WriteSnapshot(w, snapshot);
+      io::Reader r(w.data());
+      try {
+        io::ReadSnapshot(r);
+        ADD_FAILURE() << "expected WireError at " << field;
+      } catch (const io::WireError& e) {
+        EXPECT_EQ(e.field(), field) << e.what();
+      }
+    }
+  }
 }
 
 // Wire pin: the bytes of a fresh, unpushed fleet's shard image and

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/rbm_im.h"
 #include "generators/drifting_stream.h"
@@ -404,6 +410,211 @@ TEST(RbmImTest, SlicedTrainingMatchesTrainingAtTheClose) {
       EXPECT_GE(drifts, 1) << "no drift fired, so the boost path never ran";
     }
   }
+}
+
+// ---- Frozen oracle of the batch close. tests/golden/rbm_im_closes.txt
+// was recorded from the close that ran the whole monitor pass itself: for
+// each case, one line per close with the batch index, the state, the
+// drifted classes and every class's last_r/last_z as bit patterns, then
+// a hash of the SaveState bytes; the last line of a case hashes the
+// capture after the final instance, mid-batch. The close now sums errors
+// cached while the batch filled, and every figure must match to the bit.
+struct CloseCase {
+  const char* stream;
+  uint64_t length;
+  int batch_size;
+  int eval_pool;
+  int cd_steps;
+};
+
+// RBF5/10/20 prefixes at batch sizes 25/50/100, eval pools 4 (clamped
+// and evicting) and 16, CD-1 and CD-2. The first case drifts, so its
+// boost passes run.
+constexpr CloseCase kCloseCases[] = {
+    {"RBF10", 1600, 50, 16, 1}, {"RBF10", 1600, 25, 4, 1},
+    {"RBF10", 1600, 100, 16, 2}, {"RBF5", 1200, 50, 4, 2},
+    {"RBF5", 1200, 25, 16, 1},  {"RBF20", 1000, 100, 4, 1},
+    {"RBF20", 1000, 50, 16, 2},
+};
+
+std::string CaseName(const CloseCase& c) {
+  return std::string(c.stream) + "/b" + std::to_string(c.batch_size) +
+         "/p" + std::to_string(c.eval_pool) + "/k" +
+         std::to_string(c.cd_steps);
+}
+
+std::string Hex(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, bits);
+  return buf;
+}
+
+std::string Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+  return buf;
+}
+
+/// The decision of the close that just ran, as one golden-line fragment.
+std::string CloseDecision(const RbmIm& det, int num_classes) {
+  static const char* const kStates[] = {"stable", "warning", "drift"};
+  std::string out = "batch=" + std::to_string(det.batches_processed()) +
+                    " state=" + kStates[static_cast<int>(det.state())] +
+                    " drifted=";
+  for (int k : det.drifted_classes()) out += std::to_string(k) + ",";
+  out += " r=";
+  for (int k = 0; k < num_classes; ++k) {
+    out += Hex(det.last_reconstruction(k)) + ",";
+  }
+  out += " z=";
+  for (int k = 0; k < num_classes; ++k) out += Hex(det.last_z(k)) + ",";
+  return out;
+}
+
+struct CloseRun {
+  BuiltStream built;
+  RbmIm::Params params;
+};
+
+CloseRun StartCloseCase(const CloseCase& c) {
+  const StreamSpec* spec = FindStreamSpec(c.stream);
+  EXPECT_NE(spec, nullptr) << c.stream;
+  BuildOptions o;
+  o.scale = 0.002;
+  o.seed = 37;
+  CloseRun run{BuildStream(*spec, o),
+               DetectorParams(spec->num_features, spec->num_classes)};
+  EXPECT_GE(run.built.length, c.length);
+  run.params.batch_size = c.batch_size;
+  run.params.eval_pool = c.eval_pool;
+  run.params.cd_steps = c.cd_steps;
+  return run;
+}
+
+std::string GoldenClosesPath() {
+  return std::string(CCD_GOLDEN_DIR) + "/rbm_im_closes.txt";
+}
+
+/// The golden file's lines, without its '#' header.
+std::vector<std::string> GoldenCloses() {
+  std::ifstream in(GoldenClosesPath());
+  EXPECT_TRUE(in.good()) << "cannot read " << GoldenClosesPath();
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  return lines;
+}
+
+/// Compares recorded lines with the golden ones and, on a mismatch,
+/// writes all recorded lines to `actual_path` (a file in the test's
+/// working directory) for inspection or an intended re-pin.
+void ExpectLinesMatchGolden(const std::vector<std::string>& got,
+                            const std::vector<std::string>& want,
+                            const std::string& actual_path) {
+  size_t first_diff = std::min(got.size(), want.size());
+  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got[i] != want[i]) {
+      first_diff = i;
+      break;
+    }
+  }
+  if (first_diff == got.size() && got.size() == want.size()) return;
+  std::ofstream out(actual_path);
+  for (const std::string& line : got) out << line << "\n";
+  ADD_FAILURE() << "line " << first_diff << " of " << want.size()
+                << " differs (all " << got.size() << " lines written to "
+                << actual_path << ")\n  want: "
+                << (first_diff < want.size() ? want[first_diff] : "<end>")
+                << "\n  got:  "
+                << (first_diff < got.size() ? got[first_diff] : "<end>");
+}
+
+// `live` is never read between closes, so it pays its training in slices
+// and caches its errors exactly as a serving detector does. `saved` is
+// captured at every close, which settles its training at the close, so
+// its caching starts at the first observation of each batch. Both must
+// decide exactly what the oracle decided; `saved`'s captures pin the
+// whole state at every close.
+TEST(RbmImTest, ClosesMatchFrozenOracle) {
+  std::vector<std::string> got;
+  int drifts = 0;
+  for (const CloseCase& c : kCloseCases) {
+    SCOPED_TRACE(CaseName(c));
+    CloseRun run = StartCloseCase(c);
+    RbmIm live(run.params, 37);
+    RbmIm saved(run.params, 37);
+    const uint64_t batch = static_cast<uint64_t>(c.batch_size);
+    for (uint64_t i = 0; i < c.length; ++i) {
+      const Instance inst = run.built.stream->Next();
+      live.Observe(inst, inst.label, {});
+      saved.Observe(inst, inst.label, {});
+      if ((i + 1) % batch != 0) continue;
+      const std::string decision =
+          CloseDecision(saved, run.params.num_classes);
+      ASSERT_EQ(CloseDecision(live, run.params.num_classes), decision)
+          << "instance " << i;
+      if (saved.state() == DetectorState::kDrift) ++drifts;
+      got.push_back(CaseName(c) + " " + decision +
+                    " save=" + Fnv1a(Save(saved)));
+    }
+    got.push_back(CaseName(c) + " end save=" + Fnv1a(Save(live)));
+  }
+  EXPECT_GE(drifts, 1) << "no drift fired, so the boost passes never ran";
+  ExpectLinesMatchGolden(got, GoldenCloses(), "rbm_im_closes.actual.txt");
+}
+
+// A capture in the middle of a batch restored into a fresh detector must
+// not move a later close: at offset 1 training is still owed, at 12 it
+// has settled but nothing is cached yet (at batch size 50 and 100), and
+// at 30 and 48 part of the batch is cached. After a drift the boost
+// passes keep offsets 12 and 30 inside training too. Every batch swaps
+// the detector once, at one of these offsets in turn.
+TEST(RbmImTest, ClosesMatchFrozenOracleAcrossMidBatchRestores) {
+  constexpr uint64_t kOffsets[] = {1, 12, 30, 48};
+  const std::vector<std::string> golden = GoldenCloses();
+  std::vector<std::string> got;
+  std::vector<std::string> want;
+  for (const CloseCase& c : kCloseCases) {
+    SCOPED_TRACE(CaseName(c));
+    const std::string prefix = CaseName(c) + " ";
+    for (const std::string& line : golden) {
+      if (line.compare(0, prefix.size(), prefix) != 0) continue;
+      // A close's capture would settle the next batch's training at the
+      // close, so closes compare decisions only; the final capture
+      // compares whole.
+      const bool end = line.compare(prefix.size(), 4, "end ") == 0;
+      want.push_back(end ? line : line.substr(0, line.rfind(" save=")));
+    }
+    CloseRun run = StartCloseCase(c);
+    auto det = std::make_unique<RbmIm>(run.params, 37);
+    const uint64_t batch = static_cast<uint64_t>(c.batch_size);
+    for (uint64_t i = 0; i < c.length; ++i) {
+      const Instance inst = run.built.stream->Next();
+      det->Observe(inst, inst.label, {});
+      const uint64_t offset = (i + 1) % batch;
+      const uint64_t b = (i + 1) / batch;
+      if (offset == 0) {
+        got.push_back(prefix + CloseDecision(*det, run.params.num_classes));
+      } else if (offset == kOffsets[b % 4]) {
+        const std::string bytes = Save(*det);
+        // The seed is on the wire; the fresh one's must not matter.
+        auto fresh = std::make_unique<RbmIm>(run.params, 1);
+        io::Reader r(bytes);
+        fresh->LoadState(r);
+        det = std::move(fresh);
+      }
+    }
+    got.push_back(prefix + "end save=" + Fnv1a(Save(*det)));
+  }
+  ExpectLinesMatchGolden(got, want, "rbm_im_closes_restored.actual.txt");
 }
 
 // RBM-IM's params travel only in the shard identity: an image whose

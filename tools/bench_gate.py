@@ -17,6 +17,11 @@ push"; the absolute speedup is contention-dependent (it grows with
 core count and producer threads), so the recorded trajectory, not the
 floor, is the number to watch across runs.
 
+Only the throughput field is gated. Other row fields pass through
+unread: bench_engine's serve row also records per-Label latency
+(label_samples, label_p50_us, label_p99_us, label_p999_us), but tails
+on shared CI runners are too noisy to gate.
+
 Usage:
   bench_gate.py --baseline bench/baselines/BENCH_engine.json \
                 --current BENCH_engine.json [--min-ratio 0.4] \
