@@ -12,6 +12,7 @@
 #include "generators/rbf.h"
 #include "generators/registry.h"
 #include "generators/sea.h"
+#include "testing_util.h"
 
 namespace ccd {
 namespace {
@@ -508,6 +509,26 @@ TEST(RegistryTest, IrOverrideChangesPriors) {
   o.ir_override = 500.0;
   BuiltStream b = BuildStream(*s, o);
   EXPECT_NEAR(b.stream->imbalance().options().ir_high, 500.0, 1e-9);
+}
+
+// Frozen oracle of the generators: tests/golden/generator_streams.txt
+// holds, for every registry stream under three seeds (each with its own
+// option set, see test_util::GoldenStreams), a hash of the first 2000
+// rows that the generators produced before they filled caller-owned rows.
+// Every bit of every feature, label and weight must still match.
+TEST(GeneratorGoldenTest, StreamsMatchFrozenGenerators) {
+  std::vector<std::string> got;
+  for (const test_util::GoldenStream& g : test_util::GoldenStreams()) {
+    BuiltStream b = BuildStream(g.spec, g.options);
+    test_util::RowHash hash;
+    for (size_t i = 0; i < test_util::kGoldenStreamRows; ++i) {
+      hash.Add(b.stream->Next());
+    }
+    got.push_back(test_util::GoldenStreamLine(g, hash));
+  }
+  test_util::ExpectLinesMatchGolden(
+      got, test_util::GoldenLines(test_util::GeneratorGoldenPath()),
+      "generator_streams.actual.txt");
 }
 
 }  // namespace

@@ -498,43 +498,9 @@ CloseRun StartCloseCase(const CloseCase& c) {
   return run;
 }
 
-std::string GoldenClosesPath() {
-  return std::string(CCD_GOLDEN_DIR) + "/rbm_im_closes.txt";
-}
-
-/// The golden file's lines, without its '#' header.
 std::vector<std::string> GoldenCloses() {
-  std::ifstream in(GoldenClosesPath());
-  EXPECT_TRUE(in.good()) << "cannot read " << GoldenClosesPath();
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty() && line[0] != '#') lines.push_back(line);
-  }
-  return lines;
-}
-
-/// Compares recorded lines with the golden ones and, on a mismatch,
-/// writes all recorded lines to `actual_path` (a file in the test's
-/// working directory) for inspection or an intended re-pin.
-void ExpectLinesMatchGolden(const std::vector<std::string>& got,
-                            const std::vector<std::string>& want,
-                            const std::string& actual_path) {
-  size_t first_diff = std::min(got.size(), want.size());
-  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    if (got[i] != want[i]) {
-      first_diff = i;
-      break;
-    }
-  }
-  if (first_diff == got.size() && got.size() == want.size()) return;
-  std::ofstream out(actual_path);
-  for (const std::string& line : got) out << line << "\n";
-  ADD_FAILURE() << "line " << first_diff << " of " << want.size()
-                << " differs (all " << got.size() << " lines written to "
-                << actual_path << ")\n  want: "
-                << (first_diff < want.size() ? want[first_diff] : "<end>")
-                << "\n  got:  "
-                << (first_diff < got.size() ? got[first_diff] : "<end>");
+  return test_util::GoldenLines(std::string(CCD_GOLDEN_DIR) +
+                                "/rbm_im_closes.txt");
 }
 
 // `live` is never read between closes, so it pays its training in slices
@@ -568,7 +534,8 @@ TEST(RbmImTest, ClosesMatchFrozenOracle) {
     got.push_back(CaseName(c) + " end save=" + Fnv1a(Save(live)));
   }
   EXPECT_GE(drifts, 1) << "no drift fired, so the boost passes never ran";
-  ExpectLinesMatchGolden(got, GoldenCloses(), "rbm_im_closes.actual.txt");
+  test_util::ExpectLinesMatchGolden(got, GoldenCloses(),
+                                    "rbm_im_closes.actual.txt");
 }
 
 // A capture in the middle of a batch restored into a fresh detector must
@@ -614,7 +581,8 @@ TEST(RbmImTest, ClosesMatchFrozenOracleAcrossMidBatchRestores) {
     }
     got.push_back(prefix + "end save=" + Fnv1a(Save(*det)));
   }
-  ExpectLinesMatchGolden(got, want, "rbm_im_closes_restored.actual.txt");
+  test_util::ExpectLinesMatchGolden(got, want,
+                                    "rbm_im_closes_restored.actual.txt");
 }
 
 // RBM-IM's params travel only in the shard identity: an image whose

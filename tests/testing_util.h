@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -23,6 +28,7 @@
 #include "eval/prequential.h"
 #include "generators/drifting_stream.h"
 #include "generators/rbf.h"
+#include "generators/registry.h"
 #include "generators/sea.h"
 #include "io/state_codec.h"
 #include "io/wire.h"
@@ -302,6 +308,123 @@ inline std::unique_ptr<DriftingClassStream> MakeSeaDriftStream(
   io.base_ir = 5.0;
   return std::make_unique<DriftingClassStream>(
       std::move(cs), std::vector<DriftEvent>{ev}, ImbalanceSchedule(io), seed);
+}
+
+// ------------------------------------------------------- frozen goldens
+
+/// The lines of a golden file under tests/golden/ (the test target defines
+/// CCD_GOLDEN_DIR), without its '#' header lines.
+inline std::vector<std::string> GoldenLines(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  return lines;
+}
+
+/// Compares recorded lines with the golden ones and, on a mismatch,
+/// writes all recorded lines to `actual_path` (a file in the test's
+/// working directory) for inspection or an intended re-pin.
+inline void ExpectLinesMatchGolden(const std::vector<std::string>& got,
+                                   const std::vector<std::string>& want,
+                                   const std::string& actual_path) {
+  size_t first_diff = std::min(got.size(), want.size());
+  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got[i] != want[i]) {
+      first_diff = i;
+      break;
+    }
+  }
+  if (first_diff == got.size() && got.size() == want.size()) return;
+  std::ofstream out(actual_path);
+  for (const std::string& line : got) out << line << "\n";
+  ADD_FAILURE() << "line " << first_diff << " of " << want.size()
+                << " differs (all " << got.size() << " lines written to "
+                << actual_path << ")\n  want: "
+                << (first_diff < want.size() ? want[first_diff] : "<end>")
+                << "\n  got:  "
+                << (first_diff < got.size() ? got[first_diff] : "<end>");
+}
+
+/// FNV-1a over a sequence of instances: per row the feature count, every
+/// feature's bit pattern, the label and the weight's bit pattern, each
+/// as little-endian bytes.
+class RowHash {
+ public:
+  void Add(const Instance& row) {
+    AddWord(row.features.size());
+    for (double v : row.features) AddWord(Bits(v));
+    AddWord(static_cast<uint64_t>(static_cast<int64_t>(row.label)));
+    AddWord(Bits(row.weight));
+  }
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, h_);
+    return buf;
+  }
+
+ private:
+  static uint64_t Bits(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+  }
+  void AddWord(uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (w >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  uint64_t h_ = 1469598103934665603ULL;
+};
+
+/// One realization pinned by tests/golden/generator_streams.txt: a
+/// registry stream at scale 0.005 (the paper grid's benchmark scale, so
+/// the first rows already cross a drift) under one of three seeds. Each
+/// seed carries its own option set, so the goldens also reach role
+/// switching, label noise, local drift and an IR override.
+struct GoldenStream {
+  StreamSpec spec;
+  BuildOptions options;
+  std::string variant;
+};
+
+/// Rows of each realization that the golden hashes.
+constexpr size_t kGoldenStreamRows = 2000;
+
+inline std::vector<GoldenStream> GoldenStreams() {
+  std::vector<GoldenStream> out;
+  for (const StreamSpec& spec : AllStreamSpecs()) {
+    BuildOptions base;
+    base.scale = 0.005;
+    base.seed = 1;
+    out.push_back(GoldenStream{spec, base, "plain"});
+    BuildOptions roles = base;
+    roles.seed = 7920;
+    roles.role_switching = true;
+    roles.label_noise = 0.05;
+    out.push_back(GoldenStream{spec, roles, "roles+noise"});
+    BuildOptions local = base;
+    local.seed = 15839;
+    local.local_drift_classes = 1;
+    local.ir_override = 20.0;
+    out.push_back(GoldenStream{spec, local, "local+ir20"});
+  }
+  return out;
+}
+
+/// The golden line of one realization whose first kGoldenStreamRows rows
+/// hashed to `hash`.
+inline std::string GoldenStreamLine(const GoldenStream& g,
+                                    const RowHash& hash) {
+  return g.spec.name + " seed=" + std::to_string(g.options.seed) + " " +
+         g.variant + " fnv=" + hash.Hex();
+}
+
+inline std::string GeneratorGoldenPath() {
+  return std::string(CCD_GOLDEN_DIR) + "/generator_streams.txt";
 }
 
 // ------------------------------------------------- concurrency harness
