@@ -119,7 +119,7 @@ std::vector<Push> MakeTraffic(size_t count) {
   for (size_t i = 0; i < count; ++i) {
     const int label = static_cast<int>(i % 3);
     traffic[i].key = 1000 + (i * 7919) % 97;
-    traffic[i].instance.features = concept.SampleForClass(label, &rng);
+    concept.SampleForClass(label, &rng, &traffic[i].instance.features);
     traffic[i].instance.label = label;
   }
   return traffic;

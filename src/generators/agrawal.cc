@@ -92,11 +92,12 @@ int AgrawalConcept::Classify(double score) const {
   return k;
 }
 
-Instance AgrawalConcept::Sample(Rng* rng) const {
+int AgrawalConcept::Sample(Rng* rng, std::vector<double>* row) const {
   Raw r = DrawRaw(rng);
   int label = Classify(Score(opt_.function_id, r));
 
-  std::vector<double> x(static_cast<size_t>(opt_.num_features));
+  row->resize(static_cast<size_t>(opt_.num_features));
+  std::vector<double>& x = *row;
   // Min-max scaled base attributes.
   x[0] = (r.salary - 20000.0) / 130000.0;
   x[1] = r.commission / 75000.0;
@@ -115,7 +116,7 @@ Instance AgrawalConcept::Sample(Rng* rng) const {
                         1.0);
     }
   }
-  return Instance(std::move(x), label);
+  return label;
 }
 
 }  // namespace ccd

@@ -35,7 +35,7 @@ class AgrawalConcept : public Concept {
   AgrawalConcept(const Options& options, uint64_t seed);
 
   const StreamSchema& schema() const override { return schema_; }
-  Instance Sample(Rng* rng) const override;
+  int Sample(Rng* rng, std::vector<double>* x) const override;
 
  private:
   struct Raw {

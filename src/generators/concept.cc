@@ -2,13 +2,11 @@
 
 namespace ccd {
 
-std::vector<double> Concept::SampleForClass(int k, Rng* rng) const {
-  Instance last;
+void Concept::SampleForClass(int k, Rng* rng, std::vector<double>* x) const {
+  // Every try overwrites *x, so the last draw stays when none hits k.
   for (int i = 0; i < kMaxRejectionTries; ++i) {
-    last = Sample(rng);
-    if (last.label == k) return std::move(last.features);
+    if (Sample(rng, x) == k) return;
   }
-  return std::move(last.features);
 }
 
 std::unique_ptr<Concept> Concept::Interpolate(const Concept& /*target*/,

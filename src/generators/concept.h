@@ -19,14 +19,17 @@ class Concept {
 
   virtual const StreamSchema& schema() const = 0;
 
-  /// Draws one instance from the concept's natural joint distribution.
-  virtual Instance Sample(Rng* rng) const = 0;
+  /// Draws one instance from the concept's natural joint distribution:
+  /// writes its features into the caller's row `*x` (resized to the
+  /// schema's width, so a reused row allocates nothing) and returns its
+  /// label.
+  virtual int Sample(Rng* rng, std::vector<double>* x) const = 0;
 
-  /// Draws a feature vector conditioned on class `k`. The default
-  /// implementation rejection-samples Sample(); families with an explicit
-  /// class-conditional structure (RBF clusters, RandomTree leaves) override
-  /// this with an exact, O(1) sampler.
-  virtual std::vector<double> SampleForClass(int k, Rng* rng) const;
+  /// Draws a feature vector conditioned on class `k` into `*x`. The
+  /// default implementation rejection-samples Sample() into `*x`; families
+  /// with an explicit class-conditional structure (RBF clusters,
+  /// RandomTree leaves) override this with an exact, O(1) sampler.
+  virtual void SampleForClass(int k, Rng* rng, std::vector<double>* x) const;
 
   /// Returns a new concept that is the parameter-space interpolation
   /// (1-alpha)*this + alpha*target, when the family supports it (Hyperplane

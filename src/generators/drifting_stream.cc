@@ -63,39 +63,47 @@ const Concept* DriftingClassStream::InterpolatedConcept(int event_index,
 }
 
 Instance DriftingClassStream::Next() {
+  Instance out;
+  NextInto(&out);
+  return out;
+}
+
+void DriftingClassStream::NextInto(Instance* out) {
   const uint64_t t = pos_++;
-  std::vector<double> priors = imbalance_.PriorsAt(t);
-  int label = rng_.Discrete(priors);
+  imbalance_.PriorsAt(t, &priors_);
+  int label = rng_.Discrete(priors_);
 
   Governing g = Resolve(t, label);
-  std::vector<double> x;
+  std::vector<double>* x = &out->features;
   if (g.alpha >= 1.0 || g.event_index < 0) {
-    x = concepts_[static_cast<size_t>(g.new_index)]->SampleForClass(label, &rng_);
+    concepts_[static_cast<size_t>(g.new_index)]->SampleForClass(label, &rng_,
+                                                                x);
   } else if (g.type == DriftType::kIncremental) {
     const Concept* interp = InterpolatedConcept(g.event_index, g.alpha);
     if (interp != nullptr) {
-      x = interp->SampleForClass(label, &rng_);
+      interp->SampleForClass(label, &rng_, x);
     } else {
       // Family cannot interpolate: fall back to the Eq. 3 mixture, whose
       // marginal matches the incremental definition.
       const Concept& c = rng_.Bernoulli(g.alpha)
                              ? *concepts_[static_cast<size_t>(g.new_index)]
                              : *concepts_[static_cast<size_t>(g.old_index)];
-      x = c.SampleForClass(label, &rng_);
+      c.SampleForClass(label, &rng_, x);
     }
   } else {
     // Sudden never reaches here (alpha jumps to 1); gradual = Eq. 5.
     const Concept& c = rng_.Bernoulli(g.alpha)
                            ? *concepts_[static_cast<size_t>(g.new_index)]
                            : *concepts_[static_cast<size_t>(g.old_index)];
-    x = c.SampleForClass(label, &rng_);
+    c.SampleForClass(label, &rng_, x);
   }
 
   int emitted_label = label;
   if (opt_.label_noise > 0.0 && rng_.Bernoulli(opt_.label_noise)) {
     emitted_label = rng_.UniformInt(0, schema_.num_classes - 1);
   }
-  return Instance(std::move(x), emitted_label);
+  out->label = emitted_label;
+  out->weight = 1.0;
 }
 
 bool DriftingClassStream::ClassDriftActiveAt(uint64_t t, int k,

@@ -51,6 +51,10 @@ class DriftingClassStream : public InstanceStream {
 
   const StreamSchema& schema() const override { return schema_; }
   Instance Next() override;
+  /// Next() into a caller-owned row: overwrites `*out`'s features, label
+  /// and weight, reusing the feature capacity, so a reused row allocates
+  /// nothing. Bit-identical to Next().
+  void NextInto(Instance* out);
   uint64_t position() const override { return pos_; }
 
   const std::vector<DriftEvent>& events() const { return events_; }
@@ -80,6 +84,7 @@ class DriftingClassStream : public InstanceStream {
   Options opt_;
   Rng rng_;
   uint64_t pos_ = 0;
+  std::vector<double> priors_;  ///< PriorsAt scratch.
 
   // Cache of interpolated concepts keyed by (event, quantized alpha).
   std::map<std::pair<int, int>, std::unique_ptr<Concept>> interp_cache_;

@@ -41,15 +41,16 @@ int HyperplaneConcept::Classify(double score) const {
   return k;
 }
 
-Instance HyperplaneConcept::Sample(Rng* rng) const {
-  std::vector<double> x(w_.size());
+int HyperplaneConcept::Sample(Rng* rng, std::vector<double>* x) const {
+  x->resize(w_.size());
+  double* out = x->data();
   double score = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    x[i] = rng->NextDouble();
-    score += w_[i] * x[i];
+  for (size_t i = 0; i < w_.size(); ++i) {
+    out[i] = rng->NextDouble();
+    score += w_[i] * out[i];
   }
   if (opt_.score_noise > 0.0) score += rng->Gaussian(0.0, opt_.score_noise);
-  return Instance(std::move(x), Classify(score));
+  return Classify(score);
 }
 
 std::unique_ptr<Concept> HyperplaneConcept::Interpolate(const Concept& target,

@@ -30,7 +30,7 @@ class HyperplaneConcept : public Concept {
   HyperplaneConcept(const Options& options, uint64_t seed);
 
   const StreamSchema& schema() const override { return schema_; }
-  Instance Sample(Rng* rng) const override;
+  int Sample(Rng* rng, std::vector<double>* x) const override;
   std::unique_ptr<Concept> Interpolate(const Concept& target,
                                        double alpha) const override;
 

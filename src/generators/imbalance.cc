@@ -4,22 +4,24 @@
 
 namespace ccd {
 
-std::vector<double> ImbalanceSchedule::LadderPriors(double ir) const {
+const std::vector<double>& ImbalanceSchedule::Ladder(double ir) {
+  if (!ladder_.empty() && ir == ladder_ir_) return ladder_;
+  ladder_ir_ = ir;
   const int k = opt_.num_classes;
-  std::vector<double> p(k, 1.0);
+  ladder_.assign(static_cast<size_t>(k), 1.0);
   if (ir < 1.0) ir = 1.0;
   if (k > 1 && ir > 1.0) {
     // Geometric spacing: p_i ∝ ir^(-i/(k-1)), so p_0/p_{k-1} = ir exactly.
     double total = 0.0;
     for (int i = 0; i < k; ++i) {
-      p[i] = std::pow(ir, -static_cast<double>(i) / (k - 1));
-      total += p[i];
+      ladder_[i] = std::pow(ir, -static_cast<double>(i) / (k - 1));
+      total += ladder_[i];
     }
-    for (double& v : p) v /= total;
+    for (double& v : ladder_) v /= total;
   } else {
-    for (double& v : p) v = 1.0 / k;
+    for (double& v : ladder_) v = 1.0 / k;
   }
-  return p;
+  return ladder_;
 }
 
 double ImbalanceSchedule::IrAt(uint64_t t) const {
@@ -44,15 +46,16 @@ int ImbalanceSchedule::ClassAtRung(uint64_t t, int rung) const {
   return (rung + rot) % k;
 }
 
-std::vector<double> ImbalanceSchedule::PriorsAt(uint64_t t) const {
+void ImbalanceSchedule::PriorsAt(uint64_t t, std::vector<double>* out) {
   const int k = opt_.num_classes;
-  std::vector<double> ladder = LadderPriors(IrAt(t));
-  std::vector<double> cur(k, 0.0);
+  const std::vector<double>& ladder = Ladder(IrAt(t));
+  std::vector<double>& cur = *out;
+  cur.resize(static_cast<size_t>(k));
   int rot = RotationAt(t);
   for (int rung = 0; rung < k; ++rung) {
     cur[(rung + rot) % k] = ladder[rung];
   }
-  if (opt_.role_switch_period == 0) return cur;
+  if (opt_.role_switch_period == 0) return;
 
   // Cross-fade into the next rotation near the switch boundary so the
   // priors change continuously rather than jumping.
@@ -61,16 +64,12 @@ std::vector<double> ImbalanceSchedule::PriorsAt(uint64_t t) const {
   if (to_boundary < opt_.role_switch_width) {
     double alpha = 1.0 - static_cast<double>(to_boundary) /
                              static_cast<double>(opt_.role_switch_width);
-    std::vector<double> next(k, 0.0);
+    // The next rotation places ladder rung (i - nrot) mod k on class i.
     int nrot = (rot + 1) % k;
-    for (int rung = 0; rung < k; ++rung) {
-      next[(rung + nrot) % k] = ladder[rung];
-    }
     for (int i = 0; i < k; ++i) {
-      cur[i] = (1.0 - alpha) * cur[i] + alpha * next[i];
+      cur[i] = (1.0 - alpha) * cur[i] + alpha * ladder[(i - nrot + k) % k];
     }
   }
-  return cur;
 }
 
 }  // namespace ccd

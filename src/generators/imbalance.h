@@ -44,8 +44,11 @@ class ImbalanceSchedule {
     return ImbalanceSchedule(o);
   }
 
-  /// Class priors at stream position `t`; always sums to 1.
-  std::vector<double> PriorsAt(uint64_t t) const;
+  /// Writes the class priors at stream position `t` into `*out` (resized
+  /// to num_classes); they always sum to 1. The prior ladder is rebuilt
+  /// only when the ratio moves, so a static ratio costs no pow() per call
+  /// and a reused `out` allocates nothing.
+  void PriorsAt(uint64_t t, std::vector<double>* out);
 
   /// Instantaneous imbalance ratio at `t` (max prior / min prior).
   double IrAt(uint64_t t) const;
@@ -58,10 +61,13 @@ class ImbalanceSchedule {
   const Options& options() const { return opt_; }
 
  private:
-  std::vector<double> LadderPriors(double ir) const;
+  /// The geometric ladder for ratio `ir`, cached while `ir` repeats.
+  const std::vector<double>& Ladder(double ir);
   int RotationAt(uint64_t t) const;
 
   Options opt_;
+  std::vector<double> ladder_;  ///< Empty until the first Ladder() call.
+  double ladder_ir_ = 0.0;      ///< The ratio ladder_ was built for.
 };
 
 }  // namespace ccd

@@ -38,9 +38,11 @@ RandomTreeConcept::RandomTreeConcept(const Options& options, uint64_t seed)
     if (n.leaf_index >= 0) n.label = leaves_[static_cast<size_t>(n.leaf_index)].label;
   }
   leaves_by_class_.assign(static_cast<size_t>(opt_.num_classes), {});
+  leaf_volumes_by_class_.assign(static_cast<size_t>(opt_.num_classes), {});
   for (size_t i = 0; i < leaves_.size(); ++i) {
-    leaves_by_class_[static_cast<size_t>(leaves_[i].label)].push_back(
-        static_cast<int>(i));
+    const size_t k = static_cast<size_t>(leaves_[i].label);
+    leaves_by_class_[k].push_back(static_cast<int>(i));
+    leaf_volumes_by_class_[k].push_back(leaves_[i].volume);
   }
 }
 
@@ -78,32 +80,32 @@ int RandomTreeConcept::Grow(Rng* rng, int depth, std::vector<double> lo,
   return idx;
 }
 
-Instance RandomTreeConcept::Sample(Rng* rng) const {
-  std::vector<double> x(static_cast<size_t>(schema_.num_features));
-  for (double& v : x) v = rng->NextDouble();
+int RandomTreeConcept::Sample(Rng* rng, std::vector<double>* x) const {
+  x->resize(static_cast<size_t>(schema_.num_features));
+  for (double& v : *x) v = rng->NextDouble();
   int cur = 0;
   while (nodes_[static_cast<size_t>(cur)].feature >= 0) {
     const Node& n = nodes_[static_cast<size_t>(cur)];
-    cur = x[static_cast<size_t>(n.feature)] < n.threshold ? n.left : n.right;
+    cur = (*x)[static_cast<size_t>(n.feature)] < n.threshold ? n.left
+                                                              : n.right;
   }
-  return Instance(std::move(x), nodes_[static_cast<size_t>(cur)].label);
+  return nodes_[static_cast<size_t>(cur)].label;
 }
 
-std::vector<double> RandomTreeConcept::SampleForClass(int k, Rng* rng) const {
-  const auto& leaves = leaves_by_class_[static_cast<size_t>(k)];
-  if (leaves.empty()) return Concept::SampleForClass(k, rng);
-  std::vector<double> weights(leaves.size());
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    weights[i] = leaves_[static_cast<size_t>(leaves[i])].volume;
+void RandomTreeConcept::SampleForClass(int k, Rng* rng,
+                                       std::vector<double>* x) const {
+  const size_t cls = static_cast<size_t>(k);
+  const std::vector<int>& leaves = leaves_by_class_[cls];
+  if (leaves.empty()) {
+    Concept::SampleForClass(k, rng, x);
+    return;
   }
-  const Leaf& leaf =
-      leaves_[static_cast<size_t>(leaves[static_cast<size_t>(
-          rng->Discrete(weights))])];
-  std::vector<double> x(leaf.lo.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    x[i] = rng->Uniform(leaf.lo[i], leaf.hi[i]);
+  const Leaf& leaf = leaves_[static_cast<size_t>(leaves[static_cast<size_t>(
+      rng->Discrete(leaf_volumes_by_class_[cls]))])];
+  x->resize(leaf.lo.size());
+  for (size_t i = 0; i < leaf.lo.size(); ++i) {
+    (*x)[i] = rng->Uniform(leaf.lo[i], leaf.hi[i]);
   }
-  return x;
 }
 
 }  // namespace ccd

@@ -28,8 +28,9 @@ class RandomTreeConcept : public Concept {
   RandomTreeConcept(const Options& options, uint64_t seed);
 
   const StreamSchema& schema() const override { return schema_; }
-  Instance Sample(Rng* rng) const override;
-  std::vector<double> SampleForClass(int k, Rng* rng) const override;
+  int Sample(Rng* rng, std::vector<double>* x) const override;
+  void SampleForClass(int k, Rng* rng,
+                      std::vector<double>* x) const override;
 
   size_t num_leaves() const { return leaves_.size(); }
 
@@ -54,8 +55,11 @@ class RandomTreeConcept : public Concept {
   Options opt_;
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;
-  /// leaves_by_class_[k] = indices into leaves_ plus volume weights.
+  /// leaves_by_class_[k] = indices into leaves_ of class k's leaves, and
+  /// leaf_volumes_by_class_[k] their box volumes (the Discrete() weights
+  /// of SampleForClass).
   std::vector<std::vector<int>> leaves_by_class_;
+  std::vector<std::vector<double>> leaf_volumes_by_class_;
 };
 
 }  // namespace ccd

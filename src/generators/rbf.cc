@@ -19,30 +19,38 @@ RbfConcept::RbfConcept(const Options& options, uint64_t seed)
       c.weight = rng.Uniform(0.2, 1.0);
     }
   }
+  CacheWeights();
 }
 
-std::vector<double> RbfConcept::SampleForClass(int k, Rng* rng) const {
-  const auto& cls = centroids_[static_cast<size_t>(k)];
-  std::vector<double> weights(cls.size());
-  for (size_t i = 0; i < cls.size(); ++i) weights[i] = cls[i].weight;
-  const Centroid& c = cls[static_cast<size_t>(rng->Discrete(weights))];
-  std::vector<double> x(c.center.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::clamp(c.center[i] + rng->Gaussian(0.0, c.sigma), 0.0, 1.0);
-  }
-  return x;
-}
-
-Instance RbfConcept::Sample(Rng* rng) const {
-  // Natural class distribution: proportional to total centroid weight.
-  std::vector<double> class_w(centroids_.size());
+void RbfConcept::CacheWeights() {
+  centroid_weights_.assign(centroids_.size(), {});
+  class_weights_.assign(centroids_.size(), 0.0);
   for (size_t k = 0; k < centroids_.size(); ++k) {
     double s = 0.0;
-    for (const auto& c : centroids_[k]) s += c.weight;
-    class_w[k] = s;
+    for (const Centroid& c : centroids_[k]) {
+      centroid_weights_[k].push_back(c.weight);
+      s += c.weight;
+    }
+    class_weights_[k] = s;
   }
-  int k = rng->Discrete(class_w);
-  return Instance(SampleForClass(k, rng), k);
+}
+
+void RbfConcept::SampleForClass(int k, Rng* rng, std::vector<double>* x) const {
+  const size_t cls = static_cast<size_t>(k);
+  const Centroid& c = centroids_[cls][static_cast<size_t>(
+      rng->Discrete(centroid_weights_[cls]))];
+  x->resize(c.center.size());
+  double* out = x->data();
+  for (size_t i = 0; i < c.center.size(); ++i) {
+    out[i] = std::clamp(c.center[i] + rng->Gaussian(0.0, c.sigma), 0.0, 1.0);
+  }
+}
+
+int RbfConcept::Sample(Rng* rng, std::vector<double>* x) const {
+  // Natural class distribution: proportional to total centroid weight.
+  int k = rng->Discrete(class_weights_);
+  SampleForClass(k, rng, x);
+  return k;
 }
 
 std::unique_ptr<Concept> RbfConcept::Interpolate(const Concept& target,
@@ -68,6 +76,7 @@ std::unique_ptr<Concept> RbfConcept::Interpolate(const Concept& target,
       dst.weight = (1.0 - alpha) * a.weight + alpha * b.weight;
     }
   }
+  out->CacheWeights();
   return out;
 }
 

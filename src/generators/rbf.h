@@ -30,8 +30,9 @@ class RbfConcept : public Concept {
   RbfConcept(const Options& options, uint64_t seed);
 
   const StreamSchema& schema() const override { return schema_; }
-  Instance Sample(Rng* rng) const override;
-  std::vector<double> SampleForClass(int k, Rng* rng) const override;
+  int Sample(Rng* rng, std::vector<double>* x) const override;
+  void SampleForClass(int k, Rng* rng,
+                      std::vector<double>* x) const override;
   std::unique_ptr<Concept> Interpolate(const Concept& target,
                                        double alpha) const override;
 
@@ -43,11 +44,18 @@ class RbfConcept : public Concept {
   };
 
   RbfConcept() = default;  // For Interpolate.
+  /// Fills the two weight tables below from centroids_.
+  void CacheWeights();
 
   StreamSchema schema_;
   Options opt_;
   /// centroids_[k] = centroids of class k.
   std::vector<std::vector<Centroid>> centroids_;
+  /// centroid_weights_[k][i] = centroids_[k][i].weight, and class_weights_[k]
+  /// their sum: the Discrete() tables of SampleForClass and Sample, derived
+  /// once instead of on every draw.
+  std::vector<std::vector<double>> centroid_weights_;
+  std::vector<double> class_weights_;
 };
 
 }  // namespace ccd

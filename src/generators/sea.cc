@@ -38,12 +38,13 @@ int SeaConcept::Classify(double score) const {
   return k;
 }
 
-Instance SeaConcept::Sample(Rng* rng) const {
-  std::vector<double> x(static_cast<size_t>(opt_.num_features));
-  for (double& v : x) v = rng->NextDouble();
-  double score = x[static_cast<size_t>(f1_)] + x[static_cast<size_t>(f2_)] +
+int SeaConcept::Sample(Rng* rng, std::vector<double>* x) const {
+  x->resize(static_cast<size_t>(opt_.num_features));
+  for (double& v : *x) v = rng->NextDouble();
+  double score = (*x)[static_cast<size_t>(f1_)] +
+                 (*x)[static_cast<size_t>(f2_)] +
                  rng->Gaussian(0.0, opt_.score_noise);
-  return Instance(std::move(x), Classify(score));
+  return Classify(score);
 }
 
 }  // namespace ccd

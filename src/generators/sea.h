@@ -27,7 +27,7 @@ class SeaConcept : public Concept {
   SeaConcept(const Options& options, uint64_t seed);
 
   const StreamSchema& schema() const override { return schema_; }
-  Instance Sample(Rng* rng) const override;
+  int Sample(Rng* rng, std::vector<double>* x) const override;
 
  private:
   int Classify(double score) const;

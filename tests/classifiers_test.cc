@@ -13,6 +13,7 @@
 #include "generators/rbf.h"
 #include "io/codecs.h"
 #include "io/wire.h"
+#include "testing_util.h"
 #include "utils/rng.h"
 
 namespace ccd {
@@ -393,7 +394,7 @@ TEST(CsPerceptronTreeTest, HoistedSplitScanMatchesSplitGainOracle) {
     oracle::SplitGainTree reference(gen.schema(), tc.params);
     Rng rng(21 + ci);
     for (int i = 1; i <= 6000; ++i) {
-      Instance inst = gen.Sample(&rng);
+      Instance inst = test_util::Draw(gen, &rng);
       if (i % 5 == 0) inst.label = 0;  // Skew: class 0 dominates.
       // Classes 1 and 2 nearly constant and 5e-3 apart on feature 0: their
       // sds sit under the 1e-3 floor, so the floor decides where their
@@ -539,11 +540,11 @@ TEST(CsPerceptronTreeTest, MulticlassOnRbfConcept) {
   RbfConcept gen(o, 3);
   CsPerceptronTree tree(gen.schema());
   Rng rng(7);
-  for (int i = 0; i < 8000; ++i) tree.Train(gen.Sample(&rng));
+  for (int i = 0; i < 8000; ++i) tree.Train(test_util::Draw(gen, &rng));
   int correct = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    Instance inst = gen.Sample(&rng);
+    Instance inst = test_util::Draw(gen, &rng);
     if (tree.Predict(inst) == inst.label) ++correct;
   }
   EXPECT_GT(correct, static_cast<int>(0.75 * n));

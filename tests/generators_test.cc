@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "generators/agrawal.h"
@@ -22,7 +23,7 @@ std::vector<int> CountLabels(Concept* gen, int k, int n, uint64_t seed) {
   Rng rng(seed);
   std::vector<int> counts(static_cast<size_t>(k), 0);
   for (int i = 0; i < n; ++i) {
-    Instance inst = gen->Sample(&rng);
+    Instance inst = test_util::Draw(*gen, &rng);
     EXPECT_GE(inst.label, 0);
     EXPECT_LT(inst.label, k);
     ++counts[static_cast<size_t>(inst.label)];
@@ -80,7 +81,8 @@ TEST(ImbalanceScheduleTest, StaticLadderMatchesIr) {
   o.num_classes = 5;
   o.base_ir = 100.0;
   ImbalanceSchedule s(o);
-  auto p = s.PriorsAt(0);
+  std::vector<double> p;
+  s.PriorsAt(0, &p);
   double sum = 0.0;
   for (double v : p) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-12);
@@ -91,7 +93,8 @@ TEST(ImbalanceScheduleTest, StaticLadderMatchesIr) {
 
 TEST(ImbalanceScheduleTest, UniformWhenIrOne) {
   ImbalanceSchedule s = ImbalanceSchedule::Uniform(4);
-  auto p = s.PriorsAt(123);
+  std::vector<double> p;
+  s.PriorsAt(123, &p);
   for (double v : p) EXPECT_NEAR(v, 0.25, 1e-12);
 }
 
@@ -120,8 +123,9 @@ TEST(ImbalanceScheduleTest, RoleSwitchRotatesMajority) {
   EXPECT_EQ(s.ClassAtRung(0, 0), 0);
   EXPECT_EQ(s.ClassAtRung(1500, 0), 1);
   EXPECT_EQ(s.ClassAtRung(2500, 0), 2);
-  auto p0 = s.PriorsAt(100);
-  auto p1 = s.PriorsAt(1100);
+  std::vector<double> p0, p1;
+  s.PriorsAt(100, &p0);
+  s.PriorsAt(1100, &p1);
   EXPECT_GT(p0[0], p0[1]);
   EXPECT_GT(p1[1], p1[0]);
 }
@@ -133,8 +137,9 @@ TEST(ImbalanceScheduleTest, PriorsAlwaysNormalizedDuringCrossfade) {
   o.role_switch_period = 100;
   o.role_switch_width = 20;
   ImbalanceSchedule s(o);
+  std::vector<double> p;
   for (uint64_t t = 0; t < 400; ++t) {
-    auto p = s.PriorsAt(t);
+    s.PriorsAt(t, &p);
     double sum = 0.0;
     for (double v : p) {
       EXPECT_GE(v, 0.0);
@@ -163,7 +168,7 @@ TEST(RbfConceptTest, ClassConditionalSamplingIsExactClass) {
   RbfConcept c(o, 3);
   Rng rng(7);
   for (int k = 0; k < 3; ++k) {
-    auto x = c.SampleForClass(k, &rng);
+    auto x = test_util::DrawForClass(c, k, &rng);
     EXPECT_EQ(x.size(), 6u);
     for (double v : x) {
       EXPECT_GE(v, 0.0);
@@ -181,8 +186,8 @@ TEST(RbfConceptTest, DifferentSeedsDifferentConcepts) {
   // Class-conditional means should differ between the two concepts.
   double diff = 0.0;
   for (int i = 0; i < 200; ++i) {
-    auto xa = a.SampleForClass(0, &r1);
-    auto xb = b.SampleForClass(0, &r2);
+    auto xa = test_util::DrawForClass(a, 0, &r1);
+    auto xb = test_util::DrawForClass(b, 0, &r2);
     for (size_t d = 0; d < xa.size(); ++d) diff += std::fabs(xa[d] - xb[d]);
   }
   EXPECT_GT(diff / 200.0, 0.1);
@@ -202,7 +207,7 @@ TEST(RbfConceptTest, InterpolationMovesBetweenConcepts) {
     Rng rng(11);
     std::vector<double> m(4, 0.0);
     for (int i = 0; i < 3000; ++i) {
-      auto x = c.SampleForClass(0, &rng);
+      auto x = test_util::DrawForClass(c, 0, &rng);
       for (size_t d = 0; d < 4; ++d) m[d] += x[d];
     }
     for (double& v : m) v /= 3000.0;
@@ -253,7 +258,7 @@ TEST(AgrawalConceptTest, LabelsCoverAllClassesAndFeaturesBounded) {
   Rng rng(5);
   std::set<int> seen;
   for (int i = 0; i < 3000; ++i) {
-    Instance inst = c.Sample(&rng);
+    Instance inst = test_util::Draw(c, &rng);
     seen.insert(inst.label);
     EXPECT_EQ(inst.features.size(), 20u);
     for (double v : inst.features) {
@@ -277,7 +282,9 @@ TEST(AgrawalConceptTest, FunctionSwitchChangesLabeling) {
   Rng ra(13), rb(13);
   int disagreements = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (f0.Sample(&ra).label != f6.Sample(&rb).label) ++disagreements;
+    if (test_util::Draw(f0, &ra).label != test_util::Draw(f6, &rb).label) {
+      ++disagreements;
+    }
   }
   EXPECT_GT(disagreements, 400);
 }
@@ -310,7 +317,7 @@ TEST(RandomTreeConceptTest, ClassConditionalSamplesLandInClassRegion) {
   // requested class, so they must stay within [0,1]^d and have full arity.
   for (int k = 0; k < 3; ++k) {
     for (int i = 0; i < 50; ++i) {
-      auto x = c.SampleForClass(k, &rng);
+      auto x = test_util::DrawForClass(c, k, &rng);
       ASSERT_EQ(x.size(), 6u);
       for (double v : x) {
         EXPECT_GE(v, 0.0);
@@ -331,9 +338,43 @@ TEST(SeaConceptTest, VariantChangesRelevantFeatures) {
   Rng ra(13), rb(13);
   int disagreements = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (a.Sample(&ra).label != b.Sample(&rb).label) ++disagreements;
+    if (test_util::Draw(a, &ra).label != test_util::Draw(b, &rb).label) {
+      ++disagreements;
+    }
   }
   EXPECT_GT(disagreements, 300);
+}
+
+// The ladder cache and the reused output row must not leak one call into
+// the next: a schedule asked for positions out of order (the ratio moving
+// back and forth, the rotation and the cross-fade changing) writes exactly
+// what a fresh schedule writes for each position.
+TEST(ImbalanceScheduleTest, CachedLadderMatchesFreshSchedule) {
+  ImbalanceSchedule::Options o;
+  o.num_classes = 5;
+  o.base_ir = 40.0;
+  o.dynamic = true;
+  o.ir_low = 20.0;
+  o.ir_high = 40.0;
+  o.ir_period = 200;
+  o.role_switch_period = 150;
+  o.role_switch_width = 30;
+  ImbalanceSchedule reused(o);
+  std::vector<double> got(2, 7.0);  // Wrong size and stale values.
+  for (uint64_t i = 0; i < 600; ++i) {
+    const uint64_t t = (i * 37) % 500;
+    for (int repeat = 0; repeat < 2; ++repeat) {  // Second call: cache hit.
+      reused.PriorsAt(t, &got);
+      ImbalanceSchedule fresh(o);
+      std::vector<double> want;
+      fresh.PriorsAt(t, &want);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+            << "t=" << t << " class " << k;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- drifting stream
@@ -515,14 +556,21 @@ TEST(RegistryTest, IrOverrideChangesPriors) {
 // holds, for every registry stream under three seeds (each with its own
 // option set, see test_util::GoldenStreams), a hash of the first 2000
 // rows that the generators produced before they filled caller-owned rows.
-// Every bit of every feature, label and weight must still match.
+// Every bit of every feature, label and weight must still match, through
+// Next() and through NextInto() on a reused row alike.
 TEST(GeneratorGoldenTest, StreamsMatchFrozenGenerators) {
   std::vector<std::string> got;
   for (const test_util::GoldenStream& g : test_util::GoldenStreams()) {
     BuiltStream b = BuildStream(g.spec, g.options);
     test_util::RowHash hash;
+    Instance row;  // Reused, as the grid's row tape reuses its rows.
     for (size_t i = 0; i < test_util::kGoldenStreamRows; ++i) {
-      hash.Add(b.stream->Next());
+      if (i % 2 == 0) {
+        hash.Add(b.stream->Next());
+      } else {
+        b.stream->NextInto(&row);
+        hash.Add(row);
+      }
     }
     got.push_back(test_util::GoldenStreamLine(g, hash));
   }

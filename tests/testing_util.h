@@ -265,6 +265,22 @@ class WarningRegionDetector : public DriftDetector {
   uint64_t observed_ = 0;
 };
 
+/// One natural draw of `concept` as an Instance (Concept::Sample fills a
+/// caller's row).
+inline Instance Draw(const Concept& concept, Rng* rng) {
+  Instance inst;
+  inst.label = concept.Sample(rng, &inst.features);
+  return inst;
+}
+
+/// One draw of `concept`'s features conditioned on class `k`.
+inline std::vector<double> DrawForClass(const Concept& concept, int k,
+                                        Rng* rng) {
+  std::vector<double> x;
+  concept.SampleForClass(k, rng, &x);
+  return x;
+}
+
 /// Tiny deterministic drifting stream: two RBF concepts with a sudden
 /// switch at `drift_at` and a 10:1 class imbalance (3 classes, 6
 /// features). The workhorse stream of the evaluation tests.
