@@ -1,11 +1,13 @@
 #include "api/suite.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <memory>
 #include <utility>
 
-#include "runtime/sync.h"
+#include "eval/engine.h"
 #include "runtime/thread_pool.h"
 
 namespace ccd {
@@ -52,7 +54,116 @@ PrequentialResult RunDefaultCell(const SuiteCell& cell) {
   return e.Run();
 }
 
+/// RunDefaultCell on the row's shared tape: the same components and
+/// protocol Experiment::Run() builds, fed the tape's rows in place of a
+/// private generator. A row over the cap runs RunDefaultCell itself.
+PrequentialResult RunTapeCell(const SuiteCell& cell, detail::RowTape* tape) {
+  if (!tape->Open(cell)) return RunDefaultCell(cell);
+  const StreamSchema& schema = tape->schema();
+  std::unique_ptr<OnlineClassifier> classifier = Classifiers().Create(
+      cell.classifier, schema, cell.options.seed, cell.classifier_params);
+  std::unique_ptr<DriftDetector> detector;
+  if (!cell.detector.empty()) {
+    detector = Detectors().Create(cell.detector, schema, cell.options.seed,
+                                  cell.detector_params);
+  }
+  PrequentialConfig config = cell.has_config ? cell.config
+                                             : PrequentialConfig{};
+  config.max_instances = tape->length();
+  MonitorEngine engine(schema, classifier.get(), detector.get(), config);
+  for (size_t c = 0; c < tape->chunks(); ++c) {
+    for (const Instance& row : tape->Chunk(c)) engine.Feed(row);
+  }
+  return engine.Result();
+}
+
 }  // namespace
+
+// -------------------------------------------------------------- row tape
+
+namespace detail {
+
+RowTape::RowTape(size_t readers, size_t cap_bytes, size_t chunk_rows)
+    : cap_bytes_(cap_bytes),
+      chunk_rows_(chunk_rows < 1 ? 1 : chunk_rows),
+      readers_(readers) {}
+
+bool RowTape::Open(const SuiteCell& cell) {
+  runtime::MutexLock lock(&mu_);
+  if (!opened_) {
+    opened_ = true;
+    try {
+      BuiltStream built = BuildStream(cell.spec, cell.options);
+      schema_ = built.stream->schema();
+      length_ = cell.has_config && cell.config.max_instances != 0
+                    ? cell.config.max_instances
+                    : built.length;
+      row_bytes_ = (static_cast<size_t>(schema_.num_features) + 2) *
+                   sizeof(double);
+      fits_ = length_ <= cap_bytes_ / row_bytes_;
+      if (fits_) {
+        chunk_count_ = static_cast<size_t>((length_ + chunk_rows_ - 1) /
+                                           chunk_rows_);
+        chunks_.resize(chunk_count_);
+        built_ = std::move(built);
+      }
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+  }
+  if (error_) std::rethrow_exception(error_);
+  return fits_;
+}
+
+const std::vector<Instance>& RowTape::Chunk(size_t i) {
+  for (;;) {
+    size_t claim;
+    {
+      runtime::MutexLock lock(&mu_);
+      while (!error_ && ready_ <= i && generating_) published_.Wait(mu_);
+      if (error_) std::rethrow_exception(error_);
+      if (i < ready_) return *chunks_[i];
+      generating_ = true;
+      claim = ready_;
+    }
+    // The claim makes this reader the generator's only user, so the rows
+    // are drawn outside the lock while other readers replay older chunks.
+    std::unique_ptr<ChunkRows> rows;
+    try {
+      const uint64_t begin = static_cast<uint64_t>(claim) * chunk_rows_;
+      rows = std::make_unique<ChunkRows>(static_cast<size_t>(
+          std::min<uint64_t>(chunk_rows_, length_ - begin)));
+      for (Instance& row : *rows) built_.stream->NextInto(&row);
+    } catch (...) {
+      runtime::MutexLock lock(&mu_);
+      error_ = std::current_exception();
+      generating_ = false;
+      published_.NotifyAll();
+      throw;
+    }
+    runtime::MutexLock lock(&mu_);
+    retained_bytes_ += rows->size() * row_bytes_;
+    chunks_[claim] = std::move(rows);
+    ++ready_;
+    generating_ = false;
+    published_.NotifyAll();
+  }
+}
+
+size_t RowTape::retained_bytes() const {
+  runtime::MutexLock lock(&mu_);
+  return retained_bytes_;
+}
+
+void RowTape::Release() {
+  runtime::MutexLock lock(&mu_);
+  if (readers_ > 0 && --readers_ > 0) return;
+  chunks_.clear();
+  retained_bytes_ = 0;
+  built_ = BuiltStream{};
+}
+
+}  // namespace detail
 
 bool WriteJson(const SuiteResult& result, const std::string& path) {
   std::ofstream out(path);
@@ -249,49 +360,68 @@ std::vector<SuiteCell> Suite::Cells() const {
 }
 
 SuiteResult Suite::Run() const {
-  std::vector<SuiteCell> cells = Cells();
+  return detail::RunSuite(*this, detail::kRowTapeCapBytes);
+}
+
+SuiteResult detail::RunSuite(const Suite& suite, size_t tape_cap_bytes) {
+  std::vector<SuiteCell> cells = suite.Cells();
+  const size_t repeats = static_cast<size_t>(suite.repeats_);
 
   // Fail fast on the whole grid before any evaluation work starts: a typo
   // must not surface hours into a sweep. (A custom runner may interpret
   // names its own way, so only the default Experiment path is validated.)
-  if (!runner_) {
-    for (const DetectorEntry& d : detectors_) {
-      if (!d.name.empty()) ::ccd::api::Detectors().Require(d.name);
+  // The default path shares one tape per row (stream entry, repeat).
+  std::vector<std::unique_ptr<RowTape>> tapes;
+  if (!suite.runner_) {
+    for (const Suite::DetectorEntry& d : suite.detectors_) {
+      if (!d.name.empty()) Detectors().Require(d.name);
     }
-    for (const ClassifierEntry& c : classifiers_) {
-      ::ccd::api::Classifiers().Require(c.name);
+    for (const Suite::ClassifierEntry& c : suite.classifiers_) {
+      Classifiers().Require(c.name);
     }
-    if (has_config_) {
+    if (suite.has_config_) {
       try {
-        ValidatePrequentialConfig(config_);
+        ValidatePrequentialConfig(suite.config_);
       } catch (const std::invalid_argument& e) {
         throw ApiError(e.what());
       }
     }
+    const size_t rows = suite.streams_.size() * repeats;
+    for (size_t r = 0; r < rows; ++r) {
+      tapes.push_back(std::make_unique<RowTape>(cells.size() / rows,
+                                                tape_cap_bytes));
+    }
   }
-
-  const CellRunner runner = runner_ ? runner_ : CellRunner(RunDefaultCell);
 
   SuiteResult out;
   out.cells.resize(cells.size());
   std::vector<std::exception_ptr> errors(cells.size());
   runtime::Mutex callback_mutex;
   {
-    runtime::ThreadPool pool(threads_ < 1
+    runtime::ThreadPool pool(suite.threads_ < 1
                                  ? runtime::ThreadPool::DefaultThreads()
-                                 : threads_);
+                                 : suite.threads_);
     for (size_t i = 0; i < cells.size(); ++i) {
       pool.Submit([&, i] {
+        RowTape* tape =
+            tapes.empty()
+                ? nullptr
+                : tapes[cells[i].stream_index * repeats +
+                        static_cast<size_t>(cells[i].repeat)]
+                      .get();
         try {
-          PrequentialResult r = runner(cells[i]);
-          if (on_cell_done_) {
+          PrequentialResult r = tape != nullptr
+                                    ? RunTapeCell(cells[i], tape)
+                                    : suite.runner_(cells[i]);
+          if (suite.on_cell_done_) {
             runtime::MutexLock lock(&callback_mutex);
-            on_cell_done_(cells[i], r);
+            suite.on_cell_done_(cells[i], r);
           }
           out.cells[i] = SuiteCellResult{std::move(cells[i]), std::move(r)};
         } catch (...) {
           errors[i] = std::current_exception();
         }
+        if (tape != nullptr) tape->Release();
       });
     }
     pool.Wait();
@@ -301,8 +431,8 @@ SuiteResult Suite::Run() const {
   }
 
   // Collapse the repeats of each grid position (cells are grid-ordered, so
-  // every consecutive run of `repeats_` cells shares its axes).
-  for (size_t i = 0; i < out.cells.size(); i += static_cast<size_t>(repeats_)) {
+  // every consecutive run of `repeats` cells shares its axes).
+  for (size_t i = 0; i < out.cells.size(); i += repeats) {
     const SuiteCell& first = out.cells[i].cell;
     SuiteAggregate agg;
     agg.stream_index = first.stream_index;
@@ -312,8 +442,8 @@ SuiteResult Suite::Run() const {
     agg.detector_label = first.detector_label;
     agg.classifier = first.classifier;
     agg.instances = out.cells[i].result.instances;
-    for (int r = 0; r < repeats_; ++r) {
-      const PrequentialResult& res = out.cells[i + static_cast<size_t>(r)].result;
+    for (size_t r = 0; r < repeats; ++r) {
+      const PrequentialResult& res = out.cells[i + r].result;
       agg.pmauc.Add(res.mean_pmauc);
       agg.pmgm.Add(res.mean_pmgm);
       agg.accuracy.Add(res.mean_accuracy);

@@ -1,12 +1,16 @@
 #ifndef CCD_API_SUITE_H_
 #define CCD_API_SUITE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/experiment.h"
+#include "runtime/sync.h"
 #include "stats/welford.h"
 
 namespace ccd {
@@ -14,8 +18,10 @@ namespace api {
 
 /// One cell of an experiment grid: a fully resolved (stream, detector,
 /// classifier, repeat) combination. Cells are value types — each one owns
-/// copies of its spec, options and parameter maps, so running them on
-/// worker threads shares no mutable state.
+/// copies of its spec, options and parameter maps. On Suite's default
+/// path the cells of one row (same stream entry and repeat) share that
+/// row's read-only instance tape (detail::RowTape); a custom Runner()
+/// gets the cell alone.
 struct SuiteCell {
   /// Axis coordinates inside the expanded grid (stream-major order).
   size_t stream_index = 0;
@@ -72,6 +78,84 @@ struct SuiteResult {
   std::vector<SuiteAggregate> aggregates;
 };
 
+class Suite;
+
+namespace detail {
+
+/// Byte cap of one row tape (64 MiB). A fixed constant, not a knob: rows
+/// over it fall back to per-cell generation.
+constexpr size_t kRowTapeCapBytes = size_t{64} << 20;
+
+/// Suite::Run() with the row tapes' byte cap as a parameter — the seam
+/// through which tests reach the over-cap fallback at small scales.
+SuiteResult RunSuite(const Suite& suite, size_t tape_cap_bytes);
+
+/// The shared, append-only instance tape of one grid row. The tape owns
+/// the row's single generator. Readers ask for chunks in order; whichever
+/// reader first needs a chunk not yet generated claims it and generates it
+/// outside the lock, and a reader that needs a chunk still being generated
+/// waits for it. A published chunk never changes, so readers feed its rows
+/// by const reference. The last reader's Release() frees the generator and
+/// every chunk.
+class RowTape {
+ public:
+  static constexpr size_t kChunkRows = 1024;
+
+  /// `readers` is the number of Release() calls that free the tape.
+  explicit RowTape(size_t readers, size_t cap_bytes = kRowTapeCapBytes,
+                   size_t chunk_rows = kChunkRows);
+
+  /// Builds the row's stream from `cell` on the first call; every call
+  /// answers alike. Returns false when the row's
+  /// length x (features + 2) x 8 bytes exceed the cap (the caller then
+  /// generates its own stream) and rethrows the build's error to every
+  /// caller. The length is the cell's `max_instances`, or the stream's
+  /// realized length when that is 0 or the cell carries no protocol.
+  bool Open(const SuiteCell& cell);
+
+  /// The row's schema and length; valid once Open() returned true.
+  const StreamSchema& schema() const { return schema_; }
+  uint64_t length() const { return length_; }
+  size_t chunks() const { return chunk_count_; }
+
+  /// Rows [i x chunk_rows, min((i + 1) x chunk_rows, length)), generated
+  /// on first demand; valid until the last Release(). Rethrows a
+  /// generation failure to every reader.
+  const std::vector<Instance>& Chunk(size_t i);
+
+  /// Bytes the published chunks hold, counted as in the cap.
+  size_t retained_bytes() const;
+
+  /// One reader is done; the last frees the generator and every chunk.
+  void Release();
+
+ private:
+  using ChunkRows = std::vector<Instance>;
+
+  const size_t cap_bytes_;
+  const size_t chunk_rows_;
+  // Written once, under mu_, by the first Open(); read-only afterwards.
+  StreamSchema schema_;
+  uint64_t length_ = 0;
+  size_t chunk_count_ = 0;
+  size_t row_bytes_ = 0;
+  /// Used only by the reader that holds the generation claim.
+  BuiltStream built_;
+
+  mutable runtime::Mutex mu_;
+  runtime::CondVar published_;
+  size_t readers_ CCD_GUARDED_BY(mu_);
+  bool opened_ CCD_GUARDED_BY(mu_) = false;
+  bool fits_ CCD_GUARDED_BY(mu_) = false;
+  std::exception_ptr error_ CCD_GUARDED_BY(mu_);
+  bool generating_ CCD_GUARDED_BY(mu_) = false;
+  size_t ready_ CCD_GUARDED_BY(mu_) = 0;  ///< Chunks published so far.
+  std::vector<std::unique_ptr<const ChunkRows>> chunks_ CCD_GUARDED_BY(mu_);
+  size_t retained_bytes_ CCD_GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace detail
+
 /// Writes the whole result (cells with drift positions and alarms, plus
 /// aggregates) as one JSON document at `path`. Returns false when the file
 /// cannot be opened or fully written.
@@ -93,14 +177,23 @@ bool WriteJson(const SuiteResult& result, const std::string& path);
 ///   api::WriteJson(res, "results.json");
 ///
 /// Determinism: every cell derives its seed from the grid coordinates
-/// alone (axis seed + repeat), builds its own stream/classifier/detector,
-/// and writes only its own result slot — so the same grid produces
+/// alone (axis seed + repeat), builds its own classifier/detector, and
+/// writes only its own result slot — so the same grid produces
 /// bit-identical per-cell PrequentialResults with 1 thread or with 64.
 ///
-/// Cells default to Experiment::Run() (stream → classifier → optional
-/// detector, the paper's protocol). Callers with a different per-cell
-/// protocol (e.g. stream audits, detector micro-timing) keep the grid,
-/// sharding, seeding and aggregation machinery by supplying a Runner().
+/// Cells default to the protocol of Experiment::Run() (stream →
+/// classifier → optional detector, the paper's protocol), with one
+/// saving: the cells of a row (same stream entry and repeat, so same
+/// spec, options, seed and protocol) see the same instance sequence, so
+/// the row generates it once into a shared read-only tape
+/// (detail::RowTape) that all of them replay, and frees it when its last
+/// cell finishes. A row whose instances would take more than
+/// detail::kRowTapeCapBytes (length x (features + 2) x 8 bytes) runs
+/// each cell through Experiment::Run() on its own generator instead.
+/// Callers with a different per-cell protocol (e.g. stream audits,
+/// detector micro-timing) keep the grid, sharding, seeding and
+/// aggregation machinery by supplying a Runner(); a custom runner gets
+/// no tape.
 class Suite {
  public:
   using CellRunner = std::function<PrequentialResult(const SuiteCell&)>;
@@ -166,6 +259,9 @@ class Suite {
   SuiteResult Run() const;
 
  private:
+  friend SuiteResult detail::RunSuite(const Suite& suite,
+                                      size_t tape_cap_bytes);
+
   struct StreamEntry {
     StreamSpec spec;
     BuildOptions options;

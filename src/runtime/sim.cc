@@ -115,7 +115,10 @@ struct SchedulerImpl {
   std::condition_variable main_cv;  // Run()/abort-loop coordination
 
   std::vector<std::unique_ptr<Task>> tasks;
-  std::map<std::thread::id, int> adopted;  // OS thread id -> task id
+  /// OS thread id -> task id of adopted threads not yet joined. Joined
+  /// entries are erased: the OS reuses a joined thread's id, and a stale
+  /// entry would send a later pool's JoinThread to a finished task.
+  std::map<std::thread::id, int> adopted;
 
   std::map<const void*, MutexState> mutexes;
   std::map<const void*, SharedState> shared;
@@ -852,6 +855,7 @@ void JoinThread(std::thread& thread) {
       return;
     }
     const int target_id = it->second;
+    impl.adopted.erase(it);
     while (impl.tasks[static_cast<size_t>(target_id)]->state !=
            TaskState::kDone) {
       self.block = BlockKind::kJoin;

@@ -12,9 +12,11 @@
 //      drain-with-labels-in-flight, SHIP/LOAD under traffic, a
 //      dropped/duplicated-label plane over a small pending buffer,
 //      concurrent feeders during reshard, batch pushes mixed with
-//      single ones under reshard, and STATS reads beside live feeds —
-//      each swept over seeds and validated by the history checker's
-//      sequential-spec oracle (STATS by the final drift log);
+//      single ones under reshard, STATS reads beside live feeds, and
+//      api::Suite's shared row tape read by pool workers — each swept over
+//      seeds and validated by the history checker's sequential-spec
+//      oracle (STATS by the final drift log, the tape by the frozen
+//      generator golden and per-cell Experiment runs);
 //  (d) injected-bug self-tests — histories broken in known ways
 //      (dropped applied-label record, mis-sharded feed, tampered
 //      outcome, spurious crash marker) make the checker fire, proving
@@ -37,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "api/api.h"
 #include "io/monitor_service.h"
 #include "runtime/sim.h"
 #include "runtime/sync.h"
@@ -175,6 +178,29 @@ TEST(SimSchedulerTest, ThreadPoolWorkersAreAdopted) {
   });
   sched.Run();
   EXPECT_EQ(ran, 20);
+}
+
+// A joined OS thread's id is reused by the next one, so a second pool in
+// the same task (api::Suite runs one per Run()) must join its own workers,
+// not the finished tasks of the first pool's.
+TEST(SimSchedulerTest, PoolsCreatedInTurnJoinTheirOwnWorkers) {
+  int ran = 0;
+  sim::Scheduler sched(3);
+  sched.Spawn("main", [&ran] {
+    for (int pass = 0; pass < 3; ++pass) {
+      runtime::ThreadPool pool(3);
+      Mutex mu;
+      for (int i = 0; i < 4; ++i) {
+        pool.Submit([&mu, &ran] {
+          MutexLock lock(&mu);
+          ++ran;
+        });
+      }
+      pool.Wait();
+    }
+  });
+  sched.Run();
+  EXPECT_EQ(ran, 12);
 }
 
 TEST(SimSchedulerTest, RunThreadsBarrierWorksUnderSim) {
@@ -736,6 +762,144 @@ ScenarioOutcome RunStatsCutScenario(uint64_t seed) {
   return outcome;
 }
 
+/// The grid of the row-tape scenario: RBF5 (20 features) and Hyperplane10
+/// (40 features), a DDM and a baseline cell each, naive-bayes, a short
+/// protocol. kTapeGridCap fits RBF5's rows and not Hyperplane10's, so one
+/// row replays a shared tape and the other falls back to per-cell
+/// generation.
+api::Suite TapeGrid() {
+  PrequentialConfig cfg;
+  cfg.max_instances = 600;
+  cfg.metric_window = 200;
+  cfg.eval_interval = 50;
+  cfg.warmup = 100;
+  cfg.timing = false;
+  api::Suite suite;
+  suite.Streams({"RBF5", "Hyperplane10"})
+      .Detector("DDM")
+      .NoDetector()
+      .Classifier("naive-bayes")
+      .Scale(0.001)
+      .Seed(5)
+      .Prequential(cfg)
+      .Threads(3);
+  return suite;
+}
+constexpr size_t kTapeGridCap = 600 * (20 + 2) * sizeof(double);
+
+/// The frozen oracle of TapeGrid(): every cell through Experiment::Run()
+/// on its own generator, computed once per process.
+const api::SuiteResult& TapeGridOracle() {
+  static const api::SuiteResult* oracle = [] {
+    api::Suite suite = TapeGrid();
+    suite.Runner([](const api::SuiteCell& cell) {
+      api::Experiment e;
+      e.Stream(cell.spec)
+          .Options(cell.options)
+          .Classifier(cell.classifier, cell.classifier_params)
+          .Prequential(cell.config);
+      if (!cell.detector.empty()) e.Detector(cell.detector);
+      return e.Run();
+    });
+    return new api::SuiteResult(suite.Run());
+  }();
+  return *oracle;
+}
+
+/// Row tape under the scheduler: three readers on pool workers replay one
+/// tape of a golden realization (the seed picks the stream and the chunk
+/// size) whose cap is exactly its size. Each reader must hash the frozen
+/// generator's rows, retained bytes must never exceed the cap, and the
+/// last reader's release must free them. Then TapeGrid() runs on three
+/// workers through api::detail::RunSuite and must equal its per-cell
+/// oracle, the over-cap row included.
+ScenarioOutcome RunRowTapeScenario(uint64_t seed) {
+  static const std::vector<test_util::GoldenStream> streams =
+      test_util::GoldenStreams();
+  static const std::vector<std::string> golden =
+      test_util::GoldenLines(test_util::GeneratorGoldenPath());
+  const size_t which = static_cast<size_t>(seed % streams.size());
+  const test_util::GoldenStream& g = streams[which];
+  constexpr size_t kChunkChoices[] = {50, 128, 333, 1024};
+  const size_t chunk_rows = kChunkChoices[(seed / streams.size()) % 4];
+  const size_t cap = test_util::kGoldenStreamRows *
+                     (static_cast<size_t>(g.spec.num_features) + 2) *
+                     sizeof(double);
+  api::SuiteCell cell;
+  cell.spec = g.spec;
+  cell.options = g.options;
+  cell.has_config = true;
+  cell.config.max_instances = test_util::kGoldenStreamRows;
+  const api::SuiteResult& oracle = TapeGridOracle();
+
+  constexpr int kReaders = 3;
+  std::vector<std::string> lines(kReaders);
+  std::vector<size_t> peak(kReaders, 0);
+  size_t retained_after = 1;
+  api::SuiteResult grid;
+  sim::Scheduler sched(seed);
+  sched.Spawn("grid", [&] {
+    api::detail::RowTape tape(kReaders, cap, chunk_rows);
+    {
+      runtime::ThreadPool pool(kReaders);
+      for (int r = 0; r < kReaders; ++r) {
+        pool.Submit([&, r] {
+          test_util::RowHash hash;
+          if (tape.Open(cell)) {
+            for (size_t c = 0; c < tape.chunks(); ++c) {
+              for (const Instance& row : tape.Chunk(c)) hash.Add(row);
+              peak[static_cast<size_t>(r)] = std::max(
+                  peak[static_cast<size_t>(r)], tape.retained_bytes());
+            }
+            lines[static_cast<size_t>(r)] =
+                test_util::GoldenStreamLine(g, hash);
+          }
+          tape.Release();
+        });
+      }
+      pool.Wait();
+    }
+    retained_after = tape.retained_bytes();
+    grid = api::detail::RunSuite(TapeGrid(), kTapeGridCap);
+  });
+  sched.Run();
+
+  ScenarioOutcome outcome;
+  outcome.digest = sched.digest();
+  for (int r = 0; r < kReaders && outcome.check.ok; ++r) {
+    const size_t i = static_cast<size_t>(r);
+    if (lines[i] != golden[which]) {
+      outcome.check = {false, "reader " + std::to_string(r) + " read '" +
+                                  lines[i] + "', the golden is '" +
+                                  golden[which] + "'"};
+    } else if (peak[i] > cap) {
+      outcome.check = {false, "reader " + std::to_string(r) + " saw " +
+                                  std::to_string(peak[i]) +
+                                  " retained bytes over a cap of " +
+                                  std::to_string(cap)};
+    }
+  }
+  if (outcome.check.ok && retained_after != 0) {
+    outcome.check = {false, std::to_string(retained_after) +
+                                " bytes retained after the last release"};
+  }
+  if (outcome.check.ok && grid.cells.size() != oracle.cells.size()) {
+    outcome.check = {false, "grid has " + std::to_string(grid.cells.size()) +
+                                " cells"};
+  }
+  for (size_t i = 0; i < grid.cells.size() && outcome.check.ok; ++i) {
+    const std::string diff = test_util::DescribeResultDiff(
+        grid.cells[i].result, oracle.cells[i].result);
+    if (!diff.empty()) {
+      outcome.check = {false, "grid cell " + std::to_string(i) + " (" +
+                                  grid.cells[i].cell.stream_label + "/" +
+                                  grid.cells[i].cell.detector_label +
+                                  ") differs from Experiment::Run in " + diff};
+    }
+  }
+  return outcome;
+}
+
 // ------------------------------------------------------------- sweeps
 
 /// Seeds per scenario: 5 in tier-1, CCD_SIM_SEEDS (e.g. 1000) in the
@@ -786,6 +950,10 @@ TEST(SimSweepTest, BatchAndSinglePushesUnderReshard) {
 
 TEST(SimSweepTest, StatsReadsOneCutPerShard) {
   Sweep("stats_cut", RunStatsCutScenario);
+}
+
+TEST(SimSweepTest, RowTapeReadersUnderTheScheduler) {
+  Sweep("row_tape", RunRowTapeScenario);
 }
 
 // Acceptance: same seed → bit-identical schedule digest *and* checker

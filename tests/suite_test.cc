@@ -1,15 +1,20 @@
 // api::Suite — the deterministic parallel experiment-suite runner: grid
 // expansion, per-repeat seeding, thread-count-independent results, Welford
-// aggregation, the JSON writer, and error propagation.
+// aggregation, the JSON writer, error propagation, and the row tapes the
+// default path shares (detail::RowTape) against the per-cell Experiment
+// runs they replace.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/api.h"
+#include "testing_util.h"
 
 namespace ccd {
 namespace {
@@ -203,6 +208,205 @@ TEST(SuiteTest, CellErrorPropagatesAfterSiblingsFinish) {
     return PrequentialResult{};
   });
   EXPECT_THROW(suite.Run(), std::runtime_error);
+}
+
+// ------------------------------------------------------------ row tapes
+
+/// The pre-tape default cell: Experiment::Run() on the cell's own
+/// generator. The frozen oracle of the shared path.
+PrequentialResult RunExperimentCell(const api::SuiteCell& cell) {
+  api::Experiment e;
+  e.Stream(cell.spec)
+      .Options(cell.options)
+      .Classifier(cell.classifier, cell.classifier_params);
+  if (!cell.detector.empty()) e.Detector(cell.detector, cell.detector_params);
+  if (cell.has_config) e.Prequential(cell.config);
+  return e.Run();
+}
+
+/// Row bytes as the tape counts them: length x (features + 2) x 8.
+size_t RowBytes(const std::string& stream, uint64_t length) {
+  const StreamSpec* spec = FindStreamSpec(stream);
+  return static_cast<size_t>(length) *
+         (static_cast<size_t>(spec->num_features) + 2) * sizeof(double);
+}
+
+/// Two streams of different width, two classifiers, a baseline and two
+/// detectors, two repeats: every row has six cells. Under the cap the
+/// differential passes, RBF5 (20 features) fits and Hyperplane10 (40) does
+/// not, so one row of each kind runs.
+api::Suite MakeTapeGrid(int threads, bool protocol) {
+  api::Suite suite;
+  suite.Streams({"RBF5", "Hyperplane10"})
+      .Detectors({"FHDDM", "RBM-IM"})
+      .NoDetector()
+      .Classifier("naive-bayes")
+      .Classifier("cs-ptree")
+      .Scale(0.001)
+      .Seed(11)
+      .Repeats(2)
+      .Threads(threads);
+  if (protocol) suite.Prequential(ShortConfig());
+  return suite;
+}
+
+void ExpectSameCells(const api::SuiteResult& got,
+                     const api::SuiteResult& want) {
+  ASSERT_EQ(got.cells.size(), want.cells.size());
+  for (size_t i = 0; i < got.cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i) + " " +
+                 got.cells[i].cell.stream_label + "/" +
+                 got.cells[i].cell.detector_label + "/" +
+                 got.cells[i].cell.classifier + " repeat " +
+                 std::to_string(got.cells[i].cell.repeat));
+    EXPECT_EQ(got.cells[i].cell.stream_label, want.cells[i].cell.stream_label);
+    EXPECT_EQ(got.cells[i].cell.detector_label,
+              want.cells[i].cell.detector_label);
+    EXPECT_EQ(got.cells[i].cell.classifier, want.cells[i].cell.classifier);
+    EXPECT_EQ(got.cells[i].cell.repeat, want.cells[i].cell.repeat);
+    test_util::ExpectBitIdentical(got.cells[i].result, want.cells[i].result);
+  }
+}
+
+// The tentpole's differential: a grid through the shared row tapes equals
+// the same grid through a custom runner that calls Experiment::Run() per
+// cell (the old default), in every PrequentialResult field but the
+// seconds, at 1, 3 and 8 workers. The cap puts one stream's rows over it,
+// so the fallback runs beside the tapes; the second protocol (none set:
+// the stream's full realized length) reaches the tape's own length rule.
+TEST(SuiteTapeTest, SharedTapesMatchPerCellExperimentRuns) {
+  for (bool protocol : {true, false}) {
+    // Scale 0.001 realizes the 4000-instance floor.
+    const uint64_t length = protocol ? ShortConfig().max_instances : 4000;
+    const size_t cap = RowBytes("RBF5", length);
+    ASSERT_GT(RowBytes("Hyperplane10", length), cap);
+    api::Suite oracle = MakeTapeGrid(4, protocol);
+    oracle.Runner(RunExperimentCell);
+    const api::SuiteResult want = oracle.Run();
+    ASSERT_EQ(want.cells.size(), 24u);
+    for (int threads : {1, 3, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (protocol ? " short protocol" : " full length"));
+      ExpectSameCells(
+          api::detail::RunSuite(MakeTapeGrid(threads, protocol), cap), want);
+    }
+  }
+}
+
+// The default cap fits every row of a small grid; Run() gives the same
+// results as the per-cell oracle through it too.
+TEST(SuiteTapeTest, RunUsesTheDefaultCap) {
+  api::Suite oracle = MakeGrid(2);
+  oracle.Runner(RunExperimentCell);
+  ExpectSameCells(MakeGrid(3).Run(), oracle.Run());
+}
+
+/// A cell of `g`'s stream whose protocol stops after `rows` instances.
+api::SuiteCell TapeCell(const test_util::GoldenStream& g, uint64_t rows) {
+  api::SuiteCell cell;
+  cell.spec = g.spec;
+  cell.options = g.options;
+  cell.has_config = true;
+  cell.config.max_instances = rows;
+  return cell;
+}
+
+// The tape replays the frozen generators: for every realization of
+// tests/golden/generator_streams.txt, a tape of its first 2000 rows,
+// read chunk by chunk with a chunk size that does not divide the length,
+// hashes to the golden line.
+TEST(SuiteTapeTest, TapeRowsMatchFrozenGenerators) {
+  std::vector<std::string> got;
+  for (const test_util::GoldenStream& g : test_util::GoldenStreams()) {
+    api::detail::RowTape tape(1, api::detail::kRowTapeCapBytes, 300);
+    ASSERT_TRUE(tape.Open(TapeCell(g, test_util::kGoldenStreamRows)));
+    ASSERT_EQ(tape.length(), test_util::kGoldenStreamRows);
+    ASSERT_EQ(tape.chunks(), 7u);
+    test_util::RowHash hash;
+    for (size_t c = 0; c < tape.chunks(); ++c) {
+      for (const Instance& row : tape.Chunk(c)) hash.Add(row);
+    }
+    got.push_back(test_util::GoldenStreamLine(g, hash));
+    tape.Release();
+  }
+  test_util::ExpectLinesMatchGolden(
+      got, test_util::GoldenLines(test_util::GeneratorGoldenPath()),
+      "generator_streams.tape.actual.txt");
+}
+
+// Retained bytes are the published rows, never above the cap, and the last
+// of the tape's readers frees them; a row one byte over the cap is refused
+// without generating anything.
+TEST(SuiteTapeTest, RetainedBytesStayUnderTheCapAndTheLastReaderFrees) {
+  const test_util::GoldenStream g = test_util::GoldenStreams()[0];
+  const uint64_t rows = 1000;
+  const size_t row_bytes =
+      (static_cast<size_t>(g.spec.num_features) + 2) * sizeof(double);
+  const size_t cap = static_cast<size_t>(rows) * row_bytes;
+
+  api::detail::RowTape tape(3, cap, 256);
+  ASSERT_TRUE(tape.Open(TapeCell(g, rows)));
+  EXPECT_EQ(tape.retained_bytes(), 0u);  // Nothing is drawn before a read.
+  size_t seen = 0;
+  for (size_t c = 0; c < tape.chunks(); ++c) {
+    seen += tape.Chunk(c).size();
+    EXPECT_EQ(tape.retained_bytes(), seen * row_bytes);
+    EXPECT_LE(tape.retained_bytes(), cap);
+  }
+  EXPECT_EQ(seen, rows);
+  tape.Release();
+  tape.Release();
+  EXPECT_EQ(tape.retained_bytes(), cap);  // One reader left.
+  tape.Release();
+  EXPECT_EQ(tape.retained_bytes(), 0u);
+
+  api::detail::RowTape over(1, cap - 1, 256);
+  EXPECT_FALSE(over.Open(TapeCell(g, rows)));
+  EXPECT_FALSE(over.Open(TapeCell(g, rows)));  // Every caller, alike.
+  EXPECT_EQ(over.retained_bytes(), 0u);
+}
+
+// A stream that cannot be built fails every cell of its row, on the
+// shared path as on the per-cell one, and the grid still finishes: the
+// error of the first cell in grid order is rethrown.
+TEST(SuiteTapeTest, StreamBuildErrorReachesEveryCellOfItsRow) {
+  StreamSpec broken = *FindStreamSpec("RBF5");
+  broken.name = "Broken";
+  broken.num_classes = -1;  // RbfConcept cannot size its class table.
+  for (bool shared : {true, false}) {
+    api::Suite suite;
+    suite.Stream("RBF5").Stream(broken).Detectors({"FHDDM", "DDM"});
+    suite.Scale(0.001).Prequential(ShortConfig()).Threads(3);
+    if (!shared) suite.Runner(RunExperimentCell);
+    EXPECT_THROW(suite.Run(), std::length_error);
+  }
+  api::detail::RowTape tape(2);
+  api::SuiteCell cell;
+  cell.spec = broken;
+  EXPECT_THROW(tape.Open(cell), std::length_error);
+  EXPECT_THROW(tape.Open(cell), std::length_error);  // The second reader.
+  tape.Release();
+  tape.Release();
+}
+
+// A component error inside a shared row (bad detector params) surfaces as
+// the ApiError of the first failing cell, after every cell has released
+// its tape (a leaked reader would leave the run hanging).
+TEST(SuiteTapeTest, CellErrorOnASharedRowPropagates) {
+  api::Suite suite;
+  suite.Streams({"RBF5", "RBF10"})
+      .Detector("FHDDM")
+      .Detector("DDM", {"no_such_param=1"})
+      .Scale(0.001)
+      .Prequential(ShortConfig())
+      .Threads(3);
+  try {
+    suite.Run();
+    FAIL() << "expected ApiError";
+  } catch (const api::ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find("no_such_param"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
