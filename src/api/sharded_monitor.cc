@@ -175,7 +175,8 @@ ShardedMonitor::Prediction ShardedMonitor::Predict(
       1, [key](size_t) { return key; },
       [&](size_t) { CheckRow(schema(), features, weight, std::nullopt); },
       [&](MonitorEngine& engine, size_t, int shard) {
-        MonitorEngine::Ticket t = engine.Predict(features, weight);
+        MonitorEngine::Ticket t;
+        engine.PredictAdmitted(features, weight, &t);
         p.shard = shard;
         p.id = t.id;
         p.label = t.predicted;
@@ -191,7 +192,7 @@ void ShardedMonitor::Feed(uint64_t key, const Instance& instance) {
         CheckRow(schema(), instance.features, instance.weight, instance.label);
       },
       [&instance](MonitorEngine& engine, size_t, int) {
-        engine.Feed(instance);
+        engine.FeedAdmitted(instance);
       });
 }
 
@@ -201,7 +202,8 @@ bool ShardedMonitor::Label(int shard, uint64_t id, int true_label) {
       1, [shard](size_t) { return shard; },
       [&](size_t) { CheckLabel(schema(), true_label); },
       [&](MonitorEngine& engine, size_t, int) {
-        applied = engine.Label(id, true_label) == LabelOutcome::kApplied;
+        applied =
+            engine.LabelAdmitted(id, true_label) == LabelOutcome::kApplied;
       });
   return applied;
 }
@@ -214,7 +216,7 @@ void ShardedMonitor::FeedBatch(const std::vector<KeyedInstance>& batch) {
         CheckRow(schema(), row.features, row.weight, row.label);
       },
       [&batch](MonitorEngine& engine, size_t i, int) {
-        engine.Feed(batch[i].instance);
+        engine.FeedAdmitted(batch[i].instance);
       });
 }
 
@@ -229,8 +231,8 @@ void ShardedMonitor::PredictBatch(const std::vector<KeyedInstance>& batch,
         CheckRow(schema(), row.features, row.weight, std::nullopt);
       },
       [&](MonitorEngine& engine, size_t i, int shard) {
-        engine.Predict(batch[i].instance.features, batch[i].instance.weight,
-                       &t);
+        engine.PredictAdmitted(batch[i].instance.features,
+                               batch[i].instance.weight, &t);
         Prediction& p = (*out)[i];
         p.shard = shard;
         p.id = t.id;
@@ -246,7 +248,8 @@ void ShardedMonitor::LabelBatch(const std::vector<ShardLabel>& batch,
       batch.size(), [&batch](size_t i) { return batch[i].shard; },
       [&](size_t i) { CheckLabel(schema(), batch[i].label); },
       [&](MonitorEngine& engine, size_t i, int) {
-        const LabelOutcome outcome = engine.Label(batch[i].id, batch[i].label);
+        const LabelOutcome outcome =
+            engine.LabelAdmitted(batch[i].id, batch[i].label);
         if (outcomes) (*outcomes)[i] = outcome;
       });
 }

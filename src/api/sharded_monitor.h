@@ -296,7 +296,9 @@ class ShardedMonitor {
   /// above). Element i of `n` goes to the shard `target(i)` names — a key
   /// for kKey, a shard index for kShard — after `admit(i)` has run its
   /// admission check, and `apply(engine, i, shard)` runs under that
-  /// shard's lock. Throws before applying anything when any element fails
+  /// shard's lock, calling the engine's step bodies that skip the check
+  /// (FeedAdmitted/PredictAdmitted/LabelAdmitted), so each row is admitted
+  /// once. Throws before applying anything when any element fails
   /// validation. Defined in the .cc, its only user.
   template <Route kRoute, typename TargetFn, typename AdmitFn,
             typename ApplyFn>

@@ -86,8 +86,12 @@ void MonitorEngine::RequireNotInHook(const char* operation) const {
 }
 
 void MonitorEngine::Feed(const Instance& instance) {
-  RequireNotInHook("Feed()");
   CheckRow(schema_, instance.features, instance.weight, instance.label);
+  FeedAdmitted(instance);
+}
+
+void MonitorEngine::FeedAdmitted(const Instance& instance) {
+  RequireNotInHook("Feed()");
   if (run_.position < config_.warmup) {
     Complete(instance, /*measured=*/false, 0, {});
     return;
@@ -110,8 +114,13 @@ MonitorEngine::Ticket MonitorEngine::Predict(
 
 void MonitorEngine::Predict(const std::vector<double>& features, double weight,
                             Ticket* out) {
-  RequireNotInHook("Predict()");
   CheckRow(schema_, features, weight, std::nullopt);
+  PredictAdmitted(features, weight, out);
+}
+
+void MonitorEngine::PredictAdmitted(const std::vector<double>& features,
+                                    double weight, Ticket* out) {
+  RequireNotInHook("Predict()");
   // Build the prediction directly in its ring slot, reusing the slot's
   // feature/score capacity. When full, the oldest prediction is evicted
   // (its label is the most overdue) and its slot becomes the new back.
@@ -146,8 +155,12 @@ void MonitorEngine::PredictBatch(const std::vector<Instance>& batch,
 }
 
 LabelOutcome MonitorEngine::Label(uint64_t id, int true_label) {
-  RequireNotInHook("Label()");
   CheckLabel(schema_, true_label);
+  return LabelAdmitted(id, true_label);
+}
+
+LabelOutcome MonitorEngine::LabelAdmitted(uint64_t id, int true_label) {
+  RequireNotInHook("Label()");
   // Ids are issued monotonically and the ring is ordered, so the lookup is
   // a binary search over logical indices even when labels arrive out of
   // order.

@@ -12,6 +12,10 @@
 
 namespace ccd {
 
+namespace api {
+class ShardedMonitor;
+}  // namespace api
+
 /// Windowed-metric snapshot attached to engine events: the state of the
 /// sliding evaluation window at `position` completed instances.
 struct MetricsSnapshot {
@@ -176,7 +180,9 @@ struct LabelRequest {
 /// label outage degrades to a bounded-memory predictor instead of leaking.
 ///
 /// Admission: Feed, Predict and Label run CheckRow/CheckLabel
-/// (eval/admission.h) before anything changes, so a row of the wrong
+/// (eval/admission.h) before anything changes (api::ShardedMonitor, which
+/// admits a whole push before applying any of it, calls the step bodies
+/// behind them directly), so a row of the wrong
 /// width, a non-finite feature or weight, a weight <= 0 or an
 /// out-of-range label throws AdmissionError and leaves the engine as it
 /// was.
@@ -281,12 +287,21 @@ class MonitorEngine {
   PrequentialResult Result() const;
 
  private:
+  friend class api::ShardedMonitor;
+
   struct PendingPrediction {
     uint64_t id = 0;
     Instance instance;  ///< Features + weight; label filled at Label().
     int predicted = 0;
     std::vector<double> scores;
   };
+
+  /// The steps behind Feed(), Predict() and Label(), for a row or label
+  /// that already passed CheckRow/CheckLabel against this schema.
+  void FeedAdmitted(const Instance& instance);
+  void PredictAdmitted(const std::vector<double>& features, double weight,
+                       Ticket* out);
+  LabelOutcome LabelAdmitted(uint64_t id, int true_label);
 
   /// One completed (labelled) instance — the body of the prequential loop.
   /// `measured` is false for the warmup prefix (train-only, no metrics).
