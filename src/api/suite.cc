@@ -88,6 +88,10 @@ RowTape::RowTape(size_t readers, size_t cap_bytes, size_t chunk_rows)
       chunk_rows_(chunk_rows < 1 ? 1 : chunk_rows),
       readers_(readers) {}
 
+size_t RowTape::RowBytes(int num_features) {
+  return sizeof(Instance) + static_cast<size_t>(num_features) * sizeof(double);
+}
+
 bool RowTape::Open(const SuiteCell& cell) {
   runtime::MutexLock lock(&mu_);
   if (!opened_) {
@@ -98,8 +102,7 @@ bool RowTape::Open(const SuiteCell& cell) {
       length_ = cell.has_config && cell.config.max_instances != 0
                     ? cell.config.max_instances
                     : built.length;
-      row_bytes_ = (static_cast<size_t>(schema_.num_features) + 2) *
-                   sizeof(double);
+      row_bytes_ = RowBytes(schema_.num_features);
       fits_ = length_ <= cap_bytes_ / row_bytes_;
       if (fits_) {
         chunk_count_ = static_cast<size_t>((length_ + chunk_rows_ - 1) /

@@ -82,8 +82,9 @@ class Suite;
 
 namespace detail {
 
-/// Byte cap of one row tape (64 MiB). A fixed constant, not a knob: rows
-/// over it fall back to per-cell generation.
+/// Byte cap of one row tape (64 MiB), counted in RowTape::RowBytes. A
+/// fixed constant, not a knob: rows over it fall back to per-cell
+/// generation.
 constexpr size_t kRowTapeCapBytes = size_t{64} << 20;
 
 /// Suite::Run() with the row tapes' byte cap as a parameter — the seam
@@ -105,12 +106,16 @@ class RowTape {
   explicit RowTape(size_t readers, size_t cap_bytes = kRowTapeCapBytes,
                    size_t chunk_rows = kChunkRows);
 
+  /// Bytes one tape row of `num_features` features holds: the Instance
+  /// and its feature array (allocator headers not counted).
+  static size_t RowBytes(int num_features);
+
   /// Builds the row's stream from `cell` on the first call; every call
-  /// answers alike. Returns false when the row's
-  /// length x (features + 2) x 8 bytes exceed the cap (the caller then
-  /// generates its own stream) and rethrows the build's error to every
-  /// caller. The length is the cell's `max_instances`, or the stream's
-  /// realized length when that is 0 or the cell carries no protocol.
+  /// answers alike. Returns false when length x RowBytes exceed the cap
+  /// (the caller then generates its own stream) and rethrows the build's
+  /// error to every caller. The length is the cell's `max_instances`, or
+  /// the stream's realized length when that is 0 or the cell carries no
+  /// protocol.
   bool Open(const SuiteCell& cell);
 
   /// The row's schema and length; valid once Open() returned true.
@@ -123,7 +128,7 @@ class RowTape {
   /// generation failure to every reader.
   const std::vector<Instance>& Chunk(size_t i);
 
-  /// Bytes the published chunks hold, counted as in the cap.
+  /// Bytes the published chunks hold, in RowBytes.
   size_t retained_bytes() const;
 
   /// One reader is done; the last frees the generator and every chunk.
@@ -188,8 +193,9 @@ bool WriteJson(const SuiteResult& result, const std::string& path);
 /// the row generates it once into a shared read-only tape
 /// (detail::RowTape) that all of them replay, and frees it when its last
 /// cell finishes. A row whose instances would take more than
-/// detail::kRowTapeCapBytes (length x (features + 2) x 8 bytes) runs
-/// each cell through Experiment::Run() on its own generator instead.
+/// detail::kRowTapeCapBytes (length x the bytes of one Instance with its
+/// features) runs each cell through Experiment::Run() on its own
+/// generator instead.
 /// Callers with a different per-cell protocol (e.g. stream audits,
 /// detector micro-timing) keep the grid, sharding, seeding and
 /// aggregation machinery by supplying a Runner(); a custom runner gets

@@ -785,7 +785,7 @@ api::Suite TapeGrid() {
       .Threads(3);
   return suite;
 }
-constexpr size_t kTapeGridCap = 600 * (20 + 2) * sizeof(double);
+const size_t kTapeGridCap = 600 * api::detail::RowTape::RowBytes(20);
 
 /// The frozen oracle of TapeGrid(): every cell through Experiment::Run()
 /// on its own generator, computed once per process.
@@ -823,8 +823,7 @@ ScenarioOutcome RunRowTapeScenario(uint64_t seed) {
   constexpr size_t kChunkChoices[] = {50, 128, 333, 1024};
   const size_t chunk_rows = kChunkChoices[(seed / streams.size()) % 4];
   const size_t cap = test_util::kGoldenStreamRows *
-                     (static_cast<size_t>(g.spec.num_features) + 2) *
-                     sizeof(double);
+                     api::detail::RowTape::RowBytes(g.spec.num_features);
   api::SuiteCell cell;
   cell.spec = g.spec;
   cell.options = g.options;

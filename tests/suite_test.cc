@@ -224,11 +224,10 @@ PrequentialResult RunExperimentCell(const api::SuiteCell& cell) {
   return e.Run();
 }
 
-/// Row bytes as the tape counts them: length x (features + 2) x 8.
-size_t RowBytes(const std::string& stream, uint64_t length) {
-  const StreamSpec* spec = FindStreamSpec(stream);
+/// The bytes a tape of `length` rows of `stream` holds.
+size_t TapeBytes(const std::string& stream, uint64_t length) {
   return static_cast<size_t>(length) *
-         (static_cast<size_t>(spec->num_features) + 2) * sizeof(double);
+         api::detail::RowTape::RowBytes(FindStreamSpec(stream)->num_features);
 }
 
 /// Two streams of different width, two classifiers, a baseline and two
@@ -278,8 +277,8 @@ TEST(SuiteTapeTest, SharedTapesMatchPerCellExperimentRuns) {
   for (bool protocol : {true, false}) {
     // Scale 0.001 realizes the 4000-instance floor.
     const uint64_t length = protocol ? ShortConfig().max_instances : 4000;
-    const size_t cap = RowBytes("RBF5", length);
-    ASSERT_GT(RowBytes("Hyperplane10", length), cap);
+    const size_t cap = TapeBytes("RBF5", length);
+    ASSERT_GT(TapeBytes("Hyperplane10", length), cap);
     api::Suite oracle = MakeTapeGrid(4, protocol);
     oracle.Runner(RunExperimentCell);
     const api::SuiteResult want = oracle.Run();
@@ -340,8 +339,7 @@ TEST(SuiteTapeTest, TapeRowsMatchFrozenGenerators) {
 TEST(SuiteTapeTest, RetainedBytesStayUnderTheCapAndTheLastReaderFrees) {
   const test_util::GoldenStream g = test_util::GoldenStreams()[0];
   const uint64_t rows = 1000;
-  const size_t row_bytes =
-      (static_cast<size_t>(g.spec.num_features) + 2) * sizeof(double);
+  const size_t row_bytes = api::detail::RowTape::RowBytes(g.spec.num_features);
   const size_t cap = static_cast<size_t>(rows) * row_bytes;
 
   api::detail::RowTape tape(3, cap, 256);
