@@ -792,15 +792,7 @@ const size_t kTapeGridCap = 600 * api::detail::RowTape::RowBytes(20);
 const api::SuiteResult& TapeGridOracle() {
   static const api::SuiteResult* oracle = [] {
     api::Suite suite = TapeGrid();
-    suite.Runner([](const api::SuiteCell& cell) {
-      api::Experiment e;
-      e.Stream(cell.spec)
-          .Options(cell.options)
-          .Classifier(cell.classifier, cell.classifier_params)
-          .Prequential(cell.config);
-      if (!cell.detector.empty()) e.Detector(cell.detector);
-      return e.Run();
-    });
+    suite.Runner(test_util::RunExperimentCell);
     return new api::SuiteResult(suite.Run());
   }();
   return *oracle;
@@ -824,11 +816,8 @@ ScenarioOutcome RunRowTapeScenario(uint64_t seed) {
   const size_t chunk_rows = kChunkChoices[(seed / streams.size()) % 4];
   const size_t cap = test_util::kGoldenStreamRows *
                      api::detail::RowTape::RowBytes(g.spec.num_features);
-  api::SuiteCell cell;
-  cell.spec = g.spec;
-  cell.options = g.options;
-  cell.has_config = true;
-  cell.config.max_instances = test_util::kGoldenStreamRows;
+  const api::SuiteCell cell =
+      test_util::GoldenStreamCell(g, test_util::kGoldenStreamRows);
   const api::SuiteResult& oracle = TapeGridOracle();
 
   constexpr int kReaders = 3;

@@ -212,18 +212,6 @@ TEST(SuiteTest, CellErrorPropagatesAfterSiblingsFinish) {
 
 // ------------------------------------------------------------ row tapes
 
-/// The pre-tape default cell: Experiment::Run() on the cell's own
-/// generator. The frozen oracle of the shared path.
-PrequentialResult RunExperimentCell(const api::SuiteCell& cell) {
-  api::Experiment e;
-  e.Stream(cell.spec)
-      .Options(cell.options)
-      .Classifier(cell.classifier, cell.classifier_params);
-  if (!cell.detector.empty()) e.Detector(cell.detector, cell.detector_params);
-  if (cell.has_config) e.Prequential(cell.config);
-  return e.Run();
-}
-
 /// The bytes a tape of `length` rows of `stream` holds.
 size_t TapeBytes(const std::string& stream, uint64_t length) {
   return static_cast<size_t>(length) *
@@ -280,7 +268,7 @@ TEST(SuiteTapeTest, SharedTapesMatchPerCellExperimentRuns) {
     const size_t cap = TapeBytes("RBF5", length);
     ASSERT_GT(TapeBytes("Hyperplane10", length), cap);
     api::Suite oracle = MakeTapeGrid(4, protocol);
-    oracle.Runner(RunExperimentCell);
+    oracle.Runner(test_util::RunExperimentCell);
     const api::SuiteResult want = oracle.Run();
     ASSERT_EQ(want.cells.size(), 24u);
     for (int threads : {1, 3, 8}) {
@@ -296,18 +284,8 @@ TEST(SuiteTapeTest, SharedTapesMatchPerCellExperimentRuns) {
 // results as the per-cell oracle through it too.
 TEST(SuiteTapeTest, RunUsesTheDefaultCap) {
   api::Suite oracle = MakeGrid(2);
-  oracle.Runner(RunExperimentCell);
+  oracle.Runner(test_util::RunExperimentCell);
   ExpectSameCells(MakeGrid(3).Run(), oracle.Run());
-}
-
-/// A cell of `g`'s stream whose protocol stops after `rows` instances.
-api::SuiteCell TapeCell(const test_util::GoldenStream& g, uint64_t rows) {
-  api::SuiteCell cell;
-  cell.spec = g.spec;
-  cell.options = g.options;
-  cell.has_config = true;
-  cell.config.max_instances = rows;
-  return cell;
 }
 
 // The tape replays the frozen generators: for every realization of
@@ -318,7 +296,8 @@ TEST(SuiteTapeTest, TapeRowsMatchFrozenGenerators) {
   std::vector<std::string> got;
   for (const test_util::GoldenStream& g : test_util::GoldenStreams()) {
     api::detail::RowTape tape(1, api::detail::kRowTapeCapBytes, 300);
-    ASSERT_TRUE(tape.Open(TapeCell(g, test_util::kGoldenStreamRows)));
+    ASSERT_TRUE(tape.Open(
+        test_util::GoldenStreamCell(g, test_util::kGoldenStreamRows)));
     ASSERT_EQ(tape.length(), test_util::kGoldenStreamRows);
     ASSERT_EQ(tape.chunks(), 7u);
     test_util::RowHash hash;
@@ -342,8 +321,9 @@ TEST(SuiteTapeTest, RetainedBytesStayUnderTheCapAndTheLastReaderFrees) {
   const size_t row_bytes = api::detail::RowTape::RowBytes(g.spec.num_features);
   const size_t cap = static_cast<size_t>(rows) * row_bytes;
 
+  const api::SuiteCell cell = test_util::GoldenStreamCell(g, rows);
   api::detail::RowTape tape(3, cap, 256);
-  ASSERT_TRUE(tape.Open(TapeCell(g, rows)));
+  ASSERT_TRUE(tape.Open(cell));
   EXPECT_EQ(tape.retained_bytes(), 0u);  // Nothing is drawn before a read.
   size_t seen = 0;
   for (size_t c = 0; c < tape.chunks(); ++c) {
@@ -359,8 +339,8 @@ TEST(SuiteTapeTest, RetainedBytesStayUnderTheCapAndTheLastReaderFrees) {
   EXPECT_EQ(tape.retained_bytes(), 0u);
 
   api::detail::RowTape over(1, cap - 1, 256);
-  EXPECT_FALSE(over.Open(TapeCell(g, rows)));
-  EXPECT_FALSE(over.Open(TapeCell(g, rows)));  // Every caller, alike.
+  EXPECT_FALSE(over.Open(cell));
+  EXPECT_FALSE(over.Open(cell));  // Every caller, alike.
   EXPECT_EQ(over.retained_bytes(), 0u);
 }
 
@@ -375,7 +355,7 @@ TEST(SuiteTapeTest, StreamBuildErrorReachesEveryCellOfItsRow) {
     api::Suite suite;
     suite.Stream("RBF5").Stream(broken).Detectors({"FHDDM", "DDM"});
     suite.Scale(0.001).Prequential(ShortConfig()).Threads(3);
-    if (!shared) suite.Runner(RunExperimentCell);
+    if (!shared) suite.Runner(test_util::RunExperimentCell);
     EXPECT_THROW(suite.Run(), std::length_error);
   }
   api::detail::RowTape tape(2);

@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "api/component_registry.h"
+#include "api/experiment.h"
+#include "api/suite.h"
 #include "classifiers/classifier.h"
 #include "detectors/detector.h"
 #include "eval/admission.h"
@@ -441,6 +443,28 @@ inline std::string GoldenStreamLine(const GoldenStream& g,
 
 inline std::string GeneratorGoldenPath() {
   return std::string(CCD_GOLDEN_DIR) + "/generator_streams.txt";
+}
+
+/// A grid cell of `g`'s stream whose protocol stops after `rows` instances.
+inline api::SuiteCell GoldenStreamCell(const GoldenStream& g, uint64_t rows) {
+  api::SuiteCell cell;
+  cell.spec = g.spec;
+  cell.options = g.options;
+  cell.has_config = true;
+  cell.config.max_instances = rows;
+  return cell;
+}
+
+/// The pre-tape default grid cell: Experiment::Run() on the cell's own
+/// generator. The frozen oracle of api::Suite's shared row tapes.
+inline PrequentialResult RunExperimentCell(const api::SuiteCell& cell) {
+  api::Experiment e;
+  e.Stream(cell.spec)
+      .Options(cell.options)
+      .Classifier(cell.classifier, cell.classifier_params);
+  if (!cell.detector.empty()) e.Detector(cell.detector, cell.detector_params);
+  if (cell.has_config) e.Prequential(cell.config);
+  return e.Run();
 }
 
 // ------------------------------------------------- concurrency harness
