@@ -70,7 +70,11 @@ Experiment::Built Experiment::Build() const {
         "Stream(spec) before Build()/Run()");
   }
   Built out;
-  out.stream = BuildStream(spec_, options_);
+  try {
+    out.stream = BuildStream(spec_, options_);
+  } catch (const std::invalid_argument& e) {
+    throw ApiError(e.what());
+  }
   const StreamSchema& schema = out.stream.stream->schema();
 
   out.classifier = Classifiers().Create(classifier_name_, schema,

@@ -64,7 +64,9 @@ class Experiment {
   /// full realized stream length".
   Experiment& Prequential(const PrequentialConfig& config);
 
-  /// Instantiates stream, classifier and detector without running.
+  /// Instantiates stream, classifier and detector without running. A
+  /// stream BuildStream refuses (see StreamLength) throws an ApiError
+  /// naming the field.
   Built Build() const;
 
   /// Build() + RunPrequential().

@@ -5,6 +5,8 @@
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "eval/engine.h"
@@ -54,6 +56,29 @@ PrequentialResult RunDefaultCell(const SuiteCell& cell) {
   return e.Run();
 }
 
+/// The instances a cell runs: the protocol's max_instances when it sets
+/// one, else the stream's realized length. Throws what StreamLength
+/// throws.
+uint64_t CellLength(const SuiteCell& cell) {
+  if (cell.has_config && cell.config.max_instances != 0) {
+    return cell.config.max_instances;
+  }
+  return StreamLength(cell.spec, cell.options);
+}
+
+/// The estimated cost of a cell's row: length x (features + classes), as
+/// the classifier's and the detectors' work per instance grows with both.
+/// A row whose stream cannot be built costs 0; its cells fail at once.
+double RowCost(const SuiteCell& cell) {
+  try {
+    return static_cast<double>(CellLength(cell)) *
+           (static_cast<double>(cell.spec.num_features) +
+            static_cast<double>(cell.spec.num_classes));
+  } catch (const std::invalid_argument&) {
+    return 0.0;
+  }
+}
+
 /// RunDefaultCell on the row's shared tape: the same components and
 /// protocol Experiment::Run() builds, fed the tape's rows in place of a
 /// private generator. A row over the cap runs RunDefaultCell itself.
@@ -99,9 +124,7 @@ bool RowTape::Open(const SuiteCell& cell) {
     try {
       BuiltStream built = BuildStream(cell.spec, cell.options);
       schema_ = built.stream->schema();
-      length_ = cell.has_config && cell.config.max_instances != 0
-                    ? cell.config.max_instances
-                    : built.length;
+      length_ = CellLength(cell);
       row_bytes_ = RowBytes(schema_.num_features);
       fits_ = length_ <= cap_bytes_ / row_bytes_;
       if (fits_) {
@@ -110,6 +133,9 @@ bool RowTape::Open(const SuiteCell& cell) {
         chunks_.resize(chunk_count_);
         built_ = std::move(built);
       }
+    } catch (const std::invalid_argument& e) {
+      // Refused as Experiment::Build() refuses it.
+      error_ = std::make_exception_ptr(ApiError(e.what()));
     } catch (...) {
       error_ = std::current_exception();
     }
@@ -369,6 +395,29 @@ SuiteResult Suite::Run() const {
 SuiteResult detail::RunSuite(const Suite& suite, size_t tape_cap_bytes) {
   std::vector<SuiteCell> cells = suite.Cells();
   const size_t repeats = static_cast<size_t>(suite.repeats_);
+  const size_t rows = suite.streams_.size() * repeats;
+  auto row_of = [&cells, repeats](size_t i) {
+    return cells[i].stream_index * repeats +
+           static_cast<size_t>(cells[i].repeat);
+  };
+
+  // Submission order: rows by descending estimated cost (longest
+  // processing time first), so the heaviest rows do not start last and
+  // leave the other workers idle at the end of the run. Ties keep grid
+  // order, and a row's cells stay adjacent and in grid order. A pure
+  // function of the grid; results stay in grid order whatever it is.
+  std::vector<double> row_cost(rows, 0.0);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    row_cost[row_of(i)] = RowCost(cells[i]);
+  }
+  std::vector<size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const size_t ra = row_of(a);
+    const size_t rb = row_of(b);
+    if (row_cost[ra] != row_cost[rb]) return row_cost[ra] > row_cost[rb];
+    return ra < rb;
+  });
 
   // Fail fast on the whole grid before any evaluation work starts: a typo
   // must not surface hours into a sweep. (A custom runner may interpret
@@ -389,7 +438,6 @@ SuiteResult detail::RunSuite(const Suite& suite, size_t tape_cap_bytes) {
         throw ApiError(e.what());
       }
     }
-    const size_t rows = suite.streams_.size() * repeats;
     for (size_t r = 0; r < rows; ++r) {
       tapes.push_back(std::make_unique<RowTape>(cells.size() / rows,
                                                 tape_cap_bytes));
@@ -404,14 +452,9 @@ SuiteResult detail::RunSuite(const Suite& suite, size_t tape_cap_bytes) {
     runtime::ThreadPool pool(suite.threads_ < 1
                                  ? runtime::ThreadPool::DefaultThreads()
                                  : suite.threads_);
-    for (size_t i = 0; i < cells.size(); ++i) {
+    for (size_t i : order) {
       pool.Submit([&, i] {
-        RowTape* tape =
-            tapes.empty()
-                ? nullptr
-                : tapes[cells[i].stream_index * repeats +
-                        static_cast<size_t>(cells[i].repeat)]
-                      .get();
+        RowTape* tape = tapes.empty() ? nullptr : tapes[row_of(i)].get();
         try {
           PrequentialResult r = tape != nullptr
                                     ? RunTapeCell(cells[i], tape)

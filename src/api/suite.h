@@ -200,11 +200,23 @@ bool WriteJson(const SuiteResult& result, const std::string& path);
 /// detector micro-timing) keep the grid, sharding, seeding and
 /// aggregation machinery by supplying a Runner(); a custom runner gets
 /// no tape.
+///
+/// Submission order: the pool (FIFO) gets the grid row by row, heaviest
+/// row first (longest processing time first), so the heaviest rows do not
+/// start last and leave the other workers idle at the end. A row's
+/// estimated cost is length x (num_features + num_classes), the length
+/// being the protocol's max_instances when set and StreamLength()
+/// otherwise; rows of equal cost keep grid order, and a row's cells stay
+/// adjacent and in grid order. The order is a pure function of the grid
+/// and holds for a custom Runner() too. Only the start times move: the
+/// results, the aggregates and the rethrown error keep grid order.
 class Suite {
  public:
   using CellRunner = std::function<PrequentialResult(const SuiteCell&)>;
   /// Progress callback; invoked serialized (under a lock) as cells finish,
-  /// in completion order — which is *not* deterministic across runs.
+  /// in completion order — heaviest rows first, and *not* deterministic
+  /// across runs with more than one worker (with one, it is the
+  /// submission order).
   using CellCallback =
       std::function<void(const SuiteCell&, const PrequentialResult&)>;
 

@@ -1,6 +1,8 @@
 #include "generators/registry.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "generators/agrawal.h"
 #include "generators/hyperplane.h"
@@ -140,12 +142,41 @@ const StreamSpec* FindStreamSpec(const std::string& name) {
   return nullptr;
 }
 
+uint64_t StreamLength(const StreamSpec& spec, const BuildOptions& options) {
+  auto refuse = [&spec](const std::string& field, const std::string& why) {
+    throw std::invalid_argument("stream '" + spec.name + "': " + field +
+                                " " + why);
+  };
+  if (spec.num_features < 1) refuse("num_features", "must be >= 1");
+  if (spec.num_classes < 2) refuse("num_classes", "must be >= 2");
+  if (options.ir_override > 0.0) {
+    if (!std::isfinite(options.ir_override)) {
+      refuse("ir_override", "must be finite");
+    }
+    if (options.ir_override < 1.0) refuse("ir_override", "must be >= 1");
+  } else if (!(std::isfinite(spec.imbalance_ratio) &&
+               spec.imbalance_ratio >= 1.0)) {
+    refuse("imbalance_ratio", "must be finite and >= 1");
+  }
+  if (spec.drift_events < 0) refuse("drift_events", "must be >= 0");
+  if (!(options.label_noise >= 0.0 && options.label_noise <= 1.0)) {
+    refuse("label_noise", "must be in [0, 1]");
+  }
+  if (!(std::isfinite(options.scale) && options.scale > 0.0)) {
+    refuse("scale", "must be finite and > 0");
+  }
+  const double scaled = static_cast<double>(spec.full_length) * options.scale;
+  // 2^64: the first double a uint64_t cannot hold.
+  if (!(scaled < 18446744073709551616.0)) {
+    refuse("scale", "makes the stream longer than 2^64 instances");
+  }
+  return std::max<uint64_t>(static_cast<uint64_t>(scaled), 4000);
+}
+
 BuiltStream BuildStream(const StreamSpec& spec, const BuildOptions& options) {
   BuiltStream out;
   out.spec = spec;
-  uint64_t length = static_cast<uint64_t>(
-      static_cast<double>(spec.full_length) * options.scale);
-  out.length = std::max<uint64_t>(length, 4000);
+  out.length = StreamLength(spec, options);
 
   int n_events =
       options.events_override >= 0 ? options.events_override : spec.drift_events;

@@ -58,8 +58,17 @@ std::vector<StreamSpec> ArtificialStreamSpecs();
 /// Looks a spec up by name; returns nullptr when unknown.
 const StreamSpec* FindStreamSpec(const std::string& name);
 
-/// Instantiates a benchmark stream. The same (spec, options) pair always
-/// produces an identical instance sequence.
+/// The number of instances BuildStream(spec, options) realizes:
+/// full_length x scale, floored at 4000. Throws std::invalid_argument
+/// naming the field when (spec, options) is not buildable:
+/// num_features < 1, num_classes < 2, a non-finite or < 1 imbalance_ratio
+/// (or ir_override, when set), drift_events < 0, a non-finite or <= 0
+/// scale (or one whose length overflows), or label_noise outside [0, 1].
+uint64_t StreamLength(const StreamSpec& spec, const BuildOptions& options);
+
+/// Instantiates a benchmark stream of StreamLength(spec, options)
+/// instances, refusing what StreamLength refuses. The same (spec, options)
+/// pair always produces an identical instance sequence.
 BuiltStream BuildStream(const StreamSpec& spec, const BuildOptions& options);
 
 }  // namespace ccd

@@ -13,14 +13,15 @@ namespace ccd {
 namespace runtime {
 
 /// Fixed-size thread pool over a FIFO work queue — the execution layer of
-/// the experiment-suite runner (api::Suite). Tasks are opaque thunks; determinism is the *caller's*
-/// contract: a task must write only to state it owns (e.g. its own slot of
-/// a pre-sized result vector), so results are identical whatever order the
-/// workers pick tasks in.
+/// the experiment-suite runner (api::Suite), which orders its tasks itself
+/// (heaviest grid row first). Tasks are opaque thunks; determinism is the
+/// *caller's* contract: a task must write only to state it owns (e.g. its
+/// own slot of a pre-sized result vector), so results are identical
+/// whatever order the workers pick tasks in.
 ///
 /// Tasks must not throw — wrap the body and capture the exception into a
 /// per-task slot (api::Suite stores an std::exception_ptr per cell and
-/// rethrows the first one, in task order, after Wait()).
+/// rethrows the first one, in grid order, after Wait()).
 class ThreadPool {
  public:
   /// Spawns `threads` workers; values < 1 are clamped to 1.

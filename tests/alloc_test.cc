@@ -263,7 +263,7 @@ TEST(AllocTest, PmAucTicksAreAllocationFreeAtTwentyClasses) {
   // ticks (capacity 128) and the measured pushes add 10 more, crossing no
   // capacity boundary.
   BuildOptions options;
-  options.scale = 0.0;  // The 4000-instance floor.
+  options.scale = 0.001;  // 2000 instances: the 4000-instance floor.
   BuiltStream built = BuildStream(*FindStreamSpec("RBF20"), options);
   constexpr size_t kTickWarm = 3400;
   std::vector<Instance> data;

@@ -124,6 +124,24 @@ TEST(ApiExperimentTest, DegenerateProtocolRejectedAtBuild) {
   EXPECT_THROW(e2.Run(), api::ApiError);
 }
 
+TEST(ApiExperimentTest, UnbuildableStreamRejectedAtBuild) {
+  // BuildStream's std::invalid_argument becomes an ApiError at Build(),
+  // naming the field, as a degenerate protocol does.
+  StreamSpec broken = *FindStreamSpec("RBF5");
+  broken.num_classes = -1;
+  api::Experiment e;
+  e.Stream(broken).Scale(0.001);
+  try {
+    e.Build();
+    FAIL() << "expected ApiError";
+  } catch (const api::ApiError& err) {
+    EXPECT_NE(std::string(err.what()).find("num_classes"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_THROW(api::Experiment().Stream("RBF5").Scale(-1.0).Run(),
+               api::ApiError);
+}
+
 TEST(ApiExperimentTest, MatchesDirectPipelineComposition) {
   // The builder is sugar, not a different pipeline: the same (spec,
   // options, components) must reproduce the same result numbers.

@@ -2,7 +2,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "generators/agrawal.h"
 #include "generators/drift.h"
@@ -512,6 +516,86 @@ TEST(RegistryTest, BuildRespectsScaleFloor) {
   EXPECT_GE(b.length, 4000u);
   ASSERT_NE(b.stream, nullptr);
   EXPECT_EQ(b.stream->schema().num_features, 14);
+}
+
+// StreamLength is the length BuildStream realizes: full_length x scale,
+// floored at 4000 instances.
+TEST(RegistryTest, StreamLengthIsTheBuiltLength) {
+  BuildOptions o;
+  for (double scale : {0.0001, 0.005, 0.01}) {
+    o.scale = scale;
+    for (const StreamSpec& s : AllStreamSpecs()) {
+      SCOPED_TRACE(s.name + " at scale " + std::to_string(scale));
+      EXPECT_EQ(StreamLength(s, o), BuildStream(s, o).length);
+    }
+  }
+  o.scale = 0.005;
+  EXPECT_EQ(StreamLength(*FindStreamSpec("Aggrawal20"), o), 10000u);
+  EXPECT_EQ(StreamLength(*FindStreamSpec("IntelSensors"), o), 11099u);
+  EXPECT_EQ(StreamLength(*FindStreamSpec("Gas"), o), 4000u);
+}
+
+// A spec or options value out of its domain is refused with an
+// std::invalid_argument naming the field, by StreamLength and BuildStream
+// alike, before any generator is constructed.
+TEST(RegistryTest, UnbuildableStreamsAreRefusedNamingTheField) {
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  struct Case {
+    const char* field;
+    std::function<void(StreamSpec*, BuildOptions*)> breaks;
+  };
+  using S = StreamSpec*;
+  using O = BuildOptions*;
+  const std::vector<Case> cases = {
+      {"num_features", [](S s, O) { s->num_features = 0; }},
+      {"num_classes", [](S s, O) { s->num_classes = 1; }},
+      {"num_classes", [](S s, O) { s->num_classes = -1; }},
+      {"imbalance_ratio", [](S s, O) { s->imbalance_ratio = 0.5; }},
+      {"imbalance_ratio", [&](S s, O) { s->imbalance_ratio = nan; }},
+      {"imbalance_ratio", [&](S s, O) { s->imbalance_ratio = inf; }},
+      {"ir_override", [](S, O o) { o->ir_override = 0.5; }},
+      {"ir_override", [&](S, O o) { o->ir_override = inf; }},
+      {"drift_events", [](S s, O) { s->drift_events = -1; }},
+      {"scale", [](S, O o) { o->scale = 0.0; }},
+      {"scale", [](S, O o) { o->scale = -0.5; }},
+      {"scale", [&](S, O o) { o->scale = nan; }},
+      {"scale", [&](S, O o) { o->scale = inf; }},
+      {"scale", [](S, O o) { o->scale = 1e30; }},  // Overflows uint64_t.
+      {"label_noise", [](S, O o) { o->label_noise = -0.1; }},
+      {"label_noise", [](S, O o) { o->label_noise = 1.5; }},
+      {"label_noise", [&](S, O o) { o->label_noise = nan; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    StreamSpec spec = *FindStreamSpec("RBF5");
+    BuildOptions options;
+    options.scale = 0.001;
+    c.breaks(&spec, &options);
+    for (bool build : {false, true}) {
+      try {
+        if (build) {
+          BuildStream(spec, options);
+        } else {
+          StreamLength(spec, options);
+        }
+        ADD_FAILURE() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The bounds themselves are buildable.
+  StreamSpec edge = *FindStreamSpec("RBF5");
+  edge.num_features = 1;
+  edge.num_classes = 2;
+  edge.imbalance_ratio = 1.0;
+  edge.drift_events = 0;
+  BuildOptions options;
+  options.scale = 0.001;
+  options.label_noise = 1.0;
+  EXPECT_EQ(BuildStream(edge, options).length, 4000u);
 }
 
 TEST(RegistryTest, DeterministicForSameSeed) {

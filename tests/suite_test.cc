@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -344,25 +345,39 @@ TEST(SuiteTapeTest, RetainedBytesStayUnderTheCapAndTheLastReaderFrees) {
   EXPECT_EQ(over.retained_bytes(), 0u);
 }
 
+/// Expects `fn` to throw an ApiError whose message names `field`.
+void ExpectApiErrorNaming(const std::function<void()>& fn,
+                          const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected an ApiError naming " << field;
+  } catch (const api::ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 // A stream that cannot be built fails every cell of its row, on the
 // shared path as on the per-cell one, and the grid still finishes: the
-// error of the first cell in grid order is rethrown.
+// error of the first cell in grid order is rethrown, the ApiError that
+// Experiment::Build() throws for the spec.
 TEST(SuiteTapeTest, StreamBuildErrorReachesEveryCellOfItsRow) {
   StreamSpec broken = *FindStreamSpec("RBF5");
   broken.name = "Broken";
-  broken.num_classes = -1;  // RbfConcept cannot size its class table.
+  broken.num_classes = -1;  // BuildStream refuses it.
   for (bool shared : {true, false}) {
     api::Suite suite;
     suite.Stream("RBF5").Stream(broken).Detectors({"FHDDM", "DDM"});
     suite.Scale(0.001).Prequential(ShortConfig()).Threads(3);
     if (!shared) suite.Runner(test_util::RunExperimentCell);
-    EXPECT_THROW(suite.Run(), std::length_error);
+    ExpectApiErrorNaming([&suite] { suite.Run(); }, "num_classes");
   }
   api::detail::RowTape tape(2);
   api::SuiteCell cell;
   cell.spec = broken;
-  EXPECT_THROW(tape.Open(cell), std::length_error);
-  EXPECT_THROW(tape.Open(cell), std::length_error);  // The second reader.
+  ExpectApiErrorNaming([&] { tape.Open(cell); }, "num_classes");
+  // The second reader.
+  ExpectApiErrorNaming([&] { tape.Open(cell); }, "num_classes");
   tape.Release();
   tape.Release();
 }
@@ -385,6 +400,107 @@ TEST(SuiteTapeTest, CellErrorOnASharedRowPropagates) {
     EXPECT_NE(std::string(e.what()).find("no_such_param"), std::string::npos)
         << e.what();
   }
+}
+
+// ------------------------------------------------------ submission order
+
+std::string CellName(const api::SuiteCell& cell) {
+  return cell.stream_label + "/" + cell.detector_label + "/" +
+         std::to_string(cell.repeat);
+}
+
+/// Runs `suite` and appends each cell's CellName to `done` in the order
+/// OnCellDone saw it.
+api::SuiteResult RunRecording(api::Suite suite,
+                              std::vector<std::string>* done) {
+  suite.OnCellDone([done](const api::SuiteCell& cell,
+                          const PrequentialResult&) {
+    done->push_back(CellName(cell));
+  });
+  return suite.Run();
+}
+
+// One worker completes the cells in the order they were submitted:
+// heaviest row first by length x (features + classes). At scale 0.004
+// RBF20 has 8000 instances x (80 + 20), Gas 4000 x (128 + 6) and RBF5
+// 4000 x (20 + 5), so the order is RBF20, Gas, RBF5 (by length alone, Gas
+// and RBF5 would tie and keep grid order). A row's cells stay together in
+// grid order, the results keep grid order and equal the per-cell
+// Experiment runs, and a custom Runner() is submitted in the same order.
+TEST(SuiteTest, HeaviestRowsRunFirstAndResultsKeepGridOrder) {
+  auto make = [](bool oracle) {
+    api::Suite suite;
+    suite.Streams({"RBF5", "Gas", "RBF20"})
+        .Detectors({"FHDDM", "DDM"})
+        .Classifier("naive-bayes")
+        .Scale(0.004)
+        .Seed(5)
+        .Threads(1);
+    if (oracle) suite.Runner(test_util::RunExperimentCell);
+    return suite;
+  };
+  const std::vector<std::string> heaviest_first = {
+      "RBF20/FHDDM/0", "RBF20/DDM/0", "Gas/FHDDM/0",
+      "Gas/DDM/0",     "RBF5/FHDDM/0", "RBF5/DDM/0"};
+  std::vector<std::string> shared_done;
+  std::vector<std::string> oracle_done;
+  const api::SuiteResult got = RunRecording(make(false), &shared_done);
+  const api::SuiteResult want = RunRecording(make(true), &oracle_done);
+  EXPECT_EQ(shared_done, heaviest_first);
+  EXPECT_EQ(oracle_done, heaviest_first);
+
+  ExpectSameCells(got, want);
+  const std::vector<std::string> grid_order = {
+      "RBF5/FHDDM/0", "RBF5/DDM/0",    "Gas/FHDDM/0",
+      "Gas/DDM/0",    "RBF20/FHDDM/0", "RBF20/DDM/0"};
+  std::vector<std::string> result_order;
+  for (const api::SuiteCellResult& c : got.cells) {
+    result_order.push_back(CellName(c.cell));
+  }
+  EXPECT_EQ(result_order, grid_order);
+  ASSERT_EQ(got.aggregates.size(), 6u);
+  EXPECT_EQ(got.aggregates[0].stream_label, "RBF5");
+  EXPECT_EQ(got.aggregates[5].stream_label, "RBF20");
+}
+
+// Rows of equal estimated cost keep grid order: RBF5 and Hyperplane5 both
+// cost 1M x (20 + 5) at scale 1, RBF10 1M x (40 + 10). Each repeat is a
+// row of its own, with its cells together.
+TEST(SuiteTest, EqualCostRowsKeepGridOrder) {
+  api::Suite suite;
+  suite.Streams({"RBF5", "Hyperplane5", "RBF10"})
+      .Detectors({"a", "b"})
+      .Repeats(2)
+      .Threads(1)
+      .Runner([](const api::SuiteCell&) { return PrequentialResult{}; });
+  std::vector<std::string> done;
+  RunRecording(suite, &done);
+  const std::vector<std::string> want = {
+      "RBF10/a/0",       "RBF10/b/0",       "RBF10/a/1",
+      "RBF10/b/1",       "RBF5/a/0",        "RBF5/b/0",
+      "RBF5/a/1",        "RBF5/b/1",        "Hyperplane5/a/0",
+      "Hyperplane5/b/0", "Hyperplane5/a/1", "Hyperplane5/b/1"};
+  EXPECT_EQ(done, want);
+}
+
+// The rethrown error is the first in grid order, not the first to happen:
+// RBF20's row is heavier, so it runs and fails before RBF5's row.
+TEST(SuiteTest, FirstErrorInGridOrderIsRethrown) {
+  std::vector<std::string> started;
+  api::Suite suite;
+  suite.Streams({"RBF5", "RBF10", "RBF20"}).Threads(1);
+  suite.Runner([&started](const api::SuiteCell& cell) -> PrequentialResult {
+    started.push_back(cell.stream_label);
+    if (cell.stream_label == "RBF10") return PrequentialResult{};
+    throw std::runtime_error("row " + cell.stream_label + " failed");
+  });
+  try {
+    suite.Run();
+    FAIL() << "expected the RBF5 row's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "row RBF5 failed");
+  }
+  EXPECT_EQ(started, (std::vector<std::string>{"RBF20", "RBF10", "RBF5"}));
 }
 
 }  // namespace
